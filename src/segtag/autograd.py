@@ -40,6 +40,16 @@ def finite_checks(enabled):
         set_finite_checks(previous)
 
 
+def check_finite(what, *arrays):
+    """Raise NumericError naming `what` when checks are on and an array holds NaN/Inf.
+
+    For fused ops whose saturating nonlinearities would hide an overflow
+    from the check on their output tensor.
+    """
+    if _FINITE_CHECKS and not all(np.isfinite(a).all() for a in arrays):
+        raise NumericError(f"{what}: NaN/Inf")
+
+
 def _as_float_array(data):
     # float32/float64 ndarrays keep their dtype; anything else becomes float64
     arr = np.asarray(data)
@@ -336,16 +346,29 @@ def slice_cols(x, start, stop):
     return out
 
 
-def slice_rows(x, i):
-    """Single row i as a 1*d tensor."""
-    out = Tensor(x.data[i:i + 1].copy(), (x,))
+def _window_offsets(n, left, right):
+    """(column block j, destination rows, source rows) of each window offset."""
+    for j, off in enumerate(range(-left, right + 1)):
+        lo, hi = max(0, -off), min(n, n - off)
+        if lo < hi:
+            yield j, slice(lo, hi), slice(lo + off, hi + off)
 
-    def _back():
-        g = np.zeros_like(x.data)
-        g[i:i + 1] = out.grad
-        _accum(x, g)
 
-    out._backward = _back
+def _window_rows(data, left, right):
+    """Array form of window_concat: row i holds rows i-left .. i+right of data."""
+    n, d = data.shape
+    out = np.zeros((n, (left + right + 1) * d), dtype=data.dtype)
+    for j, dst, src in _window_offsets(n, left, right):
+        out[dst, j * d:(j + 1) * d] = data[src]
+    return out
+
+
+def _window_rows_grad(g, left, right):
+    """Adjoint of _window_rows: fold an n x (span*d) gradient back onto n x d."""
+    n, d = g.shape[0], g.shape[1] // (left + right + 1)
+    out = np.zeros((n, d), dtype=g.dtype)
+    for j, dst, src in _window_offsets(n, left, right):
+        out[src] += g[dst, j * d:(j + 1) * d]
     return out
 
 
@@ -358,22 +381,10 @@ def window_concat(x, left, right):
     """
     if x.data.ndim != 2:
         raise ShapeError(f"window_concat: expected 2-D input, got {x.shape}")
-    n, d = x.shape
-    span = left + right + 1
-    data = np.zeros((n, span * d), dtype=x.data.dtype)
-    for j, off in enumerate(range(-left, right + 1)):
-        dlo, dhi = max(0, -off), min(n, n - off)
-        if dlo < dhi:
-            data[dlo:dhi, j * d:(j + 1) * d] = x.data[dlo + off:dhi + off]
-    out = Tensor(data, (x,))
+    out = Tensor(_window_rows(x.data, left, right), (x,))
 
     def _back():
-        g = np.zeros_like(x.data)
-        for j, off in enumerate(range(-left, right + 1)):
-            dlo, dhi = max(0, -off), min(n, n - off)
-            if dlo < dhi:
-                g[dlo + off:dhi + off] += out.grad[dlo:dhi, j * d:(j + 1) * d]
-        _accum(x, g)
+        _accum(x, _window_rows_grad(out.grad, left, right))
 
     out._backward = _back
     return out

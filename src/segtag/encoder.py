@@ -4,7 +4,9 @@ The main pipeline maps a character-id sequence to per-position feature
 vectors: embedding lookup, wide n-gram convolutions, k-max pooling along the
 feature axis, a highway gate over the pooled features, and an optional
 (bi)directional LSTM. A windowed MLP encoder is kept as the baseline
-topology. Every stage is differentiable through the autograd tape.
+topology. Every stage is differentiable through the autograd tape; the conv
+bank and each LSTM direction are single fused tape nodes with hand-written
+backward passes.
 """
 from __future__ import annotations
 
@@ -14,16 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import (
+    NumericError,
     Parameter,
     ShapeError,
     Tensor,
     _accum,
+    _window_rows,
+    _window_rows_grad,
     affine,
+    check_finite,
     concat_cols,
-    concat_rows,
     sigmoid,
-    slice_cols,
-    slice_rows,
     tanh,
     window_concat,
 )
@@ -326,32 +329,67 @@ def conv_feature_maps(x, bank):
     """Wide n-gram convolutions, tanh per map set, concatenated along features.
 
     Order q sees the rows i - floor((q-1)/2) .. i + ceil((q-1)/2), zero padded
-    at the margins so the output keeps the input length.
+    at the margins so the output keeps the input length. One tape node: the
+    window of the widest order is built once and order q reads its q middle
+    row blocks as a column view.
     """
-    outs = []
+    if x.data.ndim != 2:
+        raise ShapeError(f"conv_feature_maps: expected 2-D input, got {x.shape}")
+    n, d = x.shape
+    left = (bank.orders - 1) // 2
+    xw = _window_rows(x.data, left, bank.orders // 2)
+    windows, blocks = [], []
     for q, (w, b) in enumerate(zip(bank.weights, bank.biases), start=1):
-        xw = window_concat(x, (q - 1) // 2, q // 2)
-        outs.append(tanh(affine(xw, w, b)))
-    return outs[0] if len(outs) == 1 else concat_cols(outs)
+        if w.shape[0] != q * d or w.shape[1] != b.shape[0]:
+            raise ShapeError(f"conv order {q}: W {w.shape}, b {b.shape} do not fit x {x.shape}")
+        lo = (left - (q - 1) // 2) * d
+        windows.append(slice(lo, lo + q * d))
+        blocks.append(xw[:, windows[-1]] @ w.data + b.data)
+    z = np.concatenate(blocks, axis=1)
+    check_finite("conv_feature_maps pre-activation", z)
+    out = Tensor(np.tanh(z, out=z), (x, *bank.weights, *bank.biases))
+
+    def _back():
+        g = out.grad * (1.0 - out.data * out.data)
+        gxw = np.zeros_like(xw)
+        ofs = 0
+        for cols, w, b in zip(windows, bank.weights, bank.biases):
+            gq = g[:, ofs:ofs + w.shape[1]]
+            ofs += w.shape[1]
+            _accum(w, xw[:, cols].T @ gq)
+            _accum(b, gq.sum(axis=0))
+            gxw[:, cols] += gq @ w.data.T
+        _accum(x, _window_rows_grad(gxw, left, bank.orders // 2))
+
+    out._backward = _back
+    return out
 
 
 def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions.
+    selected positions. A row keeps every value above its k-th largest,
+    then fills the remaining slots with values equal to it, lowest index
+    first, so no full sort is needed.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
-    order = np.argsort(-z.data, axis=1, kind="stable")[:, :k]
-    idx = np.sort(order, axis=1)
-    rows = np.arange(n)[:, None]
-    out = Tensor(np.take_along_axis(z.data, idx, axis=1), (z,))
+    data = z.data
+    kth = np.partition(data, width - k, axis=1)[:, width - k, None]
+    above = data > kth
+    ties = data == kth
+    take = above | (ties & (np.cumsum(ties, axis=1) <= k - above.sum(axis=1, keepdims=True)))
+    rows, cols = np.nonzero(take)
+    if rows.size != n * k:
+        raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
+    idx = (rows.reshape(n, k), cols.reshape(n, k))
+    out = Tensor(data[idx], (z,))
 
     def _back():
-        g = np.zeros_like(z.data)
-        np.add.at(g, (rows, idx), out.grad)
+        g = np.zeros_like(data)
+        g[idx] = out.grad   # indices within a row are distinct
         _accum(z, g)
 
     out._backward = _back
@@ -375,26 +413,83 @@ def lstm_forward(xhat, p, reverse=False):
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
     c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With reverse=True the
     positions are visited last to first and the outputs realigned to input order.
+
+    One tape node. The input half of every position's gates is a single
+    GEMM, X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:]; the
+    backward pass is hand-written backpropagation through time over the
+    cached gates and cell states.
     """
-    n = xhat.shape[0]
+    x, w = xhat.data, p.w.data
+    if x.ndim != 2:
+        raise ShapeError(f"lstm_forward: expected 2-D input, got {xhat.shape}")
+    n, d = x.shape
     h = p.hidden_size
-    zeros = np.zeros((1, h), dtype=xhat.data.dtype)
-    h_prev = Tensor(zeros)
-    c_prev = Tensor(zeros.copy())
-    outputs = [None] * n
+    if w.shape != (d + h, 4 * h):
+        raise ShapeError(f"lstm_forward: W {w.shape} does not fit x {xhat.shape} with h={h}")
+    w_x, w_h = w[:d], w[d:]
+    gates = x @ w_x + p.b.data      # pre-activations; the recurrent term is added per step
+    acts = np.empty_like(gates)
+    cells = np.empty((n, h), dtype=gates.dtype)
+    hidden = np.empty((n, h), dtype=gates.dtype)
     positions = range(n - 1, -1, -1) if reverse else range(n)
-    for t in positions:
-        xt = slice_rows(xhat, t)
-        gates = affine(concat_cols([xt, h_prev]), p.w, p.b)
-        gate_i = sigmoid(slice_cols(gates, 0, h))
-        gate_o = sigmoid(slice_cols(gates, h, 2 * h))
-        gate_f = sigmoid(slice_cols(gates, 2 * h, 3 * h))
-        c_hat = tanh(slice_cols(gates, 3 * h, 4 * h))
-        c_t = c_prev * gate_f + c_hat * gate_i
-        h_t = gate_o * tanh(c_t)
-        outputs[t] = h_t
-        h_prev, c_prev = h_t, c_t
-    return outputs[0] if n == 1 else concat_rows(outputs)
+    h_prev = c_prev = np.zeros(h, dtype=gates.dtype)
+    # sigmoid as 1/(1+e^-z): e^-z overflows to inf below z ~ -88 (float32), giving the limit 0
+    with np.errstate(over="ignore"):
+        for t in positions:
+            g, a = gates[t], acts[t]
+            g += h_prev @ w_h
+            s = a[:3 * h]
+            np.negative(g[:3 * h], out=s)
+            np.exp(s, out=s)
+            s += 1.0
+            np.reciprocal(s, out=s)
+            np.tanh(g[3 * h:], out=a[3 * h:])
+            c_t = cells[t]
+            np.multiply(c_prev, a[2 * h:3 * h], out=c_t)
+            c_t += a[3 * h:] * a[:h]
+            np.multiply(a[h:2 * h], np.tanh(c_t), out=hidden[t])
+            h_prev, c_prev = hidden[t], c_t
+    layer = p.w.name.removesuffix(".w") or "lstm"
+    direction = "reverse" if reverse else "forward"
+    check_finite(f"lstm_forward {layer} ({direction}) gates or cell states", gates, cells)
+    out = Tensor(hidden, (xhat, p.w, p.b))
+
+    def _back():
+        # each row's state before its step: the neighbour visited just earlier, or zeros
+        h_before, c_before = np.zeros_like(hidden), np.zeros_like(cells)
+        if reverse:
+            h_before[:-1], c_before[:-1] = hidden[1:], cells[1:]
+        else:
+            h_before[1:], c_before[1:] = hidden[:-1], cells[:-1]
+        tanh_c = np.tanh(cells)
+        gate_i, gate_o, gate_f, c_hat = (acts[:, k * h:(k + 1) * h] for k in range(4))
+        dc_dh = gate_o * (1.0 - tanh_c * tanh_c)
+        # d pre-activation = (dc or dh) * coef: the activation's derivative times
+        # the factor it multiplies in c_t or h_t
+        coef = acts * (1.0 - acts)
+        coef[:, :h] *= c_hat
+        coef[:, h:2 * h] *= tanh_c
+        coef[:, 2 * h:3 * h] *= c_before
+        coef[:, 3 * h:] = gate_i * (1.0 - c_hat * c_hat)
+        coef = coef.reshape(n, 4, h)
+        w_hT = np.ascontiguousarray(w_h.T)
+        dgates = np.empty_like(gates)
+        dh_next = dc_next = np.zeros(h, dtype=gates.dtype)
+        for t in reversed(positions):
+            dh = out.grad[t] + dh_next
+            dc = dh * dc_dh[t]
+            dc += dc_next
+            dg = dgates[t].reshape(4, h)
+            np.multiply(coef[t], dc, out=dg)
+            np.multiply(coef[t, 1], dh, out=dg[1])      # the output gate scales tanh(c_t)
+            dc_next = dc * gate_f[t]
+            dh_next = dgates[t] @ w_hT
+        _accum(xhat, dgates @ w_x.T)
+        _accum(p.w, np.concatenate([x.T @ dgates, h_before.T @ dgates]))
+        _accum(p.b, dgates.sum(axis=0))
+
+    out._backward = _back
+    return out
 
 
 def blstm_forward(xhat, fwd, bwd):

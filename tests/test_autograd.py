@@ -134,7 +134,6 @@ def _op_cases(rng):
     y = rand_param(rng, n, a, name="y")
     left = int(rng.integers(0, 3))
     right = int(rng.integers(0, 3))
-    i = int(rng.integers(0, n))
     c0 = int(rng.integers(0, a))
     c1 = int(rng.integers(c0 + 1, a + 1))
     return {
@@ -150,7 +149,6 @@ def _op_cases(rng):
         "concat_cols": (lambda: ag.sum_all(ag.tanh(ag.concat_cols([x, y]))), [x, y]),
         "concat_rows": (lambda: ag.sum_all(ag.tanh(ag.concat_rows([x, y]))), [x, y]),
         "slice_cols": (lambda: ag.sum_all(ag.tanh(ag.slice_cols(x, c0, c1))), [x]),
-        "slice_rows": (lambda: ag.sum_all(ag.tanh(ag.slice_rows(x, i))), [x]),
         "window_concat": (lambda: ag.sum_all(ag.tanh(ag.window_concat(x, left, right))), [x]),
     }
 
@@ -161,7 +159,7 @@ OP_NAMES = sorted(_op_cases(np.random.default_rng(0)).keys())
 @pytest.mark.parametrize("op", OP_NAMES)
 @pytest.mark.parametrize("seed", range(8))
 def test_every_op_matches_finite_differences(op, seed):
-    # 13 ops x 8 seeds > 100 random shape/seed cases in total
+    # 13 ops x 8 seeds = 104 random shape/seed cases in total
     rng = np.random.default_rng(1000 * seed + hash(op) % 1000)
     f, params = _op_cases(rng)[op]
     assert ag.grad_check(f, params, eps=1e-5) <= 1e-4

@@ -149,6 +149,27 @@ class TestConvFeatureMaps:
         z = ag.tanh(ag.affine(xw, bank.weights[0], bank.biases[0]))
         assert z.shape == (n, 2)
 
+    @pytest.mark.parametrize("orders", [1, 2, 3])
+    def test_gradients_match_finite_differences(self, orders):
+        rng = np.random.default_rng(30 + orders)
+        x = Parameter(rng.normal(size=(4, 3)), name="x")
+        bank = enc.ConvFilterBank(
+            [Parameter(rng.normal(size=(3 * q, 2)), name=f"w{q}") for q in range(1, orders + 1)],
+            [Parameter(rng.normal(size=2), name=f"b{q}") for q in range(1, orders + 1)],
+        )
+        params = [x, *bank.weights, *bank.biases]
+        err = ag.grad_check(lambda: ag.sum_all(ag.tanh(enc.conv_feature_maps(x, bank))), params)
+        assert err <= 1e-4
+
+    def test_overflowing_pre_activation_raises_unless_checks_are_off(self):
+        x = Tensor(np.ones((3, 2)))
+        bank = enc.ConvFilterBank([Parameter(np.full((2, 2), 1e308))], [Parameter(np.zeros(2))])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ag.NumericError, match="conv_feature_maps"):
+                enc.conv_feature_maps(x, bank)
+            with ag.finite_checks(False):
+                assert np.array_equal(enc.conv_feature_maps(x, bank).data, np.ones((3, 2)))
+
 
 class TestKmaxPool:
     def test_keeps_top_k_in_original_order(self):
@@ -196,6 +217,28 @@ class TestKmaxPool:
             mask = np.zeros(width)
             mask[taken] = 1.0
             assert np.array_equal(z.grad[i], mask)
+
+    def test_nan_row_is_a_numeric_error_even_with_checks_off(self):
+        # the k largest of a row holding NaN are undefined
+        with ag.finite_checks(False):
+            for k in (1, 2, 3):
+                with pytest.raises(ag.NumericError, match="kmax_pool"):
+                    enc.kmax_pool(Tensor(np.array([[1.0, np.nan, 2.0]])), k)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tie_heavy_rows_match_oracle(self, dtype):
+        rng = np.random.default_rng(40)
+        z = np.round(rng.uniform(-0.5, 0.5, size=(26, 60)), 1).astype(dtype)
+        for k in (1, 7, 30, 59, 60):
+            z_t = Parameter(z.copy())
+            out = enc.kmax_pool(z_t, k)
+            assert out.data.dtype == dtype
+            assert out.data.tolist() == [kmax_oracle(row, k) for row in z.tolist()]
+            ag.sum_all(out).backward()
+            for row, grad in zip(z.tolist(), z_t.grad):
+                ranked = sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
+                assert np.flatnonzero(grad).tolist() == sorted(ranked)
+                assert np.all(grad[ranked] == 1.0)
 
 
 class TestHighway:
@@ -256,6 +299,32 @@ class TestLstm:
         out = enc.lstm_forward(Tensor(x), p, reverse=reverse)
         want = lstm_oracle(x, p.w.data, p.b.data, reverse=reverse)
         assert rel_err(out.data, want) <= 1e-10
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradients_match_finite_differences(self, n, reverse):
+        rng = np.random.default_rng(50 + n)
+        p = self._params(rng, 3, 2)
+        x = Parameter(rng.normal(size=(n, 3)), name="x")
+
+        def f():
+            return ag.sum_all(ag.tanh(enc.lstm_forward(x, p, reverse=reverse)))
+
+        assert ag.grad_check(f, [x, p.w, p.b]) <= 1e-4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_overflowing_gates_raise_unless_checks_are_off(self, reverse):
+        # sigmoid and tanh squash an infinite pre-activation to a finite h,
+        # so the layer must check its gates and cell states itself
+        p = enc.LstmParams(w=Parameter(np.full((5, 12), 1e308), name="lstm.fwd.w"),
+                           b=Parameter(np.zeros(12)))
+        x = Tensor(np.ones((3, 2)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ag.NumericError, match=r"lstm\.fwd"):
+                enc.lstm_forward(x, p, reverse=reverse)
+            with ag.finite_checks(False):
+                out = enc.lstm_forward(x, p, reverse=reverse)
+        assert np.all(np.isfinite(out.data))
 
 
 class TestBlstm:

@@ -166,6 +166,30 @@ class TestBackpropMargin:
         assert emis.grad[2, 1] == 1.0 and emis.grad[2, 0] == -1.0
         assert not np.any(emis.grad[:2])
 
+    def test_tape_size_does_not_grow_with_sentence_length(self):
+        # the conv bank and each LSTM direction are one tape node each, so the
+        # graph behind a hinge loss has the same nodes for 5 and 60 characters
+        model, sents = tiny_model()
+        chars = [c for s in sents for c in s.chars]
+        assert len(chars) >= 60
+
+        def reachable(root):
+            seen, stack = set(), [root]
+            while stack:
+                node = stack.pop()
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    stack.extend(node._prev)
+            return len(seen)
+
+        sizes = []
+        for n in (5, 60):
+            ids = model.vocab.encode(chars[:n])
+            gold = np.arange(n) % model.n_tags
+            diff, _, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
+            sizes.append(reachable(diff))
+        assert sizes[0] == sizes[1]
+
     def test_full_model_gradient_passes_grad_check(self):
         model, _ = tiny_model(dtype=np.float64)
         randomize_parameters(model)
