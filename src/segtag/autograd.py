@@ -59,7 +59,12 @@ def _as_float_array(data):
 
 
 class Tensor:
-    """A dense array plus the closure that routes gradients to its inputs."""
+    """A dense array plus the closure that routes gradients to its inputs.
+
+    The closure takes the tensor's own gradient as its argument and holds no
+    reference to the tensor, so a graph has no reference cycles: it is freed
+    as soon as its root is dropped, without waiting for the garbage collector.
+    """
 
     __slots__ = ("data", "grad", "_prev", "_backward")
 
@@ -105,7 +110,7 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -117,15 +122,15 @@ class Tensor:
             _same_shape("add", self, other)
             out = Tensor(self.data + other.data, (self, other))
 
-            def _back():
-                _accum(self, out.grad)
-                _accum(other, out.grad)
+            def _back(grad):
+                _accum(self, grad)
+                _accum(other, grad)
 
         else:
             out = Tensor(self.data + other, (self,))
 
-            def _back():
-                _accum(self, out.grad)
+            def _back(grad):
+                _accum(self, grad)
 
         out._backward = _back
         return out
@@ -135,8 +140,8 @@ class Tensor:
     def __neg__(self):
         out = Tensor(-self.data, (self,))
 
-        def _back():
-            _accum(self, -out.grad)
+        def _back(grad):
+            _accum(self, -grad)
 
         out._backward = _back
         return out
@@ -146,15 +151,15 @@ class Tensor:
             _same_shape("sub", self, other)
             out = Tensor(self.data - other.data, (self, other))
 
-            def _back():
-                _accum(self, out.grad)
-                _accum(other, -out.grad)
+            def _back(grad):
+                _accum(self, grad)
+                _accum(other, -grad)
 
         else:
             out = Tensor(self.data - other, (self,))
 
-            def _back():
-                _accum(self, out.grad)
+            def _back(grad):
+                _accum(self, grad)
 
         out._backward = _back
         return out
@@ -167,15 +172,15 @@ class Tensor:
             _same_shape("mul", self, other)
             out = Tensor(self.data * other.data, (self, other))
 
-            def _back():
-                _accum(self, out.grad * other.data)
-                _accum(other, out.grad * self.data)
+            def _back(grad):
+                _accum(self, grad * other.data)
+                _accum(other, grad * self.data)
 
         else:
             out = Tensor(self.data * other, (self,))
 
-            def _back():
-                _accum(self, out.grad * other)
+            def _back(grad):
+                _accum(self, grad * other)
 
         out._backward = _back
         return out
@@ -229,8 +234,7 @@ def affine(x, w, b):
         raise ShapeError(f"affine: x {x.shape} does not fit W {w.shape}, b {b.shape}")
     out = Tensor(x.data @ w.data + b.data, (x, w, b))
 
-    def _back():
-        g = out.grad
+    def _back(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
         _accum(b, g.sum(axis=0))
@@ -245,8 +249,7 @@ def matmul(x, w):
         raise ShapeError(f"matmul: x {x.shape} does not fit W {w.shape}")
     out = Tensor(x.data @ w.data, (x, w))
 
-    def _back():
-        g = out.grad
+    def _back(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
 
@@ -265,21 +268,22 @@ def _sigmoid_array(z):
 
 
 def sigmoid(x):
-    out = Tensor(_sigmoid_array(x.data), (x,))
+    s = _sigmoid_array(x.data)
+    out = Tensor(s, (x,))
 
-    def _back():
-        s = out.data
-        _accum(x, out.grad * s * (1.0 - s))
+    def _back(grad):
+        _accum(x, grad * s * (1.0 - s))
 
     out._backward = _back
     return out
 
 
 def tanh(x):
-    out = Tensor(np.tanh(x.data), (x,))
+    y = np.tanh(x.data)
+    out = Tensor(y, (x,))
 
-    def _back():
-        _accum(x, out.grad * (1.0 - out.data * out.data))
+    def _back(grad):
+        _accum(x, grad * (1.0 - y * y))
 
     out._backward = _back
     return out
@@ -303,11 +307,11 @@ def concat_cols(parts):
             raise ShapeError(f"concat_cols: row mismatch in {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
 
-    def _back():
+    def _back(grad):
         ofs = 0
         for p in parts:
             w = p.shape[1]
-            _accum(p, out.grad[:, ofs:ofs + w])
+            _accum(p, grad[:, ofs:ofs + w])
             ofs += w
 
     out._backward = _back
@@ -323,11 +327,11 @@ def concat_rows(parts):
             raise ShapeError(f"concat_rows: column mismatch in {[p.shape for p in parts]}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=0), tuple(parts))
 
-    def _back():
+    def _back(grad):
         ofs = 0
         for p in parts:
             r = p.shape[0]
-            _accum(p, out.grad[ofs:ofs + r])
+            _accum(p, grad[ofs:ofs + r])
             ofs += r
 
     out._backward = _back
@@ -337,54 +341,105 @@ def concat_rows(parts):
 def slice_cols(x, start, stop):
     out = Tensor(x.data[:, start:stop].copy(), (x,))
 
-    def _back():
+    def _back(grad):
         g = np.zeros_like(x.data)
-        g[:, start:stop] = out.grad
+        g[:, start:stop] = grad
         _accum(x, g)
 
     out._backward = _back
     return out
 
 
-def _window_offsets(n, left, right):
-    """(column block j, destination rows, source rows) of each window offset."""
+def _check_lengths(lengths, n):
+    """`lengths` as an array, checked to split n packed rows into sentences."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
+        raise ShapeError(f"sentence lengths {lengths.tolist()} do not partition {n} rows")
+    return lengths
+
+
+def _sentence_positions(lengths, n):
+    """Per row of n packed rows: its index within its sentence and that
+    sentence's length. `lengths` lists the sentences, packed end to end."""
+    lengths = _check_lengths(lengths, n)
+    size = np.repeat(lengths, lengths)
+    return np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths), size
+
+
+def _time_major(lengths, n, reverse=False):
+    """Time-major layout of packed sentences: (step, slot, active).
+
+    Packed row r sits at step[r], slot[r] of a (T, B, ...) array, T being the
+    longest length and B the sentence count. Slots order the sentences longest
+    first, so the sentences still running at step t are the first active[t]
+    slots, and a sentence's slot is never visited after its last position.
+    With reverse=True each sentence is flipped: its last character is step 0.
+    """
+    lengths = _check_lengths(lengths, n)
+    if lengths.size == 1:    # training asks three times per sentence: skip the bookkeeping
+        step = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
+        return step, np.zeros(n, dtype=np.intp), [1] * n
+    pos, size = _sentence_positions(lengths, n)
+    slot_of = np.empty(lengths.size, dtype=np.intp)
+    slot_of[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+    step = size - 1 - pos if reverse else pos
+    active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
+    return step, np.repeat(slot_of, lengths), active
+
+
+def _window_offsets(n, left, right, lengths=None):
+    """(column block j, destination rows, source rows) of each window offset.
+
+    With several sentences packed in the n rows (`lengths`), a row's
+    neighbour in another sentence is skipped, as if it were margin padding.
+    """
+    packed = lengths is not None and len(lengths) > 1
+    if packed:
+        pos, size = _sentence_positions(lengths, n)
     for j, off in enumerate(range(-left, right + 1)):
         lo, hi = max(0, -off), min(n, n - off)
-        if lo < hi:
+        if lo >= hi:
+            continue
+        if packed:
+            dst = np.flatnonzero((pos + off >= 0) & (pos + off < size))
+            yield j, dst, dst + off
+        else:
             yield j, slice(lo, hi), slice(lo + off, hi + off)
 
 
-def _window_rows(data, left, right):
+def _window_rows(data, left, right, lengths=None):
     """Array form of window_concat: row i holds rows i-left .. i+right of data."""
     n, d = data.shape
     out = np.zeros((n, (left + right + 1) * d), dtype=data.dtype)
-    for j, dst, src in _window_offsets(n, left, right):
+    for j, dst, src in _window_offsets(n, left, right, lengths):
         out[dst, j * d:(j + 1) * d] = data[src]
     return out
 
 
-def _window_rows_grad(g, left, right):
+def _window_rows_grad(g, left, right, lengths=None):
     """Adjoint of _window_rows: fold an n x (span*d) gradient back onto n x d."""
     n, d = g.shape[0], g.shape[1] // (left + right + 1)
     out = np.zeros((n, d), dtype=g.dtype)
-    for j, dst, src in _window_offsets(n, left, right):
-        out[src] += g[dst, j * d:(j + 1) * d]
+    for j, dst, src in _window_offsets(n, left, right, lengths):
+        out[src] += g[dst, j * d:(j + 1) * d]   # the rows of one offset are distinct
     return out
 
 
-def window_concat(x, left, right):
+def window_concat(x, left, right, lengths=None):
     """Per-row window concatenation with zero padding at the margins.
 
     Row i of the output is the concatenation of rows i-left .. i+right of x,
     out-of-range rows replaced by zeros (wide-convolution padding). Output is
-    n * ((left+right+1) * d).
+    n * ((left+right+1) * d). When x packs several sentences end to end,
+    `lengths` gives theirs, and a window never reaches into a neighbouring
+    sentence: those blocks are zero and pass no gradient.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"window_concat: expected 2-D input, got {x.shape}")
-    out = Tensor(_window_rows(x.data, left, right), (x,))
+    out = Tensor(_window_rows(x.data, left, right, lengths), (x,))
 
-    def _back():
-        _accum(x, _window_rows_grad(out.grad, left, right))
+    def _back(grad):
+        _accum(x, _window_rows_grad(grad, left, right, lengths))
 
     out._backward = _back
     return out
@@ -394,8 +449,8 @@ def sum_all(x):
     """Sum every element into a scalar tensor."""
     out = Tensor(x.data.sum(), (x,))
 
-    def _back():
-        _accum(x, np.ones_like(x.data) * out.grad)
+    def _back(grad):
+        _accum(x, np.ones_like(x.data) * grad)
 
     out._backward = _back
     return out

@@ -14,10 +14,14 @@ from . import corpus as cp
 from . import evaluation as ev
 from . import modelfile as mf
 from .encoder import ConfigError, EncoderConfig
-from .model import Model
+from .model import TAG_CHUNK_CHARS, Model
 from .training import TrainConfig, train
 
 log = logging.getLogger("segtag")
+
+# `segtag tag` reads input lines in groups of about this many characters and
+# tags each group in one call, so the model can pack lines of similar length
+TAG_GROUP_CHARS = 8 * TAG_CHUNK_CHARS
 
 
 def _bool(text):
@@ -193,21 +197,31 @@ def _render(chars, tags, sep="/"):
     return " ".join("".join(chars[s.start:s.end]) + sep + s.pos for s in spans)
 
 
+def _write_tagged(model, lines, fout):
+    """Tag a group of input lines (character lists) together and write them
+    in input order; a blank line stays blank."""
+    tagged = iter(model.tag_batch([chars for chars in lines if chars]))
+    for chars in lines:
+        print(_render(chars, next(tagged)) if chars else "", file=fout)
+
+
 def cmd_tag(args):
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "tag"))
     fin = _open_in(args.input)
     fout = _open_out(args.output)
     try:
+        group, size = [], 0
         for line in fin:
             text = line.rstrip("\n")
             if settings["normalize_width"]:
                 text = cp.fold_width(text)
-            chars = list(text)
-            if not chars:
-                print("", file=fout)
-                continue
-            print(_render(chars, model.tag_chars(chars)), file=fout)
+            group.append(list(text))
+            size += len(text)
+            if size >= TAG_GROUP_CHARS:
+                _write_tagged(model, group, fout)
+                group, size = [], 0
+        _write_tagged(model, group, fout)
     finally:
         if fin is not sys.stdin:
             fin.close()
@@ -226,7 +240,8 @@ def cmd_eval(args):
     if not sentences:
         raise CliError(f"no sentences in {gold_path}")
     gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
-    pred = [ev.decode_tags_to_words(model.tag_chars(s.chars)) for s in sentences]
+    pred = [ev.decode_tags_to_words(tags)
+            for tags in model.tag_batch([s.chars for s in sentences])]
     modes = ("joint", "seg") if settings["mode"] == "both" else (settings["mode"],)
     if any(m not in ("joint", "seg") for m in modes):
         raise CliError(f"mode must be joint or seg, got {settings['mode']!r}")

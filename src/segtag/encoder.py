@@ -7,6 +7,10 @@ feature axis, a highway gate over the pooled features, and an optional
 topology. Every stage is differentiable through the autograd tape; the conv
 bank and each LSTM direction are single fused tape nodes with hand-written
 backward passes.
+
+The input may pack several sentences end to end (``CharIds.pack``). Row-wise
+stages ignore the packing; the window stages (conv bank, MLP window) and the
+LSTM take the sentence lengths and never let one sentence see another.
 """
 from __future__ import annotations
 
@@ -21,6 +25,7 @@ from .autograd import (
     ShapeError,
     Tensor,
     _accum,
+    _time_major,
     _window_rows,
     _window_rows_grad,
     affine,
@@ -134,14 +139,38 @@ class EncoderConfig:
 
 @dataclass
 class CharIds:
-    """Integer views of one sentence: unigram ids plus boundary-padded bigram ids."""
+    """Integer views of one sentence, or of several packed end to end:
+    unigram ids plus boundary-padded bigram ids, and each sentence's length."""
 
     uni: np.ndarray
     bi_left: np.ndarray | None = None   # id of bigram (c[i-1], c[i])
     bi_right: np.ndarray | None = None  # id of bigram (c[i], c[i+1])
+    lengths: np.ndarray | None = None   # one entry per sentence; default: one sentence
+
+    def __post_init__(self):
+        if self.lengths is None:
+            self.lengths = np.array([len(self.uni)], dtype=np.intp)
 
     def __len__(self):
         return len(self.uni)
+
+    @classmethod
+    def pack(cls, sentences):
+        """One CharIds holding the given ones end to end (bigram ids need all or none)."""
+        sentences = list(sentences)
+        if not sentences:
+            raise ValueError("cannot pack zero sentences")
+
+        def cat(field):
+            parts = [getattr(s, field) for s in sentences]
+            if all(p is None for p in parts):
+                return None
+            if any(p is None for p in parts):
+                raise ValueError(f"cannot pack sentences with and without {field} ids")
+            return np.concatenate(parts)
+
+        return cls(uni=cat("uni"), bi_left=cat("bi_left"), bi_right=cat("bi_right"),
+                   lengths=cat("lengths"))
 
 
 class EmbeddingTable:
@@ -293,10 +322,10 @@ def embed_rows(table_param, ids):
     ids = np.asarray(ids, dtype=np.intp)
     out = Tensor(table_param.data[ids], (table_param,))
 
-    def _back():
+    def _back(grad):
         if table_param.grad is None:
             table_param.grad = np.zeros_like(table_param.data)
-        np.add.at(table_param.grad, ids, out.grad)
+        np.add.at(table_param.grad, ids, grad)
 
     out._backward = _back
     return out
@@ -305,7 +334,7 @@ def embed_rows(table_param, ids):
 def embed_sentence(ids, table, cfg):
     """Look up per-position embeddings; with bigrams on, each row is
     e(c_i) ++ e_b(c_{i-1} c_i) ++ e_b(c_i c_{i+1}) for width 3d."""
-    if len(ids) == 0:
+    if len(ids) == 0 or ids.lengths.min() < 1:
         raise ValueError("cannot embed an empty sentence")
     uni = embed_rows(table.unigram, ids.uni)
     if not cfg.use_bigram:
@@ -317,27 +346,31 @@ def embed_sentence(ids, table, cfg):
     return concat_cols([uni, left, right])
 
 
-def mlp_encode(x, mlp, window):
-    """Windowed baseline encoder: tanh(W_h^T [x_{i-..} .. x_{i+..}] + b_h)."""
+def mlp_encode(x, mlp, window, lengths=None):
+    """Windowed baseline encoder: tanh(W_h^T [x_{i-..} .. x_{i+..}] + b_h).
+
+    `lengths` lists the sentences packed in x; windows stop at their ends.
+    """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    xw = window_concat(x, (window - 1) // 2, window // 2)
+    xw = window_concat(x, (window - 1) // 2, window // 2, lengths)
     return tanh(affine(xw, mlp.w, mlp.b))
 
 
-def conv_feature_maps(x, bank):
+def conv_feature_maps(x, bank, lengths=None):
     """Wide n-gram convolutions, tanh per map set, concatenated along features.
 
     Order q sees the rows i - floor((q-1)/2) .. i + ceil((q-1)/2), zero padded
-    at the margins so the output keeps the input length. One tape node: the
-    window of the widest order is built once and order q reads its q middle
-    row blocks as a column view.
+    at the margins so the output keeps the input length; with several
+    sentences packed in x (`lengths`), each sentence's ends are margins too.
+    One tape node: the window of the widest order is built once and order q
+    reads its q middle row blocks as a column view.
     """
     if x.data.ndim != 2:
         raise ShapeError(f"conv_feature_maps: expected 2-D input, got {x.shape}")
     n, d = x.shape
     left = (bank.orders - 1) // 2
-    xw = _window_rows(x.data, left, bank.orders // 2)
+    xw = _window_rows(x.data, left, bank.orders // 2, lengths)
     windows, blocks = [], []
     for q, (w, b) in enumerate(zip(bank.weights, bank.biases), start=1):
         if w.shape[0] != q * d or w.shape[1] != b.shape[0]:
@@ -349,8 +382,8 @@ def conv_feature_maps(x, bank):
     check_finite("conv_feature_maps pre-activation", z)
     out = Tensor(np.tanh(z, out=z), (x, *bank.weights, *bank.biases))
 
-    def _back():
-        g = out.grad * (1.0 - out.data * out.data)
+    def _back(grad):
+        g = grad * (1.0 - z * z)
         gxw = np.zeros_like(xw)
         ofs = 0
         for cols, w, b in zip(windows, bank.weights, bank.biases):
@@ -359,7 +392,7 @@ def conv_feature_maps(x, bank):
             _accum(w, xw[:, cols].T @ gq)
             _accum(b, gq.sum(axis=0))
             gxw[:, cols] += gq @ w.data.T
-        _accum(x, _window_rows_grad(gxw, left, bank.orders // 2))
+        _accum(x, _window_rows_grad(gxw, left, bank.orders // 2, lengths))
 
     out._backward = _back
     return out
@@ -369,27 +402,37 @@ def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions. A row keeps every value above its k-th largest,
-    then fills the remaining slots with values equal to it, lowest index
-    first, so no full sort is needed.
+    selected positions. np.argpartition picks each row's k largest and a
+    per-row sort restores their order. Where the k-th largest value occurs
+    more than once, the pick among its copies is arbitrary, so those rows
+    alone are re-selected: every value above the k-th, then values equal to
+    it, lowest index first.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    kth = np.partition(data, width - k, axis=1)[:, width - k, None]
-    above = data > kth
-    ties = data == kth
-    take = above | (ties & (np.cumsum(ties, axis=1) <= k - above.sum(axis=1, keepdims=True)))
-    rows, cols = np.nonzero(take)
-    if rows.size != n * k:
+    idx = np.argpartition(data, width - k, axis=1)[:, width - k:]
+    row = np.arange(n)[:, None]
+    if np.isnan(data[row, idx]).any():
+        # argpartition ranks NaN above every number, so a NaN is always picked
         raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-    idx = (rows.reshape(n, k), cols.reshape(n, k))
+    kth = data[row, idx[:, :1]]
+    ties = data == kth
+    rows = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
+    if rows.size:
+        above = data[rows] > kth[rows]
+        tied = ties[rows]
+        take = above | (tied & (np.cumsum(tied, axis=1)
+                                <= k - above.sum(axis=1, keepdims=True)))
+        idx[rows] = np.nonzero(take)[1].reshape(rows.size, k)
+    idx.sort(axis=1)
+    idx = (row, idx)
     out = Tensor(data[idx], (z,))
 
-    def _back():
+    def _back(grad):
         g = np.zeros_like(data)
-        g[idx] = out.grad   # indices within a row are distinct
+        g[idx] = grad   # indices within a row are distinct
         _accum(z, g)
 
     out._backward = _back
@@ -407,17 +450,21 @@ def highway_forward(x, cov_x, hw):
     return cov_x * gate + x * (1.0 - gate)
 
 
-def lstm_forward(xhat, p, reverse=False):
+def lstm_forward(xhat, p, reverse=False, lengths=None):
     """Single-direction LSTM over the rows of xhat, zero initial state.
 
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
     c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With reverse=True the
     positions are visited last to first and the outputs realigned to input order.
+    With several sentences packed in xhat (`lengths`), each runs from its own
+    zero state, all of them in the same steps.
 
     One tape node. The input half of every position's gates is a single
-    GEMM, X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:]; the
-    backward pass is hand-written backpropagation through time over the
-    cached gates and cell states.
+    GEMM, X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
+    per sentence still running: the steps run over a time-major (T, B, 4h)
+    layout, longest sentence first (``autograd._time_major``). The backward
+    pass is hand-written backpropagation through time over the cached gates
+    and cell states.
     """
     x, w = xhat.data, p.w.data
     if x.ndim != 2:
@@ -427,89 +474,100 @@ def lstm_forward(xhat, p, reverse=False):
     if w.shape != (d + h, 4 * h):
         raise ShapeError(f"lstm_forward: W {w.shape} does not fit x {xhat.shape} with h={h}")
     w_x, w_h = w[:d], w[d:]
-    gates = x @ w_x + p.b.data      # pre-activations; the recurrent term is added per step
-    acts = np.empty_like(gates)
-    cells = np.empty((n, h), dtype=gates.dtype)
-    hidden = np.empty((n, h), dtype=gates.dtype)
-    positions = range(n - 1, -1, -1) if reverse else range(n)
-    h_prev = c_prev = np.zeros(h, dtype=gates.dtype)
+    lengths = [n] if lengths is None else lengths
+    step, slot, active = _time_major(lengths, n, reverse)
+    rows, n_sent = (step, slot), len(lengths)
+    x_gates = x @ w_x + p.b.data        # pre-activations; the recurrent term is added per step
+    gates = np.zeros((len(active), n_sent, 4 * h), dtype=x_gates.dtype)
+    gates[rows] = x_gates
+    acts = np.zeros_like(gates)
+    cells = np.zeros(gates.shape[:2] + (h,), dtype=gates.dtype)
+    hidden = np.zeros_like(cells)
+    # per-gate views, so that a step indexes each with one integer
+    gate_i, gate_o, gate_f, c_hat = (acts[..., k * h:(k + 1) * h] for k in range(4))
+    sig_in, tanh_in, sig_out = gates[..., :3 * h], gates[..., 3 * h:], acts[..., :3 * h]
+    h_prev = c_prev = np.zeros_like(cells[0])
     # sigmoid as 1/(1+e^-z): e^-z overflows to inf below z ~ -88 (float32), giving the limit 0
     with np.errstate(over="ignore"):
-        for t in positions:
-            g, a = gates[t], acts[t]
-            g += h_prev @ w_h
-            s = a[:3 * h]
-            np.negative(g[:3 * h], out=s)
+        for t, m in enumerate(active):
+            at = t if m == n_sent else (t, slice(m))    # the sentences still running
+            g = gates[at]
+            g += h_prev[:m] @ w_h
+            s = sig_out[at]
+            np.negative(sig_in[at], out=s)
             np.exp(s, out=s)
             s += 1.0
             np.reciprocal(s, out=s)
-            np.tanh(g[3 * h:], out=a[3 * h:])
-            c_t = cells[t]
-            np.multiply(c_prev, a[2 * h:3 * h], out=c_t)
-            c_t += a[3 * h:] * a[:h]
-            np.multiply(a[h:2 * h], np.tanh(c_t), out=hidden[t])
-            h_prev, c_prev = hidden[t], c_t
+            np.tanh(tanh_in[at], out=c_hat[at])
+            c_t = cells[at]
+            np.multiply(c_prev[:m], gate_f[at], out=c_t)
+            c_t += c_hat[at] * gate_i[at]
+            h_prev, c_prev = hidden[at], c_t
+            np.multiply(gate_o[at], np.tanh(c_t), out=h_prev)
     layer = p.w.name.removesuffix(".w") or "lstm"
     direction = "reverse" if reverse else "forward"
+    # padding slots stay zero, so only real positions can fail the check
     check_finite(f"lstm_forward {layer} ({direction}) gates or cell states", gates, cells)
-    out = Tensor(hidden, (xhat, p.w, p.b))
+    out = Tensor(hidden[rows], (xhat, p.w, p.b))
 
-    def _back():
-        # each row's state before its step: the neighbour visited just earlier, or zeros
+    def _back(grad):
+        # each step's state before it: the step just earlier, or zeros
         h_before, c_before = np.zeros_like(hidden), np.zeros_like(cells)
-        if reverse:
-            h_before[:-1], c_before[:-1] = hidden[1:], cells[1:]
-        else:
-            h_before[1:], c_before[1:] = hidden[:-1], cells[:-1]
+        h_before[1:], c_before[1:] = hidden[:-1], cells[:-1]
         tanh_c = np.tanh(cells)
-        gate_i, gate_o, gate_f, c_hat = (acts[:, k * h:(k + 1) * h] for k in range(4))
         dc_dh = gate_o * (1.0 - tanh_c * tanh_c)
         # d pre-activation = (dc or dh) * coef: the activation's derivative times
         # the factor it multiplies in c_t or h_t
         coef = acts * (1.0 - acts)
-        coef[:, :h] *= c_hat
-        coef[:, h:2 * h] *= tanh_c
-        coef[:, 2 * h:3 * h] *= c_before
-        coef[:, 3 * h:] = gate_i * (1.0 - c_hat * c_hat)
-        coef = coef.reshape(n, 4, h)
+        coef[..., :h] *= c_hat
+        coef[..., h:2 * h] *= tanh_c
+        coef[..., 2 * h:3 * h] *= c_before
+        coef[..., 3 * h:] = gate_i * (1.0 - c_hat * c_hat)
+        coef = coef.reshape(gates.shape[:2] + (4, h))
+        d_out = np.zeros_like(hidden)
+        d_out[rows] = grad
         w_hT = np.ascontiguousarray(w_h.T)
-        dgates = np.empty_like(gates)
-        dh_next = dc_next = np.zeros(h, dtype=gates.dtype)
-        for t in reversed(positions):
-            dh = out.grad[t] + dh_next
-            dc = dh * dc_dh[t]
-            dc += dc_next
-            dg = dgates[t].reshape(4, h)
-            np.multiply(coef[t], dc, out=dg)
-            np.multiply(coef[t, 1], dh, out=dg[1])      # the output gate scales tanh(c_t)
-            dc_next = dc * gate_f[t]
-            dh_next = dgates[t] @ w_hT
-        _accum(xhat, dgates @ w_x.T)
-        _accum(p.w, np.concatenate([x.T @ dgates, h_before.T @ dgates]))
-        _accum(p.b, dgates.sum(axis=0))
+        dgates = np.zeros_like(gates)
+        dgates_4, d_o, coef_o = dgates.reshape(coef.shape), dgates[..., h:2 * h], coef[..., 1, :]
+        # a slot not yet reached going backwards has no step after it: zeros
+        dh_next, dc_next = np.zeros_like(hidden[0]), np.zeros_like(cells[0])
+        for t in range(len(active) - 1, -1, -1):
+            m = active[t]
+            at = t if m == n_sent else (t, slice(m))
+            dh = d_out[at] + dh_next[:m]
+            dc = dh * dc_dh[at]
+            dc += dc_next[:m]
+            np.multiply(coef[at], dc[:, None], out=dgates_4[at])
+            np.multiply(coef_o[at], dh, out=d_o[at])    # the output gate scales tanh(c_t)
+            np.multiply(dc, gate_f[at], out=dc_next[:m])
+            np.matmul(dgates[at], w_hT, out=dh_next[:m])
+        dg_rows = dgates[rows]
+        _accum(xhat, dg_rows @ w_x.T)
+        _accum(p.w, np.concatenate([x.T @ dg_rows, h_before[rows].T @ dg_rows]))
+        _accum(p.b, dg_rows.sum(axis=0))
 
     out._backward = _back
     return out
 
 
-def blstm_forward(xhat, fwd, bwd):
+def blstm_forward(xhat, fwd, bwd, lengths=None):
     """Concatenate forward and backward LSTM states per position."""
     if fwd.hidden_size != bwd.hidden_size:
         raise ConfigError(
             f"forward h={fwd.hidden_size} and backward h={bwd.hidden_size} differ"
         )
-    return concat_cols([lstm_forward(xhat, fwd, reverse=False),
-                        lstm_forward(xhat, bwd, reverse=True)])
+    return concat_cols([lstm_forward(xhat, fwd, reverse=False, lengths=lengths),
+                        lstm_forward(xhat, bwd, reverse=True, lengths=lengths)])
 
 
 def encode(ids, params, cfg):
-    """Run the configured encoder stack over one sentence of character ids."""
+    """Run the configured encoder stack over the sentence(s) packed in ids."""
     x = embed_sentence(ids, params.table, cfg)
     if cfg.mlp_baseline:
-        return mlp_encode(x, params.mlp, cfg.window)
+        return mlp_encode(x, params.mlp, cfg.window, ids.lengths)
     feats = x
     if cfg.use_conv:
-        z = conv_feature_maps(x, params.conv)
+        z = conv_feature_maps(x, params.conv, ids.lengths)
         if cfg.use_pooling:
             feats = kmax_pool(z, cfg.k_pool)
             if cfg.use_highway:
@@ -517,7 +575,7 @@ def encode(ids, params, cfg):
         else:
             feats = z
     if cfg.recurrent == "lstm":
-        return lstm_forward(feats, params.lstm_fwd)
+        return lstm_forward(feats, params.lstm_fwd, lengths=ids.lengths)
     if cfg.recurrent == "blstm":
-        return blstm_forward(feats, params.lstm_fwd, params.lstm_bwd)
+        return blstm_forward(feats, params.lstm_fwd, params.lstm_bwd, ids.lengths)
     return feats

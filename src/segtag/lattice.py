@@ -5,6 +5,10 @@ transition matrix. A path scores the sum of its emissions and the
 transition scores between consecutive tags; Viterbi finds the exact argmax,
 optionally over hamming-margin-augmented emissions for max-margin training.
 A brute-force enumerator with identical tie-breaking serves as the oracle.
+
+A lattice may pack several sentences end to end (``lengths``): Viterbi then
+decodes each one on its own, all of them in the same steps, and no
+transition is scored across a sentence boundary.
 """
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, Tensor, _accum, affine
+from .autograd import Parameter, Tensor, _accum, _check_lengths, _time_major, affine
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -64,9 +68,10 @@ class TransitionMatrix:
 
 
 class TagScoreLattice:
-    """Emission scores for one sentence plus a reference to the transitions."""
+    """Emission scores for one sentence, or for several packed end to end
+    (`lengths`, one entry per sentence), plus a reference to the transitions."""
 
-    def __init__(self, emissions, trans):
+    def __init__(self, emissions, trans, lengths=None):
         emissions = np.asarray(emissions)
         if emissions.ndim != 2 or emissions.shape[0] < 1:
             raise ValueError(f"emissions must be n x |T| with n >= 1, got {emissions.shape}")
@@ -76,8 +81,10 @@ class TagScoreLattice:
             )
         if not np.all(np.isfinite(emissions)):
             raise ValueError("emissions must be finite")
+        n = emissions.shape[0]
         self.emissions = emissions
         self.trans = trans
+        self.lengths = _check_lengths([n] if lengths is None else lengths, n)
 
     @property
     def n(self):
@@ -103,12 +110,18 @@ def _check_tags(lat, tags):
 
 
 def path_score(lat, tags):
-    """Sum of transition scores plus emission scores along one tag path."""
+    """Sum of transition scores plus emission scores along one tag path
+    (summed over the sentences of a packed lattice)."""
     tags = _check_tags(lat, tags)
     n = lat.n
     score = lat.emissions[np.arange(n), tags].sum()
     if n > 1:
-        score += lat.trans.scores()[tags[:-1], tags[1:]].sum()
+        arcs = lat.trans.scores()[tags[:-1], tags[1:]]
+        if lat.lengths.size > 1:
+            inside = np.ones(n - 1, dtype=bool)
+            inside[np.cumsum(lat.lengths)[:-1] - 1] = False   # the arc out of each last char
+            arcs = arcs[inside]
+        score += arcs.sum()
     return float(score)
 
 
@@ -125,27 +138,36 @@ def viterbi(lat):
     Ties resolve to the smaller tag index, compared from the last position
     backwards (the traceback order), so the result is reproducible and
     matches brute_force_decode exactly. The returned score is recomputed
-    with path_score on the returned path.
+    with path_score on the returned path. A packed lattice gives the packed
+    paths of its sentences, each decoded on its own, and their total score.
     """
-    path = _viterbi_path(lat.emissions, lat.trans.scores())
+    path = _viterbi_path(lat.emissions, lat.trans.scores(), lat.lengths)
     return path, path_score(lat, path)
 
 
-def _viterbi_path(emissions, a):
+def _viterbi_path(emissions, a, lengths):
     n, n_tags = emissions.shape
-    delta = emissions[0].copy()
-    backptr = np.zeros((n, n_tags), dtype=np.intp)
-    for t in range(1, n):
-        cand = delta[:, None] + a            # cand[i, j]: best arriving at j via i
-        backptr[t] = np.argmax(cand, axis=0)  # first max = smallest previous tag
-        delta = cand[backptr[t], np.arange(n_tags)] + emissions[t]
-    last = int(np.argmax(delta))
-    if delta[last] <= _INFEASIBLE:
+    step, slot, active = _time_major(lengths, n)
+    em = np.zeros((len(active), len(lengths), n_tags), dtype=emissions.dtype)
+    em[step, slot] = emissions
+    backptr = np.zeros(em.shape, dtype=np.intp)
+    a_to_from = np.ascontiguousarray(a.T)   # reduce over the previous tag along contiguous rows
+    delta = em[0].copy()
+    for t in range(1, len(active)):
+        m = active[t]
+        at = t if m == len(lengths) else (t, slice(m))  # the sentences still running
+        cand = delta[:m, None] + a_to_from                # cand[b, j, i]: best arriving at j via i
+        cand.argmax(axis=2, out=backptr[at])              # first max = smallest previous tag
+        np.add(np.maximum.reduce(cand, axis=2), em[at], out=delta[:m])
+    last = delta.argmax(axis=1)
+    if np.any(delta.max(axis=1) <= _INFEASIBLE):
         raise InfeasibleLatticeError("all paths cross forbidden transitions")
-    path = [last]
-    for t in range(n - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
+    path = []
+    for b, length in zip(slot[np.cumsum(lengths) - 1].tolist(), lengths):
+        tags = [int(last[b])]
+        for t in range(length - 1, 0, -1):
+            tags.append(int(backptr[t, b, tags[-1]]))
+        path.extend(reversed(tags))
     return path
 
 
@@ -158,7 +180,7 @@ def loss_augmented_viterbi(lat, gold, eta):
     """
     gold = _check_tags(lat, gold)
     aug = lat.emissions + _margin_row(lat.n, lat.n_tags, gold, eta, lat.emissions.dtype)
-    path = _viterbi_path(aug, lat.trans.scores())
+    path = _viterbi_path(aug, lat.trans.scores(), lat.lengths)
     mismatches = int(np.sum(np.asarray(path) != gold))
     return path, path_score(lat, path) + eta * mismatches
 
@@ -171,6 +193,8 @@ def brute_force_decode(lat, gold=None, eta=0.0):
     sequences the one whose reversed tag tuple is lexicographically
     smallest wins. Guarded to |T|^n <= 10^6.
     """
+    if lat.lengths.size > 1:
+        raise ValueError(f"brute_force_decode takes one sentence, got {lat.lengths.size}")
     n, n_tags = lat.n, lat.n_tags
     total = n_tags ** n
     if total > 10 ** 6:
@@ -218,13 +242,13 @@ def gather_path_score(emissions_t, a_param, trans, tags):
         prev = (emissions_t, a_param)
     out = Tensor(value, prev)
 
-    def _back():
+    def _back(grad):
         g = np.zeros_like(emissions_t.data)
-        g[rows, tags] = out.grad
+        g[rows, tags] = grad
         _accum(emissions_t, g)
         if arcs is not None:
             ga = np.zeros_like(a_param.data)
-            np.add.at(ga, arcs, out.grad)
+            np.add.at(ga, arcs, grad)
             if trans.mask is not None:
                 ga[trans.mask] = 0.0
             _accum(a_param, ga)
@@ -249,10 +273,10 @@ def path_emission_diff(scores_t, path, gold):
     out = Tensor((scores_t.data[rows, path] - scores_t.data[rows, gold]).sum(),
                  (scores_t,))
 
-    def _back():
+    def _back(grad):
         g = np.zeros_like(scores_t.data)
-        np.add.at(g, (rows, path), out.grad)
-        np.add.at(g, (rows, gold), -out.grad)
+        np.add.at(g, (rows, path), grad)
+        np.add.at(g, (rows, gold), -grad)
         _accum(scores_t, g)
 
     out._backward = _back
@@ -272,10 +296,10 @@ def tag_count_diff(b_param, path, gold):
     weights = counts[idx].astype(b_param.data.dtype)
     out = Tensor((b_param.data[idx] * weights).sum(), (b_param,))
 
-    def _back():
+    def _back(grad):
         if b_param.grad is None:
             b_param.grad = np.zeros_like(b_param.data)
-        b_param.grad[idx] += weights * out.grad
+        b_param.grad[idx] += weights * grad
 
     out._backward = _back
     return out
@@ -300,10 +324,10 @@ def arc_count_diff(a_param, trans, path, gold):
     weights = counts[idx].astype(a_param.data.dtype)
     out = Tensor((a_param.data[idx] * weights).sum(), (a_param,))
 
-    def _back():
+    def _back(grad):
         if a_param.grad is None:
             a_param.grad = np.zeros_like(a_param.data)
-        a_param.grad[idx] += weights * out.grad
+        a_param.grad[idx] += weights * grad
 
     out._backward = _back
     return out

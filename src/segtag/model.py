@@ -8,9 +8,28 @@ from . import encoder as enc
 from . import lattice as lt
 from .autograd import Parameter
 
+# Characters per tagging chunk. Larger chunks make each LSTM and Viterbi step
+# a bigger GEMM but raise peak memory; 256 keeps the tagging process's peak
+# RSS within ~1 MB of one-sentence tagging.
+TAG_CHUNK_CHARS = 256
+
+
+def length_chunks(lengths, cap):
+    """Indices of the sentences sorted by length (stable), cut into runs of
+    at most `cap` characters; a sentence longer than `cap` is a run alone."""
+    chunk, size = [], 0
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunk and size + lengths[i] > cap:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(i)
+        size += lengths[i]
+    if chunk:
+        yield chunk
+
 
 class Model:
-    """Everything needed to score and decode one sentence.
+    """Everything needed to score and decode sentences.
 
     Parameter allocation order is fixed (embeddings, conv filters, highway,
     LSTM directions, MLP, projection, transitions) so that equal seeds give
@@ -54,7 +73,7 @@ class Model:
             p.zero_grad()
 
     def hidden(self, ids):
-        """Encoder output tensor, attached to the autograd tape."""
+        """Encoder output tensor for the sentence(s) in ids, attached to the autograd tape."""
         return enc.encode(ids, self.encoder, self.cfg)
 
     def emissions(self, ids):
@@ -64,17 +83,36 @@ class Model:
     def lattice(self, ids):
         """Decoding-ready lattice (detached view) plus the emission tensor."""
         p = self.emissions(ids)
-        return lt.TagScoreLattice(p.data, self.trans), p
+        return lt.TagScoreLattice(p.data, self.trans, ids.lengths), p
+
+    def _paths(self, sentences):
+        """Tag-index paths of raw character sequences, in input order.
+
+        Sentences of similar length share a chunk of at most TAG_CHUNK_CHARS
+        characters, which runs once through the encoder and one batched
+        Viterbi; each sentence is still decoded on its own.
+        """
+        paths = [None] * len(sentences)
+        for chunk in length_chunks([len(s) for s in sentences], TAG_CHUNK_CHARS):
+            ids = enc.CharIds.pack(
+                self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
+            lat, _ = self.lattice(ids)
+            path, _ = lt.viterbi(lat)
+            ends = np.cumsum(ids.lengths).tolist()
+            for i, lo, hi in zip(chunk, [0] + ends, ends):
+                paths[i] = path[lo:hi]
+        return paths
+
+    def tag_batch(self, sentences):
+        """Viterbi-decode raw character sequences into joint tag lists."""
+        return [[self.tagset.tag(i) for i in path] for path in self._paths(sentences)]
 
     def tag_ids(self, chars):
         """Viterbi-decode one raw character sequence into tag indices."""
-        ids = self.vocab.encode(chars, self.cfg.use_bigram)
-        lat, _ = self.lattice(ids)
-        path, _ = lt.viterbi(lat)
-        return path
+        return self._paths([chars])[0]
 
     def tag_chars(self, chars):
-        return [self.tagset.tag(i) for i in self.tag_ids(chars)]
+        return self.tag_batch([chars])[0]
 
     def snapshot(self):
         return [p.data.copy() for _, p in self.parameters()]

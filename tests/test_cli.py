@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from segtag import cli
@@ -150,6 +151,26 @@ class TestTagCommand:
         lines = fout.read_text(encoding="utf-8").split("\n")
         assert lines[1] == ""
         assert all("/" in l for l in (lines[0], lines[2]))
+
+    def test_lines_are_tagged_in_groups_and_written_in_order(self, trained, tmp_path):
+        model_path, _ = trained
+        rng = np.random.default_rng(9)
+        lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
+                                                          size=int(rng.integers(1, 40))))
+                 for i in range(300)]
+        lines.insert(60, "abcdefghijkl" * 30)   # one line longer than a chunk
+        assert len(lines[60]) > cli.TAG_CHUNK_CHARS
+        assert sum(map(len, lines)) > 2 * cli.TAG_GROUP_CHARS
+        fin = tmp_path / "in.txt"
+        fout = tmp_path / "out.txt"
+        fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("tag", "--model", str(model_path), str(fin), str(fout)) == 0
+        got = fout.read_text(encoding="utf-8").split("\n")
+        assert got[-1] == "" and len(got) == len(lines) + 1
+        model = mf.load(model_path)
+        for line, out in zip(lines, got):
+            chars = list(line)
+            assert out == (cli._render(chars, model.tag_chars(chars)) if chars else "")
 
     def test_deterministic_output(self, trained, tmp_path):
         model_path, _ = trained
