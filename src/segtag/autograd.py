@@ -289,15 +289,6 @@ def tanh(x):
     return out
 
 
-def activation(x, kind):
-    """Elementwise nonlinearity, kind in {'sigmoid', 'tanh'}."""
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "tanh":
-        return tanh(x)
-    raise ValueError(f"unsupported activation kind {kind!r}")
-
-
 def concat_cols(parts):
     """Concatenate 2-D tensors with equal row counts along columns."""
     parts = list(parts)
@@ -313,38 +304,6 @@ def concat_cols(parts):
             w = p.shape[1]
             _accum(p, grad[:, ofs:ofs + w])
             ofs += w
-
-    out._backward = _back
-    return out
-
-
-def concat_rows(parts):
-    """Stack 2-D tensors with equal column counts along rows."""
-    parts = list(parts)
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError(f"concat_rows: column mismatch in {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), tuple(parts))
-
-    def _back(grad):
-        ofs = 0
-        for p in parts:
-            r = p.shape[0]
-            _accum(p, grad[ofs:ofs + r])
-            ofs += r
-
-    out._backward = _back
-    return out
-
-
-def slice_cols(x, start, stop):
-    out = Tensor(x.data[:, start:stop].copy(), (x,))
-
-    def _back(grad):
-        g = np.zeros_like(x.data)
-        g[:, start:stop] = grad
-        _accum(x, g)
 
     out._backward = _back
     return out

@@ -41,7 +41,6 @@ SETTINGS = {
     "embeddings": (str, None),
     "model": (str, None),
     "seed": (int, 1),
-    "deterministic": (_bool, True),
     "encoder": (str, "full"),          # full | mlp
     "recurrent": (str, "blstm"),       # none | lstm | blstm
     "conv": (_bool, True),
@@ -132,7 +131,7 @@ def train_config_from(settings):
         alpha=settings["lr"], eta=settings["margin"], l2=settings["l2"],
         batch_size=settings["batch"], max_epochs=settings["epochs"],
         seed=settings["seed"], dev_fraction=settings["dev_fraction"],
-        optimizer=settings["optimizer"], deterministic=settings["deterministic"],
+        optimizer=settings["optimizer"],
         finetune_embeddings=settings["finetune_embeddings"],
     )
 
@@ -164,7 +163,8 @@ def cmd_train(args):
              len(sentences), len(vocab.chars), len(tagset))
 
     model = Model(cfg, vocab, tagset, seed=settings["seed"],
-                  constrain_transitions=settings["constrain_transitions"])
+                  constrain_transitions=settings["constrain_transitions"],
+                  normalize_width=settings["normalize_width"])
     if settings["embeddings"]:
         _, stats = cp.load_pretrained_embeddings(
             settings["embeddings"], vocab, cfg.d, table=model.encoder.table)
@@ -208,13 +208,15 @@ def _write_tagged(model, lines, fout):
 def cmd_tag(args):
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "tag"))
+    # a model trained on width-folded text says so in its file
+    fold = settings["normalize_width"] or model.normalize_width
     fin = _open_in(args.input)
     fout = _open_out(args.output)
     try:
         group, size = [], 0
         for line in fin:
             text = line.rstrip("\n")
-            if settings["normalize_width"]:
+            if fold:
                 text = cp.fold_width(text)
             group.append(list(text))
             size += len(text)
@@ -233,10 +235,11 @@ def cmd_tag(args):
 def cmd_eval(args):
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "eval"))
+    fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
     with open(gold_path, encoding="utf-8") as f:
         sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
-                                           normalize_width=settings["normalize_width"])
+                                           normalize_width=fold)
     if not sentences:
         raise CliError(f"no sentences in {gold_path}")
     gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
@@ -258,12 +261,10 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--model", help="model file path")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--deterministic", action="store_const", const=True,
-                       help="fixed-seed reproducible run")
 
     t = sub.add_parser("train", help="train a model on a word/POS corpus")
     common(t)
+    t.add_argument("--seed", type=int, help="initialization, shuffling and dev split seed")
     t.add_argument("--corpus", help="training corpus (word/POS lines)")
     t.add_argument("--dev", help="held-out corpus for model selection")
     t.add_argument("--embeddings", help="word2vec-format pre-trained characters")

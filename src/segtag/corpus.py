@@ -155,8 +155,6 @@ class Vocab:
         self.char_to_id = {c: i + 2 for i, c in enumerate(chars)}
         self.bigram_to_id = {b: i + 2 for i, b in enumerate(bigrams or [])}
         self.char_freq = dict(char_freq or {})
-        self.unk_index = self.UNK
-        self.pad_index = self.PAD
 
     @property
     def chars(self):
@@ -279,24 +277,20 @@ class EmbeddingLoadStats:
         return f"loaded {self.loaded} rows, skipped {self.skipped}, coverage {self.coverage:.1%}"
 
 
-def load_pretrained_embeddings(path, vocab, d, rng=None, use_bigram=False,
-                               dtype=np.float32, table=None):
-    """Initialize an embedding table from a word2vec-format text file.
+def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
+    """Initialize a character embedding table from a word2vec-format text file.
 
     The file starts with a "<count> <dim>" header; each following line is a
     token and dim whitespace-separated reals. Rows for in-vocabulary
     characters are copied; everything else keeps its random initialization
-    and is counted as skipped. Pass an existing table to fill it in place.
+    and is counted as skipped. Pass an existing table to fill its unigram
+    rows in place; without one, a float32 unigram-only table is drawn from rng.
     """
     if table is None:
         rng = rng or np.random.default_rng(0)
-        uni = Parameter(rng.uniform(-0.01, 0.01, size=(vocab.n_chars, d)).astype(dtype),
+        uni = Parameter(rng.uniform(-0.01, 0.01, size=(vocab.n_chars, d)).astype(np.float32),
                         name="embed.unigram")
-        bi = None
-        if use_bigram:
-            bi = Parameter(rng.uniform(-0.01, 0.01, size=(vocab.n_bigrams, d)).astype(dtype),
-                           name="embed.bigram")
-        table = EmbeddingTable(uni, bi)
+        table = EmbeddingTable(uni)
     if table.d != d:
         raise EmbeddingFormatError(f"table width {table.d} != requested d {d}")
 

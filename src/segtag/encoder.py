@@ -176,18 +176,14 @@ class CharIds:
 class EmbeddingTable:
     """Unigram (and optional bigram) embedding matrices.
 
-    Row 0 is the unknown token, row 1 the padding token; the pad row is only
-    referenced through sentence-boundary bigrams, so sentences that never
-    touch it leave it unchanged.
+    Row Vocab.UNK (0) is the unknown token, row Vocab.PAD (1) the padding
+    token; the pad row is only referenced through sentence-boundary bigrams,
+    so sentences that never touch it leave it unchanged.
     """
-
-    UNK, PAD = 0, 1
 
     def __init__(self, unigram, bigram=None):
         self.unigram = unigram
         self.bigram = bigram
-        self.unk_index = self.UNK
-        self.pad_index = self.PAD
 
     @property
     def d(self):

@@ -223,40 +223,6 @@ def brute_force_decode(lat, gold=None, eta=0.0):
     return path, score
 
 
-def gather_path_score(emissions_t, a_param, trans, tags):
-    """Differentiable path score over the emission tensor and transition parameter.
-
-    emissions_t is the n x |T| emission Tensor still attached to the encoder
-    graph; a_param is the transition Parameter. Masked transitions contribute
-    their sentinel score but receive no gradient.
-    """
-    tags = np.asarray(tags, dtype=np.intp)
-    n = emissions_t.shape[0]
-    rows = np.arange(n)
-    value = emissions_t.data[rows, tags].sum()
-    prev = (emissions_t,)
-    arcs = None
-    if n > 1:
-        arcs = (tags[:-1], tags[1:])
-        value = value + trans.scores()[arcs].sum()
-        prev = (emissions_t, a_param)
-    out = Tensor(value, prev)
-
-    def _back(grad):
-        g = np.zeros_like(emissions_t.data)
-        g[rows, tags] = grad
-        _accum(emissions_t, g)
-        if arcs is not None:
-            ga = np.zeros_like(a_param.data)
-            np.add.at(ga, arcs, grad)
-            if trans.mask is not None:
-                ga[trans.mask] = 0.0
-            _accum(a_param, ga)
-
-    out._backward = _back
-    return out
-
-
 def path_emission_diff(scores_t, path, gold):
     """Differentiable sum_i scores[i, path_i] - scores[i, gold_i].
 

@@ -37,11 +37,14 @@ class Model:
     """
 
     def __init__(self, cfg, vocab, tagset, seed=1, dtype=np.float32,
-                 constrain_transitions=False):
+                 constrain_transitions=False, normalize_width=False):
         self.cfg = cfg
         self.vocab = vocab
         self.tagset = tagset
         self.constrained = bool(constrain_transitions)
+        # True when the vocabulary was built from width-folded text
+        # (corpus.fold_width); `segtag tag` and `eval` then fold their input too
+        self.normalize_width = bool(normalize_width)
         self.train_cfg = None   # optional TrainConfig snapshot, kept for serialization
         self.dtype = np.dtype(dtype)
         rng = np.random.default_rng(seed)

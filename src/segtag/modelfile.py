@@ -3,13 +3,15 @@
 Layout (all integers little-endian, strings UTF-8 with a u32 length prefix):
 
     magic           6 bytes  "FJSTM1"
-    version         u32      currently 1
+    version         u32      2
     encoder config  u32 d, u32 h, u32 Q, u32[Q] map widths, u8 use_conv,
                     u8 use_pooling, u8 use_highway, u8 recurrent code
                     (0 none / 1 lstm / 2 blstm), u8 mlp_baseline, u32 window,
                     u8 use_bigram, u8 constrain_transitions
+    preprocessing   u8 normalize_width (the training text was width-folded,
+                    so tagging folds its input too)
     train config    f64 alpha, f64 eta, f64 l2, u32 batch_size, u32 max_epochs,
-                    i64 seed, f64 dev_fraction, str optimizer, u8 deterministic,
+                    i64 seed, f64 dev_fraction, str optimizer,
                     u8 finetune_embeddings
     vocabulary      u32 char count + chars in index order; u32 bigram count +
                     (str, str) pairs in index order; u32 frequency count +
@@ -25,6 +27,11 @@ filters by order, highway, forward then backward LSTM, MLP, projection,
 transitions); the LSTM gate blocks inside each weight matrix are stored in
 (input, output, forget, candidate) order. Saving is byte-deterministic and
 loading verifies the checksum before trusting any content.
+
+Saving always writes version 2. Version 1 files still load: they have no
+preprocessing byte (normalize_width reads as 0), and their train config
+holds one more u8 between optimizer and finetune_embeddings, a flag that
+never changed training, which the reader skips.
 """
 from __future__ import annotations
 
@@ -40,7 +47,8 @@ from .model import Model
 from .training import TrainConfig
 
 MAGIC = b"FJSTM1"
-VERSION = 1
+VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 _RECURRENT_CODES = {"none": 0, "lstm": 1, "blstm": 2}
 _RECURRENT_NAMES = {v: k for k, v in _RECURRENT_CODES.items()}
@@ -51,7 +59,7 @@ class ModelFormatError(ValueError):
 
 
 class ModelVersionError(ValueError):
-    """The file's format version is newer than this reader supports."""
+    """The file's format version is not one this reader supports."""
 
 
 class ModelCorruptionError(ValueError):
@@ -182,17 +190,16 @@ def _write_train_config(w, tc):
     w.i64(tc.seed)
     w.f64(tc.dev_fraction)
     w.string(tc.optimizer)
-    w.u8(tc.deterministic)
     w.u8(tc.finetune_embeddings)
 
 
-def _read_train_config(r):
-    return TrainConfig(
-        alpha=r.f64(), eta=r.f64(), l2=r.f64(), batch_size=r.u32(),
-        max_epochs=r.u32(), seed=r.i64(), dev_fraction=r.f64(),
-        optimizer=r.string(), deterministic=bool(r.u8()),
-        finetune_embeddings=bool(r.u8()),
-    )
+def _read_train_config(r, version):
+    fields = dict(alpha=r.f64(), eta=r.f64(), l2=r.f64(), batch_size=r.u32(),
+                  max_epochs=r.u32(), seed=r.i64(), dev_fraction=r.f64(),
+                  optimizer=r.string())
+    if version == 1:
+        r.u8()   # version 1's deterministic flag, which nothing read
+    return TrainConfig(**fields, finetune_embeddings=bool(r.u8()))
 
 
 def _write_vocab(w, vocab):
@@ -242,6 +249,7 @@ def save(model, path, train_cfg=None):
     w.raw(MAGIC)
     w.u32(VERSION)
     _write_encoder_config(w, model.cfg, model.constrained)
+    w.u8(model.normalize_width)
     _write_train_config(w, tc)
     _write_vocab(w, model.vocab)
     _write_tagset(w, model.tagset)
@@ -281,14 +289,16 @@ def load(path, dtype=np.float32):
     r = _Reader(body)
     r.take(len(MAGIC))
     version = r.u32()
-    if version > VERSION:
-        raise ModelVersionError(f"file version {version} > supported {VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise ModelVersionError(
+            f"file version {version} is not supported (readable: {READABLE_VERSIONS})")
     cfg, constrained = _read_encoder_config(r)
-    train_cfg = _read_train_config(r)
+    normalize_width = bool(r.u8()) if version >= 2 else False
+    train_cfg = _read_train_config(r, version)
     vocab = _read_vocab(r)
     tagset = _read_tagset(r)
     model = Model(cfg, vocab, tagset, seed=0, dtype=dtype,
-                  constrain_transitions=constrained)
+                  constrain_transitions=constrained, normalize_width=normalize_width)
     model.train_cfg = train_cfg
     n_blocks = r.u32()
     manifest = model.parameters()

@@ -38,7 +38,6 @@ class TrainConfig:
     seed: int = 1
     dev_fraction: float = 0.1
     optimizer: str = "adagrad"
-    deterministic: bool = True
     finetune_embeddings: bool = True
 
     def __post_init__(self):

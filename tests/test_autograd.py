@@ -87,13 +87,6 @@ class TestActivations:
         out = ag.sigmoid(Tensor(np.array([[-1e6, 1e6]])))
         assert np.allclose(out.data, [[0.0, 1.0]])
 
-    def test_activation_dispatch(self):
-        x = Tensor([[0.3]])
-        assert ag.activation(x, "sigmoid").item() == ag.sigmoid(x).item()
-        assert ag.activation(x, "tanh").item() == ag.tanh(x).item()
-        with pytest.raises(ValueError, match="relu"):
-            ag.activation(x, "relu")
-
 
 class TestGradCheck:
     def test_quadratic(self):
@@ -134,8 +127,6 @@ def _op_cases(rng):
     y = rand_param(rng, n, a, name="y")
     left = int(rng.integers(0, 3))
     right = int(rng.integers(0, 3))
-    c0 = int(rng.integers(0, a))
-    c1 = int(rng.integers(c0 + 1, a + 1))
     return {
         "affine": (lambda: ag.sum_all(ag.affine(x, w, bias)), [x, w, bias]),
         "matmul": (lambda: ag.sum_all(ag.tanh(ag.matmul(x, w))), [x, w]),
@@ -147,8 +138,6 @@ def _op_cases(rng):
         "neg": (lambda: ag.sum_all(-x), [x]),
         "scalar_mix": (lambda: ag.sum_all(2.5 * x - 1.0) + 3.0, [x]),
         "concat_cols": (lambda: ag.sum_all(ag.tanh(ag.concat_cols([x, y]))), [x, y]),
-        "concat_rows": (lambda: ag.sum_all(ag.tanh(ag.concat_rows([x, y]))), [x, y]),
-        "slice_cols": (lambda: ag.sum_all(ag.tanh(ag.slice_cols(x, c0, c1))), [x]),
         "window_concat": (lambda: ag.sum_all(ag.tanh(ag.window_concat(x, left, right))), [x]),
     }
 
@@ -159,7 +148,7 @@ OP_NAMES = sorted(_op_cases(np.random.default_rng(0)).keys())
 @pytest.mark.parametrize("op", OP_NAMES)
 @pytest.mark.parametrize("seed", range(8))
 def test_every_op_matches_finite_differences(op, seed):
-    # 13 ops x 8 seeds = 104 random shape/seed cases in total
+    # 11 ops x 8 seeds = 88 random shape/seed cases in total
     rng = np.random.default_rng(1000 * seed + OP_NAMES.index(op))
     f, params = _op_cases(rng)[op]
     assert ag.grad_check(f, params, eps=1e-5) <= 1e-4

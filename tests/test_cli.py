@@ -95,7 +95,7 @@ class TestTrainCommand:
         paths = [tmp / "a.model", tmp / "b.model"]
         for p in paths:
             rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
-                         "--model", str(p), "--seed", "7", "--deterministic")
+                         "--model", str(p), "--seed", "7")
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -245,6 +245,45 @@ class TestEvalCommand:
         out = capsys.readouterr()
         assert out.out == ""
         assert "line 2" in out.err
+
+
+def full_width(text):
+    """The full-width form of ASCII letters, which fold_width maps back."""
+    return "".join(chr(ord(c) + 0xFEE0) for c in text)
+
+
+class TestWidthFolding:
+    def test_model_trained_on_folded_text_folds_tag_and_eval_input(self, toy_files, capsys):
+        # a model trained with normalize_width = true has only half-width
+        # characters in its vocabulary; tag and eval must fold full-width input
+        # whether or not the setting is repeated
+        _, config, tmp = toy_files
+        wide = [cp.Sentence([full_width(c) for c in s.chars], s.tags)
+                for s in toy_corpus(16, seed=5)]
+        corpus = tmp / "wide.txt"
+        corpus.write_text(cp.serialize_corpus(wide), encoding="utf-8")
+        raw = tmp / "wide_raw.txt"
+        raw.write_text("".join("".join(s.chars) + "\n" for s in wide), encoding="utf-8")
+        folding = tmp / "folding.cfg"
+        folding.write_text(config.read_text(encoding="utf-8") + "normalize_width = true\n",
+                           encoding="utf-8")
+        model_path = tmp / "m.model"
+        assert run_cli("train", "--config", str(folding), "--corpus", str(corpus),
+                       "--model", str(model_path)) == 0
+        assert mf.load(model_path).normalize_width
+
+        reports, tagged = [], []
+        for extra in (["--config", str(folding)], []):
+            capsys.readouterr()
+            assert run_cli("eval", *extra, "--model", str(model_path),
+                           "--corpus", str(corpus)) == 0
+            reports.append(capsys.readouterr().out)
+            out = tmp / f"tagged{len(tagged)}.txt"
+            assert run_cli("tag", *extra, "--model", str(model_path), str(raw), str(out)) == 0
+            tagged.append(out.read_text(encoding="utf-8"))
+        assert reports[0] == reports[1]
+        assert tagged[0] == tagged[1]
+        assert "".join(tagged[0].split()).isascii()   # folded before tagging
 
 
 def test_console_entry_point(toy_files):

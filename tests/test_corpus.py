@@ -101,8 +101,8 @@ class TestVocabAndTagSet:
         # A, B, C all appear twice; add a singleton
         vocab2, _ = cp.build_vocab_and_tagset(
             self.corpus() + cp.parse_tagged_corpus(["Q/NR"]), min_count=2)
-        assert vocab2.char_id("Q") == vocab2.unk_index
-        assert vocab.char_id("A") != vocab.unk_index
+        assert vocab2.char_id("Q") == cp.Vocab.UNK
+        assert vocab.char_id("A") != cp.Vocab.UNK
 
     def test_deterministic_index_maps(self):
         v1, t1 = cp.build_vocab_and_tagset(self.corpus(), use_bigram=True, bigram_min_count=1)
@@ -132,7 +132,7 @@ class TestVocabAndTagSet:
     def test_unseen_char_encodes_to_unk(self):
         vocab, _ = cp.build_vocab_and_tagset(self.corpus())
         ids = vocab.encode(["A", "?"])
-        assert ids.uni[1] == vocab.unk_index
+        assert ids.uni[1] == cp.Vocab.UNK
         assert ids.uni[0] == vocab.char_id("A")
 
 

@@ -4,6 +4,7 @@ import pytest
 from segtag import autograd as ag
 from segtag import encoder as enc
 from segtag.autograd import Parameter, Tensor
+from segtag.corpus import Vocab
 from segtag.encoder import CharIds, EmbeddingTable, EncoderConfig
 from util import conv_oracle, kmax_oracle, lstm_oracle, rel_err, topology_grid
 
@@ -28,7 +29,7 @@ class TestEmbed:
         table = make_table(rng)
         cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none")
-        out = enc.embed_sentence(CharIds(uni=np.array([table.unk_index])), table, cfg)
+        out = enc.embed_sentence(CharIds(uni=np.array([Vocab.UNK])), table, cfg)
         assert np.array_equal(out.data[0], table.unigram.data[0])
 
     def test_bigram_concat_width(self):

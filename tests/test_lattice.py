@@ -242,12 +242,14 @@ class TestMask:
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 1] = True
         trans = lat.TransitionMatrix(a, mask)
-        emis = Parameter(rng.normal(size=(4, 3)))
-        score = lat.gather_path_score(emis, a, trans, [0, 1, 0, 2])
-        score.backward()
-        assert a.grad[0, 1] == 0.0
-        assert a.grad[1, 0] == 1.0
-        assert a.grad[0, 2] == 1.0
+        path, gold = [0, 1, 0, 2], [0, 0, 0, 0]
+        out = lat.arc_count_diff(a, trans, path, gold)
+        # the masked arc 0->1 counts for nothing, in the value and the gradient
+        assert abs(out.item() - (a.data[1, 0] + a.data[0, 2] - 3 * a.data[0, 0])) < 1e-12
+        out.backward()
+        want = np.zeros((3, 3))
+        want[1, 0], want[0, 2], want[0, 0] = 1.0, 1.0, -3.0
+        assert np.array_equal(a.grad, want)
 
 
 class TestMarginDiffOps:
@@ -298,29 +300,3 @@ class TestMarginDiffOps:
         assert out.item() == 0.0
         out.backward()
         assert not np.any(a.grad)
-
-
-class TestGatherPathScore:
-    def test_value_matches_path_score(self):
-        rng = np.random.default_rng(15)
-        emis = Parameter(rng.normal(size=(5, 4)))
-        a = Parameter(rng.normal(size=(4, 4)))
-        trans = lat.TransitionMatrix(a)
-        l = lat.TagScoreLattice(emis.data, trans)
-        tags = [0, 3, 1, 1, 2]
-        out = lat.gather_path_score(emis, a, trans, tags)
-        assert abs(out.item() - lat.path_score(l, tags)) < 1e-12
-
-    def test_gradients_count_visits(self):
-        rng = np.random.default_rng(16)
-        emis = Parameter(rng.normal(size=(4, 3)))
-        a = Parameter(rng.normal(size=(3, 3)))
-        out = lat.gather_path_score(emis, a, lat.TransitionMatrix(a), [1, 1, 1, 2])
-        out.backward()
-        want_e = np.zeros((4, 3))
-        want_e[[0, 1, 2, 3], [1, 1, 1, 2]] = 1.0
-        assert np.array_equal(emis.grad, want_e)
-        want_a = np.zeros((3, 3))
-        want_a[1, 1] = 2.0  # arc 1->1 used twice
-        want_a[1, 2] = 1.0
-        assert np.array_equal(a.grad, want_a)

@@ -1,3 +1,8 @@
+import json
+import struct
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,14 +13,28 @@ from segtag.model import Model
 from segtag.toydata import toy_corpus
 from segtag.training import TrainConfig
 
+DATA = Path(__file__).parent / "data"
 
-def build_model(seed=4, use_bigram=False, constrained=False):
+
+def build_model(seed=4, use_bigram=False, constrained=False, normalize_width=False):
     cfg = EncoderConfig(d=5, h=4, feature_map_sets=2, feature_maps=(6, 9),
                         use_bigram=use_bigram)
     sents = toy_corpus(10, seed=1)
     vocab, tagset = cp.build_vocab_and_tagset(sents, use_bigram=use_bigram,
                                               bigram_min_count=1)
-    return Model(cfg, vocab, tagset, seed=seed, constrain_transitions=constrained)
+    return Model(cfg, vocab, tagset, seed=seed, constrain_transitions=constrained,
+                 normalize_width=normalize_width)
+
+
+def file_version(path):
+    return struct.unpack("<I", path.read_bytes()[len(mf.MAGIC):len(mf.MAGIC) + 4])[0]
+
+
+def rewrite_version(path, version):
+    """Set the version field and re-seal the checksum, so only the version is wrong."""
+    body = bytearray(path.read_bytes()[:-4])
+    body[len(mf.MAGIC):len(mf.MAGIC) + 4] = struct.pack("<I", version)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestSave:
@@ -101,12 +120,7 @@ class TestLoad:
         model = build_model()
         path = tmp_path / "m.model"
         mf.save(model, path)
-        blob = bytearray(path.read_bytes())
-        blob[6] = 99  # bump the version field
-        body = bytes(blob[:-4])
-        import struct
-        import zlib
-        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rewrite_version(path, 99)
         with pytest.raises(mf.ModelVersionError, match="99"):
             mf.load(path)
 
@@ -132,3 +146,50 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             mf.load(tmp_path / "absent.model")
+
+
+class TestVersions:
+    """Version 2 is written; version 1 files (no width-folding byte, one
+    unused train-config byte) are still read."""
+
+    V1_TRAIN_CFG = TrainConfig(alpha=0.05, eta=0.3, l2=0.001, batch_size=7, max_epochs=3,
+                               seed=99, optimizer="sgd", finetune_embeddings=False)
+
+    @staticmethod
+    def paths(model, sentences):
+        return [model.tag_ids(list(s)) for s in sentences]
+
+    def test_v1_file_tags_as_saved_and_upgrades_to_v2(self, tmp_path):
+        # tiny_v1.model was written by the version-1 writer, with the Viterbi
+        # paths it gave recorded in tiny_v1.json
+        v1 = DATA / "tiny_v1.model"
+        want = json.loads((DATA / "tiny_v1.json").read_text(encoding="utf-8"))
+        assert file_version(v1) == 1
+        model = mf.load(v1)
+        assert model.cfg.use_bigram and model.constrained and not model.normalize_width
+        assert model.train_cfg == self.V1_TRAIN_CFG
+        assert self.paths(model, want["sentences"]) == want["paths"]
+
+        p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
+        mf.save(model, p1)
+        assert file_version(p1) == mf.VERSION == 2
+        assert len(p1.read_bytes()) == len(v1.read_bytes())  # one byte gone, one added
+        upgraded = mf.load(p1)
+        assert upgraded.train_cfg == self.V1_TRAIN_CFG
+        assert self.paths(upgraded, want["sentences"]) == want["paths"]
+        mf.save(upgraded, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("normalize_width", [False, True])
+    def test_normalize_width_round_trips(self, tmp_path, normalize_width):
+        path = tmp_path / "m.model"
+        mf.save(build_model(normalize_width=normalize_width), path)
+        assert mf.load(path).normalize_width is normalize_width
+
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_versions_other_than_1_and_2_are_refused(self, tmp_path, version):
+        path = tmp_path / "m.model"
+        mf.save(build_model(), path)
+        rewrite_version(path, version)
+        with pytest.raises(mf.ModelVersionError, match=f"version {version}"):
+            mf.load(path)

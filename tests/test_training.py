@@ -1,5 +1,6 @@
 import io
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -146,25 +147,30 @@ class TestBackpropMargin:
             gold = model.tagset.encode(s.tags)
             tr.backprop_margin(model, ids, gold, eta=0.2)
         table = model.encoder.table
-        assert not np.any(table.unigram.grad[table.pad_index])
-        assert not np.any(table.bigram.grad[table.pad_index])
+        assert not np.any(table.unigram.grad[cp.Vocab.PAD])
+        assert not np.any(table.bigram.grad[cp.Vocab.PAD])
         assert np.any(table.unigram.grad)  # real rows did move
 
     def test_shared_prefix_transition_gradients_cancel(self):
-        # gold and violator both open with the arc 0->1, which nets to zero
-        emis = Parameter(np.array([[0.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
+        # gold and violator both open with the arc 0->1, which nets to zero;
+        # a stub encoder hands the hinge fixed tag scores through an identity
+        # projection, so the margin picks the violator [0, 1, 1]
+        hidden = Parameter(np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         a = Parameter(np.zeros((2, 2)))
-        trans = lt.TransitionMatrix(a)
-        gold = [0, 1, 0]
-        violator = [0, 1, 1]
-        diff = (lt.gather_path_score(emis, a, trans, violator)
-                - lt.gather_path_score(emis, a, trans, gold))
+        model = SimpleNamespace(
+            hidden=lambda ids: hidden,
+            proj=lt.ProjectionParams(Parameter(np.eye(2)), Parameter(np.zeros(2))),
+            trans=lt.TransitionMatrix(a))
+        diff, loss, violator = tr.hinge_loss_graph(model, None, [0, 1, 0], eta=0.2)
+        assert violator == [0, 1, 1]
+        assert abs(loss - 0.2) < 1e-12 and abs(diff.item() - loss) < 1e-12
         diff.backward()
         assert a.grad[0, 1] == 0.0      # shared prefix arc cancels
         assert a.grad[1, 0] == -1.0
         assert a.grad[1, 1] == 1.0
-        assert emis.grad[2, 1] == 1.0 and emis.grad[2, 0] == -1.0
-        assert not np.any(emis.grad[:2])
+        assert hidden.grad[2, 1] == 1.0 and hidden.grad[2, 0] == -1.0
+        assert not np.any(hidden.grad[:2])
+        assert model.proj.b.grad.tolist() == [-1.0, 1.0]
 
     def test_tape_size_does_not_grow_with_sentence_length(self):
         # the conv bank and each LSTM direction are one tape node each, so the
@@ -292,7 +298,7 @@ class TestTrainEpoch:
             tr.train_epoch([], model, tr.TrainConfig(), epoch=1)
 
     def test_deterministic_given_seed(self):
-        cfg = tr.TrainConfig(seed=7, deterministic=True, batch_size=4)
+        cfg = tr.TrainConfig(seed=7, batch_size=4)
         results = []
         for _ in range(2):
             model, sents = tiny_model(seed=5)
