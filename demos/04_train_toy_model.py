@@ -36,9 +36,10 @@ p, r, f = tr.evaluate(model, sentences)
 print(f"training-set joint F1 {f:.4f}")
 
 # Round-trip through the model file and tag some raw text.
-path = Path(tempfile.mkdtemp()) / "toy.model"
-mf.save(model, path, train_cfg=train_cfg)
-reloaded = mf.load(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "toy.model"
+    mf.save(model, path, train_cfg=train_cfg)
+    reloaded = mf.load(path)
 print(f"\nsaved and reloaded {path.name}; tagging raw input:")
 for line in ("abcdegh", "ijklf"):
     spans = ev.decode_tags_to_words(reloaded.tag_chars(list(line)))

@@ -7,8 +7,6 @@ inputs, so a model built from float64 parameters runs entirely in float64.
 """
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 
@@ -20,33 +18,13 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled):
-    """Toggle NaN/Inf checking on every op result. Returns the previous state."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def finite_checks(enabled):
-    previous = set_finite_checks(enabled)
-    try:
-        yield
-    finally:
-        set_finite_checks(previous)
-
-
 def check_finite(what, *arrays):
-    """Raise NumericError naming `what` when checks are on and an array holds NaN/Inf.
+    """Raise NumericError naming `what` when an array holds NaN/Inf.
 
     For fused ops whose saturating nonlinearities would hide an overflow
     from the check on their output tensor.
     """
-    if _FINITE_CHECKS and not all(np.isfinite(a).all() for a in arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
         raise NumericError(f"{what}: NaN/Inf")
 
 
@@ -70,7 +48,7 @@ class Tensor:
 
     def __init__(self, data, _prev=(), _backward=None):
         self.data = _as_float_array(data)
-        if _FINITE_CHECKS and not np.all(np.isfinite(self.data)):
+        if not np.all(np.isfinite(self.data)):
             raise NumericError("tensor contains NaN/Inf")
         self.grad = None
         self._prev = tuple(_prev)
@@ -257,27 +235,6 @@ def matmul(x, w):
     return out
 
 
-def _sigmoid_array(z):
-    # piecewise form avoids exp overflow for large |z|
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
-def sigmoid(x):
-    s = _sigmoid_array(x.data)
-    out = Tensor(s, (x,))
-
-    def _back(grad):
-        _accum(x, grad * s * (1.0 - s))
-
-    out._backward = _back
-    return out
-
-
 def tanh(x):
     y = np.tanh(x.data)
     out = Tensor(y, (x,))
@@ -367,7 +324,9 @@ def _window_offsets(n, left, right, lengths=None):
 
 
 def _window_rows(data, left, right, lengths=None):
-    """Array form of window_concat: row i holds rows i-left .. i+right of data."""
+    """Row i holds rows i-left .. i+right of data side by side, zeros past
+    the margins. With several sentences packed in the rows (`lengths`), a
+    window never reaches into a neighbouring sentence: those blocks are zero."""
     n, d = data.shape
     out = np.zeros((n, (left + right + 1) * d), dtype=data.dtype)
     for j, dst, src in _window_offsets(n, left, right, lengths):
@@ -381,26 +340,6 @@ def _window_rows_grad(g, left, right, lengths=None):
     out = np.zeros((n, d), dtype=g.dtype)
     for j, dst, src in _window_offsets(n, left, right, lengths):
         out[src] += g[dst, j * d:(j + 1) * d]   # the rows of one offset are distinct
-    return out
-
-
-def window_concat(x, left, right, lengths=None):
-    """Per-row window concatenation with zero padding at the margins.
-
-    Row i of the output is the concatenation of rows i-left .. i+right of x,
-    out-of-range rows replaced by zeros (wide-convolution padding). Output is
-    n * ((left+right+1) * d). When x packs several sentences end to end,
-    `lengths` gives theirs, and a window never reaches into a neighbouring
-    sentence: those blocks are zero and pass no gradient.
-    """
-    if x.data.ndim != 2:
-        raise ShapeError(f"window_concat: expected 2-D input, got {x.shape}")
-    out = Tensor(_window_rows(x.data, left, right, lengths), (x,))
-
-    def _back(grad):
-        _accum(x, _window_rows_grad(grad, left, right, lengths))
-
-    out._backward = _back
     return out
 
 

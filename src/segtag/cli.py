@@ -234,6 +234,9 @@ def cmd_tag(args):
 
 def cmd_eval(args):
     settings = resolve_settings(args)
+    modes = ("joint", "seg") if settings["mode"] == "both" else (settings["mode"],)
+    if any(m not in ("joint", "seg") for m in modes):
+        raise CliError(f"mode must be joint, seg or both, got {settings['mode']!r}")
     model = mf.load(_require(settings, "model", "eval"))
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
@@ -245,9 +248,6 @@ def cmd_eval(args):
     gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
     pred = [ev.decode_tags_to_words(tags)
             for tags in model.tag_batch([s.chars for s in sentences])]
-    modes = ("joint", "seg") if settings["mode"] == "both" else (settings["mode"],)
-    if any(m not in ("joint", "seg") for m in modes):
-        raise CliError(f"mode must be joint or seg, got {settings['mode']!r}")
     print(ev.report(gold, pred, modes=modes, per_pos=settings["per_pos"]))
     return 0
 

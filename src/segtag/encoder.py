@@ -5,8 +5,8 @@ vectors: embedding lookup, wide n-gram convolutions, k-max pooling along the
 feature axis, a highway gate over the pooled features, and an optional
 (bi)directional LSTM. A windowed MLP encoder is kept as the baseline
 topology. Every stage is differentiable through the autograd tape; the conv
-bank and each LSTM direction are single fused tape nodes with hand-written
-backward passes.
+bank (or MLP window), the highway gate and each LSTM direction are single
+fused tape nodes with hand-written backward passes.
 
 The input may pack several sentences end to end (``CharIds.pack``). Row-wise
 stages ignore the packing; the window stages (conv bank, MLP window) and the
@@ -28,12 +28,8 @@ from .autograd import (
     _time_major,
     _window_rows,
     _window_rows_grad,
-    affine,
     check_finite,
     concat_cols,
-    sigmoid,
-    tanh,
-    window_concat,
 )
 
 RECURRENT_KINDS = ("none", "lstm", "blstm")
@@ -90,7 +86,7 @@ class EncoderConfig:
             raise ConfigError("highway requires pooling (carry/transform widths must agree)")
         if self.use_conv:
             if self.feature_map_sets < 1:
-                raise ConfigError("need at least one feature map set")
+                raise ConfigError(f"feature_map_sets must be >= 1, got {self.feature_map_sets}")
             if len(self.feature_maps) != self.feature_map_sets:
                 raise ConfigError(
                     f"{self.feature_map_sets} map sets but {len(self.feature_maps)} widths"
@@ -342,6 +338,50 @@ def embed_sentence(ids, table, cfg):
     return concat_cols([uni, left, right])
 
 
+def _sigmoid(z, out):
+    """1/(1+e^-z) of z into out, in four in-place passes. The caller ignores
+    overflow: below z ~ -88 (float32) e^-z is inf, which gives the limit 0."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
+
+
+def _width(what, x):
+    """The row width of x, checked to be 2-D."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"{what}: expected 2-D input, got {x.shape}")
+    return x.shape[1]
+
+
+def _window_tanh(what, x, left, right, filters, lengths):
+    """tanh(window @ W + b) per filter, concatenated along features; one tape node.
+
+    Row i of the window holds rows i-left .. i+right of x, zero padded at the
+    margins and at the ends of the sentences packed in x (`lengths`). Each
+    filter is (column slice of the window, W, b).
+    """
+    xw = _window_rows(x.data, left, right, lengths)
+    z = np.concatenate([xw[:, cols] @ w.data + b.data for cols, w, b in filters], axis=1)
+    check_finite(f"{what} pre-activation", z)
+    out = Tensor(np.tanh(z, out=z), (x, *(p for _, w, b in filters for p in (w, b))))
+
+    def _back(grad):
+        g = grad * (1.0 - z * z)
+        gxw = np.zeros_like(xw)
+        ofs = 0
+        for cols, w, b in filters:
+            gq = g[:, ofs:ofs + w.shape[1]]
+            ofs += w.shape[1]
+            _accum(w, xw[:, cols].T @ gq)
+            _accum(b, gq.sum(axis=0))
+            gxw[:, cols] += gq @ w.data.T
+        _accum(x, _window_rows_grad(gxw, left, right, lengths))
+
+    out._backward = _back
+    return out
+
+
 def mlp_encode(x, mlp, window, lengths=None):
     """Windowed baseline encoder: tanh(W_h^T [x_{i-..} .. x_{i+..}] + b_h).
 
@@ -349,8 +389,12 @@ def mlp_encode(x, mlp, window, lengths=None):
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    xw = window_concat(x, (window - 1) // 2, window // 2, lengths)
-    return tanh(affine(xw, mlp.w, mlp.b))
+    width = window * _width("mlp_encode", x)
+    if mlp.w.shape[0] != width or mlp.w.shape[1] != mlp.b.shape[0]:
+        raise ShapeError(f"mlp_encode: W {mlp.w.shape}, b {mlp.b.shape} do not fit "
+                         f"window {window} over x {x.shape}")
+    return _window_tanh("mlp_encode", x, (window - 1) // 2, window // 2,
+                        [(slice(0, width), mlp.w, mlp.b)], lengths)
 
 
 def conv_feature_maps(x, bank, lengths=None):
@@ -362,36 +406,15 @@ def conv_feature_maps(x, bank, lengths=None):
     One tape node: the window of the widest order is built once and order q
     reads its q middle row blocks as a column view.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"conv_feature_maps: expected 2-D input, got {x.shape}")
-    n, d = x.shape
+    d = _width("conv_feature_maps", x)
     left = (bank.orders - 1) // 2
-    xw = _window_rows(x.data, left, bank.orders // 2, lengths)
-    windows, blocks = [], []
+    filters = []
     for q, (w, b) in enumerate(zip(bank.weights, bank.biases), start=1):
         if w.shape[0] != q * d or w.shape[1] != b.shape[0]:
             raise ShapeError(f"conv order {q}: W {w.shape}, b {b.shape} do not fit x {x.shape}")
         lo = (left - (q - 1) // 2) * d
-        windows.append(slice(lo, lo + q * d))
-        blocks.append(xw[:, windows[-1]] @ w.data + b.data)
-    z = np.concatenate(blocks, axis=1)
-    check_finite("conv_feature_maps pre-activation", z)
-    out = Tensor(np.tanh(z, out=z), (x, *bank.weights, *bank.biases))
-
-    def _back(grad):
-        g = grad * (1.0 - z * z)
-        gxw = np.zeros_like(xw)
-        ofs = 0
-        for cols, w, b in zip(windows, bank.weights, bank.biases):
-            gq = g[:, ofs:ofs + w.shape[1]]
-            ofs += w.shape[1]
-            _accum(w, xw[:, cols].T @ gq)
-            _accum(b, gq.sum(axis=0))
-            gxw[:, cols] += gq @ w.data.T
-        _accum(x, _window_rows_grad(gxw, left, bank.orders // 2, lengths))
-
-    out._backward = _back
-    return out
+        filters.append((slice(lo, lo + q * d), w, b))
+    return _window_tanh("conv_feature_maps", x, left, bank.orders // 2, filters, lengths)
 
 
 def kmax_pool(z, k):
@@ -437,13 +460,31 @@ def kmax_pool(z, k):
 
 def highway_forward(x, cov_x, hw):
     """Gated mix of transformed and carried input with carry = 1 - transform:
-    out = cov_x * sigmoid(W_T^T x + b_T) + x * (1 - sigmoid(...))."""
+    out = cov_x * g + x * (1 - g), g = sigmoid(W_T^T x + b_T).
+
+    One tape node with inputs (x, cov_x, W_T, b_T) and a hand-written backward.
+    """
     if x.shape != cov_x.shape:
         raise ShapeError(
             f"highway carry {x.shape} and transformed input {cov_x.shape} are decoupled"
         )
-    gate = sigmoid(affine(x, hw.w, hw.b))
-    return cov_x * gate + x * (1.0 - gate)
+    xd, cd, w = x.data, cov_x.data, hw.w.data
+    z = xd @ w + hw.b.data
+    check_finite("highway_forward gate pre-activation", z)
+    with np.errstate(over="ignore"):
+        gate = _sigmoid(z, out=z)
+    carry = 1.0 - gate
+    out = Tensor(cd * gate + xd * carry, (x, cov_x, hw.w, hw.b))
+
+    def _back(grad):
+        dz = grad * (cd - xd) * gate * carry
+        _accum(cov_x, grad * gate)
+        _accum(x, grad * carry + dz @ w.T)
+        _accum(hw.w, xd.T @ dz)
+        _accum(hw.b, dz.sum(axis=0))
+
+    out._backward = _back
+    return out
 
 
 def lstm_forward(xhat, p, reverse=False, lengths=None):
@@ -483,17 +524,12 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
     gate_i, gate_o, gate_f, c_hat = (acts[..., k * h:(k + 1) * h] for k in range(4))
     sig_in, tanh_in, sig_out = gates[..., :3 * h], gates[..., 3 * h:], acts[..., :3 * h]
     h_prev = c_prev = np.zeros_like(cells[0])
-    # sigmoid as 1/(1+e^-z): e^-z overflows to inf below z ~ -88 (float32), giving the limit 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):     # for _sigmoid
         for t, m in enumerate(active):
             at = t if m == n_sent else (t, slice(m))    # the sentences still running
             g = gates[at]
             g += h_prev[:m] @ w_h
-            s = sig_out[at]
-            np.negative(sig_in[at], out=s)
-            np.exp(s, out=s)
-            s += 1.0
-            np.reciprocal(s, out=s)
+            _sigmoid(sig_in[at], out=sig_out[at])
             np.tanh(tanh_in[at], out=c_hat[at])
             c_t = cells[at]
             np.multiply(c_prev[:m], gate_f[at], out=c_t)

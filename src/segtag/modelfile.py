@@ -26,7 +26,8 @@ Parameter block order is the model's manifest order (embeddings, conv
 filters by order, highway, forward then backward LSTM, MLP, projection,
 transitions); the LSTM gate blocks inside each weight matrix are stored in
 (input, output, forget, candidate) order. Saving is byte-deterministic and
-loading verifies the checksum before trusting any content.
+loading verifies the checksum before trusting any content; a stored config
+or tag set that fails validation raises ModelCorruptionError.
 
 Saving always writes version 2. Version 1 files still load: they have no
 preprocessing byte (normalize_width reads as 0), and their train config
@@ -42,7 +43,7 @@ import zlib
 import numpy as np
 
 from .corpus import JointTag, TagSet, Vocab
-from .encoder import EncoderConfig
+from .encoder import ConfigError, EncoderConfig
 from .model import Model
 from .training import TrainConfig
 
@@ -174,10 +175,13 @@ def _read_encoder_config(r):
     window = r.u32()
     use_bigram = bool(r.u8())
     constrained = bool(r.u8())
-    cfg = EncoderConfig(d=d, h=h, feature_map_sets=q, feature_maps=maps,
-                        use_conv=use_conv, use_pooling=use_pooling,
-                        use_highway=use_highway, recurrent=_RECURRENT_NAMES[code],
-                        mlp_baseline=mlp, window=window, use_bigram=use_bigram)
+    try:
+        cfg = EncoderConfig(d=d, h=h, feature_map_sets=q, feature_maps=maps,
+                            use_conv=use_conv, use_pooling=use_pooling,
+                            use_highway=use_highway, recurrent=_RECURRENT_NAMES[code],
+                            mlp_baseline=mlp, window=window, use_bigram=use_bigram)
+    except ConfigError as e:
+        raise ModelCorruptionError(f"stored encoder config is invalid: {e}") from None
     return cfg, constrained
 
 
@@ -199,7 +203,11 @@ def _read_train_config(r, version):
                   optimizer=r.string())
     if version == 1:
         r.u8()   # version 1's deterministic flag, which nothing read
-    return TrainConfig(**fields, finetune_embeddings=bool(r.u8()))
+    fields["finetune_embeddings"] = bool(r.u8())
+    try:
+        return TrainConfig(**fields)
+    except ValueError as e:
+        raise ModelCorruptionError(f"stored train config is invalid: {e}") from None
 
 
 def _write_vocab(w, vocab):
@@ -238,8 +246,13 @@ def _write_tagset(w, tagset):
 
 def _read_tagset(r):
     labels = [r.string() for _ in range(r.u32())]
-    tags = [JointTag(r.string(), r.string()) for _ in range(r.u32())]
-    return TagSet(tags, labels)
+    pairs = [(r.string(), r.string()) for _ in range(r.u32())]
+    if not pairs:
+        raise ModelCorruptionError("stored tag set is empty")
+    try:
+        return TagSet([JointTag(seg, pos) for seg, pos in pairs], labels)
+    except ValueError as e:
+        raise ModelCorruptionError(f"stored tag set is invalid: {e}") from None
 
 
 def save(model, path, train_cfg=None):

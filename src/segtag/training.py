@@ -42,15 +42,18 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.alpha <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.alpha}")
+            raise ValueError(f"alpha (learning rate) must be positive, got {self.alpha}")
         if self.eta < 0 or self.l2 < 0:
-            raise ValueError("margin discount and l2 must be non-negative")
+            raise ValueError(f"eta (margin discount) and l2 must be non-negative, "
+                             f"got {self.eta} and {self.l2}")
         if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 <= self.dev_fraction < 1:
-            raise ValueError(f"dev fraction must be in [0, 1), got {self.dev_fraction}")
+            raise ValueError(f"dev_fraction must be in [0, 1), got {self.dev_fraction}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
 

@@ -71,21 +71,8 @@ class TestAffine:
 
 
 class TestActivations:
-    def test_sigmoid_at_zero(self):
-        assert ag.sigmoid(Tensor([[0.0]])).item() == 0.5
-
     def test_tanh_at_zero(self):
         assert ag.tanh(Tensor([[0.0]])).item() == 0.0
-
-    def test_sigmoid_symmetry(self):
-        rng = np.random.default_rng(3)
-        x = rng.normal(scale=4.0, size=(10,))
-        s = ag.sigmoid(Tensor(x)).data + ag.sigmoid(Tensor(-x)).data
-        assert np.allclose(s, 1.0, atol=1e-12)
-
-    def test_sigmoid_saturation_is_finite(self):
-        out = ag.sigmoid(Tensor(np.array([[-1e6, 1e6]])))
-        assert np.allclose(out.data, [[0.0, 1.0]])
 
 
 class TestGradCheck:
@@ -111,9 +98,14 @@ class TestGradCheck:
 
     def test_nonfinite_f_raises(self):
         p = Parameter(np.array([1.0]))
-        with ag.finite_checks(False):
-            with pytest.raises(ag.NumericError):
-                ag.grad_check(lambda: Tensor(np.array(np.inf)), [p])
+
+        def f():
+            out = Tensor(np.array(0.0))
+            out.data[...] = np.inf      # past the check at construction
+            return out
+
+        with pytest.raises(ag.NumericError):
+            ag.grad_check(f, [p])
 
 
 def _op_cases(rng):
@@ -125,12 +117,9 @@ def _op_cases(rng):
     w = rand_param(rng, a, b, name="w")
     bias = rand_param(rng, b, name="b")
     y = rand_param(rng, n, a, name="y")
-    left = int(rng.integers(0, 3))
-    right = int(rng.integers(0, 3))
     return {
         "affine": (lambda: ag.sum_all(ag.affine(x, w, bias)), [x, w, bias]),
         "matmul": (lambda: ag.sum_all(ag.tanh(ag.matmul(x, w))), [x, w]),
-        "sigmoid": (lambda: ag.sum_all(ag.sigmoid(x)), [x]),
         "tanh": (lambda: ag.sum_all(ag.tanh(x)), [x]),
         "add": (lambda: ag.sum_all(x + y), [x, y]),
         "sub": (lambda: ag.sum_all(x - y), [x, y]),
@@ -138,7 +127,6 @@ def _op_cases(rng):
         "neg": (lambda: ag.sum_all(-x), [x]),
         "scalar_mix": (lambda: ag.sum_all(2.5 * x - 1.0) + 3.0, [x]),
         "concat_cols": (lambda: ag.sum_all(ag.tanh(ag.concat_cols([x, y]))), [x, y]),
-        "window_concat": (lambda: ag.sum_all(ag.tanh(ag.window_concat(x, left, right))), [x]),
     }
 
 
@@ -148,7 +136,7 @@ OP_NAMES = sorted(_op_cases(np.random.default_rng(0)).keys())
 @pytest.mark.parametrize("op", OP_NAMES)
 @pytest.mark.parametrize("seed", range(8))
 def test_every_op_matches_finite_differences(op, seed):
-    # 11 ops x 8 seeds = 88 random shape/seed cases in total
+    # 9 ops x 8 seeds = 72 random shape/seed cases in total
     rng = np.random.default_rng(1000 * seed + OP_NAMES.index(op))
     f, params = _op_cases(rng)[op]
     assert ag.grad_check(f, params, eps=1e-5) <= 1e-4
@@ -166,13 +154,13 @@ def test_ops_do_not_mutate_inputs(seed):
 
 
 def test_finite_check_toggle():
+    # checks are always on: a NaN or Inf fails the tensor that would hold it
     with pytest.raises(ag.NumericError):
         Tensor(np.array([np.nan]))
-    with ag.finite_checks(False):
-        t = Tensor(np.array([np.nan]))
-        assert np.isnan(t.data[0])
     with pytest.raises(ag.NumericError):
         Tensor(np.array([np.inf]))
+    with np.errstate(over="ignore"), pytest.raises(ag.NumericError):
+        Tensor(np.array([1e308])) * 10.0     # an op whose result overflows
 
 
 def test_parameter_grad_accumulates_across_graphs():

@@ -117,8 +117,13 @@ class TestPacking:
         p = enc.LstmParams(w=Parameter(np.zeros((5, 8))), b=Parameter(np.zeros(8)))
         with pytest.raises(ag.ShapeError, match="partition"):
             enc.lstm_forward(Tensor(np.zeros((4, 3))), p, lengths=[2, 3])
+        bank = enc.ConvFilterBank([Parameter(np.zeros((3 * q, 2))) for q in (1, 2, 3)],
+                                  [Parameter(np.zeros(2)) for _ in range(3)])
         with pytest.raises(ag.ShapeError, match="partition"):
-            ag.window_concat(Tensor(np.zeros((4, 3))), 1, 1, lengths=[4, 0])
+            enc.conv_feature_maps(Tensor(np.zeros((4, 3))), bank, lengths=[4, 0])
+        mlp = enc.MlpParams(bank.weights[2], bank.biases[2])
+        with pytest.raises(ag.ShapeError, match="partition"):
+            enc.mlp_encode(Tensor(np.zeros((4, 3))), mlp, 3, lengths=[4, 0])
 
     @pytest.mark.parametrize("cap", [1, 5, 8, 100])
     def test_length_chunks_sort_and_cap(self, cap):

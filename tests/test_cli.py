@@ -105,6 +105,15 @@ class TestTrainCommand:
         assert rc == 1
         assert "--corpus" in capsys.readouterr().err
 
+    def test_zero_epochs_rejected_before_training(self, toy_files, capsys):
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), "--epochs", "0")
+        assert rc == 1
+        assert "max_epochs" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_pretrained_embeddings_are_loaded(self, toy_files, caplog):
         corpus, config, tmp = toy_files
         emb = tmp / "emb.txt"
@@ -231,6 +240,18 @@ class TestEvalCommand:
         line = capsys.readouterr().out.strip().splitlines()[0]
         f1 = float(line.split("\t")[3])
         assert f1 >= 0.99, line
+
+    def test_bad_mode_is_named_before_the_model_is_loaded(self, toy_files, capsys):
+        # the model path does not exist: the mode must be refused first
+        corpus, _, tmp = toy_files
+        config = tmp / "eval.cfg"
+        config.write_text("mode = jiont\n", encoding="utf-8")
+        rc = run_cli("eval", "--config", str(config), "--model", str(tmp / "absent.model"),
+                     "--corpus", str(corpus))
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "'jiont'" in out.err and "absent.model" not in out.err
 
     def test_malformed_gold_in_strict_mode_prints_no_report(self, toy_files, capsys):
         corpus, config, tmp = toy_files

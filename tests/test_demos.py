@@ -22,3 +22,4 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout
+    assert not any(tmp_path.iterdir()), "the demo left temporary files behind"

@@ -93,6 +93,15 @@ class TestMlpEncode:
         with pytest.raises(enc.ConfigError, match="window"):
             enc.mlp_encode(Tensor(np.zeros((2, 2))), None, window=0)
 
+    def test_mismatched_weights_rejected(self):
+        x = Tensor(np.zeros((4, 3)))
+        mlp = enc.MlpParams(w=Parameter(np.zeros((6, 2))), b=Parameter(np.zeros(2)))
+        with pytest.raises(ag.ShapeError, match=r"mlp_encode.*\(6, 2\).*\(4, 3\)"):
+            enc.mlp_encode(x, mlp, window=3)
+        mlp = enc.MlpParams(w=Parameter(np.zeros((9, 2))), b=Parameter(np.zeros(3)))
+        with pytest.raises(ag.ShapeError, match="mlp_encode"):
+            enc.mlp_encode(x, mlp, window=3)
+
 
 class TestConvFeatureMaps:
     def test_unigram_order_reduces_to_affine_tanh(self):
@@ -141,14 +150,17 @@ class TestConvFeatureMaps:
     @pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_wide_convolution_preserves_length(self, q, n):
+        # order q and an MLP window of q see the same rows, through the same window op
         rng = np.random.default_rng(10 * q + n)
         x = Tensor(rng.normal(size=(n, 3)))
-        bank = enc.ConvFilterBank([Parameter(rng.normal(size=(3 * q, 2)))],
-                                  [Parameter(rng.normal(size=2))])
-        xw = ag.window_concat(x, (q - 1) // 2, q // 2)
-        assert xw.shape == (n, q * 3)
-        z = ag.tanh(ag.affine(xw, bank.weights[0], bank.biases[0]))
-        assert z.shape == (n, 2)
+        bank = enc.ConvFilterBank([Parameter(rng.normal(size=(3 * k, 2))) for k in range(1, q + 1)],
+                                  [Parameter(rng.normal(size=2)) for _ in range(q)])
+        z = enc.conv_feature_maps(x, bank)
+        assert z.shape == (n, 2 * q)
+        mlp = enc.MlpParams(bank.weights[-1], bank.biases[-1])
+        out = enc.mlp_encode(x, mlp, window=q)
+        assert out.shape == (n, 2)
+        assert np.allclose(z.data[:, -2:], out.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("orders", [1, 2, 3])
     def test_gradients_match_finite_differences(self, orders):
@@ -163,13 +175,12 @@ class TestConvFeatureMaps:
         assert err <= 1e-4
 
     def test_overflowing_pre_activation_raises_unless_checks_are_off(self):
+        # tanh would squash the overflow to 1; finite checks are always on
         x = Tensor(np.ones((3, 2)))
         bank = enc.ConvFilterBank([Parameter(np.full((2, 2), 1e308))], [Parameter(np.zeros(2))])
         with np.errstate(over="ignore"):
             with pytest.raises(ag.NumericError, match="conv_feature_maps"):
                 enc.conv_feature_maps(x, bank)
-            with ag.finite_checks(False):
-                assert np.array_equal(enc.conv_feature_maps(x, bank).data, np.ones((3, 2)))
 
 
 class TestKmaxPool:
@@ -220,11 +231,13 @@ class TestKmaxPool:
             assert np.array_equal(z.grad[i], mask)
 
     def test_nan_row_is_a_numeric_error_even_with_checks_off(self):
-        # the k largest of a row holding NaN are undefined
-        with ag.finite_checks(False):
-            for k in (1, 2, 3):
-                with pytest.raises(ag.NumericError, match="kmax_pool"):
-                    enc.kmax_pool(Tensor(np.array([[1.0, np.nan, 2.0]])), k)
+        # the k largest of a row holding NaN are undefined; k-max checks its
+        # input itself, even a NaN written past the tensor's own check
+        z = Tensor(np.array([[1.0, 0.0, 2.0]]))
+        z.data[0, 1] = np.nan
+        for k in (1, 2, 3):
+            with pytest.raises(ag.NumericError, match="kmax_pool"):
+                enc.kmax_pool(z, k)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tie_heavy_rows_match_oracle(self, dtype):
@@ -271,6 +284,35 @@ class TestHighway:
         hw = enc.HighwayParams(Parameter(np.zeros((3, 3))), Parameter(np.zeros(3)))
         with pytest.raises(ag.ShapeError, match="decoupled"):
             enc.highway_forward(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), hw)
+
+    def test_is_one_tape_node_over_its_inputs(self):
+        rng = np.random.default_rng(14)
+        x, cov = self._inputs(rng)
+        hw = enc.HighwayParams(Parameter(rng.normal(size=(3, 3))), Parameter(rng.normal(size=3)))
+        out = enc.highway_forward(x, cov, hw)
+        assert len(out._prev) == 4
+        assert all(a is b for a, b in zip(out._prev, (x, cov, hw.w, hw.b)))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradients_match_finite_differences(self, n):
+        rng = np.random.default_rng(60 + n)
+        x = Parameter(rng.normal(size=(n, 3)), name="x")
+        cov = Parameter(rng.normal(size=(n, 3)), name="cov_x")
+        hw = enc.HighwayParams(Parameter(rng.normal(size=(3, 3)), name="w"),
+                               Parameter(rng.normal(size=3), name="b"))
+
+        def f():
+            return ag.sum_all(ag.tanh(enc.highway_forward(x, cov, hw)))
+
+        assert ag.grad_check(f, [x, cov, hw.w, hw.b]) <= 1e-4
+
+    def test_overflowing_gate_raises(self):
+        # the sigmoid would squash the overflow to 1, so the gate checks itself
+        x, cov = Tensor(np.ones((3, 2))), Tensor(np.zeros((3, 2)))
+        hw = enc.HighwayParams(Parameter(np.full((2, 2), 1e308)), Parameter(np.zeros(2)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ag.NumericError, match="highway_forward"):
+                enc.highway_forward(x, cov, hw)
 
 
 class TestLstm:
@@ -323,9 +365,6 @@ class TestLstm:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ag.NumericError, match=r"lstm\.fwd"):
                 enc.lstm_forward(x, p, reverse=reverse)
-            with ag.finite_checks(False):
-                out = enc.lstm_forward(x, p, reverse=reverse)
-        assert np.all(np.isfinite(out.data))
 
 
 class TestBlstm:

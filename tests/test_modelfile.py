@@ -30,11 +30,15 @@ def file_version(path):
     return struct.unpack("<I", path.read_bytes()[len(mf.MAGIC):len(mf.MAGIC) + 4])[0]
 
 
-def rewrite_version(path, version):
-    """Set the version field and re-seal the checksum, so only the version is wrong."""
+def rewrite_field(path, offset, fmt, value):
+    """Overwrite one field and re-seal the checksum, so only that field is wrong."""
     body = bytearray(path.read_bytes()[:-4])
-    body[len(mf.MAGIC):len(mf.MAGIC) + 4] = struct.pack("<I", version)
+    struct.pack_into(fmt, body, offset, value)
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+def rewrite_version(path, version):
+    rewrite_field(path, len(mf.MAGIC), "<I", version)
 
 
 class TestSave:
@@ -142,6 +146,44 @@ class TestLoad:
         path.write_bytes(blob[:len(blob) // 3])
         with pytest.raises((mf.ModelCorruptionError, mf.ModelFormatError)):
             mf.load(path)
+
+    def test_invalid_stored_width_is_corruption(self, tmp_path):
+        # d is the u32 right after the magic and the version
+        path = tmp_path / "m.model"
+        path.write_bytes((DATA / "tiny_v1.model").read_bytes())
+        rewrite_field(path, len(mf.MAGIC) + 4, "<I", 0)
+        with pytest.raises(mf.ModelCorruptionError, match="encoder config.*d=0"):
+            mf.load(path)
+
+    def test_invalid_stored_train_config_is_corruption(self, tmp_path):
+        # v2 layout up to max_epochs: magic, version, d, h, Q, Q map widths,
+        # five u8 flags, window, two u8 flags, normalize_width, three f64, batch_size
+        model = build_model()
+        path = tmp_path / "m.model"
+        mf.save(model, path)
+        offset = len(mf.MAGIC) + 4 * (4 + model.cfg.feature_map_sets) + 5 + 4 + 3 + 24 + 4
+        rewrite_field(path, offset, "<I", 0)
+        with pytest.raises(mf.ModelCorruptionError, match="max_epochs"):
+            mf.load(path)
+
+    def test_every_truncation_is_a_model_file_error(self, tmp_path):
+        # every cut through the header and every 13th through the parameters,
+        # each tried as it is and with its checksum re-sealed, so the reader
+        # parses the truncated fields instead of failing the checksum
+        model = build_model(use_bigram=True)
+        path = tmp_path / "m.model"
+        mf.save(model, path)
+        full = path.read_bytes()
+        body = full[:-4]
+        for cut in [*range(1024), *range(1024, len(full), 13)]:
+            blobs = [full[:cut]]
+            if cut < len(body):
+                blobs.append(body[:cut] + struct.pack("<I", zlib.crc32(body[:cut])))
+            for blob in blobs:
+                path.write_bytes(blob)
+                with pytest.raises((mf.ModelFormatError, mf.ModelVersionError,
+                                    mf.ModelCorruptionError)):
+                    mf.load(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -196,6 +196,24 @@ class TestBackpropMargin:
             sizes.append(reachable(diff))
         assert sizes[0] == sizes[1]
 
+    def test_hinge_graph_op_nodes_at_published_widths(self):
+        # embed, conv bank, k-max, highway, two LSTM directions and their concat,
+        # the projection, and six for the hinge sum: each layer is one node
+        sents = toy_corpus(3, seed=3)
+        vocab, tagset = cp.build_vocab_and_tagset(sents)
+        model = Model(EncoderConfig(), vocab, tagset, seed=1)
+        ids = model.vocab.encode(sents[0].chars)
+        gold = model.tagset.encode(sents[0].tags)
+        diff, _, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
+        seen, stack, ops = set(), [diff], 0
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops += node._backward is not None
+                stack.extend(node._prev)
+        assert ops == 14
+
     def test_full_model_gradient_passes_grad_check(self):
         model, _ = tiny_model(dtype=np.float64)
         randomize_parameters(model)
