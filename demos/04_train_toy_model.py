@@ -1,8 +1,9 @@
 """Train a small model end to end on the synthetic corpus.
 
-Max-margin training: per sentence, decode the most violating competitor
-under the hamming-augmented lattice, backpropagate the score difference,
-and apply AdaGrad per batch. The toy language has an unambiguous
+Max-margin training: for each sentence, decode the most violating
+competitor under the hamming-augmented lattice; backpropagate the score
+differences of a packed chunk of sentences at once, and apply AdaGrad per
+batch. The toy language has an unambiguous
 character-to-word mapping, so the model should reach perfect F1 quickly.
 """
 import sys

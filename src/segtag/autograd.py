@@ -169,8 +169,8 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable tensor with persistent gradient and adaptive-rate accumulator.
 
-    The gradient buffer survives across backward passes so per-sentence
-    gradients accumulate over a mini-batch; call zero_grad() at batch start.
+    The gradient buffer survives across backward passes so the gradients of
+    a mini-batch's chunks accumulate; call zero_grad() at batch start.
     """
 
     __slots__ = ("name", "accumulator")
@@ -267,8 +267,9 @@ def concat_cols(parts):
 
 
 def _check_lengths(lengths, n):
-    """`lengths` as an array, checked to split n packed rows into sentences."""
-    lengths = np.asarray(lengths, dtype=np.intp)
+    """`lengths` (None: one sentence) as an array, checked to split n packed
+    rows into sentences."""
+    lengths = np.asarray([n] if lengths is None else lengths, dtype=np.intp)
     if lengths.ndim != 1 or lengths.size == 0 or lengths.min() < 1 or lengths.sum() != n:
         raise ShapeError(f"sentence lengths {lengths.tolist()} do not partition {n} rows")
     return lengths
@@ -292,9 +293,6 @@ def _time_major(lengths, n, reverse=False):
     With reverse=True each sentence is flipped: its last character is step 0.
     """
     lengths = _check_lengths(lengths, n)
-    if lengths.size == 1:    # training asks three times per sentence: skip the bookkeeping
-        step = np.arange(n - 1, -1, -1) if reverse else np.arange(n)
-        return step, np.zeros(n, dtype=np.intp), [1] * n
     pos, size = _sentence_positions(lengths, n)
     slot_of = np.empty(lengths.size, dtype=np.intp)
     slot_of[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
@@ -306,21 +304,13 @@ def _time_major(lengths, n, reverse=False):
 def _window_offsets(n, left, right, lengths=None):
     """(column block j, destination rows, source rows) of each window offset.
 
-    With several sentences packed in the n rows (`lengths`), a row's
-    neighbour in another sentence is skipped, as if it were margin padding.
+    With several sentences packed in the n rows (`lengths`, default one), a
+    row's neighbour in another sentence is skipped, as if it were margin padding.
     """
-    packed = lengths is not None and len(lengths) > 1
-    if packed:
-        pos, size = _sentence_positions(lengths, n)
+    pos, size = _sentence_positions(lengths, n)
     for j, off in enumerate(range(-left, right + 1)):
-        lo, hi = max(0, -off), min(n, n - off)
-        if lo >= hi:
-            continue
-        if packed:
-            dst = np.flatnonzero((pos + off >= 0) & (pos + off < size))
-            yield j, dst, dst + off
-        else:
-            yield j, slice(lo, hi), slice(lo + off, hi + off)
+        dst = np.flatnonzero((pos + off >= 0) & (pos + off < size))
+        yield j, dst, dst + off
 
 
 def _window_rows(data, left, right, lengths=None):

@@ -13,6 +13,7 @@ import sys
 from . import corpus as cp
 from . import evaluation as ev
 from . import modelfile as mf
+from .autograd import NumericError
 from .encoder import ConfigError, EncoderConfig
 from .model import TAG_CHUNK_CHARS, Model
 from .training import TrainConfig, train
@@ -304,7 +305,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, ValueError, OSError) as e:
+    except (CliError, ConfigError, ValueError, OSError, NumericError) as e:
         print(f"segtag: {e}", file=sys.stderr)
         return 1
 

@@ -81,10 +81,9 @@ class TagScoreLattice:
             )
         if not np.all(np.isfinite(emissions)):
             raise ValueError("emissions must be finite")
-        n = emissions.shape[0]
         self.emissions = emissions
         self.trans = trans
-        self.lengths = _check_lengths([n] if lengths is None else lengths, n)
+        self.lengths = _check_lengths(lengths, emissions.shape[0])
 
     @property
     def n(self):
@@ -109,27 +108,21 @@ def _check_tags(lat, tags):
     return tags
 
 
+def row_scores(lat, tags):
+    """Per position of a tag path: its emission score plus the transition
+    score into it, none into a sentence's first position."""
+    tags = _check_tags(lat, tags)
+    rows = lat.emissions[np.arange(lat.n), tags]
+    arcs = lat.trans.scores()[tags[:-1], tags[1:]]
+    arcs[np.cumsum(lat.lengths)[:-1] - 1] = 0.0     # the arc out of each sentence's last char
+    rows[1:] += arcs
+    return rows
+
+
 def path_score(lat, tags):
     """Sum of transition scores plus emission scores along one tag path
     (summed over the sentences of a packed lattice)."""
-    tags = _check_tags(lat, tags)
-    n = lat.n
-    score = lat.emissions[np.arange(n), tags].sum()
-    if n > 1:
-        arcs = lat.trans.scores()[tags[:-1], tags[1:]]
-        if lat.lengths.size > 1:
-            inside = np.ones(n - 1, dtype=bool)
-            inside[np.cumsum(lat.lengths)[:-1] - 1] = False   # the arc out of each last char
-            arcs = arcs[inside]
-        score += arcs.sum()
-    return float(score)
-
-
-def _margin_row(n, n_tags, gold, eta, dtype):
-    """Per-position hamming penalty: eta everywhere except the gold tag."""
-    aug = np.full((n, n_tags), eta, dtype=dtype)
-    aug[np.arange(n), gold] = 0.0
-    return aug
+    return float(row_scores(lat, tags).sum())
 
 
 def viterbi(lat):
@@ -179,7 +172,9 @@ def loss_augmented_viterbi(lat, gold, eta):
     path itself the augmented score is exactly the plain score.
     """
     gold = _check_tags(lat, gold)
-    aug = lat.emissions + _margin_row(lat.n, lat.n_tags, gold, eta, lat.emissions.dtype)
+    rows = np.arange(lat.n)
+    aug = lat.emissions + eta           # the hamming penalty, on every tag but gold's
+    aug[rows, gold] = lat.emissions[rows, gold]
     path = _viterbi_path(aug, lat.trans.scores(), lat.lengths)
     mismatches = int(np.sum(np.asarray(path) != gold))
     return path, path_score(lat, path) + eta * mismatches
@@ -271,19 +266,22 @@ def tag_count_diff(b_param, path, gold):
     return out
 
 
-def arc_count_diff(a_param, trans, path, gold):
+def arc_count_diff(a_param, trans, path, gold, lengths=None):
     """Differentiable sum over arcs of (uses in path - uses in gold) * A[arc].
 
     Arc counts are integers, so arcs crossed equally often cancel exactly;
-    masked arcs contribute nothing and receive no gradient.
+    masked arcs contribute nothing and receive no gradient. With several
+    sentences packed in the sequences (`lengths`, default one), the arc out
+    of each sentence's last character is not counted, as in path_score.
     """
     n_tags = a_param.shape[0]
     counts = np.zeros((n_tags, n_tags), dtype=np.int64)
     path = np.asarray(path, dtype=np.intp)
     gold = np.asarray(gold, dtype=np.intp)
-    if len(path) > 1:
-        np.add.at(counts, (path[:-1], path[1:]), 1)
-        np.add.at(counts, (gold[:-1], gold[1:]), -1)
+    within = np.ones(len(path) - 1, dtype=np.int64)
+    within[np.cumsum(_check_lengths(lengths, len(path)))[:-1] - 1] = 0
+    np.add.at(counts, (path[:-1], path[1:]), within)
+    np.add.at(counts, (gold[:-1], gold[1:]), -within)
     if trans.mask is not None:
         counts[trans.mask] = 0   # decoding never crosses masked arcs anyway
     idx = np.nonzero(counts)

@@ -12,6 +12,10 @@ from .autograd import Parameter
 # a bigger GEMM but raise peak memory; 256 keeps the tagging process's peak
 # RSS within ~1 MB of one-sentence tagging.
 TAG_CHUNK_CHARS = 256
+# Characters per training chunk. A training tape holds ~35 KB per character at
+# the published widths (tracemalloc peak of one chunk's forward and backward:
+# 4.0 MB at 112 characters, 9.1 MB at 247), so training packs half as much.
+TRAIN_CHUNK_CHARS = 128
 
 
 def length_chunks(lengths, cap):

@@ -1,14 +1,15 @@
 """Max-margin training.
 
 Each sentence contributes a structured hinge loss: the score of the best
-margin-augmented competitor minus the gold path score. Subgradients flow
-through the emission tensor back into the whole encoder and into the
-transition matrix; mini-batches are applied with AdaGrad (or plain SGD)
-with the L2 term folded into the update as part of the single objective.
+margin-augmented competitor minus the gold path score. A mini-batch runs in
+length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, packed as in
+tagging: one encoder pass, one Viterbi and one backward() per chunk. AdaGrad
+(or plain SGD) applies each batch with the L2 term folded into the update.
 """
 from __future__ import annotations
 
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -18,6 +19,8 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation as ev
 from . import lattice as lt
+from .encoder import CharIds
+from .model import TRAIN_CHUNK_CHARS, length_chunks
 
 log = logging.getLogger(__name__)
 
@@ -41,11 +44,11 @@ class TrainConfig:
     finetune_embeddings: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha (learning rate) must be positive, got {self.alpha}")
-        if self.eta < 0 or self.l2 < 0:
-            raise ValueError(f"eta (margin discount) and l2 must be non-negative, "
-                             f"got {self.eta} and {self.l2}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha (learning rate) must be positive and finite, got {self.alpha}")
+        for name in ("eta", "l2"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -82,18 +85,27 @@ def margin_delta(gold, t, eta):
     return eta * int(np.sum(gold != t))
 
 
-def hinge_loss(lat, gold, eta):
-    """Structured hinge loss and the violating sequence that attains it.
+def hinge_losses(lat, gold, eta):
+    """Structured hinge loss of each sentence in a (packed) lattice, and the
+    violating sequence that attains it.
 
     loss = max_t (score(t) + margin(gold, t)) - score(gold), which is zero
-    exactly when gold itself attains the augmented maximum.
+    exactly when gold itself attains the augmented maximum; the violator then
+    holds gold, so the sentence cancels exactly in hinge_loss_graph.
     """
     gold = np.asarray(gold, dtype=np.intp)
-    path, augmented = lt.loss_augmented_viterbi(lat, gold, eta)
-    if np.array_equal(path, gold):
-        return 0.0, path
-    loss = augmented - lt.path_score(lat, gold)
-    return max(loss, 0.0), path
+    path = np.asarray(lt.loss_augmented_viterbi(lat, gold, eta)[0])
+    # per position, so that positions and arcs on which path and gold agree cancel
+    rows = lt.row_scores(lat, path) - lt.row_scores(lat, gold) + eta * (path != gold)
+    losses = np.maximum(np.add.reduceat(rows, np.cumsum(lat.lengths) - lat.lengths), 0.0)
+    return losses, np.where(np.repeat(losses > 0.0, lat.lengths), path, gold).tolist()
+
+
+def hinge_loss(lat, gold, eta):
+    """Structured hinge loss of a one-sentence lattice (summed over the
+    sentences of a packed one) and the violating sequence that attains it."""
+    losses, violator = hinge_losses(lat, gold, eta)
+    return float(losses.sum()), violator
 
 
 def regularizer_value(params, l2):
@@ -108,38 +120,26 @@ def objective(losses, params, l2):
 
 
 def hinge_loss_graph(model, ids, gold, eta):
-    """Hinge loss as an autograd tensor plus the detached (loss, violator).
+    """Summed hinge loss of the sentence(s) in ids as an autograd tensor, plus
+    the detached per-sentence losses and the violator (packed like gold).
 
     The tensor is score(violator) - score(gold) + margin, assembled from
     three pieces whose inactive coordinates cancel exactly: per-position
     differences of the unbiased scores, integer tag-count differences times
-    the projection bias, and integer arc-count differences times the
-    transition matrix. backward() routes the subgradient through the
-    encoder, the projection and the transitions.
+    the projection bias, and integer arc-count differences within sentences
+    times the transition matrix. backward() routes the subgradient through
+    the encoder, the projection and the transitions.
     """
     scores_t = ag.matmul(model.hidden(ids), model.proj.w)
-    emissions = scores_t.data + model.proj.b.data
-    lat = lt.TagScoreLattice(emissions, model.trans)
-    loss, violator = hinge_loss(lat, gold, eta)
+    lat = lt.TagScoreLattice(scores_t.data + model.proj.b.data, model.trans, ids.lengths)
+    losses, violator = hinge_losses(lat, gold, eta)
     diff = (
         lt.path_emission_diff(scores_t, violator, gold)
         + lt.tag_count_diff(model.proj.b, violator, gold)
-        + lt.arc_count_diff(model.trans.a, model.trans, violator, gold)
+        + lt.arc_count_diff(model.trans.a, model.trans, violator, gold, ids.lengths)
         + margin_delta(gold, violator, eta)
     )
-    return diff, loss, violator
-
-
-def backprop_margin(model, ids, gold, eta):
-    """Accumulate the hinge subgradient for one sentence into model grads.
-
-    Returns (loss, violating path). When the margin is satisfied the data
-    gradient is exactly zero and nothing is accumulated.
-    """
-    diff, loss, violator = hinge_loss_graph(model, ids, gold, eta)
-    if loss > 0.0:
-        diff.backward()
-    return loss, violator
+    return diff, losses, violator
 
 
 def apply_update(model, cfg, batch_size):
@@ -168,32 +168,35 @@ def train_epoch(corpus, model, cfg, epoch=0):
     """One pass: shuffle, batch, accumulate subgradients, update.
 
     The shuffle is seeded by (cfg.seed, epoch) so runs are reproducible;
-    sentences inside a batch are processed in a fixed order, which makes
-    the epoch deterministic outright.
+    batches are cut into chunks in a fixed order, which makes the epoch
+    deterministic outright. A NumericError names the epoch, batch and chunk.
     """
     if len(corpus) == 0:
         raise ValueError("cannot train on an empty corpus")
     start = time.perf_counter()
-    rng = np.random.default_rng([cfg.seed, epoch])
-    order = rng.permutation(len(corpus))
-    losses = []
-    violations = 0
+    order = np.random.default_rng([cfg.seed, epoch]).permutation(len(corpus))
+    losses = np.zeros(len(corpus))    # by corpus index
     model.zero_grads()
-    for lo in range(0, len(order), cfg.batch_size):
+    for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[lo:lo + cfg.batch_size]
-        for idx in batch:
-            sentence = corpus[idx]
-            ids = model.vocab.encode(sentence.chars, model.cfg.use_bigram)
-            gold = model.tagset.encode(sentence.tags)
-            loss, _ = backprop_margin(model, ids, gold, cfg.eta)
-            losses.append(loss)
-            if loss > 0.0:
-                violations += 1
+        for chunk in length_chunks([len(corpus[i]) for i in batch], TRAIN_CHUNK_CHARS):
+            sentences = batch[chunk]
+            ids = CharIds.pack(model.vocab.encode(corpus[i].chars, model.cfg.use_bigram)
+                               for i in sentences)
+            gold = np.concatenate([model.tagset.encode(corpus[i].tags) for i in sentences])
+            try:
+                diff, chunk_losses, _ = hinge_loss_graph(model, ids, gold, cfg.eta)
+                if chunk_losses.any():
+                    diff.backward()
+            except ag.NumericError as e:
+                raise ag.NumericError(f"epoch {epoch}, batch {batch_no}, sentences "
+                                      f"{sentences.tolist()}: {e}") from e
+            losses[sentences] = chunk_losses
         apply_update(model, cfg, len(batch))
     return BatchStats(
         mean_loss=float(np.mean(losses)),
         regularizer=regularizer_value(model.parameters(), cfg.l2),
-        violations=violations,
+        violations=int(np.count_nonzero(losses)),
         epoch=epoch,
         seconds=time.perf_counter() - start,
     )

@@ -1,9 +1,10 @@
 """Packed multi-sentence batches against one sentence at a time.
 
-Tagging packs sentences end to end (``CharIds.pack``) and runs each chunk
-once through the encoder and one batched Viterbi. Every result here is
-compared with the one-sentence path it replaces: paths must be identical,
-emissions equal up to float64 rounding, gradients right on ragged batches.
+Tagging and training pack sentences end to end (``CharIds.pack``) and run
+each chunk once through the encoder and one batched Viterbi. Every result
+here is compared with the same sentences run one at a time: paths must be
+identical, emissions, hinge losses and gradients equal up to float64
+rounding, gradients right on ragged batches.
 """
 import gc
 
@@ -20,7 +21,7 @@ from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import Model, length_chunks
-from segtag.toydata import ALPHABET, toy_corpus
+from segtag.toydata import ALPHABET, WORD_INVENTORY, toy_corpus
 from util import randomize_parameters, topology_grid
 
 RAGGED = (1, 3, 5)
@@ -82,6 +83,61 @@ def test_batched_tagging_equals_one_sentence_at_a_time(case, texts):
     packed = model.emissions(CharIds.pack(ids)).data
     want = np.concatenate([model.emissions(i).data for i in ids])
     assert np.max(np.abs(packed - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+# a sentence as word indices into WORD_INVENTORY, and whether its gold is the
+# model's own Viterbi path (a satisfied margin at eta = 0) or the true tags
+hinge_sentences = st.lists(
+    st.tuples(st.lists(st.integers(0, len(WORD_INVENTORY) - 1), min_size=1, max_size=8),
+              st.booleans()),
+    min_size=1, max_size=6)
+
+
+@pytest.mark.parametrize("case", grid(), ids=grid_id)
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=hinge_sentences, eta=st.sampled_from([0.0, 0.2]))
+@example(drawn=[([0, 1], True), ([3, 5, 2], False), ([6], True), ([4, 4, 1], False)], eta=0.0)
+@example(drawn=[([1, 3, 6], False), ([0], False)], eta=0.2)
+def test_packed_hinge_equals_the_sum_of_one_sentence_hinges(case, drawn, eta):
+    model = float64_model(case)
+    ids, gold = [], []
+    for words, satisfied in drawn:
+        chars = [c for w in words for c in WORD_INVENTORY[w][0]]
+        ids.append(model.vocab.encode(chars, model.cfg.use_bigram))
+        tags = [t for w in words for t in cp.expand_word(*WORD_INVENTORY[w])]
+        gold.append(np.asarray(lt.viterbi(model.lattice(ids[-1])[0])[0]) if satisfied
+                    else model.tagset.encode(tags))
+
+    model.zero_grads()
+    want_losses, want_violator = [], []
+    for i, g in zip(ids, gold):
+        diff, (loss,), violator = tr.hinge_loss_graph(model, i, g, eta)
+        if loss > 0.0:
+            diff.backward()
+        want_losses.append(loss)
+        want_violator += violator
+    want = [p.grad.copy() for _, p in model.parameters()]
+
+    model.zero_grads()
+    packed = CharIds.pack(ids)
+    diff, losses, violator = tr.hinge_loss_graph(model, packed, np.concatenate(gold), eta)
+    diff.backward()     # zero-loss sentences are their own violators: they add nothing
+    assert violator == want_violator
+    assert losses == pytest.approx(want_losses, rel=1e-10, abs=1e-12)
+    assert diff.item() == pytest.approx(sum(want_losses), rel=1e-10, abs=1e-12)
+    for (name, p), w in zip(model.parameters(), want):
+        assert np.max(np.abs(p.grad - w)) <= 1e-10 * max(1.0, np.max(np.abs(w))), name
+    if eta == 0.0:
+        for loss, (_, satisfied) in zip(losses, drawn):
+            assert loss == 0.0 or not satisfied
+
+    # no gradient reaches an arc that neither sequence crosses inside a sentence,
+    # such as the violator's arcs across sentence boundaries
+    inside = np.zeros(model.trans.a.shape, dtype=bool)
+    for seq in (violator, np.concatenate(gold)):
+        for s in np.split(np.asarray(seq), np.cumsum(packed.lengths)[:-1]):
+            inside[s[:-1], s[1:]] = True
+    assert not np.any(model.trans.a.grad[~inside])
 
 
 class TestPacking:

@@ -114,6 +114,36 @@ class TestTrainCommand:
         assert "max_epochs" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("flag, field", [("--lr", "alpha"), ("--margin", "eta"),
+                                             ("--l2", "l2")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rates_rejected_before_training(self, toy_files, capsys,
+                                                        flag, field, value):
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), flag, value)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"segtag: {field}") and err.count("\n") == 1
+        assert not model_path.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_numeric_error_is_one_line(self, toy_files, capsys):
+        # a learning rate of 1e30 throws the first batch's update past float32
+        # range, so the second batch's forward pass overflows
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), "--lr", "1e30", "--batch", "2")
+        assert rc == 1
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("segtag:")]
+        assert len(lines) == 1 and "Traceback" not in err
+        assert lines[0].startswith("segtag: epoch 1, batch 1, sentences [")
+        assert lines[0].endswith("NaN/Inf")
+        assert not model_path.exists()
+
     def test_pretrained_embeddings_are_loaded(self, toy_files, caplog):
         corpus, config, tmp = toy_files
         emb = tmp / "emb.txt"

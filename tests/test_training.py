@@ -1,5 +1,6 @@
 import io
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from segtag import corpus as cp
 from segtag import lattice as lt
 from segtag import training as tr
 from segtag.autograd import Parameter
-from segtag.encoder import EncoderConfig
+from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 from util import randomize_parameters
@@ -62,11 +63,11 @@ class TestMarginDelta:
 
 
 class TestHingeLoss:
-    def make(self, emissions, a=None):
+    def make(self, emissions, a=None, lengths=None):
         emissions = np.asarray(emissions, dtype=np.float64)
         n_tags = emissions.shape[1]
         a = np.zeros((n_tags, n_tags)) if a is None else np.asarray(a, dtype=np.float64)
-        return lt.TagScoreLattice(emissions, lt.TransitionMatrix(Parameter(a)))
+        return lt.TagScoreLattice(emissions, lt.TransitionMatrix(Parameter(a)), lengths)
 
     def test_satisfied_margin_gives_zero(self):
         l = self.make([[10.0, 0.0], [10.0, 0.0]])
@@ -79,6 +80,22 @@ class TestHingeLoss:
         loss, violator = tr.hinge_loss(l, [0], eta=0.2)
         assert loss == pytest.approx(0.2)
         assert violator == [1]
+
+    def test_tied_competitor_at_zero_loss_leaves_gold_as_the_violator(self):
+        # the decoder breaks the tie towards tag 0, but the margin holds, so
+        # the violator is gold itself and cancels in hinge_loss_graph
+        l = self.make([[0.0, 0.0]])
+        loss, violator = tr.hinge_loss(l, [1], eta=0.0)
+        assert loss == 0.0
+        assert violator == [1]
+
+    def test_packed_lattice_gives_one_loss_per_sentence(self):
+        l = self.make([[10.0, 0.0], [0.0, 0.0], [0.0, 3.0]], lengths=[1, 2])
+        losses, violator = tr.hinge_losses(l, [0, 0, 1], eta=0.2)
+        # sentence 1 holds; sentence 2 pays 0.2 at position 0 (tied emissions)
+        assert losses.tolist() == pytest.approx([0.0, 0.2])
+        assert violator == [0, 1, 1]
+        assert tr.hinge_loss(l, [0, 0, 1], eta=0.2)[0] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_enumeration_oracle(self, seed):
@@ -125,6 +142,8 @@ class TestObjective:
 
 
 class TestBackpropMargin:
+    """The hinge graph and the subgradient its backward() accumulates."""
+
     def test_zero_loss_means_zero_data_gradient(self):
         model, _ = tiny_model(dtype=np.float64)
         ids = model.vocab.encode(["f"])
@@ -132,8 +151,11 @@ class TestBackpropMargin:
         lat_obj, _ = model.lattice(ids)
         gold = np.asarray(lt.viterbi(lat_obj)[0])
         model.proj.b.data[gold[0]] += 50.0
-        loss, _ = tr.backprop_margin(model, ids, gold, eta=0.2)
+        diff, (loss,), violator = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
         assert loss == 0.0
+        assert violator == gold.tolist()
+        # gold is its own violator, so even a backward pass accumulates nothing
+        diff.backward()
         for _, p in model.parameters():
             assert not np.any(p.grad)
 
@@ -142,10 +164,11 @@ class TestBackpropMargin:
         # pad rows themselves stay untouched by any sentence
         model, sents = tiny_model(use_bigram=True, feature_maps=12)
         model.zero_grads()
-        for s in sents:
-            ids = model.vocab.encode(s.chars, use_bigram=True)
-            gold = model.tagset.encode(s.tags)
-            tr.backprop_margin(model, ids, gold, eta=0.2)
+        ids = CharIds.pack(model.vocab.encode(s.chars, use_bigram=True) for s in sents)
+        gold = np.concatenate([model.tagset.encode(s.tags) for s in sents])
+        diff, losses, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
+        assert losses.any()
+        diff.backward()
         table = model.encoder.table
         assert not np.any(table.unigram.grad[cp.Vocab.PAD])
         assert not np.any(table.bigram.grad[cp.Vocab.PAD])
@@ -161,7 +184,8 @@ class TestBackpropMargin:
             hidden=lambda ids: hidden,
             proj=lt.ProjectionParams(Parameter(np.eye(2)), Parameter(np.zeros(2))),
             trans=lt.TransitionMatrix(a))
-        diff, loss, violator = tr.hinge_loss_graph(model, None, [0, 1, 0], eta=0.2)
+        ids = SimpleNamespace(lengths=np.array([3]))
+        diff, (loss,), violator = tr.hinge_loss_graph(model, ids, [0, 1, 0], eta=0.2)
         assert violator == [0, 1, 1]
         assert abs(loss - 0.2) < 1e-12 and abs(diff.item() - loss) < 1e-12
         diff.backward()
@@ -301,6 +325,20 @@ class TestApplyUpdate:
         assert p.data[0] == pytest.approx(1.0 - 0.3)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["alpha", "eta", "l2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rates_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            tr.TrainConfig(**{field: value})
+
+    def test_zero_margin_and_l2_allowed(self):
+        cfg = tr.TrainConfig(eta=0.0, l2=0.0)
+        assert (cfg.eta, cfg.l2) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="^alpha"):
+            tr.TrainConfig(alpha=0.0)
+
+
 class TestTrainEpoch:
     def test_small_corpus_is_one_batch(self):
         model, sents = tiny_model()
@@ -309,6 +347,39 @@ class TestTrainEpoch:
         assert stats.epoch == 1
         assert stats.violations <= 3
         assert stats.mean_loss >= 0.0
+
+    def test_numeric_error_names_epoch_batch_and_sentences(self):
+        model, sents = tiny_model()
+        model.proj.w.data[0, 0] = np.nan
+        cfg = tr.TrainConfig(batch_size=4, seed=2)
+        with pytest.raises(ag.NumericError) as info:
+            tr.train_epoch(sents, model, cfg, epoch=3)
+        # the first batch (~40 characters) is one chunk; its sentences are named
+        # by corpus index, and the failing op's own message is kept
+        first = np.random.default_rng([2, 3]).permutation(len(sents))[:4]
+        head, ops_message = str(info.value).split(": ", 1)
+        assert head.startswith("epoch 3, batch 0, sentences [")
+        assert sorted(int(i) for i in head[head.index("[") + 1:-1].split(", ")) \
+            == sorted(first.tolist())
+        assert ops_message == "tensor contains NaN/Inf"
+        assert isinstance(info.value.__cause__, ag.NumericError)
+
+    def test_memory_is_bounded_by_the_chunk_not_the_batch(self):
+        # a training tape holds ~35 KB per packed character at the published
+        # widths; a batch of 100 sentences (~2,600 characters) packed as one
+        # chunk would raise the traced peak by tens of MB
+        sents = toy_corpus(100, seed=4, min_words=10, max_words=20)
+        vocab, tagset = cp.build_vocab_and_tagset(sents)
+        peaks = []
+        for batch_size in (20, 100):
+            model = Model(EncoderConfig(), vocab, tagset, seed=1)
+            tracemalloc.start()
+            try:
+                tr.train_epoch(sents, model, tr.TrainConfig(batch_size=batch_size), epoch=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 2 ** 20, peaks
 
     def test_empty_corpus_rejected(self):
         model, _ = tiny_model()
