@@ -68,7 +68,15 @@ class Tensor:
         return self.data.item()
 
     def backward(self):
-        """Run reverse-mode accumulation from a scalar root."""
+        """Run reverse-mode accumulation from a scalar root.
+
+        Each interior node is released as soon as its own backward has run:
+        its gradient, its closure (with the forward caches it holds) and its
+        input edges. The tape is therefore freed while it is walked, and a
+        second backward() through any of it raises instead of silently
+        adding nothing. Leaves (parameters and input tensors) keep their
+        gradients.
+        """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar root, got shape {self.shape}")
         topo = []
@@ -86,9 +94,13 @@ class Tensor:
             for child in node._prev:
                 stack.append((child, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()    # dropped here, so a finished node can be freed
+            back = node._backward
+            if back is not None:
+                grad = node.grad
+                node.grad, node._prev, node._backward = None, (), _released
+                back(grad)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -188,10 +200,22 @@ class Parameter(Tensor):
         return f"Parameter({self.name or '?'}, shape={self.shape})"
 
 
+def _released(grad):
+    raise RuntimeError("backward() already ran through this graph and released it; "
+                       "build the graph again to take another gradient")
+
+
 def _accum(t, g):
+    """Add gradient g to t.grad. A node's first gradient is kept as it is
+    (cast to t's dtype), not copied into zeros; an op may hand one array to
+    several inputs, so a later gradient is added out of place. A Parameter
+    owns its buffer and accumulates in place."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.asarray(g, dtype=t.data.dtype)
+    elif isinstance(t, Parameter):
+        t.grad += g
+    else:
+        t.grad = t.grad + g
 
 
 def _same_shape(op, a, b):
@@ -283,22 +307,23 @@ def _sentence_positions(lengths, n):
     return np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths), size
 
 
-def _time_major(lengths, n, reverse=False):
-    """Time-major layout of packed sentences: (step, slot, active).
+def _packed_steps(lengths, n, reverse=False):
+    """Step-major layout of the sentences packed in n rows: (where, steps).
 
-    Packed row r sits at step[r], slot[r] of a (T, B, ...) array, T being the
-    longest length and B the sentence count. Slots order the sentences longest
-    first, so the sentences still running at step t are the first active[t]
-    slots, and a sentence's slot is never visited after its last position.
+    Row r moves to row where[r]. Step t is the contiguous rows lo .. lo+m of
+    steps[t] = (lo, m): position t of each of the m sentences longer than t,
+    longest sentence first (as in a PackedSequence). The rows of step t
+    therefore continue the first m rows of step t-1, and no row is padding.
     With reverse=True each sentence is flipped: its last character is step 0.
     """
     lengths = _check_lengths(lengths, n)
     pos, size = _sentence_positions(lengths, n)
-    slot_of = np.empty(lengths.size, dtype=np.intp)
-    slot_of[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
     step = size - 1 - pos if reverse else pos
-    active = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0).tolist()
-    return step, np.repeat(slot_of, lengths), active
+    slot = np.empty(lengths.size, dtype=np.intp)
+    slot[np.argsort(-lengths, kind="stable")] = np.arange(lengths.size)
+    active = np.bincount(step)
+    offs = np.cumsum(active) - active
+    return offs[step] + np.repeat(slot, lengths), list(zip(offs.tolist(), active.tolist()))
 
 
 def _window_offsets(n, left, right, lengths=None):

@@ -25,7 +25,7 @@ from .autograd import (
     ShapeError,
     Tensor,
     _accum,
-    _time_major,
+    _packed_steps,
     _window_rows,
     _window_rows_grad,
     check_finite,
@@ -338,13 +338,20 @@ def embed_sentence(ids, table, cfg):
     return concat_cols([uni, left, right])
 
 
-def _sigmoid(z, out):
-    """1/(1+e^-z) of z into out, in four in-place passes. The caller ignores
-    overflow: below z ~ -88 (float32) e^-z is inf, which gives the limit 0."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+def _sigmoid(z, half=0.5, shift=0.5):
+    """sigmoid(z) = 0.5 + 0.5·tanh(z/2), in place on z and returned.
+
+    One tanh and three multiply/add passes over contiguous memory, which
+    takes about half the time of 1/(1+e^-z) (negate, exp, add, reciprocal)
+    and cannot overflow. Columns where the `half` and `shift` vectors hold 1
+    and 0 get tanh(z) instead, so one call activates all four LSTM gates.
+    float32 results may differ from 1/(1+e^-z) in the last bits.
+    """
+    z *= half
+    np.tanh(z, out=z)
+    z *= half
+    z += shift
+    return z
 
 
 def _width(what, x):
@@ -362,11 +369,19 @@ def _window_tanh(what, x, left, right, filters, lengths):
     filter is (column slice of the window, W, b).
     """
     xw = _window_rows(x.data, left, right, lengths)
-    z = np.concatenate([xw[:, cols] @ w.data + b.data for cols, w, b in filters], axis=1)
+    z = np.empty((xw.shape[0], sum(w.shape[1] for _, w, _ in filters)), dtype=xw.dtype)
+    ofs = 0
+    for cols, w, b in filters:
+        zq = z[:, ofs:ofs + w.shape[1]]
+        ofs += w.shape[1]
+        np.matmul(xw[:, cols], w.data, out=zq)
+        zq += b.data
+    del xw      # rebuilt by the backward pass rather than held on the tape
     check_finite(f"{what} pre-activation", z)
     out = Tensor(np.tanh(z, out=z), (x, *(p for _, w, b in filters for p in (w, b))))
 
     def _back(grad):
+        xw = _window_rows(x.data, left, right, lengths)
         g = grad * (1.0 - z * z)
         gxw = np.zeros_like(xw)
         ofs = 0
@@ -421,32 +436,29 @@ def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions. np.argpartition picks each row's k largest and a
-    per-row sort restores their order. Where the k-th largest value occurs
-    more than once, the pick among its copies is arbitrary, so those rows
-    alone are re-selected: every value above the k-th, then values equal to
-    it, lowest index first.
+    selected positions. np.partition finds each row's k-th largest value;
+    the values at least that large, read in row order, are the k columns
+    already sorted. Where copies of the k-th largest value make that more
+    than k, those rows alone are re-selected: every value above the k-th,
+    then values equal to it, lowest index first.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    idx = np.argpartition(data, width - k, axis=1)[:, width - k:]
-    row = np.arange(n)[:, None]
-    if np.isnan(data[row, idx]).any():
-        # argpartition ranks NaN above every number, so a NaN is always picked
+    top = np.partition(data, width - k, axis=1)[:, width - k:]
+    if np.isnan(top).any():
+        # np.partition ranks NaN above every number, so a NaN is always among the k
         raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-    kth = data[row, idx[:, :1]]
-    ties = data == kth
-    rows = np.flatnonzero(np.count_nonzero(ties, axis=1) > 1)
+    kth = top[:, :1]
+    take = data >= kth
+    rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if rows.size:
         above = data[rows] > kth[rows]
-        tied = ties[rows]
-        take = above | (tied & (np.cumsum(tied, axis=1)
-                                <= k - above.sum(axis=1, keepdims=True)))
-        idx[rows] = np.nonzero(take)[1].reshape(rows.size, k)
-    idx.sort(axis=1)
-    idx = (row, idx)
+        tied = take[rows] & ~above
+        take[rows] = above | (tied & (np.cumsum(tied, axis=1)
+                                      <= k - above.sum(axis=1, keepdims=True)))
+    idx = (np.arange(n)[:, None], (np.flatnonzero(take) % width).reshape(n, k))
     out = Tensor(data[idx], (z,))
 
     def _back(grad):
@@ -471,8 +483,7 @@ def highway_forward(x, cov_x, hw):
     xd, cd, w = x.data, cov_x.data, hw.w.data
     z = xd @ w + hw.b.data
     check_finite("highway_forward gate pre-activation", z)
-    with np.errstate(over="ignore"):
-        gate = _sigmoid(z, out=z)
+    gate = _sigmoid(z)
     carry = 1.0 - gate
     out = Tensor(cd * gate + xd * carry, (x, cov_x, hw.w, hw.b))
 
@@ -498,10 +509,13 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
 
     One tape node. The input half of every position's gates is a single
     GEMM, X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
-    per sentence still running: the steps run over a time-major (T, B, 4h)
-    layout, longest sentence first (``autograd._time_major``). The backward
-    pass is hand-written backpropagation through time over the cached gates
-    and cell states.
+    per sentence still running. The rows are laid out step-major with no
+    padding (``autograd._packed_steps``): step t is one contiguous block, and
+    h_{t-1} is the head of the block before it. One _sigmoid call activates
+    all four gates of a step, in place, once the step has checked them.
+    The backward pass is hand-written backpropagation through time; it
+    overwrites the cached activations, first with each gate's derivative
+    factor and then with the gradient of its pre-activation.
     """
     x, w = xhat.data, p.w.data
     if x.ndim != 2:
@@ -510,73 +524,88 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
     h = p.hidden_size
     if w.shape != (d + h, 4 * h):
         raise ShapeError(f"lstm_forward: W {w.shape} does not fit x {xhat.shape} with h={h}")
-    w_x, w_h = w[:d], w[d:]
-    lengths = [n] if lengths is None else lengths
-    step, slot, active = _time_major(lengths, n, reverse)
-    rows, n_sent = (step, slot), len(lengths)
-    x_gates = x @ w_x + p.b.data        # pre-activations; the recurrent term is added per step
-    gates = np.zeros((len(active), n_sent, 4 * h), dtype=x_gates.dtype)
-    gates[rows] = x_gates
-    acts = np.zeros_like(gates)
-    cells = np.zeros(gates.shape[:2] + (h,), dtype=gates.dtype)
-    hidden = np.zeros_like(cells)
-    # per-gate views, so that a step indexes each with one integer
-    gate_i, gate_o, gate_f, c_hat = (acts[..., k * h:(k + 1) * h] for k in range(4))
-    sig_in, tanh_in, sig_out = gates[..., :3 * h], gates[..., 3 * h:], acts[..., :3 * h]
-    h_prev = c_prev = np.zeros_like(cells[0])
-    with np.errstate(over="ignore"):     # for _sigmoid
-        for t, m in enumerate(active):
-            at = t if m == n_sent else (t, slice(m))    # the sentences still running
-            g = gates[at]
-            g += h_prev[:m] @ w_h
-            _sigmoid(sig_in[at], out=sig_out[at])
-            np.tanh(tanh_in[at], out=c_hat[at])
-            c_t = cells[at]
-            np.multiply(c_prev[:m], gate_f[at], out=c_t)
-            c_t += c_hat[at] * gate_i[at]
-            h_prev, c_prev = hidden[at], c_t
-            np.multiply(gate_o[at], np.tanh(c_t), out=h_prev)
+    where, steps = _packed_steps(lengths, n, reverse)
     layer = p.w.name.removesuffix(".w") or "lstm"
     direction = "reverse" if reverse else "forward"
-    # padding slots stay zero, so only real positions can fail the check
-    check_finite(f"lstm_forward {layer} ({direction}) gates or cell states", gates, cells)
-    out = Tensor(hidden[rows], (xhat, p.w, p.b))
+    what = f"lstm_forward {layer} ({direction}) gate pre-activations"
+    xp = np.empty_like(x)
+    xp[where] = x
+    acts = xp @ w[:d]
+    acts += p.b.data
+    w_h = w[d:]
+    half = np.full(4 * h, 0.5, dtype=acts.dtype)     # for _sigmoid: c-hat gets tanh
+    half[3 * h:] = 1.0
+    shift = 1.0 - half
+    cells = np.empty((n, h), dtype=acts.dtype)
+    hidden = np.empty_like(cells)
+    prev = None
+    for lo, m in steps:
+        g = acts[lo:lo + m]
+        if prev is not None:
+            g += hidden[prev:prev + m] @ w_h
+        check_finite(what, g)   # the activations would hide an overflow
+        _sigmoid(g, half, shift)
+        c, h_t = cells[lo:lo + m], hidden[lo:lo + m]
+        np.multiply(g[:, 3 * h:], g[:, :h], out=c)
+        if prev is not None:
+            c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
+        np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
+        prev = lo
+    out = Tensor(hidden[where], (xhat, p.w, p.b))
 
     def _back(grad):
-        # each step's state before it: the step just earlier, or zeros
-        h_before, c_before = np.zeros_like(hidden), np.zeros_like(cells)
-        h_before[1:], c_before[1:] = hidden[:-1], cells[:-1]
+        m0 = steps[0][1]    # every sentence runs at the first step
+        gate_i, gate_o, gate_f, c_hat = (acts[:, k * h:(k + 1) * h] for k in range(4))
+        # derivative factors of the pre-activations, in place: d z = (dc or dh) * factor
         tanh_c = np.tanh(cells)
-        dc_dh = gate_o * (1.0 - tanh_c * tanh_c)
-        # d pre-activation = (dc or dh) * coef: the activation's derivative times
-        # the factor it multiplies in c_t or h_t
-        coef = acts * (1.0 - acts)
-        coef[..., :h] *= c_hat
-        coef[..., h:2 * h] *= tanh_c
-        coef[..., 2 * h:3 * h] *= c_before
-        coef[..., 3 * h:] = gate_i * (1.0 - c_hat * c_hat)
-        coef = coef.reshape(gates.shape[:2] + (4, h))
-        d_out = np.zeros_like(hidden)
-        d_out[rows] = grad
-        w_hT = np.ascontiguousarray(w_h.T)
-        dgates = np.zeros_like(gates)
-        dgates_4, d_o, coef_o = dgates.reshape(coef.shape), dgates[..., h:2 * h], coef[..., 1, :]
-        # a slot not yet reached going backwards has no step after it: zeros
-        dh_next, dc_next = np.zeros_like(hidden[0]), np.zeros_like(cells[0])
-        for t in range(len(active) - 1, -1, -1):
-            m = active[t]
-            at = t if m == n_sent else (t, slice(m))
-            dh = d_out[at] + dh_next[:m]
-            dc = dh * dc_dh[at]
-            dc += dc_next[:m]
-            np.multiply(coef[at], dc[:, None], out=dgates_4[at])
-            np.multiply(coef_o[at], dh, out=d_o[at])    # the output gate scales tanh(c_t)
-            np.multiply(dc, gate_f[at], out=dc_next[:m])
-            np.matmul(dgates[at], w_hT, out=dh_next[:m])
-        dg_rows = dgates[rows]
-        _accum(xhat, dg_rows @ w_x.T)
-        _accum(p.w, np.concatenate([x.T @ dg_rows, h_before[rows].T @ dg_rows]))
-        _accum(p.b, dg_rows.sum(axis=0))
+        dc_dh = tanh_c * tanh_c
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= gate_o                             # c_t reaches h_t through o * tanh(c_t)
+        gate_o *= 1.0 - gate_o
+        gate_o *= tanh_c
+        f = tanh_c                                  # reused: f is kept for the carry dc * f
+        f[...] = gate_f
+        gate_f *= 1.0 - gate_f
+        gate_f[:m0] = 0.0                           # the first step has c_{t-1} = 0
+        for (prev, _), (lo, m) in zip(steps, steps[1:]):
+            gate_f[lo:lo + m] *= cells[prev:prev + m]
+        di = gate_i * (1.0 - gate_i)
+        di *= c_hat
+        np.multiply(c_hat, c_hat, out=c_hat)
+        np.subtract(1.0, c_hat, out=c_hat)
+        c_hat *= gate_i
+        gate_i[...] = di
+        del di
+        # backpropagation through time: the factors become d pre-activations
+        d_hidden = np.empty_like(hidden)
+        d_hidden[where] = grad
+        w_hT = np.ascontiguousarray(w[d:].T)
+        dc_carry = np.empty_like(hidden[:m0])
+        acts_4 = acts.reshape(n, 4, h)
+        m_next = 0
+        for t in range(len(steps) - 1, -1, -1):
+            lo, m = steps[t]
+            dh = d_hidden[lo:lo + m]
+            dc = dh * dc_dh[lo:lo + m]
+            dc[:m_next] += dc_carry[:m_next]
+            gate_o[lo:lo + m] *= dh
+            acts_4[lo:lo + m, 0] *= dc
+            acts_4[lo:lo + m, 2:] *= dc[:, None]
+            if t:
+                prev = steps[t - 1][0]
+                np.multiply(dc, f[lo:lo + m], out=dc_carry[:m])
+                d_hidden[prev:prev + m] += acts[lo:lo + m] @ w_hT
+            m_next = m
+        # W's recurrent half pairs each step after the first with h_{t-1}, the
+        # head of the step before; gather those rows into a finished buffer
+        active = np.array([m for _, m in steps], dtype=np.intp)
+        h_before = np.take(hidden, np.arange(m0, n) - np.repeat(active[:-1], active[1:]),
+                           axis=0, out=dc_dh[m0:])
+        xp = np.empty_like(x)
+        xp[where] = x
+        _accum(xhat, (acts @ w[:d].T)[where])
+        _accum(p.w, np.concatenate([xp.T @ acts, h_before.T @ acts[m0:]]))
+        _accum(p.b, acts.sum(axis=0))
 
     out._backward = _back
     return out

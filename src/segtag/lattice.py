@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, Tensor, _accum, _check_lengths, _time_major, affine
+from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, affine
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -139,29 +139,33 @@ def viterbi(lat):
 
 
 def _viterbi_path(emissions, a, lengths):
+    """Best path of each sentence packed in the emissions, packed the same way.
+
+    The steps run over the step-major layout of ``autograd._packed_steps``:
+    step t extends the first m sentences of step t-1, longest first, so a
+    sentence that has ended keeps its final scores in its row of delta.
+    """
     n, n_tags = emissions.shape
-    step, slot, active = _time_major(lengths, n)
-    em = np.zeros((len(active), len(lengths), n_tags), dtype=emissions.dtype)
-    em[step, slot] = emissions
-    backptr = np.zeros(em.shape, dtype=np.intp)
+    where, steps = _packed_steps(lengths, n)
+    em = np.empty_like(emissions)
+    em[where] = emissions
+    backptr = np.empty((n, n_tags), dtype=np.intp)
     a_to_from = np.ascontiguousarray(a.T)   # reduce over the previous tag along contiguous rows
-    delta = em[0].copy()
-    for t in range(1, len(active)):
-        m = active[t]
-        at = t if m == len(lengths) else (t, slice(m))  # the sentences still running
+    delta = em[:steps[0][1]].copy()
+    for lo, m in steps[1:]:
         cand = delta[:m, None] + a_to_from                # cand[b, j, i]: best arriving at j via i
-        cand.argmax(axis=2, out=backptr[at])              # first max = smallest previous tag
-        np.add(np.maximum.reduce(cand, axis=2), em[at], out=delta[:m])
-    last = delta.argmax(axis=1)
+        cand.argmax(axis=2, out=backptr[lo:lo + m])       # first max = smallest previous tag
+        np.add(np.maximum.reduce(cand, axis=2), em[lo:lo + m], out=delta[:m])
     if np.any(delta.max(axis=1) <= _INFEASIBLE):
         raise InfeasibleLatticeError("all paths cross forbidden transitions")
-    path = []
-    for b, length in zip(slot[np.cumsum(lengths) - 1].tolist(), lengths):
-        tags = [int(last[b])]
-        for t in range(length - 1, 0, -1):
-            tags.append(int(backptr[t, b, tags[-1]]))
-        path.extend(reversed(tags))
-    return path
+    # trace every sentence back at once; one joins at its last step, with its best final tag
+    tags = np.empty(n, dtype=np.intp)
+    cur = delta.argmax(axis=1)
+    for lo, m in reversed(steps[1:]):
+        tags[lo:lo + m] = cur[:m]
+        cur[:m] = backptr[lo:lo + m][np.arange(m), cur[:m]]
+    tags[:steps[0][1]] = cur
+    return tags[where].tolist()
 
 
 def loss_augmented_viterbi(lat, gold, eta):

@@ -8,14 +8,12 @@ from . import encoder as enc
 from . import lattice as lt
 from .autograd import Parameter
 
-# Characters per tagging chunk. Larger chunks make each LSTM and Viterbi step
-# a bigger GEMM but raise peak memory; 256 keeps the tagging process's peak
-# RSS within ~1 MB of one-sentence tagging.
-TAG_CHUNK_CHARS = 256
-# Characters per training chunk. A training tape holds ~35 KB per character at
-# the published widths (tracemalloc peak of one chunk's forward and backward:
-# 4.0 MB at 112 characters, 9.1 MB at 247), so training packs half as much.
-TRAIN_CHUNK_CHARS = 128
+# Characters per packed chunk, in training and in tagging. Larger chunks make
+# each LSTM and Viterbi step a bigger GEMM but hold a bigger tape. At the
+# published widths a training chunk's tape holds 9.7 KB per character after
+# its forward pass and peaks at 12.4 KB per character during backward(),
+# which releases it as it goes (tracemalloc, one 514-character chunk).
+CHUNK_CHARS = 512
 
 
 def length_chunks(lengths, cap):
@@ -95,12 +93,12 @@ class Model:
     def _paths(self, sentences):
         """Tag-index paths of raw character sequences, in input order.
 
-        Sentences of similar length share a chunk of at most TAG_CHUNK_CHARS
+        Sentences of similar length share a chunk of at most CHUNK_CHARS
         characters, which runs once through the encoder and one batched
         Viterbi; each sentence is still decoded on its own.
         """
         paths = [None] * len(sentences)
-        for chunk in length_chunks([len(s) for s in sentences], TAG_CHUNK_CHARS):
+        for chunk in length_chunks([len(s) for s in sentences], CHUNK_CHARS):
             ids = enc.CharIds.pack(
                 self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
             lat, _ = self.lattice(ids)

@@ -2,8 +2,10 @@
 
 Each sentence contributes a structured hinge loss: the score of the best
 margin-augmented competitor minus the gold path score. A mini-batch runs in
-length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, packed as in
-tagging: one encoder pass, one Viterbi and one backward() per chunk. AdaGrad
+length-sorted chunks of at most CHUNK_CHARS characters, packed as in tagging:
+one encoder pass, one Viterbi and one backward() per chunk. backward()
+releases the chunk's tape as it goes, and the chunk's graph is dropped before
+the next one is built, so memory follows the chunk, not the batch. AdaGrad
 (or plain SGD) applies each batch with the L2 term folded into the update.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ from . import autograd as ag
 from . import evaluation as ev
 from . import lattice as lt
 from .encoder import CharIds
-from .model import TRAIN_CHUNK_CHARS, length_chunks
+from .model import CHUNK_CHARS, length_chunks
 
 log = logging.getLogger(__name__)
 
@@ -179,7 +181,7 @@ def train_epoch(corpus, model, cfg, epoch=0):
     model.zero_grads()
     for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[lo:lo + cfg.batch_size]
-        for chunk in length_chunks([len(corpus[i]) for i in batch], TRAIN_CHUNK_CHARS):
+        for chunk in length_chunks([len(corpus[i]) for i in batch], CHUNK_CHARS):
             sentences = batch[chunk]
             ids = CharIds.pack(model.vocab.encode(corpus[i].chars, model.cfg.use_bigram)
                                for i in sentences)
@@ -188,6 +190,7 @@ def train_epoch(corpus, model, cfg, epoch=0):
                 diff, chunk_losses, _ = hinge_loss_graph(model, ids, gold, cfg.eta)
                 if chunk_losses.any():
                     diff.backward()
+                del diff    # a chunk whose margins all hold was not released
             except ag.NumericError as e:
                 raise ag.NumericError(f"epoch {epoch}, batch {batch_no}, sentences "
                                       f"{sentences.tolist()}: {e}") from e

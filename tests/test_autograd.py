@@ -175,3 +175,21 @@ def test_parameter_grad_accumulates_across_graphs():
 def test_backward_requires_scalar_root():
     with pytest.raises(ag.ShapeError):
         Tensor(np.zeros((2, 2))).backward()
+
+
+def test_backward_releases_the_graph_and_refuses_a_second_pass():
+    w = Parameter(np.array([[1.0, -2.0], [0.5, 3.0]]), name="w")
+    x = Tensor(np.array([[1.0, -1.0], [2.0, 0.5]]))
+    hidden = ag.tanh(ag.matmul(x, w))
+    root = ag.sum_all(hidden)
+    root.backward()
+    # interior nodes drop their gradient, closure and edges; leaves keep theirs
+    assert hidden.grad is None and hidden._prev == ()
+    assert x.grad is not None
+    first = w.grad.copy()
+    with pytest.raises(RuntimeError, match=r"backward\(\)"):
+        root.backward()
+    # a new root over the released part cannot reach the parameters either
+    with pytest.raises(RuntimeError, match=r"backward\(\)"):
+        ag.sum_all(hidden * 2.0).backward()
+    assert np.array_equal(w.grad, first)

@@ -314,6 +314,63 @@ class TestBatchedViterbi:
             lt.viterbi(lt.TagScoreLattice(np.zeros((3, 2)), trans, [1, 2]))
 
 
+@st.composite
+def masked_lattices(draw):
+    """(emissions, transitions, lengths, gold, eta): one sentence or several
+    packed, small enough to enumerate, often with ties and forbidden arcs.
+    Scores are multiples of 1/4, so both decoders add them up exactly and
+    every tie is a true tie."""
+    n_tags = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    n = sum(lengths)
+    score = st.integers(-8, 8).map(lambda q: q / 4)     # every path sum is exact
+    emissions = np.array(draw(st.lists(score, min_size=n * n_tags, max_size=n * n_tags)))
+    a = np.array(draw(st.lists(score, min_size=n_tags ** 2, max_size=n_tags ** 2)))
+    mask = None
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n_tags ** 2,
+                                      max_size=n_tags ** 2))).reshape(n_tags, n_tags)
+    trans = lt.TransitionMatrix(Parameter(a.reshape(n_tags, n_tags)), mask)
+    gold = np.array(draw(st.lists(st.integers(0, n_tags - 1), min_size=n, max_size=n)))
+    eta = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return emissions.reshape(n, n_tags), trans, lengths, gold, eta
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=masked_lattices())
+@example(case=(np.zeros((3, 2)), lt.TransitionMatrix(Parameter(np.zeros((2, 2))), np.ones((2, 2), bool)),
+               [1, 2], np.zeros(3, dtype=int), 0.5))
+@example(case=(np.zeros((6, 2)), lt.TransitionMatrix(Parameter(np.zeros((2, 2)))),
+               [3, 1, 2], np.array([1, 0, 1, 0, 0, 1]), 0.0))
+def test_packed_viterbi_equals_brute_force_on_masked_lattices(case):
+    # each sentence of a packed lattice decodes, with and without the margin,
+    # as the enumeration oracle decodes it alone; a lattice holding an
+    # infeasible sentence fails, as that sentence fails alone
+    emissions, trans, lengths, gold, eta = case
+    packed = lt.TagScoreLattice(emissions, trans, lengths)
+    want, want_aug, infeasible = [], [], False
+    for rows, g in zip(_blocks(emissions, lengths), _blocks(gold, lengths)):
+        alone = lt.TagScoreLattice(rows, trans)
+        try:
+            want_path = lt.brute_force_decode(alone)
+        except lt.InfeasibleLatticeError:
+            infeasible = True
+            with pytest.raises(lt.InfeasibleLatticeError):
+                lt.viterbi(alone)
+            continue
+        assert lt.viterbi(alone) == want_path
+        want += want_path[0]
+        want_aug += lt.brute_force_decode(alone, g, eta)[0]
+    if infeasible:
+        with pytest.raises(lt.InfeasibleLatticeError):
+            lt.viterbi(packed)
+        with pytest.raises(lt.InfeasibleLatticeError):
+            lt.loss_augmented_viterbi(packed, gold, eta)
+        return
+    assert lt.viterbi(packed)[0] == want
+    assert lt.loss_augmented_viterbi(packed, gold, eta)[0] == want_aug
+
+
 def test_tagging_and_training_leave_no_cyclic_garbage():
     # a graph holds no reference cycles, so each chunk's tape is freed at once
     # instead of piling up until the collector runs

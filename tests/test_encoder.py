@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,23 @@ class TestKmaxPool:
                 ranked = sorted(range(len(row)), key=lambda i: (-row[i], i))[:k]
                 assert np.flatnonzero(grad).tolist() == sorted(ranked)
                 assert np.all(grad[ranked] == 1.0)
+
+
+    def test_tape_holds_k_columns_per_row(self):
+        # at the published widths a row keeps 50 of 500 features; the node
+        # must hold those indices, not a whole n x 500 index array
+        cfg = EncoderConfig()
+        n = 512
+        z = Tensor(np.random.default_rng(41).normal(size=(n, cfg.conv_width)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = enc.kmax_pool(z, cfg.k_pool)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (n, cfg.k_pool)
+        assert held < 1024 * n, held / n
 
 
 class TestHighway:

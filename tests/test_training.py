@@ -12,7 +12,7 @@ from segtag import lattice as lt
 from segtag import training as tr
 from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import Model
+from segtag.model import CHUNK_CHARS, Model
 from segtag.toydata import toy_corpus
 from util import randomize_parameters
 
@@ -365,7 +365,7 @@ class TestTrainEpoch:
         assert isinstance(info.value.__cause__, ag.NumericError)
 
     def test_memory_is_bounded_by_the_chunk_not_the_batch(self):
-        # a training tape holds ~35 KB per packed character at the published
+        # a training tape peaks at ~14 KB per packed character at the published
         # widths; a batch of 100 sentences (~2,600 characters) packed as one
         # chunk would raise the traced peak by tens of MB
         sents = toy_corpus(100, seed=4, min_words=10, max_words=20)
@@ -385,6 +385,35 @@ class TestTrainEpoch:
         model, _ = tiny_model()
         with pytest.raises(ValueError, match="empty"):
             tr.train_epoch([], model, tr.TrainConfig(), epoch=1)
+
+    def test_chunk_tape_memory_per_character(self):
+        # one packed chunk of about CHUNK_CHARS characters at the published
+        # widths: backward() frees the tape as it walks it, so the peak stays
+        # near the forward tape and almost nothing is left once it returns
+        sents = toy_corpus(60, seed=4, min_words=10, max_words=20)
+        vocab, tagset = cp.build_vocab_and_tagset(sents)
+        model = Model(EncoderConfig(), vocab, tagset, seed=1)
+        chunk = []
+        while sum(len(s) for s in chunk) < CHUNK_CHARS - 30:
+            chunk.append(sents[len(chunk)])
+        ids = CharIds.pack(model.vocab.encode(s.chars) for s in chunk)
+        gold = np.concatenate([model.tagset.encode(s.tags) for s in chunk])
+        n = len(ids)
+        assert CHUNK_CHARS - 30 <= n <= CHUNK_CHARS + 30
+        for _ in range(2):      # the first pass warms numpy's caches up
+            model.zero_grads()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                diff, losses, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
+                assert losses.all()
+                diff.backward()
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del diff
+        assert (peak - base) / n <= 16 * 1024, (peak - base) / n
+        assert (held - base) / n <= 512, (held - base) / n
 
     def test_deterministic_given_seed(self):
         cfg = tr.TrainConfig(seed=7, batch_size=4)
