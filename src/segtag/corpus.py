@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Parameter
-from .encoder import CharIds, EmbeddingTable
+from .encoder import CharIds, EmbeddingTable, draw_parameters
 
 log = logging.getLogger(__name__)
 
@@ -283,14 +283,14 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
     The file starts with a "<count> <dim>" header; each following line is a
     token and dim whitespace-separated reals. Rows for in-vocabulary
     characters are copied; everything else keeps its random initialization
-    and is counted as skipped. Pass an existing table to fill its unigram
-    rows in place; without one, a float32 unigram-only table is drawn from rng.
+    and is counted as skipped. Values must be finite. Pass an existing table
+    to fill its unigram rows in place; without one, a float32 unigram-only
+    table is drawn from rng by the model's embedding rule.
     """
     if table is None:
-        rng = rng or np.random.default_rng(0)
-        uni = Parameter(rng.uniform(-0.01, 0.01, size=(vocab.n_chars, d)).astype(np.float32),
-                        name="embed.unigram")
-        table = EmbeddingTable(uni)
+        uni, = draw_parameters([("embed.unigram", (vocab.n_chars, d))],
+                               rng or np.random.default_rng(0))
+        table = EmbeddingTable(Parameter(uni, name="embed.unigram"))
     if table.d != d:
         raise EmbeddingFormatError(f"table width {table.d} != requested d {d}")
 
@@ -315,9 +315,12 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
                 )
             token = fields[0]
             try:
-                vec = np.array([float(v) for v in fields[1:]], dtype=table.unigram.dtype)
+                with np.errstate(over="ignore"):    # past the table's range is inf, refused below
+                    vec = np.array([float(v) for v in fields[1:]], dtype=table.unigram.dtype)
             except ValueError:
                 raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
+            if not np.isfinite(vec).all():
+                raise EmbeddingFormatError(f"line {lineno}: NaN or infinite value")
             row = vocab.char_to_id.get(token)
             if row is None:
                 skipped += 1

@@ -169,6 +169,7 @@ class CharIds:
                    lengths=cat("lengths"))
 
 
+@dataclass
 class EmbeddingTable:
     """Unigram (and optional bigram) embedding matrices.
 
@@ -177,9 +178,8 @@ class EmbeddingTable:
     so sentences that never touch it leave it unchanged.
     """
 
-    def __init__(self, unigram, bigram=None):
-        self.unigram = unigram
-        self.bigram = bigram
+    unigram: Parameter
+    bigram: Parameter | None = None
 
     @property
     def d(self):
@@ -222,91 +222,82 @@ class MlpParams:
     b: Parameter
 
 
-@dataclass
-class EncoderParams:
-    """Every trainable tensor of the encoder, populated per the config."""
+_ENCODER_LAYERS = ("embed.", "conv.", "highway.", "lstm.", "mlp.")
+_DIRECTIONS = {"none": (), "lstm": ("fwd",), "blstm": ("fwd", "bwd")}
 
-    table: EmbeddingTable
-    conv: ConvFilterBank | None = None
-    highway: HighwayParams | None = None
-    lstm_fwd: LstmParams | None = None
-    lstm_bwd: LstmParams | None = None
-    mlp: MlpParams | None = None
+
+class EncoderParams:
+    """The encoder's Parameters grouped per layer, picked by name out of a
+    manifest-ordered name -> Parameter map; a layer the config leaves out is
+    None, and entries of other layers (the tag projection's) are ignored."""
+
+    def __init__(self, named):
+        self.named = {k: p for k, p in named.items() if k.startswith(_ENCODER_LAYERS)}
+        self.table = EmbeddingTable(named["embed.unigram"], named.get("embed.bigram"))
+        orders = [k[:-2] for k in self.named if k.startswith("conv.") and k.endswith(".w")]
+        self.conv = ConvFilterBank([named[f"{o}.w"] for o in orders],
+                                   [named[f"{o}.b"] for o in orders]) if orders else None
+        self.highway, self.lstm_fwd, self.lstm_bwd, self.mlp = (
+            cls(named[f"{layer}.w"], named[f"{layer}.b"]) if f"{layer}.w" in named else None
+            for layer, cls in (("highway", HighwayParams), ("lstm.fwd", LstmParams),
+                               ("lstm.bwd", LstmParams), ("mlp", MlpParams)))
 
     def parameters(self):
-        """Ordered (name, Parameter) pairs; the order is the serialization manifest."""
-        out = [("embed.unigram", self.table.unigram)]
-        if self.table.bigram is not None:
-            out.append(("embed.bigram", self.table.bigram))
-        if self.conv is not None:
-            for q, (w, b) in enumerate(zip(self.conv.weights, self.conv.biases), start=1):
-                out.append((f"conv.q{q}.w", w))
-                out.append((f"conv.q{q}.b", b))
-        if self.highway is not None:
-            out.append(("highway.w", self.highway.w))
-            out.append(("highway.b", self.highway.b))
-        if self.lstm_fwd is not None:
-            out.append(("lstm.fwd.w", self.lstm_fwd.w))
-            out.append(("lstm.fwd.b", self.lstm_fwd.b))
-        if self.lstm_bwd is not None:
-            out.append(("lstm.bwd.w", self.lstm_bwd.w))
-            out.append(("lstm.bwd.b", self.lstm_bwd.b))
-        if self.mlp is not None:
-            out.append(("mlp.w", self.mlp.w))
-            out.append(("mlp.b", self.mlp.b))
-        return out
+        """Ordered (name, Parameter) pairs, in manifest order."""
+        return list(self.named.items())
 
 
-def glorot(rng, fan_in, fan_out, dtype):
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+def _affine(layer, fan_in, fan_out):
+    return [(f"{layer}.w", (fan_in, fan_out)), (f"{layer}.b", (fan_out,))]
+
+
+def parameter_manifest(cfg, n_unigrams, n_bigrams, n_tags=None):
+    """Ordered (name, shape) of every trainable tensor the config implies:
+    the encoder's and, given a tag count, the tag projection and transitions.
+
+    This order is the model-file manifest and the order of the random draws,
+    so equal seeds give bit-identical parameters.
+    """
+    out = [("embed.unigram", (n_unigrams, cfg.d))]
+    if cfg.use_bigram:
+        out.append(("embed.bigram", (n_bigrams, cfg.d)))
+    if cfg.use_conv:
+        for q, l_q in enumerate(cfg.feature_maps, start=1):
+            out += _affine(f"conv.q{q}", q * cfg.d_in, l_q)
+    if cfg.use_highway:
+        out += _affine("highway", cfg.d_pool, cfg.d_pool)
+    for direction in _DIRECTIONS[cfg.recurrent]:
+        out += _affine(f"lstm.{direction}", cfg.d_pool + cfg.h, 4 * cfg.h)
+    if cfg.mlp_baseline:
+        out += _affine("mlp", cfg.window * cfg.d_in, cfg.h)
+    if n_tags is not None:
+        out += _affine("proj", cfg.d_out, n_tags) + [("trans.a", (n_tags, n_tags))]
+    return out
+
+
+def draw_parameters(manifest, rng, dtype=np.float32):
+    """Initial arrays for a manifest, drawn from rng in its order: embeddings
+    uniform(-0.01, 0.01), 1-D biases zero, 2-D weights Glorot-uniform."""
+    arrays = []
+    for name, shape in manifest:
+        if len(shape) == 1:
+            arrays.append(np.zeros(shape, dtype=dtype))
+        else:
+            limit = 0.01 if name.startswith("embed.") else math.sqrt(6.0 / sum(shape))
+            arrays.append(rng.uniform(-limit, limit, size=shape).astype(dtype))
+    return arrays
+
+
+def named_parameters(manifest, arrays, dtype):
+    """The arrays, as dtype, in a manifest-ordered name -> Parameter map."""
+    return {name: Parameter(np.asarray(a, dtype=dtype), name=name)
+            for (name, _), a in zip(manifest, arrays, strict=True)}
 
 
 def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
-    """Allocate encoder parameters: Glorot-uniform weights, zero biases,
-    uniform(-0.01, 0.01) embeddings."""
-    uni = Parameter(rng.uniform(-0.01, 0.01, size=(n_unigrams, cfg.d)).astype(dtype),
-                    name="embed.unigram")
-    bi = None
-    if cfg.use_bigram:
-        bi = Parameter(rng.uniform(-0.01, 0.01, size=(n_bigrams, cfg.d)).astype(dtype),
-                       name="embed.bigram")
-    params = EncoderParams(table=EmbeddingTable(uni, bi))
-
-    if cfg.mlp_baseline:
-        fan_in = cfg.window * cfg.d_in
-        params.mlp = MlpParams(
-            w=Parameter(glorot(rng, fan_in, cfg.h, dtype), name="mlp.w"),
-            b=Parameter(np.zeros(cfg.h, dtype=dtype), name="mlp.b"),
-        )
-        return params
-
-    if cfg.use_conv:
-        weights, biases = [], []
-        for q, l_q in enumerate(cfg.feature_maps, start=1):
-            fan_in = q * cfg.d_in
-            weights.append(Parameter(glorot(rng, fan_in, l_q, dtype), name=f"conv.q{q}.w"))
-            biases.append(Parameter(np.zeros(l_q, dtype=dtype), name=f"conv.q{q}.b"))
-        params.conv = ConvFilterBank(weights, biases)
-    if cfg.use_highway:
-        w = cfg.d_pool
-        params.highway = HighwayParams(
-            w=Parameter(glorot(rng, w, w, dtype), name="highway.w"),
-            b=Parameter(np.zeros(w, dtype=dtype), name="highway.b"),
-        )
-    if cfg.recurrent in ("lstm", "blstm"):
-        fan_in = cfg.d_pool + cfg.h
-        params.lstm_fwd = LstmParams(
-            w=Parameter(glorot(rng, fan_in, 4 * cfg.h, dtype), name="lstm.fwd.w"),
-            b=Parameter(np.zeros(4 * cfg.h, dtype=dtype), name="lstm.fwd.b"),
-        )
-    if cfg.recurrent == "blstm":
-        fan_in = cfg.d_pool + cfg.h
-        params.lstm_bwd = LstmParams(
-            w=Parameter(glorot(rng, fan_in, 4 * cfg.h, dtype), name="lstm.bwd.w"),
-            b=Parameter(np.zeros(4 * cfg.h, dtype=dtype), name="lstm.bwd.b"),
-        )
-    return params
+    """Encoder parameters drawn from rng (see draw_parameters)."""
+    manifest = parameter_manifest(cfg, n_unigrams, n_bigrams)
+    return EncoderParams(named_parameters(manifest, draw_parameters(manifest, rng, dtype), dtype))
 
 
 def embed_rows(table_param, ids):

@@ -129,10 +129,13 @@ def viterbi(lat):
     """Exact argmax tag path and its score.
 
     Ties resolve to the smaller tag index, compared from the last position
-    backwards (the traceback order), so the result is reproducible and
-    matches brute_force_decode exactly. The returned score is recomputed
-    with path_score on the returned path. A packed lattice gives the packed
-    paths of its sentences, each decoded on its own, and their total score.
+    backwards (the traceback order), so the result is reproducible. It
+    matches brute_force_decode when path scores sum exactly (say, small
+    multiples of 1/4); the two sum in different orders, so paths whose
+    scores differ by less than that rounding may break ties differently.
+    The returned score is recomputed with path_score on the returned path.
+    A packed lattice gives the packed paths of its sentences, each decoded
+    on its own, and their total score.
     """
     path = _viterbi_path(lat.emissions, lat.trans.scores(), lat.lengths)
     return path, path_score(lat, path)

@@ -6,7 +6,6 @@ import numpy as np
 
 from . import encoder as enc
 from . import lattice as lt
-from .autograd import Parameter
 
 # Characters per packed chunk, in training and in tagging. Larger chunks make
 # each LSTM and Viterbi step a bigger GEMM but hold a bigger tape. At the
@@ -33,13 +32,14 @@ def length_chunks(lengths, cap):
 class Model:
     """Everything needed to score and decode sentences.
 
-    Parameter allocation order is fixed (embeddings, conv filters, highway,
-    LSTM directions, MLP, projection, transitions) so that equal seeds give
-    bit-identical models and serialization has a stable manifest.
+    The parameters follow ``encoder.parameter_manifest``: drawn from `seed`
+    in its order, so equal seeds give bit-identical models, or taken over
+    with no draw from `state`, arrays in that order as snapshot() returns
+    them (not copied when already of dtype).
     """
 
     def __init__(self, cfg, vocab, tagset, seed=1, dtype=np.float32,
-                 constrain_transitions=False, normalize_width=False):
+                 constrain_transitions=False, normalize_width=False, state=None):
         self.cfg = cfg
         self.vocab = vocab
         self.tagset = tagset
@@ -49,17 +49,16 @@ class Model:
         self.normalize_width = bool(normalize_width)
         self.train_cfg = None   # optional TrainConfig snapshot, kept for serialization
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.encoder = enc.init_encoder_params(
-            cfg, vocab.n_chars, vocab.n_bigrams if cfg.use_bigram else 0, rng, self.dtype)
-        n_tags = len(tagset)
-        self.proj = lt.ProjectionParams(
-            w=Parameter(enc.glorot(rng, cfg.d_out, n_tags, self.dtype), name="proj.w"),
-            b=Parameter(np.zeros(n_tags, dtype=self.dtype), name="proj.b"),
-        )
+        manifest = enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
+        if state is None:
+            state = enc.draw_parameters(manifest, np.random.default_rng(seed), self.dtype)
+        else:
+            _check_state(manifest, state)
+        self.named = enc.named_parameters(manifest, state, self.dtype)
+        self.encoder = enc.EncoderParams(self.named)
+        self.proj = lt.ProjectionParams(self.named["proj.w"], self.named["proj.b"])
         mask = lt.bmes_transition_mask(tagset) if constrain_transitions else None
-        self.trans = lt.TransitionMatrix(
-            Parameter(enc.glorot(rng, n_tags, n_tags, self.dtype), name="trans.a"), mask)
+        self.trans = lt.TransitionMatrix(self.named["trans.a"], mask)
 
     @property
     def n_tags(self):
@@ -67,11 +66,7 @@ class Model:
 
     def parameters(self):
         """Ordered (name, Parameter) pairs covering every trainable tensor."""
-        return self.encoder.parameters() + [
-            ("proj.w", self.proj.w),
-            ("proj.b", self.proj.b),
-            ("trans.a", self.trans.a),
-        ]
+        return list(self.named.items())
 
     def zero_grads(self):
         for _, p in self.parameters():
@@ -86,9 +81,9 @@ class Model:
         return lt.emission_scores(self.hidden(ids), self.proj)
 
     def lattice(self, ids):
-        """Decoding-ready lattice (detached view) plus the emission tensor."""
-        p = self.emissions(ids)
-        return lt.TagScoreLattice(p.data, self.trans, ids.lengths), p
+        """Decoding-ready lattice of the emission scores, detached from the
+        tape, so the encoder's forward caches are freed before decoding."""
+        return lt.TagScoreLattice(self.emissions(ids).data, self.trans, ids.lengths)
 
     def _paths(self, sentences):
         """Tag-index paths of raw character sequences, in input order.
@@ -101,8 +96,7 @@ class Model:
         for chunk in length_chunks([len(s) for s in sentences], CHUNK_CHARS):
             ids = enc.CharIds.pack(
                 self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
-            lat, _ = self.lattice(ids)
-            path, _ = lt.viterbi(lat)
+            path, _ = lt.viterbi(self.lattice(ids))
             ends = np.cumsum(ids.lengths).tolist()
             for i, lo, hi in zip(chunk, [0] + ends, ends):
                 paths[i] = path[lo:hi]
@@ -123,10 +117,15 @@ class Model:
         return [p.data.copy() for _, p in self.parameters()]
 
     def load_state(self, state):
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ValueError(f"snapshot holds {len(state)} tensors, model has {len(params)}")
-        for (name, p), value in zip(params, state):
-            if p.data.shape != value.shape:
-                raise ValueError(f"{name}: snapshot shape {value.shape} != {p.data.shape}")
+        _check_state([(name, p.shape) for name, p in self.parameters()], state)
+        for p, value in zip(self.named.values(), state):
             p.data[...] = value
+
+
+def _check_state(manifest, state):
+    """Raise ValueError unless state holds one array of each manifest shape."""
+    if len(state) != len(manifest):
+        raise ValueError(f"snapshot holds {len(state)} tensors, model has {len(manifest)}")
+    for (name, shape), value in zip(manifest, state):
+        if np.shape(value) != shape:
+            raise ValueError(f"{name}: snapshot shape {np.shape(value)} != {shape}")

@@ -22,12 +22,14 @@ Layout (all integers little-endian, strings UTF-8 with a u32 length prefix):
                     regardless of the in-memory compute precision)
     checksum        u32 CRC-32 of every preceding byte
 
-Parameter block order is the model's manifest order (embeddings, conv
-filters by order, highway, forward then backward LSTM, MLP, projection,
-transitions); the LSTM gate blocks inside each weight matrix are stored in
-(input, output, forget, candidate) order. Saving is byte-deterministic and
-loading verifies the checksum before trusting any content; a stored config
-or tag set that fails validation raises ModelCorruptionError.
+Parameter blocks follow the model's manifest (``encoder.parameter_manifest``);
+the LSTM gate blocks inside each weight matrix are stored in (input, output,
+forget, candidate) order. Saving is byte-deterministic. Loading verifies the
+checksum before trusting any content, checks every block's name, shape and
+size against the manifest of the stored config, vocabulary and tag set before
+it allocates a parameter, and builds the model from the stored arrays with
+no random draw. A stored config, tag set or block that fails validation
+(NaN/Inf included) raises ModelCorruptionError.
 
 Saving always writes version 2. Version 1 files still load: they have no
 preprocessing byte (normalize_width reads as 0), and their train config
@@ -37,13 +39,14 @@ never changed training, which the reader skips.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
 
 import numpy as np
 
 from .corpus import JointTag, TagSet, Vocab
-from .encoder import ConfigError, EncoderConfig
+from .encoder import ConfigError, EncoderConfig, parameter_manifest
 from .model import Model
 from .training import TrainConfig
 
@@ -103,7 +106,7 @@ class _Writer:
 
 class _Reader:
     def __init__(self, data):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
     def take(self, n):
@@ -134,14 +137,9 @@ class _Reader:
     def string(self):
         n = self.u32()
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise ModelCorruptionError(f"undecodable string field: {e}") from None
-
-    def f32_array(self, shape):
-        count = int(np.prod(shape)) if shape else 1
-        raw = self.take(4 * count)
-        return np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
 
 def _write_encoder_config(w, cfg, constrained):
@@ -296,7 +294,7 @@ def load(path, dtype=np.float32):
         raise ModelFormatError(f"{path} is not a model file (magic mismatch)")
     if len(blob) < len(MAGIC) + 8:
         raise ModelCorruptionError("model file is truncated")
-    body, stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
+    body, stored = memoryview(blob)[:-4], struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(body) != stored:
         raise ModelCorruptionError(f"{path} fails its checksum")
     r = _Reader(body)
@@ -310,24 +308,27 @@ def load(path, dtype=np.float32):
     train_cfg = _read_train_config(r, version)
     vocab = _read_vocab(r)
     tagset = _read_tagset(r)
-    model = Model(cfg, vocab, tagset, seed=0, dtype=dtype,
-                  constrain_transitions=constrained, normalize_width=normalize_width)
-    model.train_cfg = train_cfg
+    manifest = parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
     n_blocks = r.u32()
-    manifest = model.parameters()
     if n_blocks != len(manifest):
         raise ModelCorruptionError(
             f"file holds {n_blocks} parameter blocks, model expects {len(manifest)}"
         )
-    for name, p in manifest:
+    blocks = []
+    for name, shape in manifest:
         stored_name = r.string()
         if stored_name != name:
             raise ModelCorruptionError(f"parameter {stored_name!r} where {name!r} expected")
-        ndim = r.u32()
-        shape = tuple(r.u32() for _ in range(ndim))
-        if shape != p.data.shape:
-            raise ModelCorruptionError(f"{name}: stored shape {shape} != {p.data.shape}")
-        p.data[...] = r.f32_array(shape).astype(dtype)
+        stored = tuple(r.u32() for _ in range(r.u32()))
+        if stored != shape:
+            raise ModelCorruptionError(f"{name}: stored shape {stored} != {shape}")
+        blocks.append(np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape))
     if r.pos != len(body):
         raise ModelCorruptionError(f"{len(body) - r.pos} trailing bytes after parameters")
+    for (name, _), values in zip(manifest, blocks):
+        if not np.isfinite(values).all():
+            raise ModelCorruptionError(f"parameter block {name!r} holds NaN/Inf")
+    model = Model(cfg, vocab, tagset, dtype=dtype, constrain_transitions=constrained,
+                  normalize_width=normalize_width, state=[v.astype(dtype) for v in blocks])
+    model.train_cfg = train_cfg
     return model

@@ -7,6 +7,7 @@ identical, emissions, hinge losses and gradients equal up to float64
 rounding, gradients right on ragged batches.
 """
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_batched_tagging_equals_one_sentence_at_a_time(case, texts):
     sentences = [list(t) for t in texts]
     ids = [model.vocab.encode(s, model.cfg.use_bigram) for s in sentences]
 
-    alone = [lt.viterbi(model.lattice(i)[0])[0] for i in ids]
+    alone = [lt.viterbi(model.lattice(i))[0] for i in ids]
     assert model.tag_batch(sentences) == [[model.tagset.tag(t) for t in p] for p in alone]
 
     packed = model.emissions(CharIds.pack(ids)).data
@@ -105,7 +106,7 @@ def test_packed_hinge_equals_the_sum_of_one_sentence_hinges(case, drawn, eta):
         chars = [c for w in words for c in WORD_INVENTORY[w][0]]
         ids.append(model.vocab.encode(chars, model.cfg.use_bigram))
         tags = [t for w in words for t in cp.expand_word(*WORD_INVENTORY[w])]
-        gold.append(np.asarray(lt.viterbi(model.lattice(ids[-1])[0])[0]) if satisfied
+        gold.append(np.asarray(lt.viterbi(model.lattice(ids[-1]))[0]) if satisfied
                     else model.tagset.encode(tags))
 
     model.zero_grads()
@@ -385,3 +386,27 @@ def test_tagging_and_training_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
+    # at the published widths a chunk's forward caches (BLSTM activations,
+    # conv output, k-max indices) take ~10 KB per character; by the time
+    # Viterbi runs only the lattice's emission scores should be left
+    sents = toy_corpus(60, seed=3)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(EncoderConfig(), vocab, tagset)
+    viterbi, held = lt.viterbi, []
+
+    def spy(lat):
+        held.append((tracemalloc.get_traced_memory()[0] - base) / lat.n)
+        return viterbi(lat)
+
+    monkeypatch.setattr(lt, "viterbi", spy)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.tag_batch([s.chars for s in sents])
+    finally:
+        tracemalloc.stop()
+    assert held and max(held) <= 1024

@@ -181,6 +181,14 @@ class TestEmbeddingLoader:
         with pytest.raises(cp.EmbeddingFormatError, match="line 3"):
             cp.load_pretrained_embeddings(path, vocab, d=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_cites_line(self, tmp_path, value):
+        # 1e39 overflows the float32 table to inf
+        vocab = self.vocab()
+        path, _ = self.write_file(tmp_path, ["A"], d=3, junk=f"B 0.1 {value} 0.3")
+        with pytest.raises(cp.EmbeddingFormatError, match="line 3: NaN or infinite"):
+            cp.load_pretrained_embeddings(path, vocab, d=3)
+
     def test_fills_existing_table_in_place(self, tmp_path):
         vocab = self.vocab()
         path, vecs = self.write_file(tmp_path, ["B"], d=4)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from segtag import autograd as ag
+from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag.autograd import Parameter, Tensor
 from segtag.corpus import Vocab
 from segtag.encoder import CharIds, EmbeddingTable, EncoderConfig
+from segtag.model import Model
+from segtag.toydata import toy_corpus
 from util import conv_oracle, kmax_oracle, lstm_oracle, rel_err, topology_grid
 
 
@@ -488,6 +491,65 @@ class TestEncode:
                       bi_right=rng.integers(0, 20, size=5))
         out = enc.encode(ids, params, cfg)
         assert out.shape == (5, 6)
+
+
+MLP_TOPOLOGY = dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
+                    mlp_baseline=True, window=3)
+
+
+class TestManifest:
+    """One (name, shape) list drives drawing, grouping and the model file."""
+
+    @pytest.mark.parametrize("topo", topology_grid() + [MLP_TOPOLOGY])
+    @pytest.mark.parametrize("use_bigram", [False, True])
+    def test_model_holds_exactly_the_manifest(self, topo, use_bigram):
+        cfg = EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=(4, 5, 6),
+                            use_bigram=use_bigram, **topo)
+        vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(6, seed=1), use_bigram=use_bigram,
+                                                  bigram_min_count=1)
+        model = Model(cfg, vocab, tagset, seed=2)
+        manifest = enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
+        assert [(n, p.shape) for n, p in model.parameters()] == manifest
+        assert all(p.name == n for n, p in model.parameters())
+        encoder_names = [n for n, _ in enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams)]
+        assert [n for n, _ in model.encoder.parameters()] == encoder_names
+        # every grouped layer tensor is the Parameter the map holds
+        e = model.encoder
+        grouped = [e.table.unigram, e.table.bigram, model.trans.a]
+        if e.conv is not None:
+            grouped += e.conv.weights + e.conv.biases
+        for layer in (e.highway, e.lstm_fwd, e.lstm_bwd, e.mlp, model.proj):
+            grouped += [layer.w, layer.b] if layer is not None else []
+        assert ({id(p) for p in grouped if p is not None}
+                == {id(p) for _, p in model.parameters()})
+
+    def test_initialization_rule(self):
+        cfg = EncoderConfig(d=50, h=8, feature_map_sets=2, feature_maps=60)
+        params = enc.init_encoder_params(cfg, n_unigrams=400, n_bigrams=0,
+                                         rng=np.random.default_rng(3))
+        for name, p in params.parameters():
+            if name.startswith("embed."):
+                assert 0 < np.abs(p.data).max() <= 0.01
+            elif p.data.ndim == 1:
+                assert not p.data.any()
+            else:
+                limit = np.sqrt(6.0 / sum(p.shape))
+                assert 0.9 * limit < np.abs(p.data).max() <= limit
+
+    def test_state_builds_the_model_without_drawing(self, monkeypatch):
+        vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(6, seed=1))
+        cfg = EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=4)
+        model = Model(cfg, vocab, tagset, seed=5, dtype=np.float64)
+        state = model.snapshot()
+        monkeypatch.setattr(np.random, "default_rng", None)
+        rebuilt = Model(cfg, vocab, tagset, dtype=np.float64, state=state)
+        for (_, p), (_, q) in zip(model.parameters(), rebuilt.parameters()):
+            assert np.array_equal(p.data, q.data) and q.dtype == np.float64
+        with pytest.raises(ValueError, match="snapshot holds"):
+            Model(cfg, vocab, tagset, state=state[:-1])
+        state[1] = state[1][:, 1:]
+        with pytest.raises(ValueError, match="conv.q1.w: snapshot shape"):
+            Model(cfg, vocab, tagset, state=state)
 
 
 class TestConfigValidation:

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -184,6 +185,72 @@ class TestLoad:
                 with pytest.raises((mf.ModelFormatError, mf.ModelVersionError,
                                     mf.ModelCorruptionError)):
                     mf.load(path)
+
+    def test_every_header_byte_rewrite_is_a_model_file_error(self, tmp_path):
+        # every byte of the file header (width fields included) and of every
+        # parameter block header, rewritten under a re-sealed checksum: the
+        # reader checks the stored names and shapes against the manifest of
+        # the stored config before it allocates a parameter, so a width
+        # rewritten to a huge value is refused without allocating that model
+        blob = (DATA / "tiny_v1.model").read_bytes()
+        body = blob[:-4]
+        offsets = []
+        pos = body.index(b"embed.unigram") - 4
+        offsets.extend(range(pos))
+        for name, p in mf.load(DATA / "tiny_v1.model").parameters():
+            header = 4 + len(name) + 4 + 4 * p.data.ndim
+            offsets.extend(range(pos, pos + header))
+            pos += header + 4 * p.data.size
+        assert pos == len(body)
+        path = tmp_path / "m.model"
+        escaped, peak = [], 0
+        tracemalloc.start()
+        try:
+            for offset in offsets:
+                for value in {0x00, 0xFF} - {body[offset]}:
+                    rewritten = bytearray(body)
+                    rewritten[offset] = value
+                    path.write_bytes(bytes(rewritten) + struct.pack("<I", zlib.crc32(rewritten)))
+                    tracemalloc.reset_peak()
+                    try:
+                        mf.load(path)
+                    except (mf.ModelFormatError, mf.ModelVersionError, mf.ModelCorruptionError):
+                        pass
+                    except Exception as e:  # collected, so the assertion names every escape
+                        escaped.append((offset, value, repr(e)))
+                    peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert not escaped
+        assert peak < 16 * 2 ** 20
+
+    def test_non_finite_parameter_block_is_corruption(self, tmp_path):
+        # byte 900 is the high byte of embed.unigram's first value: 0xff
+        # there makes it a NaN
+        path = tmp_path / "m.model"
+        path.write_bytes((DATA / "tiny_v1.model").read_bytes())
+        rewrite_field(path, 900, "<B", 0xFF)
+        with pytest.raises(mf.ModelCorruptionError, match="'embed.unigram' holds NaN/Inf"):
+            mf.load(path)
+        model = build_model()
+        mf.save(model, path)
+        offset = len(path.read_bytes()) - 4 - 4 * model.trans.a.data.size
+        rewrite_field(path, offset, "<f", np.inf)
+        with pytest.raises(mf.ModelCorruptionError, match="'trans.a' holds NaN/Inf"):
+            mf.load(path)
+
+    def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.model"
+        mf.save(build_model(use_bigram=True, constrained=True), path)
+        saved = {n: p.data.copy() for n, p in mf.load(path).parameters()}
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("model loading drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = mf.load(path)
+        assert all(np.array_equal(p.data, saved[n]) for n, p in loaded.parameters())
+        assert mf.load(DATA / "tiny_v1.model").cfg.use_bigram
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -148,7 +148,7 @@ class TestBackpropMargin:
         model, _ = tiny_model(dtype=np.float64)
         ids = model.vocab.encode(["f"])
         # single position: boosting the gold tag's bias makes it dominate
-        lat_obj, _ = model.lattice(ids)
+        lat_obj = model.lattice(ids)
         gold = np.asarray(lt.viterbi(lat_obj)[0])
         model.proj.b.data[gold[0]] += 50.0
         diff, (loss,), violator = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
