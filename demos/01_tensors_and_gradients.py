@@ -14,7 +14,8 @@ from segtag.autograd import Parameter, Tensor
 x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
 print("x:", x, "\n", x.data)
 
-# Parameters carry persistent gradient and AdaGrad accumulator buffers.
+# Parameters carry a persistent gradient buffer; the AdaGrad accumulator is
+# created by the first AdaGrad update, so a model that only tags has none.
 w = Parameter(np.array([[0.5, -0.2, 0.1], [0.3, 0.8, -0.4]]), name="w")
 b = Parameter(np.zeros(3), name="b")
 

@@ -182,7 +182,9 @@ class Parameter(Tensor):
     """Trainable tensor with persistent gradient and adaptive-rate accumulator.
 
     The gradient buffer survives across backward passes so the gradients of
-    a mini-batch's chunks accumulate; call zero_grad() at batch start.
+    a mini-batch's chunks accumulate; call zero_grad() at batch start. The
+    AdaGrad accumulator is None until the parameter's first AdaGrad update
+    creates it, so a model that only tags holds no optimizer state.
     """
 
     __slots__ = ("name", "accumulator")
@@ -190,8 +192,8 @@ class Parameter(Tensor):
     def __init__(self, data, name=""):
         super().__init__(data)
         self.name = name
-        self.grad = np.zeros_like(self.data)
-        self.accumulator = np.zeros_like(self.data)
+        self.grad = np.zeros(self.data.shape, self.data.dtype)    # calloc: no write pass
+        self.accumulator = None
 
     def zero_grad(self):
         self.grad.fill(0.0)

@@ -40,16 +40,40 @@ class EmbeddingFormatError(ValueError):
     """A pre-trained embedding file does not parse or has the wrong width."""
 
 
-@dataclass(frozen=True)
 class JointTag:
-    """One character's label: word-position tag crossed with a POS label."""
+    """One character's label: word-position tag crossed with a POS label.
 
-    seg: str
-    pos: str
+    Interned: JointTag(seg, pos) returns the one shared instance for that
+    pair, so equal tags are the same object and equality and hashing are
+    the default identity checks, which run in C. Instances are immutable
+    and never freed: the table grows with the distinct POS labels seen.
+    """
 
-    def __post_init__(self):
-        if self.seg not in SEG_LABELS:
-            raise ValueError(f"segment tag must be one of {SEG_LABELS}, got {self.seg!r}")
+    __slots__ = ("seg", "pos")
+    _interned = {}    # (seg, pos) -> the instance
+
+    def __new__(cls, seg, pos):
+        tag = cls._interned.get((seg, pos))
+        if tag is None:
+            if seg not in SEG_LABELS:
+                raise ValueError(f"segment tag must be one of {SEG_LABELS}, got {seg!r}")
+            tag = object.__new__(cls)
+            object.__setattr__(tag, "seg", seg)
+            object.__setattr__(tag, "pos", pos)
+            tag = cls._interned.setdefault((seg, pos), tag)
+        return tag
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"JointTag is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"JointTag is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return JointTag, (self.seg, self.pos)    # unpickles to the interned instance
+
+    def __repr__(self):
+        return f"JointTag(seg={self.seg!r}, pos={self.pos!r})"
 
     def __str__(self):
         return f"{self.seg}-{self.pos}"
@@ -60,6 +84,17 @@ class JointTag:
         if not pos:
             raise ValueError(f"cannot parse joint tag {text!r}")
         return cls(seg, pos)
+
+
+_WORD_TAGS = {}    # pos -> its (S, B, M, E) tags
+
+
+def _word_tags(pos):
+    """The four tags a word labelled pos draws its characters' tags from."""
+    tags = _WORD_TAGS.get(pos)
+    if tags is None:
+        tags = _WORD_TAGS[pos] = tuple(JointTag(seg, pos) for seg in "SBME")
+    return tags
 
 
 @dataclass
@@ -81,13 +116,13 @@ class Sentence:
 
 def expand_word(word, pos):
     """Per-character tags for one word: S alone, B..E, or B M.. E."""
-    if len(word) == 0:
+    n = len(word)
+    if n == 0:
         raise ValueError("cannot expand an empty word")
-    if len(word) == 1:
-        return [JointTag("S", pos)]
-    return ([JointTag("B", pos)]
-            + [JointTag("M", pos)] * (len(word) - 2)
-            + [JointTag("E", pos)])
+    single, begin, middle, end = _word_tags(pos)
+    if n == 1:
+        return [single]
+    return [begin, *[middle] * (n - 2), end]
 
 
 def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
@@ -98,6 +133,8 @@ def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
     mode; in lenient mode they are skipped and counted in a single warning.
     normalize_width folds full-width ASCII variants in words (not POS
     labels) to half-width; off by default since it changes gold alignment.
+    Each word's tags come from its POS label's four shared tags, so parsing
+    makes no object per character.
     """
     sentences = []
     malformed = 0
@@ -119,7 +156,11 @@ def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
             if normalize_width:
                 word = fold_width(word)
             chars.extend(word)
-            tags.extend(expand_word(word, pos))
+            single, begin, middle, end = _WORD_TAGS.get(pos) or _word_tags(pos)
+            if len(word) == 1:
+                tags.append(single)
+            else:
+                tags += (begin, *[middle] * (len(word) - 2), end)
         if chars:
             sentences.append(Sentence(chars, tags))
     if malformed:
@@ -231,7 +272,10 @@ class TagSet:
         return iter(self._tags)
 
     def encode(self, tags):
-        return np.fromiter((self.index(t) for t in tags), dtype=np.intp, count=len(tags))
+        try:
+            return np.fromiter(map(self._index.__getitem__, tags), dtype=np.intp, count=len(tags))
+        except KeyError as e:
+            raise ValueError(f"tag {e.args[0]} not in tag set") from None
 
 
 def build_vocab_and_tagset(sentences, min_count=1, bigram_min_count=2,

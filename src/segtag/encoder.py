@@ -74,6 +74,8 @@ class EncoderConfig:
             raise ConfigError(f"recurrent must be one of {RECURRENT_KINDS}, got {self.recurrent!r}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
+        if self.window != 1 and not self.mlp_baseline:
+            raise ConfigError(f"window={self.window} needs mlp_baseline; no other encoder reads it")
         if self.mlp_baseline:
             if self.use_conv or self.use_pooling or self.use_highway:
                 raise ConfigError("mlp_baseline excludes the conv/pooling/highway stack")
@@ -306,8 +308,6 @@ def embed_rows(table_param, ids):
     out = Tensor(table_param.data[ids], (table_param,))
 
     def _back(grad):
-        if table_param.grad is None:
-            table_param.grad = np.zeros_like(table_param.data)
         np.add.at(table_param.grad, ids, grad)
 
     out._backward = _back

@@ -265,8 +265,6 @@ def tag_count_diff(b_param, path, gold):
     out = Tensor((b_param.data[idx] * weights).sum(), (b_param,))
 
     def _back(grad):
-        if b_param.grad is None:
-            b_param.grad = np.zeros_like(b_param.data)
         b_param.grad[idx] += weights * grad
 
     out._backward = _back
@@ -296,8 +294,6 @@ def arc_count_diff(a_param, trans, path, gold, lengths=None):
     out = Tensor((a_param.data[idx] * weights).sum(), (a_param,))
 
     def _back(grad):
-        if a_param.grad is None:
-            a_param.grad = np.zeros_like(a_param.data)
         a_param.grad[idx] += weights * grad
 
     out._backward = _back

@@ -159,7 +159,10 @@ def apply_update(model, cfg, batch_size):
         if cfg.l2:
             g = g + cfg.l2 * p.data
         if cfg.optimizer == "adagrad":
-            p.accumulator += g * g
+            if p.accumulator is None:    # first update: bitwise what zeros + g*g gives
+                p.accumulator = g * g
+            else:
+                p.accumulator += g * g
             p.data -= cfg.alpha * g / np.sqrt(p.accumulator + ADAGRAD_EPS)
         else:
             p.data -= cfg.alpha * g

@@ -1,0 +1,9 @@
+"""Hypothesis profiles. HYPOTHESIS_PROFILE=ci draws the same examples on every
+run and Python version and drops the per-example deadline, so a property
+either fails everywhere or nowhere."""
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

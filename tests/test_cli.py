@@ -99,6 +99,15 @@ class TestTrainCommand:
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_window_without_the_mlp_encoder_rejected(self, toy_files, capsys):
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), "--window", "3")
+        assert rc == 1
+        assert "window" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_missing_corpus_flag(self, toy_files, capsys):
         _, config, tmp = toy_files
         rc = run_cli("train", "--config", str(config), "--model", str(tmp / "m.model"))

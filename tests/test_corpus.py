@@ -1,10 +1,60 @@
+import importlib.util
 import io
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segtag import corpus as cp
 from segtag.corpus import JointTag
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, which writes the benchmark's gold files."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestJointTag:
+    def test_equal_pairs_are_one_object(self):
+        assert JointTag("B", "NN") is JointTag("B", "NN")
+        assert JointTag.parse("B-NN") is JointTag("B", "NN")
+        assert JointTag("B", "NN") is not JointTag("E", "NN")
+        assert JointTag("B", "NN") != JointTag("B", "VV")
+
+    def test_bad_segment_tag_named(self):
+        with pytest.raises(ValueError, match="'X'"):
+            JointTag("X", "NN")
+        with pytest.raises(ValueError, match="'Q'"):
+            JointTag.parse("Q-NN")
+
+    def test_immutable(self):
+        tag = JointTag("S", "NN")
+        with pytest.raises(AttributeError):
+            tag.seg = "B"
+        with pytest.raises(AttributeError):
+            tag.extra = 1
+        with pytest.raises(AttributeError):
+            del tag.pos
+        assert (tag.seg, tag.pos) == ("S", "NN")
+
+    def test_text_forms(self):
+        tag = JointTag("M", "VV")
+        assert repr(tag) == "JointTag(seg='M', pos='VV')"
+        assert str(tag) == "M-VV"
+        assert JointTag.parse("E-a-b") is JointTag("E", "a-b")
+        with pytest.raises(ValueError, match="cannot parse"):
+            JointTag.parse("B")
+
+    def test_unpickles_to_the_interned_instance(self):
+        tag = JointTag("E", "PU")
+        assert pickle.loads(pickle.dumps(tag)) is tag
 
 
 class TestExpandWord:
@@ -67,6 +117,26 @@ class TestParse:
         folded_pos = cp.parse_tagged_corpus(["A/ＮＮ"], normalize_width=True)
         assert folded_pos[0].tags[0].pos == "ＮＮ"
 
+    def test_gold_file_shares_four_tags_per_pos_label(self, tmp_path):
+        wl = benchmark_workloads()
+        gold = tmp_path / "tag_toy.gold"
+        wl.write_gold(gold, wl.toy_sentences(100, 1))
+        with open(gold, encoding="utf-8") as f:
+            sents = cp.parse_tagged_corpus(f)
+        tags = [t for s in sents for t in s.tags]
+        assert len(tags) > 1000
+        assert len({id(t) for t in tags}) <= 4 * len({t.pos for t in tags})
+
+    @pytest.mark.parametrize("name", ["toy", "wide"])
+    def test_benchmark_gold_files_serialize_byte_identically(self, tmp_path, name):
+        wl = benchmark_workloads()
+        sentences = wl.toy_sentences(100, 1) if name == "toy" else wl.wide_sentences(40, 1)
+        gold = tmp_path / f"{name}.gold"
+        wl.write_gold(gold, sentences)
+        with open(gold, encoding="utf-8") as f:
+            text = cp.serialize_corpus(cp.parse_tagged_corpus(f))
+        assert text.encode("utf-8") == gold.read_bytes()
+
     def test_round_trip(self):
         lines = ["AB/NR C/VV", "X/AS WXYZ/NN"]
         sents = cp.parse_tagged_corpus(lines)
@@ -75,6 +145,28 @@ class TestParse:
         assert [s.chars for s in again] == [s.chars for s in sents]
         assert [s.tags for s in again] == [s.tags for s in sents]
         assert cp.serialize_corpus(again) == text
+
+
+# words hold no whitespace but may hold the separator; POS labels hold neither
+_WORDS = st.text(min_size=1, max_size=6).filter(lambda w: not any(c.isspace() for c in w))
+_POS = st.text(min_size=1, max_size=4).filter(
+    lambda p: "/" not in p and not any(c.isspace() for c in p))
+_SENTENCES = st.lists(st.lists(st.tuples(_WORDS, _POS), min_size=1, max_size=6),
+                      min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_SENTENCES)
+@example(drawn=[[("a/", "NN"), ("/", "PU"), ("//x", "VV")]])
+@example(drawn=[[("好/好", "名词"), ("Ａ", "ＮＮ")], [("\x00", "\u00e9")]])
+def test_parse_and_serialize_round_trip_on_unicode(drawn):
+    sentences = [cp.Sentence([c for w, _ in words for c in w],
+                             [t for w, p in words for t in cp.expand_word(w, p)])
+                 for words in drawn]
+    text = cp.serialize_corpus(sentences)
+    again = cp.parse_tagged_corpus(io.StringIO(text))
+    assert again == sentences
+    assert cp.serialize_corpus(again).encode("utf-8") == text.encode("utf-8")
 
 
 class TestVocabAndTagSet:
@@ -128,6 +220,13 @@ class TestVocabAndTagSet:
         assert ids.bi_left[0] == vocab.bigram_id(cp.BOUNDARY, "A")
         assert ids.bi_right[1] == vocab.bigram_id("B", cp.BOUNDARY)
         assert ids.bi_left[1] == vocab.bigram_id("A", "B")
+
+    def test_encode_unknown_tag_named(self):
+        _, tagset = cp.build_vocab_and_tagset(self.corpus())
+        gold = [JointTag("B", "NR"), JointTag("E", "NR"), JointTag("S", "VV")]
+        assert tagset.encode(gold).tolist() == [tagset.index(t) for t in gold]
+        with pytest.raises(ValueError, match="tag S-PU not in tag set"):
+            tagset.encode([JointTag("S", "NR"), JointTag("S", "PU")])
 
     def test_unseen_char_encodes_to_unk(self):
         vocab, _ = cp.build_vocab_and_tagset(self.corpus())

@@ -573,6 +573,14 @@ class TestConfigValidation:
         with pytest.raises(enc.ConfigError, match="recurrent"):
             EncoderConfig(recurrent="gru")
 
+    def test_window_needs_the_mlp_baseline(self):
+        with pytest.raises(enc.ConfigError, match="window=3"):
+            EncoderConfig(window=3)
+        with pytest.raises(enc.ConfigError, match="window=2"):
+            EncoderConfig(use_conv=False, use_pooling=False, use_highway=False, window=2)
+        assert EncoderConfig(use_conv=False, use_pooling=False, use_highway=False,
+                             recurrent="none", mlp_baseline=True, window=3).window == 3
+
 
 @pytest.mark.parametrize("topo", topology_grid()[:4])
 def test_encode_gradients_spot_check(topo):

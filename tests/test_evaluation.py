@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtag import corpus as cp
 from segtag import evaluation as ev
@@ -50,6 +52,20 @@ class TestDecode:
         for s in spans:
             covered.extend(range(s.start, s.end))
         assert covered == list(range(n))
+
+    # one to three random POS labels per sequence, so words of a label continue
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3).flatmap(
+        lambda labels: st.lists(st.tuples(st.sampled_from(cp.SEG_LABELS), st.sampled_from(labels)),
+                                min_size=1, max_size=30)))
+    def test_partitions_every_position_on_any_tag_sequence(self, pairs):
+        seq = tags(*pairs)
+        spans = ev.decode_tags_to_words(seq)
+        covered = []
+        for s in spans:
+            covered.extend(range(s.start, s.end))
+            assert s.pos == seq[s.end - 1].pos    # a span's POS is its last character's
+        assert covered == list(range(len(seq)))
 
     def test_recovers_gold_spans_on_corpus(self):
         sents = cp.parse_tagged_corpus(["AB/NR C/VV", "X/AS WXYZ/NN", "QRS/VV T/PU"])

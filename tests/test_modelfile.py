@@ -156,6 +156,14 @@ class TestLoad:
         with pytest.raises(mf.ModelCorruptionError, match="encoder config.*d=0"):
             mf.load(path)
 
+    def test_stored_window_without_the_mlp_baseline_is_corruption(self, tmp_path):
+        # byte 38 is the high byte of window (tiny_v1 is a conv/BLSTM model)
+        path = tmp_path / "m.model"
+        path.write_bytes((DATA / "tiny_v1.model").read_bytes())
+        rewrite_field(path, 38, "<B", 0xFF)
+        with pytest.raises(mf.ModelCorruptionError, match="encoder config.*window=4278190081"):
+            mf.load(path)
+
     def test_invalid_stored_train_config_is_corruption(self, tmp_path):
         # v2 layout up to max_epochs: magic, version, d, h, Q, Q map widths,
         # five u8 flags, window, two u8 flags, normalize_width, three f64, batch_size
@@ -251,6 +259,13 @@ class TestLoad:
         loaded = mf.load(path)
         assert all(np.array_equal(p.data, saved[n]) for n, p in loaded.parameters())
         assert mf.load(DATA / "tiny_v1.model").cfg.use_bigram
+
+    def test_loaded_model_holds_no_optimizer_state(self):
+        model = mf.load(DATA / "tiny_v1.model")
+        assert all(p.accumulator is None for _, p in model.parameters())
+        model.tag_batch([list("cdeabffkghabf"), list("xab?")])
+        assert all(p.accumulator is None for _, p in model.parameters())
+        assert all(not p.grad.any() for _, p in model.parameters())
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

@@ -305,6 +305,32 @@ class TestApplyUpdate:
         # first step: acc = 4, step = 0.5 * 2 / sqrt(4 + 1e-6)
         assert p.data[0] == pytest.approx(1.0 - 0.5 * 2 / np.sqrt(4 + 1e-6))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_first_adagrad_step_equals_a_zero_filled_accumulator(self, dtype):
+        model, _ = tiny_model(dtype=dtype)
+        cfg = tr.TrainConfig(l2=0.01)
+        assert all(p.accumulator is None for _, p in model.parameters())
+        # the update written out with an eagerly zero-filled accumulator
+        data = [p.data.copy() for _, p in model.parameters()]
+        acc = [np.zeros_like(d) for d in data]
+        rng = np.random.default_rng(31)
+        for _ in range(2):    # the first step allocates, the second accumulates
+            for i, (_, p) in enumerate(model.parameters()):
+                p.grad[...] = rng.standard_normal(p.shape)
+                g = p.grad / 3 + cfg.l2 * data[i]
+                acc[i] += g * g
+                data[i] -= cfg.alpha * g / np.sqrt(acc[i] + tr.ADAGRAD_EPS)
+            tr.apply_update(model, cfg, batch_size=3)
+            for i, (_, p) in enumerate(model.parameters()):
+                assert p.accumulator.dtype == dtype
+                assert p.accumulator.tobytes() == acc[i].tobytes()
+                assert p.data.tobytes() == data[i].tobytes()
+
+    def test_sgd_allocates_no_accumulator(self):
+        model, sents = tiny_model()
+        tr.train_epoch(sents, model, tr.TrainConfig(optimizer="sgd", batch_size=4), epoch=1)
+        assert all(p.accumulator is None for _, p in model.parameters())
+
     def test_frozen_embeddings_skip_updates(self):
         model, sents = tiny_model()
         cfg = tr.TrainConfig(l2=0.01, finetune_embeddings=False, batch_size=4, seed=9)
