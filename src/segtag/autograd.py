@@ -4,8 +4,14 @@ Tensors are 2-D (or 1-D / scalar) row-major arrays; sequence length is always
 the leading dimension. float32 is the training precision, float64 the
 verification precision: an op's output dtype follows numpy promotion of its
 inputs, so a model built from float64 parameters runs entirely in float64.
+Inside a no_grad() block the same ops build no tape, which is how tagging
+runs.
 """
 from __future__ import annotations
+
+import contextlib
+import contextvars
+import functools
 
 import numpy as np
 
@@ -28,6 +34,41 @@ def check_finite(what, *arrays):
         raise NumericError(f"{what}: NaN/Inf")
 
 
+_grad_on = contextvars.ContextVar("grad_on", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without a tape inside the block.
+
+    An op computes the same output with the same checks, but records no
+    inputs and builds no backward closure, so it keeps no backward cache:
+    its intermediate arrays are freed as soon as it returns. A backward()
+    that reaches such an output raises, naming the op.
+    """
+    token = _grad_on.set(False)
+    try:
+        yield
+    finally:
+        _grad_on.reset(token)
+
+
+def _taped(op, out, inputs):
+    """Whether ops record a tape, read once per op after its forward. If
+    they do, out records its inputs and the op goes on to attach its
+    backward closure; if not, a backward() through out raises, naming op."""
+    if _grad_on.get():
+        out._prev = inputs
+        return True
+    out._backward = functools.partial(_untaped, op)
+    return False
+
+
+def _untaped(op, grad):
+    raise RuntimeError(f"backward() through {op}: its output was built under no_grad(), "
+                       "which records no tape")
+
+
 def _as_float_array(data):
     # float32/float64 ndarrays keep their dtype; anything else becomes float64
     arr = np.asarray(data)
@@ -42,6 +83,7 @@ class Tensor:
     The closure takes the tensor's own gradient as its argument and holds no
     reference to the tensor, so a graph has no reference cycles: it is freed
     as soon as its root is dropped, without waiting for the garbage collector.
+    An op's output built under no_grad() has no inputs and no closure.
     """
 
     __slots__ = ("data", "grad", "_prev", "_backward")
@@ -108,19 +150,17 @@ class Tensor:
     # Elementwise arithmetic; tensor operands must match shapes exactly,
     # python scalars fold in as constants.
     def __add__(self, other):
-        if isinstance(other, Tensor):
+        tensor = isinstance(other, Tensor)
+        if tensor:
             _same_shape("add", self, other)
-            out = Tensor(self.data + other.data, (self, other))
+        out = Tensor(self.data + (other.data if tensor else other))
+        if not _taped("add", out, (self, other) if tensor else (self,)):
+            return out
 
-            def _back(grad):
-                _accum(self, grad)
+        def _back(grad):
+            _accum(self, grad)
+            if tensor:
                 _accum(other, grad)
-
-        else:
-            out = Tensor(self.data + other, (self,))
-
-            def _back(grad):
-                _accum(self, grad)
 
         out._backward = _back
         return out
@@ -128,7 +168,9 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, (self,))
+        out = Tensor(-self.data)
+        if not _taped("neg", out, (self,)):
+            return out
 
         def _back(grad):
             _accum(self, -grad)
@@ -137,19 +179,17 @@ class Tensor:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, Tensor):
+        tensor = isinstance(other, Tensor)
+        if tensor:
             _same_shape("sub", self, other)
-            out = Tensor(self.data - other.data, (self, other))
+        out = Tensor(self.data - (other.data if tensor else other))
+        if not _taped("sub", out, (self, other) if tensor else (self,)):
+            return out
 
-            def _back(grad):
-                _accum(self, grad)
+        def _back(grad):
+            _accum(self, grad)
+            if tensor:
                 _accum(other, -grad)
-
-        else:
-            out = Tensor(self.data - other, (self,))
-
-            def _back(grad):
-                _accum(self, grad)
 
         out._backward = _back
         return out
@@ -158,18 +198,18 @@ class Tensor:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
+        tensor = isinstance(other, Tensor)
+        if tensor:
             _same_shape("mul", self, other)
-            out = Tensor(self.data * other.data, (self, other))
+        out = Tensor(self.data * (other.data if tensor else other))
+        if not _taped("mul", out, (self, other) if tensor else (self,)):
+            return out
 
-            def _back(grad):
+        def _back(grad):
+            if tensor:
                 _accum(self, grad * other.data)
                 _accum(other, grad * self.data)
-
-        else:
-            out = Tensor(self.data * other, (self,))
-
-            def _back(grad):
+            else:
                 _accum(self, grad * other)
 
         out._backward = _back
@@ -236,7 +276,9 @@ def affine(x, w, b):
         )
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"affine: x {x.shape} does not fit W {w.shape}, b {b.shape}")
-    out = Tensor(x.data @ w.data + b.data, (x, w, b))
+    out = Tensor(x.data @ w.data + b.data)
+    if not _taped("affine", out, (x, w, b)):
+        return out
 
     def _back(g):
         _accum(x, g @ w.data.T)
@@ -251,7 +293,9 @@ def matmul(x, w):
     """2-D matrix product x @ w."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"matmul: x {x.shape} does not fit W {w.shape}")
-    out = Tensor(x.data @ w.data, (x, w))
+    out = Tensor(x.data @ w.data)
+    if not _taped("matmul", out, (x, w)):
+        return out
 
     def _back(g):
         _accum(x, g @ w.data.T)
@@ -263,7 +307,9 @@ def matmul(x, w):
 
 def tanh(x):
     y = np.tanh(x.data)
-    out = Tensor(y, (x,))
+    out = Tensor(y)
+    if not _taped("tanh", out, (x,)):
+        return out
 
     def _back(grad):
         _accum(x, grad * (1.0 - y * y))
@@ -279,7 +325,9 @@ def concat_cols(parts):
     for p in parts:
         if p.data.ndim != 2 or p.shape[0] != rows:
             raise ShapeError(f"concat_cols: row mismatch in {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
+    if not _taped("concat_cols", out, tuple(parts)):
+        return out
 
     def _back(grad):
         ofs = 0
@@ -362,7 +410,9 @@ def _window_rows_grad(g, left, right, lengths=None):
 
 def sum_all(x):
     """Sum every element into a scalar tensor."""
-    out = Tensor(x.data.sum(), (x,))
+    out = Tensor(x.data.sum())
+    if not _taped("sum_all", out, (x,)):
+        return out
 
     def _back(grad):
         _accum(x, np.ones_like(x.data) * grad)

@@ -15,14 +15,14 @@ from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
 from .encoder import ConfigError, EncoderConfig
-from .model import CHUNK_CHARS, Model
+from .model import TAG_CHUNK_CHARS, Model
 from .training import TrainConfig, train
 
 log = logging.getLogger("segtag")
 
 # `segtag tag` reads input lines in groups of about this many characters and
 # tags each group in one call, so the model can pack lines of similar length
-TAG_GROUP_CHARS = 4 * CHUNK_CHARS
+TAG_GROUP_CHARS = 4 * TAG_CHUNK_CHARS
 
 
 def _bool(text):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -223,16 +224,16 @@ class Vocab:
     def encode(self, chars, use_bigram=False):
         """Index one sentence; boundary bigrams use the padding marker."""
         n = len(chars)
-        uni = np.fromiter((self.char_id(c) for c in chars), dtype=np.intp, count=n)
+        uni = np.fromiter(map(self.char_to_id.get, chars, repeat(self.UNK)),
+                          dtype=np.intp, count=n)
         if not use_bigram:
             return CharIds(uni=uni)
-        left = np.fromiter(
-            (self.bigram_id(chars[i - 1] if i > 0 else BOUNDARY, chars[i]) for i in range(n)),
-            dtype=np.intp, count=n)
-        right = np.fromiter(
-            (self.bigram_id(chars[i], chars[i + 1] if i < n - 1 else BOUNDARY) for i in range(n)),
-            dtype=np.intp, count=n)
-        return CharIds(uni=uni, bi_left=left, bi_right=right)
+        # pair j of the padded sentence is (c[j-1], c[j]): c[i]'s left bigram is pair i,
+        # its right bigram pair i + 1
+        padded = [BOUNDARY, *chars, BOUNDARY]
+        bi = np.fromiter(map(self.bigram_to_id.get, zip(padded, padded[1:]), repeat(self.UNK)),
+                         dtype=np.intp, count=n + 1)
+        return CharIds(uni=uni, bi_left=bi[:-1], bi_right=bi[1:])
 
 
 class TagSet:

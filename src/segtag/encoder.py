@@ -26,6 +26,7 @@ from .autograd import (
     Tensor,
     _accum,
     _packed_steps,
+    _taped,
     _window_rows,
     _window_rows_grad,
     check_finite,
@@ -305,7 +306,9 @@ def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
 def embed_rows(table_param, ids):
     """Differentiable row gather from an embedding matrix."""
     ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(table_param.data[ids], (table_param,))
+    out = Tensor(table_param.data[ids])
+    if not _taped("embed_rows", out, (table_param,)):
+        return out
 
     def _back(grad):
         np.add.at(table_param.grad, ids, grad)
@@ -369,7 +372,9 @@ def _window_tanh(what, x, left, right, filters, lengths):
         zq += b.data
     del xw      # rebuilt by the backward pass rather than held on the tape
     check_finite(f"{what} pre-activation", z)
-    out = Tensor(np.tanh(z, out=z), (x, *(p for _, w, b in filters for p in (w, b))))
+    out = Tensor(np.tanh(z, out=z))
+    if not _taped(what, out, (x, *(p for _, w, b in filters for p in (w, b)))):
+        return out
 
     def _back(grad):
         xw = _window_rows(x.data, left, right, lengths)
@@ -423,25 +428,34 @@ def conv_feature_maps(x, bank, lengths=None):
     return _window_tanh("conv_feature_maps", x, left, bank.orders // 2, filters, lengths)
 
 
+# rows per np.partition call in kmax_pool: a training chunk (512 characters)
+# takes one call, and a tagging chunk's copy is no larger than a training
+# chunk's
+_KMAX_BLOCK = 512
+
+
 def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions. np.partition finds each row's k-th largest value;
-    the values at least that large, read in row order, are the k columns
-    already sorted. Where copies of the k-th largest value make that more
-    than k, those rows alone are re-selected: every value above the k-th,
-    then values equal to it, lowest index first.
+    selected positions. np.partition finds each row's k-th largest value,
+    over blocks of _KMAX_BLOCK rows so that its copy of the input stays
+    small; the values at least that large, read in row order, are the k
+    columns already sorted. Where copies of the k-th largest value make
+    that more than k, those rows alone are re-selected: every value above
+    the k-th, then values equal to it, lowest index first.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    top = np.partition(data, width - k, axis=1)[:, width - k:]
-    if np.isnan(top).any():
-        # np.partition ranks NaN above every number, so a NaN is always among the k
-        raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-    kth = top[:, :1]
+    kth = np.empty((n, 1), dtype=data.dtype)
+    for lo in range(0, n, _KMAX_BLOCK):
+        top = np.partition(data[lo:lo + _KMAX_BLOCK], width - k, axis=1)[:, width - k:]
+        if np.isnan(top).any():
+            # np.partition ranks NaN above every number, so a NaN is always among the k
+            raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
+        kth[lo:lo + _KMAX_BLOCK] = top[:, :1]
     take = data >= kth
     rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if rows.size:
@@ -450,7 +464,9 @@ def kmax_pool(z, k):
         take[rows] = above | (tied & (np.cumsum(tied, axis=1)
                                       <= k - above.sum(axis=1, keepdims=True)))
     idx = (np.arange(n)[:, None], (np.flatnonzero(take) % width).reshape(n, k))
-    out = Tensor(data[idx], (z,))
+    out = Tensor(data[idx])
+    if not _taped("kmax_pool", out, (z,)):
+        return out
 
     def _back(grad):
         g = np.zeros_like(data)
@@ -476,7 +492,9 @@ def highway_forward(x, cov_x, hw):
     check_finite("highway_forward gate pre-activation", z)
     gate = _sigmoid(z)
     carry = 1.0 - gate
-    out = Tensor(cd * gate + xd * carry, (x, cov_x, hw.w, hw.b))
+    out = Tensor(cd * gate + xd * carry)
+    if not _taped("highway_forward", out, (x, cov_x, hw.w, hw.b)):
+        return out
 
     def _back(grad):
         dz = grad * (cd - xd) * gate * carry
@@ -518,7 +536,8 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
     where, steps = _packed_steps(lengths, n, reverse)
     layer = p.w.name.removesuffix(".w") or "lstm"
     direction = "reverse" if reverse else "forward"
-    what = f"lstm_forward {layer} ({direction}) gate pre-activations"
+    op = f"lstm_forward {layer} ({direction})"
+    what = f"{op} gate pre-activations"
     xp = np.empty_like(x)
     xp[where] = x
     acts = xp @ w[:d]
@@ -542,7 +561,9 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
         np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
         prev = lo
-    out = Tensor(hidden[where], (xhat, p.w, p.b))
+    out = Tensor(hidden[where])
+    if not _taped(op, out, (xhat, p.w, p.b)):
+        return out
 
     def _back(grad):
         m0 = steps[0][1]    # every sentence runs at the first step
@@ -613,19 +634,22 @@ def blstm_forward(xhat, fwd, bwd, lengths=None):
 
 
 def encode(ids, params, cfg):
-    """Run the configured encoder stack over the sentence(s) packed in ids."""
+    """Run the configured encoder stack over the sentence(s) packed in ids.
+
+    A layer's output is let go as soon as the next layer has read it, so
+    under autograd.no_grad(), where no tape holds it, it is freed there.
+    """
     x = embed_sentence(ids, params.table, cfg)
     if cfg.mlp_baseline:
         return mlp_encode(x, params.mlp, cfg.window, ids.lengths)
     feats = x
     if cfg.use_conv:
-        z = conv_feature_maps(x, params.conv, ids.lengths)
+        feats = conv_feature_maps(x, params.conv, ids.lengths)
         if cfg.use_pooling:
-            feats = kmax_pool(z, cfg.k_pool)
+            feats = kmax_pool(feats, cfg.k_pool)
             if cfg.use_highway:
                 feats = highway_forward(x, feats, params.highway)
-        else:
-            feats = z
+    del x
     if cfg.recurrent == "lstm":
         return lstm_forward(feats, params.lstm_fwd, lengths=ids.lengths)
     if cfg.recurrent == "blstm":

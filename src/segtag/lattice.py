@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, affine
+from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, _taped, affine
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -155,10 +155,13 @@ def _viterbi_path(emissions, a, lengths):
     backptr = np.empty((n, n_tags), dtype=np.intp)
     a_to_from = np.ascontiguousarray(a.T)   # reduce over the previous tag along contiguous rows
     delta = em[:steps[0][1]].copy()
+    starts = np.arange(delta.size) * n_tags     # where each (b, j) row of cand starts, flattened
     for lo, m in steps[1:]:
         cand = delta[:m, None] + a_to_from                # cand[b, j, i]: best arriving at j via i
-        cand.argmax(axis=2, out=backptr[lo:lo + m])       # first max = smallest previous tag
-        np.add(np.maximum.reduce(cand, axis=2), em[lo:lo + m], out=delta[:m])
+        ptr = backptr[lo:lo + m]
+        cand.argmax(axis=2, out=ptr)                      # first max = smallest previous tag
+        best = cand.reshape(-1).take(ptr.reshape(-1) + starts[:ptr.size])   # the max, at ptr
+        np.add(best.reshape(m, n_tags), em[lo:lo + m], out=delta[:m])
     if np.any(delta.max(axis=1) <= _INFEASIBLE):
         raise InfeasibleLatticeError("all paths cross forbidden transitions")
     # trace every sentence back at once; one joins at its last step, with its best final tag
@@ -238,8 +241,9 @@ def path_emission_diff(scores_t, path, gold):
     path = np.asarray(path, dtype=np.intp)
     gold = np.asarray(gold, dtype=np.intp)
     rows = np.arange(scores_t.shape[0])
-    out = Tensor((scores_t.data[rows, path] - scores_t.data[rows, gold]).sum(),
-                 (scores_t,))
+    out = Tensor((scores_t.data[rows, path] - scores_t.data[rows, gold]).sum())
+    if not _taped("path_emission_diff", out, (scores_t,)):
+        return out
 
     def _back(grad):
         g = np.zeros_like(scores_t.data)
@@ -262,7 +266,9 @@ def tag_count_diff(b_param, path, gold):
               - np.bincount(np.asarray(gold, dtype=np.intp), minlength=n_tags))
     idx = np.flatnonzero(counts)
     weights = counts[idx].astype(b_param.data.dtype)
-    out = Tensor((b_param.data[idx] * weights).sum(), (b_param,))
+    out = Tensor((b_param.data[idx] * weights).sum())
+    if not _taped("tag_count_diff", out, (b_param,)):
+        return out
 
     def _back(grad):
         b_param.grad[idx] += weights * grad
@@ -291,7 +297,9 @@ def arc_count_diff(a_param, trans, path, gold, lengths=None):
         counts[trans.mask] = 0   # decoding never crosses masked arcs anyway
     idx = np.nonzero(counts)
     weights = counts[idx].astype(a_param.data.dtype)
-    out = Tensor((a_param.data[idx] * weights).sum(), (a_param,))
+    out = Tensor((a_param.data[idx] * weights).sum())
+    if not _taped("arc_count_diff", out, (a_param,)):
+        return out
 
     def _back(grad):
         a_param.grad[idx] += weights * grad

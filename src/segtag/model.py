@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autograd as ag
 from . import encoder as enc
 from . import lattice as lt
 
-# Characters per packed chunk, in training and in tagging. Larger chunks make
-# each LSTM and Viterbi step a bigger GEMM but hold a bigger tape. At the
-# published widths a training chunk's tape holds 9.7 KB per character after
-# its forward pass and peaks at 12.4 KB per character during backward(),
-# which releases it as it goes (tracemalloc, one 514-character chunk).
-CHUNK_CHARS = 512
+# Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
+# a bigger GEMM but need more memory per chunk. At the published widths
+# (tracemalloc, float32):
+# - a training chunk's tape holds 9.7 KB per character after its forward
+#   pass and peaks at 12.4 KB per character during backward(), which
+#   releases it as it goes (one 514-character chunk);
+# - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
+#   chunk peaks at 4.4 KB per character (one ~1,000-character chunk), where
+#   with the tape on it peaked at 9.8. Its chunk is therefore twice the
+#   training chunk. 2,048 characters tagged long sentences faster still but
+#   raised the toy benchmark's peak RSS by ~8%, near its 10% bound.
+TRAIN_CHUNK_CHARS = 512
+TAG_CHUNK_CHARS = 1024
 
 
 def length_chunks(lengths, cap):
@@ -73,33 +81,35 @@ class Model:
             p.zero_grad()
 
     def hidden(self, ids):
-        """Encoder output tensor for the sentence(s) in ids, attached to the autograd tape."""
+        """Encoder output tensor for the sentence(s) in ids, attached to the
+        autograd tape unless built under autograd.no_grad()."""
         return enc.encode(ids, self.encoder, self.cfg)
 
     def emissions(self, ids):
-        """Per-position tag score tensor, still attached to the autograd tape."""
+        """Per-position tag score tensor, attached to the tape as hidden() is."""
         return lt.emission_scores(self.hidden(ids), self.proj)
 
     def lattice(self, ids):
-        """Decoding-ready lattice of the emission scores, detached from the
+        """Decoding-ready lattice of the emission scores, detached from any
         tape, so the encoder's forward caches are freed before decoding."""
         return lt.TagScoreLattice(self.emissions(ids).data, self.trans, ids.lengths)
 
     def _paths(self, sentences):
         """Tag-index paths of raw character sequences, in input order.
 
-        Sentences of similar length share a chunk of at most CHUNK_CHARS
-        characters, which runs once through the encoder and one batched
-        Viterbi; each sentence is still decoded on its own.
+        Sentences of similar length share a chunk of at most TAG_CHUNK_CHARS
+        characters, which runs once through the encoder, with no tape, and
+        one batched Viterbi; each sentence is still decoded on its own.
         """
         paths = [None] * len(sentences)
-        for chunk in length_chunks([len(s) for s in sentences], CHUNK_CHARS):
-            ids = enc.CharIds.pack(
-                self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
-            path, _ = lt.viterbi(self.lattice(ids))
-            ends = np.cumsum(ids.lengths).tolist()
-            for i, lo, hi in zip(chunk, [0] + ends, ends):
-                paths[i] = path[lo:hi]
+        with ag.no_grad():
+            for chunk in length_chunks([len(s) for s in sentences], TAG_CHUNK_CHARS):
+                ids = enc.CharIds.pack(
+                    self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
+                path, _ = lt.viterbi(self.lattice(ids))
+                ends = np.cumsum(ids.lengths).tolist()
+                for i, lo, hi in zip(chunk, [0] + ends, ends):
+                    paths[i] = path[lo:hi]
         return paths
 
     def tag_batch(self, sentences):

@@ -2,7 +2,7 @@
 
 Each sentence contributes a structured hinge loss: the score of the best
 margin-augmented competitor minus the gold path score. A mini-batch runs in
-length-sorted chunks of at most CHUNK_CHARS characters, packed as in tagging:
+length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, packed as in tagging:
 one encoder pass, one Viterbi and one backward() per chunk. backward()
 releases the chunk's tape as it goes, and the chunk's graph is dropped before
 the next one is built, so memory follows the chunk, not the batch. AdaGrad
@@ -22,7 +22,7 @@ from . import autograd as ag
 from . import evaluation as ev
 from . import lattice as lt
 from .encoder import CharIds
-from .model import CHUNK_CHARS, length_chunks
+from .model import TRAIN_CHUNK_CHARS, length_chunks
 
 log = logging.getLogger(__name__)
 
@@ -184,7 +184,7 @@ def train_epoch(corpus, model, cfg, epoch=0):
     model.zero_grads()
     for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[lo:lo + cfg.batch_size]
-        for chunk in length_chunks([len(corpus[i]) for i in batch], CHUNK_CHARS):
+        for chunk in length_chunks([len(corpus[i]) for i in batch], TRAIN_CHUNK_CHARS):
             sentences = batch[chunk]
             ids = CharIds.pack(model.vocab.encode(corpus[i].chars, model.cfg.use_bigram)
                                for i in sentences)
@@ -223,27 +223,6 @@ class Snapshot:
     dev_f1: float | None = None
 
 
-def select_best(snapshots, dev, model):
-    """Restore the snapshot with the highest dev joint F1 (ties keep the
-    earlier epoch); with no dev data, fall back to the final epoch."""
-    if not snapshots:
-        raise ValueError("no snapshots to select from")
-    if not dev:
-        log.warning("empty dev set: keeping the final epoch's model")
-        best = snapshots[-1]
-        model.load_state(best.state)
-        return best
-    best = None
-    for snap in snapshots:
-        if snap.dev_f1 is None:
-            model.load_state(snap.state)
-            _, _, snap.dev_f1 = evaluate(model, dev)
-        if best is None or snap.dev_f1 > best.dev_f1:
-            best = snap
-    model.load_state(best.state)
-    return best
-
-
 def split_dev(corpus, cfg):
     """Hold out the first dev_fraction of the seed-shuffled training data."""
     order = np.random.default_rng(cfg.seed).permutation(len(corpus))
@@ -257,15 +236,17 @@ def train(corpus, model, cfg, dev=None, log_stream=None):
     """Full training run with per-epoch logging and best-dev selection.
 
     Emits one tab-separated line per epoch: epoch, mean hinge loss, J(theta),
-    dev P, dev R, dev F, seconds. Returns the winning Snapshot and leaves the
-    model holding that snapshot's parameters.
+    dev P, dev R, dev F, seconds. Returns the Snapshot of the epoch with the
+    highest dev joint F1 (ties keep the earlier epoch) and leaves the model
+    holding its parameters; with no dev data, the final epoch's. Only the
+    best epoch so far is copied and kept.
     """
     stream = sys.stderr if log_stream is None else log_stream
     if dev is None:
         corpus, dev = split_dev(corpus, cfg)
     if not corpus:
         raise ValueError("no training sentences left after the dev split")
-    snapshots = []
+    best = None
     for epoch in range(1, cfg.max_epochs + 1):
         stats = train_epoch(corpus, model, cfg, epoch)
         if dev:
@@ -275,5 +256,10 @@ def train(corpus, model, cfg, dev=None, log_stream=None):
         obj = stats.mean_loss + stats.regularizer
         print(f"{epoch}\t{stats.mean_loss:.6f}\t{obj:.6f}\t{p:.4f}\t{r:.4f}\t{f:.4f}"
               f"\t{stats.seconds:.2f}", file=stream)
-        snapshots.append(Snapshot(epoch, model.snapshot(), f if dev else None))
-    return select_best(snapshots, dev, model)
+        if dev and (best is None or f > best.dev_f1):
+            best = Snapshot(epoch, model.snapshot(), f)
+    if best is None:
+        log.warning("empty dev set: keeping the final epoch's model")
+        return Snapshot(cfg.max_epochs, model.snapshot())
+    model.load_state(best.state)
+    return best

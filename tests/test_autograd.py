@@ -193,3 +193,71 @@ def test_backward_releases_the_graph_and_refuses_a_second_pass():
     with pytest.raises(RuntimeError, match=r"backward\(\)"):
         ag.sum_all(hidden * 2.0).backward()
     assert np.array_equal(w.grad, first)
+
+
+def taped_ops():
+    """(name a backward() error must give, op applied to fixed inputs) for
+    every op that records a tape."""
+    from segtag import encoder as enc
+    from segtag import lattice as lt
+
+    rng = np.random.default_rng(7)
+    lengths = [3, 4]
+    x = Tensor(rng.uniform(-1.0, 1.0, size=(7, 4)))
+    y = Tensor(rng.uniform(-1.0, 1.0, size=(7, 4)))
+    w, b = rand_param(rng, 4, 5), rand_param(rng, 5)
+    bank = enc.ConvFilterBank([rand_param(rng, q * 4, 3) for q in (1, 2, 3)],
+                              [rand_param(rng, 3) for _ in range(3)])
+    mlp = enc.MlpParams(rand_param(rng, 12, 5), rand_param(rng, 5))
+    hw = enc.HighwayParams(rand_param(rng, 4, 4), rand_param(rng, 4))
+    lstm = enc.LstmParams(rand_param(rng, 7, 12, name="lstm.fwd.w"), rand_param(rng, 12))
+    table = rand_param(rng, 10, 4)
+    scores = Tensor(rng.uniform(-1.0, 1.0, size=(7, 5)))
+    trans = lt.TransitionMatrix(rand_param(rng, 5, 5))
+    path, gold = [0, 1, 2, 3, 4, 0, 1], [0, 2, 2, 3, 1, 0, 4]
+    return [
+        ("add", lambda: x + y), ("add", lambda: x + 2.0),
+        ("sub", lambda: x - y), ("sub", lambda: x - 1.5), ("neg", lambda: -x),
+        ("mul", lambda: x * y), ("mul", lambda: x * 3.0),
+        ("affine", lambda: ag.affine(x, w, b)), ("matmul", lambda: ag.matmul(x, w)),
+        ("tanh", lambda: ag.tanh(x)), ("concat_cols", lambda: ag.concat_cols([x, y])),
+        ("sum_all", lambda: ag.sum_all(x)),
+        ("embed_rows", lambda: enc.embed_rows(table, [1, 4, 4, 9, 0, 2, 3])),
+        ("conv_feature_maps", lambda: enc.conv_feature_maps(x, bank, lengths)),
+        ("mlp_encode", lambda: enc.mlp_encode(x, mlp, 3, lengths)),
+        ("kmax_pool", lambda: enc.kmax_pool(x, 2)),
+        ("highway_forward", lambda: enc.highway_forward(x, y, hw)),
+        (r"lstm_forward lstm\.fwd \(forward\)",
+         lambda: enc.lstm_forward(x, lstm, lengths=lengths)),
+        (r"lstm_forward lstm\.fwd \(reverse\)",
+         lambda: enc.lstm_forward(x, lstm, reverse=True, lengths=lengths)),
+        ("path_emission_diff", lambda: lt.path_emission_diff(scores, path, gold)),
+        ("tag_count_diff", lambda: lt.tag_count_diff(b, path, gold)),
+        ("arc_count_diff", lambda: lt.arc_count_diff(trans.a, trans, path, gold, lengths)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(len(taped_ops())))
+def test_no_grad_computes_the_same_output_and_refuses_backward(case):
+    name, op = taped_ops()[case]
+    taped = op()
+    with ag.no_grad():
+        untaped = op()
+    assert untaped.dtype == taped.dtype
+    assert untaped.data.tobytes() == taped.data.tobytes()
+    assert taped._prev and untaped._prev == ()
+    # a root built with the tape on reaches the untaped output, and stops there
+    root = untaped if untaped.data.size == 1 else ag.sum_all(untaped)
+    with pytest.raises(RuntimeError, match=rf"backward\(\) through {name}: .*no_grad\(\)"):
+        root.backward()
+
+
+def test_no_grad_is_undone_on_leaving_the_block():
+    x = Tensor(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        with ag.no_grad():
+            with ag.no_grad():
+                assert (x + x)._prev == ()
+            assert (x + x)._prev == ()
+            raise ValueError
+    assert (x + x)._prev == (x, x)

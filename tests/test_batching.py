@@ -18,12 +18,13 @@ from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag import lattice as lt
+from segtag import modelfile as mf
 from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
 from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import Model, length_chunks
+from segtag.model import TAG_CHUNK_CHARS, TRAIN_CHUNK_CHARS, Model, length_chunks
 from segtag.toydata import ALPHABET, WORD_INVENTORY, toy_corpus
-from util import randomize_parameters, topology_grid
+from util import PERFBENCH, benchmark_workloads, randomize_parameters, topology_grid
 
 RAGGED = (1, 3, 5)
 
@@ -410,3 +411,51 @@ def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
     finally:
         tracemalloc.stop()
     assert held and max(held) <= 1024
+
+
+def taped_paths(model, sentences):
+    """Tag paths as tagging ran with the tape on, in training-sized chunks."""
+    paths = [None] * len(sentences)
+    for chunk in length_chunks([len(s) for s in sentences], TRAIN_CHUNK_CHARS):
+        ids = CharIds.pack(model.vocab.encode(sentences[i], model.cfg.use_bigram) for i in chunk)
+        path, _ = lt.viterbi(model.lattice(ids))
+        ends = np.cumsum(ids.lengths).tolist()
+        for i, lo, hi in zip(chunk, [0] + ends, ends):
+            paths[i] = path[lo:hi]
+    return paths
+
+
+@pytest.mark.parametrize("lang, seeds, n", [("toy", (1, 2, 3), 100), ("wide", (1, 2), 40)])
+def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
+    # the benchmark's committed models on its sentences: 300 toy sentences of
+    # ~26 characters, 80 sentences of 150-250 characters over 128 tags with
+    # constrained transitions
+    wl = benchmark_workloads()
+    model = mf.load(PERFBENCH / "models" / f"{lang}.model")
+    make = wl.toy_sentences if lang == "toy" else wl.wide_sentences
+    sentences = [[c for word, _ in s for c in word] for seed in seeds for s in make(n, seed)]
+    assert TAG_CHUNK_CHARS > TRAIN_CHUNK_CHARS
+    assert model._paths(sentences) == taped_paths(model, sentences)
+
+
+def test_tagging_chunk_peak_memory_per_character():
+    # one tagging chunk at the published widths: with no tape, the peak is one
+    # layer's working set (~4.4 KB per character), not the whole tape (~10)
+    sents = toy_corpus(80, seed=3, min_words=10, max_words=20)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(EncoderConfig(), vocab, tagset)
+    chunk = []
+    while sum(len(s) for s in chunk) < TAG_CHUNK_CHARS - 30:
+        chunk.append(sents[len(chunk)].chars)
+    n = sum(map(len, chunk))
+    assert n <= TAG_CHUNK_CHARS
+    for _ in range(2):      # the first pass warms numpy's caches up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.tag_batch(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert (peak - base) / n <= 5 * 1024, (peak - base) / n

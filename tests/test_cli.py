@@ -205,9 +205,9 @@ class TestTagCommand:
         rng = np.random.default_rng(9)
         lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
                                                           size=int(rng.integers(1, 40))))
-                 for i in range(300)]
-        lines.insert(60, "abcdefghijkl" * (cli.CHUNK_CHARS // 12 + 1))   # longer than a chunk
-        assert len(lines[60]) > cli.CHUNK_CHARS
+                 for i in range(600)]
+        lines.insert(60, "abcdefghijkl" * (cli.TAG_CHUNK_CHARS // 12 + 1))   # longer than a chunk
+        assert len(lines[60]) > cli.TAG_CHUNK_CHARS
         assert sum(map(len, lines)) > 2 * cli.TAG_GROUP_CHARS
         fin = tmp_path / "in.txt"
         fout = tmp_path / "out.txt"

@@ -1,7 +1,5 @@
-import importlib.util
 import io
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +8,7 @@ from hypothesis import strategies as st
 
 from segtag import corpus as cp
 from segtag.corpus import JointTag
-
-
-def benchmark_workloads():
-    """perfbench/workloads.py, which writes the benchmark's gold files."""
-    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from util import benchmark_workloads
 
 
 class TestJointTag:

@@ -12,7 +12,7 @@ from segtag import lattice as lt
 from segtag import training as tr
 from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import CHUNK_CHARS, Model
+from segtag.model import TRAIN_CHUNK_CHARS, Model
 from segtag.toydata import toy_corpus
 from util import randomize_parameters
 
@@ -413,19 +413,19 @@ class TestTrainEpoch:
             tr.train_epoch([], model, tr.TrainConfig(), epoch=1)
 
     def test_chunk_tape_memory_per_character(self):
-        # one packed chunk of about CHUNK_CHARS characters at the published
+        # one packed chunk of about TRAIN_CHUNK_CHARS characters at the published
         # widths: backward() frees the tape as it walks it, so the peak stays
         # near the forward tape and almost nothing is left once it returns
         sents = toy_corpus(60, seed=4, min_words=10, max_words=20)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
         model = Model(EncoderConfig(), vocab, tagset, seed=1)
         chunk = []
-        while sum(len(s) for s in chunk) < CHUNK_CHARS - 30:
+        while sum(len(s) for s in chunk) < TRAIN_CHUNK_CHARS - 30:
             chunk.append(sents[len(chunk)])
         ids = CharIds.pack(model.vocab.encode(s.chars) for s in chunk)
         gold = np.concatenate([model.tagset.encode(s.tags) for s in chunk])
         n = len(ids)
-        assert CHUNK_CHARS - 30 <= n <= CHUNK_CHARS + 30
+        assert TRAIN_CHUNK_CHARS - 30 <= n <= TRAIN_CHUNK_CHARS + 30
         for _ in range(2):      # the first pass warms numpy's caches up
             model.zero_grads()
             tracemalloc.start()
@@ -460,32 +460,59 @@ class TestTrainEpoch:
         assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
 
-class TestSelectBest:
-    def snapshots(self, model, f1s):
-        return [tr.Snapshot(epoch=i + 1, state=model.snapshot(), dev_f1=f)
-                for i, f in enumerate(f1s)]
+class TestBestEpoch:
+    """train() keeps the epoch with the highest dev F1, scripted here."""
 
-    def test_single_snapshot(self):
+    def run(self, monkeypatch, f1s, dev=True):
         model, sents = tiny_model()
-        snaps = self.snapshots(model, [0.5])
-        assert tr.select_best(snaps, sents[:2], model) is snaps[0]
+        states, scripted, copies = [], iter(f1s), []
+        snapshot = Model.snapshot
 
-    def test_tie_keeps_earlier_epoch(self):
-        model, sents = tiny_model()
-        snaps = self.snapshots(model, [0.3, 0.8, 0.8])
-        assert tr.select_best(snaps, sents[:2], model).epoch == 2
+        def scripted_evaluate(m, dev_sents):
+            states.append([p.data.copy() for _, p in m.parameters()])
+            return 0.0, 0.0, next(scripted)
 
-    def test_monotone_improvement_keeps_last(self):
-        model, sents = tiny_model()
-        snaps = self.snapshots(model, [0.1, 0.2, 0.9])
-        assert tr.select_best(snaps, sents[:2], model).epoch == 3
+        def counted_snapshot(m):
+            copies.append(m)
+            return snapshot(m)
 
-    def test_empty_dev_falls_back_to_final(self, caplog):
-        model, _ = tiny_model()
-        snaps = self.snapshots(model, [None, None])
-        with caplog.at_level("WARNING"):
-            best = tr.select_best(snaps, [], model)
+        monkeypatch.setattr(tr, "evaluate", scripted_evaluate)
+        monkeypatch.setattr(Model, "snapshot", counted_snapshot)
+        cfg = tr.TrainConfig(max_epochs=len(f1s), batch_size=8, seed=2)
+        best = tr.train(sents[:8], model, cfg, dev=sents[8:] if dev else [],
+                        log_stream=io.StringIO())
+        return model, best, states, len(copies)
+
+    @staticmethod
+    def holds(model, state):
+        return all(np.array_equal(p.data, s) for (_, p), s in zip(model.parameters(), state))
+
+    def test_single_epoch(self, monkeypatch):
+        model, best, states, _ = self.run(monkeypatch, [0.5])
+        assert (best.epoch, best.dev_f1) == (1, 0.5)
+        assert self.holds(model, states[0])
+
+    def test_tie_keeps_earlier_epoch(self, monkeypatch):
+        model, best, states, _ = self.run(monkeypatch, [0.3, 0.8, 0.8])
         assert best.epoch == 2
+        assert self.holds(model, states[1]) and not self.holds(model, states[2])
+
+    def test_monotone_improvement_keeps_last(self, monkeypatch):
+        model, best, states, _ = self.run(monkeypatch, [0.1, 0.2, 0.9])
+        assert best.epoch == 3
+        assert self.holds(model, states[2])
+
+    def test_copies_only_an_improving_epoch(self, monkeypatch):
+        model, best, states, copies = self.run(monkeypatch, [0.3, 0.8, 0.8, 0.1])
+        assert (best.epoch, copies) == (2, 2)
+        assert self.holds(model, states[1])
+
+    def test_empty_dev_falls_back_to_final(self, monkeypatch, caplog):
+        with caplog.at_level("WARNING"):
+            model, best, states, _ = self.run(monkeypatch, [None, None], dev=False)
+        assert not states
+        assert (best.epoch, best.dev_f1) == (2, None)
+        assert self.holds(model, best.state)
         assert "dev" in caplog.text
 
 

@@ -4,9 +4,22 @@ The oracles here deliberately avoid the library's own code paths: plain
 python loops and math functions only, so they stay meaningful as
 cross-checks for the vectorized implementations.
 """
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
+
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, which writes the benchmark's gold files."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def randomize_parameters(model, seed=42, scale=0.5):
