@@ -428,34 +428,25 @@ def conv_feature_maps(x, bank, lengths=None):
     return _window_tanh("conv_feature_maps", x, left, bank.orders // 2, filters, lengths)
 
 
-# rows per np.partition call in kmax_pool: a training chunk (512 characters)
-# takes one call, and a tagging chunk's copy is no larger than a training
-# chunk's
-_KMAX_BLOCK = 512
-
-
 def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions. np.partition finds each row's k-th largest value,
-    over blocks of _KMAX_BLOCK rows so that its copy of the input stays
-    small; the values at least that large, read in row order, are the k
-    columns already sorted. Where copies of the k-th largest value make
-    that more than k, those rows alone are re-selected: every value above
-    the k-th, then values equal to it, lowest index first.
+    selected positions. np.partition finds each row's k-th largest value;
+    the values at least that large, read in row order, are the k columns
+    already sorted. Where copies of the k-th largest value make that more
+    than k, those rows alone are re-selected: every value above the k-th,
+    then values equal to it, lowest index first.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    kth = np.empty((n, 1), dtype=data.dtype)
-    for lo in range(0, n, _KMAX_BLOCK):
-        top = np.partition(data[lo:lo + _KMAX_BLOCK], width - k, axis=1)[:, width - k:]
-        if np.isnan(top).any():
-            # np.partition ranks NaN above every number, so a NaN is always among the k
-            raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-        kth[lo:lo + _KMAX_BLOCK] = top[:, :1]
+    top = np.partition(data, width - k, axis=1)[:, width - k:]
+    if np.isnan(top).any():
+        # np.partition ranks NaN above every number, so a NaN is always among the k
+        raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
+    kth = top[:, :1]
     take = data >= kth
     rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if rows.size:

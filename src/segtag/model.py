@@ -15,10 +15,10 @@ from . import lattice as lt
 #   pass and peaks at 12.4 KB per character during backward(), which
 #   releases it as it goes (one 514-character chunk);
 # - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
-#   chunk peaks at 4.4 KB per character (one ~1,000-character chunk), where
+#   chunk peaks at 5.4 KB per character (one ~1,000-character chunk), where
 #   with the tape on it peaked at 9.8. Its chunk is therefore twice the
 #   training chunk. 2,048 characters tagged long sentences faster still but
-#   raised the toy benchmark's peak RSS by ~8%, near its 10% bound.
+#   raised the toy benchmark's peak RSS by 16%, beyond its 10% bound.
 TRAIN_CHUNK_CHARS = 512
 TAG_CHUNK_CHARS = 1024
 

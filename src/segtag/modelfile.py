@@ -38,11 +38,8 @@ never changed training, which the reader skips.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import math
-import mmap
-import os
 import struct
 import zlib
 
@@ -257,8 +254,7 @@ def _read_tagset(r):
 
 
 def save(model, path, train_cfg=None):
-    """Write the model; returns the file's CRC-32 checksum. The file is
-    replaced whole: a reader sees the old file or the new one."""
+    """Write the model; returns the file's CRC-32 checksum."""
     tc = train_cfg or model.train_cfg or TrainConfig()
     w = _Writer()
     w.raw(MAGIC)
@@ -278,34 +274,20 @@ def save(model, path, train_cfg=None):
         w.f32_array(p.data)
     body = w.getvalue()
     checksum = zlib.crc32(body)
-    # written beside the target and renamed over it, so that a load, which
-    # maps the file, never sees it truncated or half written
-    tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as f:
+        with open(path, "wb") as f:
             f.write(body)
             f.write(struct.pack("<I", checksum))
-        os.replace(tmp, path)
     except OSError as e:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
         raise OSError(f"cannot write model to {path}: {e}") from e
     return checksum
 
 
 def load(path, dtype=np.float32):
-    """Read a model back; the result tags identically to what was saved.
-
-    The file is mapped read-only, not read into a buffer, and the parameters
-    are copied out of the map: its image takes no heap memory, and its pages
-    come in a few read-ahead faults, not one fault per fresh page of buffer.
-    """
+    """Read a model back; the result tags identically to what was saved."""
     try:
         with open(path, "rb") as f:
-            try:
-                blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-            except (OSError, ValueError):   # an empty file or a pipe cannot be mapped
-                blob = f.read()
+            blob = f.read()
     except OSError as e:
         raise OSError(f"cannot read model from {path}: {e}") from e
     if len(blob) < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:

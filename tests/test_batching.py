@@ -439,8 +439,9 @@ def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
 
 
 def test_tagging_chunk_peak_memory_per_character():
-    # one tagging chunk at the published widths: with no tape, the peak is one
-    # layer's working set (~4.4 KB per character), not the whole tape (~10)
+    # one tagging chunk at the published widths: with no tape, the peak is
+    # k-max's working set, the conv maps and np.partition's copy of them
+    # (~5.4 KB per character), not the whole tape (~9.8)
     sents = toy_corpus(80, seed=3, min_words=10, max_words=20)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
     model = Model(EncoderConfig(), vocab, tagset)
@@ -458,4 +459,4 @@ def test_tagging_chunk_peak_memory_per_character():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert (peak - base) / n <= 5 * 1024, (peak - base) / n
+    assert (peak - base) / n <= 5.75 * 1024, (peak - base) / n

@@ -1,8 +1,5 @@
 import json
-import mmap
-import os
 import struct
-import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -273,36 +270,6 @@ class TestLoad:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             mf.load(tmp_path / "absent.model")
-
-    def test_save_replaces_the_file_whole(self, tmp_path):
-        # a load maps the file, so a save must not rewrite it in place
-        path = tmp_path / "m.model"
-        mf.save(build_model(seed=1), path)
-        old = path.read_bytes()
-        with open(path, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
-            mf.save(build_model(seed=2), path)
-            assert mapped[:] == old
-        assert path.read_bytes() != old
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model"]
-        with pytest.raises(OSError, match="cannot write model"):
-            mf.save(build_model(), tmp_path / "absent" / "m.model")
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_pipe_that_cannot_be_mapped_is_read(self, tmp_path):
-        model = build_model()
-        saved = tmp_path / "m.model"
-        mf.save(model, saved)
-        fifo = tmp_path / "pipe"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=lambda: fifo.write_bytes(saved.read_bytes()), daemon=True)
-        writer.start()
-        try:
-            loaded = mf.load(fifo)
-        finally:
-            writer.join(timeout=10)
-        assert not writer.is_alive()
-        for (_, a), (_, b) in zip(model.parameters(), loaded.parameters()):
-            assert np.array_equal(a.data, b.data)
 
 
 class TestVersions:
