@@ -8,6 +8,7 @@ finite differences.
 import numpy as np
 
 from segtag import autograd as ag
+from segtag import lattice as lt
 from segtag.autograd import Parameter, Tensor
 
 # A tensor wraps a dense row-major array. Sequence length always leads.
@@ -19,12 +20,17 @@ print("x:", x, "\n", x.data)
 w = Parameter(np.array([[0.5, -0.2, 0.1], [0.3, 0.8, -0.4]]), name="w")
 b = Parameter(np.zeros(3), name="b")
 
-# affine computes x @ W + b and registers how gradients flow back.
-h = ag.affine(x, w, b)
-print("\naffine output (2x3):\n", h.data)
+# matmul computes x @ W and registers how gradients flow back. This is the
+# tag projection: one score per (position, tag).
+scores = ag.matmul(x, w)
+print("\nmatmul output (2x3):\n", scores.data)
 
-# Compose freely; backward() accumulates into every parameter on the tape.
-loss = ag.sum_all(ag.tanh(h) * ag.tanh(h))
+# The hinge loss compares two tag paths: path_emission_diff sums
+# scores[i, path_i] - scores[i, gold_i], and tag_count_diff adds the bias
+# through integer tag counts. backward() accumulates into every parameter
+# on the tape.
+path, gold = [2, 1], [0, 1]
+loss = lt.path_emission_diff(scores, path, gold) + lt.tag_count_diff(b, path, gold)
 loss.backward()
 print("\nloss:", loss.item())
 print("dloss/dw:\n", w.grad)
@@ -32,7 +38,8 @@ print("dloss/db:", b.grad)
 
 # grad_check rebuilds the computation per evaluation and compares the
 # analytic gradient to (f(t+e) - f(t-e)) / 2e for every coordinate.
-err = ag.grad_check(lambda: ag.sum_all(ag.tanh(ag.affine(x, w, b))), [w, b])
+err = ag.grad_check(lambda: lt.path_emission_diff(ag.matmul(x, w), path, gold)
+                    + lt.tag_count_diff(b, path, gold), [w, b])
 print("\nmax relative error vs central differences:", err)
 assert err < 1e-6
 

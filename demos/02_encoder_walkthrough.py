@@ -14,8 +14,16 @@ from segtag.encoder import CharIds, EncoderConfig
 rng = np.random.default_rng(0)
 n = 10
 
+
+def init_params(cfg):
+    """Draw the parameters the config's manifest lists, as a Model does."""
+    manifest = enc.parameter_manifest(cfg, n_unigrams=30, n_bigrams=0)
+    named = enc.named_parameters(manifest, enc.draw_parameters(manifest, rng), np.float32)
+    return enc.EncoderParams(named)
+
+
 cfg = EncoderConfig(d=50, h=100, feature_map_sets=5, feature_maps=100)
-params = enc.init_encoder_params(cfg, n_unigrams=30, n_bigrams=0, rng=rng)
+params = init_params(cfg)
 ids = CharIds(uni=rng.integers(0, 30, size=n))
 
 x = enc.embed_sentence(ids, params.table, cfg)
@@ -41,11 +49,11 @@ print("\nencode() composes the whole stack:", out.shape)
 # into a single-direction LSTM ("w/o CNN" row, LSTM column).
 bare = EncoderConfig(d=50, h=100, use_conv=False, use_pooling=False,
                      use_highway=False, recurrent="lstm")
-bare_params = enc.init_encoder_params(bare, n_unigrams=30, n_bigrams=0, rng=rng)
+bare_params = init_params(bare)
 print("w/o CNN + LSTM:    ", enc.encode(ids, bare_params, bare).shape)
 
 # And the windowed MLP baseline.
 mlp = EncoderConfig(d=50, h=100, use_conv=False, use_pooling=False,
                     use_highway=False, recurrent="none", mlp_baseline=True, window=5)
-mlp_params = enc.init_encoder_params(mlp, n_unigrams=30, n_bigrams=0, rng=rng)
+mlp_params = init_params(mlp)
 print("MLP baseline (k=5):", enc.encode(ids, mlp_params, mlp).shape)

@@ -147,9 +147,9 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    # Elementwise arithmetic; tensor operands must match shapes exactly,
-    # python scalars fold in as constants.
     def __add__(self, other):
+        """Elementwise sum; a tensor operand must match the shape exactly, a
+        python scalar folds in as a constant. The hinge graph adds its terms."""
         tensor = isinstance(other, Tensor)
         if tensor:
             _same_shape("add", self, other)
@@ -164,58 +164,6 @@ class Tensor:
 
         out._backward = _back
         return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        out = Tensor(-self.data)
-        if not _taped("neg", out, (self,)):
-            return out
-
-        def _back(grad):
-            _accum(self, -grad)
-
-        out._backward = _back
-        return out
-
-    def __sub__(self, other):
-        tensor = isinstance(other, Tensor)
-        if tensor:
-            _same_shape("sub", self, other)
-        out = Tensor(self.data - (other.data if tensor else other))
-        if not _taped("sub", out, (self, other) if tensor else (self,)):
-            return out
-
-        def _back(grad):
-            _accum(self, grad)
-            if tensor:
-                _accum(other, -grad)
-
-        out._backward = _back
-        return out
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        tensor = isinstance(other, Tensor)
-        if tensor:
-            _same_shape("mul", self, other)
-        out = Tensor(self.data * (other.data if tensor else other))
-        if not _taped("mul", out, (self, other) if tensor else (self,)):
-            return out
-
-        def _back(grad):
-            if tensor:
-                _accum(self, grad * other.data)
-                _accum(other, grad * self.data)
-            else:
-                _accum(self, grad * other)
-
-        out._backward = _back
-        return out
-
-    __rmul__ = __mul__
 
 
 class Parameter(Tensor):
@@ -265,30 +213,6 @@ def _same_shape(op, a, b):
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
-def affine(x, w, b):
-    """Row-wise affine map: out[i] = W^T x[i] + b, i.e. x @ W + b.
-
-    x is n*a, w is a*b, b is a length-b vector.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(
-            f"affine: expected 2-D x, 2-D W, 1-D b; got {x.shape}, {w.shape}, {b.shape}"
-        )
-    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
-        raise ShapeError(f"affine: x {x.shape} does not fit W {w.shape}, b {b.shape}")
-    out = Tensor(x.data @ w.data + b.data)
-    if not _taped("affine", out, (x, w, b)):
-        return out
-
-    def _back(g):
-        _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        _accum(b, g.sum(axis=0))
-
-    out._backward = _back
-    return out
-
-
 def matmul(x, w):
     """2-D matrix product x @ w."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
@@ -300,19 +224,6 @@ def matmul(x, w):
     def _back(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
-
-    out._backward = _back
-    return out
-
-
-def tanh(x):
-    y = np.tanh(x.data)
-    out = Tensor(y)
-    if not _taped("tanh", out, (x,)):
-        return out
-
-    def _back(grad):
-        _accum(x, grad * (1.0 - y * y))
 
     out._backward = _back
     return out
@@ -405,19 +316,6 @@ def _window_rows_grad(g, left, right, lengths=None):
     out = np.zeros((n, d), dtype=g.dtype)
     for j, dst, src in _window_offsets(n, left, right, lengths):
         out[src] += g[dst, j * d:(j + 1) * d]   # the rows of one offset are distinct
-    return out
-
-
-def sum_all(x):
-    """Sum every element into a scalar tensor."""
-    out = Tensor(x.data.sum())
-    if not _taped("sum_all", out, (x,)):
-        return out
-
-    def _back(grad):
-        _accum(x, np.ones_like(x.data) * grad)
-
-    out._backward = _back
     return out
 
 

@@ -193,9 +193,9 @@ def _open_out(path):
     return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
 
 
-def _render(chars, tags, sep="/"):
+def _render(chars, tags):
     spans = ev.decode_tags_to_words(tags)
-    return " ".join("".join(chars[s.start:s.end]) + sep + s.pos for s in spans)
+    return " ".join("".join(chars[s.start:s.end]) + cp.WORD_POS_SEP + s.pos for s in spans)
 
 
 def _write_tagged(model, lines, fout):

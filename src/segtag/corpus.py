@@ -21,6 +21,9 @@ log = logging.getLogger(__name__)
 
 SEG_LABELS = ("B", "M", "E", "S")
 
+# between a word and its POS label in a "word/POS" token
+WORD_POS_SEP = "/"
+
 # sentence-boundary marker used inside bigram keys; never occurs in text
 BOUNDARY = "\x00"
 
@@ -126,10 +129,10 @@ def expand_word(word, pos):
     return [begin, *[middle] * (n - 2), end]
 
 
-def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
+def parse_tagged_corpus(lines, strict=True, normalize_width=False):
     """Parse "word/POS" lines into Sentences.
 
-    The separator is split at its last occurrence so words containing the
+    A token is split at the last WORD_POS_SEP, so words containing the
     separator survive. Malformed tokens raise CorpusFormatError in strict
     mode; in lenient mode they are skipped and counted in a single warning.
     normalize_width folds full-width ASCII variants in words (not POS
@@ -145,11 +148,11 @@ def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
             continue
         chars, tags = [], []
         for token in line.split():
-            cut = token.rfind(sep)
+            cut = token.rfind(WORD_POS_SEP)
             if cut <= 0 or cut == len(token) - 1:
                 if strict:
                     raise CorpusFormatError(
-                        f"line {lineno}: token {token!r} is not word{sep}POS"
+                        f"line {lineno}: token {token!r} is not word{WORD_POS_SEP}POS"
                     )
                 malformed += 1
                 continue
@@ -169,7 +172,7 @@ def parse_tagged_corpus(lines, sep="/", strict=True, normalize_width=False):
     return sentences
 
 
-def format_sentence(sentence, sep="/"):
+def format_sentence(sentence):
     """Render a gold-tagged sentence back to one "word/POS ..." line."""
     if sentence.tags is None:
         raise ValueError("sentence has no tags to serialize")
@@ -177,15 +180,15 @@ def format_sentence(sentence, sep="/"):
     start = 0
     for i, tag in enumerate(sentence.tags):
         if tag.seg in ("E", "S"):
-            tokens.append("".join(sentence.chars[start:i + 1]) + sep + tag.pos)
+            tokens.append("".join(sentence.chars[start:i + 1]) + WORD_POS_SEP + tag.pos)
             start = i + 1
     if start < len(sentence.chars):  # defensively close a dangling word
-        tokens.append("".join(sentence.chars[start:]) + sep + sentence.tags[-1].pos)
+        tokens.append("".join(sentence.chars[start:]) + WORD_POS_SEP + sentence.tags[-1].pos)
     return " ".join(tokens)
 
 
-def serialize_corpus(sentences, sep="/"):
-    return "\n".join(format_sentence(s, sep) for s in sentences) + "\n"
+def serialize_corpus(sentences):
+    return "\n".join(format_sentence(s) for s in sentences) + "\n"
 
 
 class Vocab:

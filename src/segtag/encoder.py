@@ -297,12 +297,6 @@ def named_parameters(manifest, arrays, dtype):
             for (name, _), a in zip(manifest, arrays, strict=True)}
 
 
-def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
-    """Encoder parameters drawn from rng (see draw_parameters)."""
-    manifest = parameter_manifest(cfg, n_unigrams, n_bigrams)
-    return EncoderParams(named_parameters(manifest, draw_parameters(manifest, rng, dtype), dtype))
-
-
 def embed_rows(table_param, ids):
     """Differentiable row gather from an embedding matrix."""
     ids = np.asarray(ids, dtype=np.intp)

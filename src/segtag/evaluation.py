@@ -9,20 +9,19 @@ POS, in joint mode).
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class WordSpan:
-    """Half-open character span [start, end) labeled with a POS."""
+class WordSpan(NamedTuple):
+    """Half-open character span [start, end) labeled with a POS.
+
+    Only decode_tags_to_words builds spans, and they partition [0, n) by
+    construction, so a span is a plain tuple with no check of its own.
+    """
 
     start: int
     end: int
     pos: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
 
 
 def decode_tags_to_words(tags):
@@ -60,9 +59,11 @@ def decode_tags_to_words(tags):
 
 
 def _match_counts(gold_spans, pred_spans, joint):
-    key = (lambda s: (s.start, s.end, s.pos)) if joint else (lambda s: (s.start, s.end))
-    gold_keys = {key(s) for s in gold_spans}
-    return sum(1 for s in pred_spans if key(s) in gold_keys)
+    if not joint:   # boundaries only
+        gold_spans = [s[:2] for s in gold_spans]
+        pred_spans = [s[:2] for s in pred_spans]
+    gold_keys = set(gold_spans)
+    return sum(1 for s in pred_spans if s in gold_keys)
 
 
 def _check_alignment(gold, pred):
@@ -105,12 +106,12 @@ def per_pos_counts(gold, pred):
     _check_alignment(gold, pred)
     counts = defaultdict(lambda: [0, 0, 0])
     for g, p in zip(gold, pred):
-        gold_keys = {(s.start, s.end, s.pos) for s in g}
+        gold_keys = set(g)
         for s in g:
             counts[s.pos][1] += 1
         for s in p:
             counts[s.pos][2] += 1
-            if (s.start, s.end, s.pos) in gold_keys:
+            if s in gold_keys:
                 counts[s.pos][0] += 1
     return dict(sorted(counts.items()))
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, _taped, affine
+from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, _taped, matmul
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -95,8 +95,14 @@ class TagScoreLattice:
 
 
 def emission_scores(h, proj):
-    """Tag scores per position: plain affine map, no nonlinearity."""
-    return affine(h, proj.w, proj.b)
+    """Tag scores per position, a plain linear map: the tensor h @ W, on the
+    tape when one is recording, and the array h @ W + b of the lattice.
+
+    The bias reaches the gradient through tag_count_diff, which counts tags
+    instead of adding b to every row of the tape.
+    """
+    scores_t = matmul(h, proj.w)
+    return scores_t, scores_t.data + proj.b.data
 
 
 def _check_tags(lat, tags):

@@ -86,13 +86,14 @@ class Model:
         return enc.encode(ids, self.encoder, self.cfg)
 
     def emissions(self, ids):
-        """Per-position tag score tensor, attached to the tape as hidden() is."""
+        """Per-position tag scores as lattice.emission_scores gives them: the
+        unbiased tensor, attached to the tape as hidden() is, and the array."""
         return lt.emission_scores(self.hidden(ids), self.proj)
 
     def lattice(self, ids):
         """Decoding-ready lattice of the emission scores, detached from any
         tape, so the encoder's forward caches are freed before decoding."""
-        return lt.TagScoreLattice(self.emissions(ids).data, self.trans, ids.lengths)
+        return lt.TagScoreLattice(self.emissions(ids)[1], self.trans, ids.lengths)
 
     def _paths(self, sentences):
         """Tag-index paths of raw character sequences, in input order.

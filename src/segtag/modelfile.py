@@ -283,7 +283,7 @@ def save(model, path, train_cfg=None):
     return checksum
 
 
-def load(path, dtype=np.float32):
+def load(path):
     """Read a model back; the result tags identically to what was saved."""
     try:
         with open(path, "rb") as f:
@@ -328,7 +328,7 @@ def load(path, dtype=np.float32):
     for (name, _), values in zip(manifest, blocks):
         if not np.isfinite(values).all():
             raise ModelCorruptionError(f"parameter block {name!r} holds NaN/Inf")
-    model = Model(cfg, vocab, tagset, dtype=dtype, constrain_transitions=constrained,
-                  normalize_width=normalize_width, state=[v.astype(dtype) for v in blocks])
+    model = Model(cfg, vocab, tagset, constrain_transitions=constrained,
+                  normalize_width=normalize_width, state=[v.astype(np.float32) for v in blocks])
     model.train_cfg = train_cfg
     return model

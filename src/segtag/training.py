@@ -103,22 +103,8 @@ def hinge_losses(lat, gold, eta):
     return losses, np.where(np.repeat(losses > 0.0, lat.lengths), path, gold).tolist()
 
 
-def hinge_loss(lat, gold, eta):
-    """Structured hinge loss of a one-sentence lattice (summed over the
-    sentences of a packed one) and the violating sequence that attains it."""
-    losses, violator = hinge_losses(lat, gold, eta)
-    return float(losses.sum()), violator
-
-
 def regularizer_value(params, l2):
     return 0.5 * l2 * sum(float(np.sum(p.data.astype(np.float64) ** 2)) for _, p in params)
-
-
-def objective(losses, params, l2):
-    """Mean hinge loss plus the L2 term over every parameter."""
-    if len(losses) == 0:
-        raise ValueError("objective needs at least one loss")
-    return float(np.mean(losses)) + regularizer_value(params, l2)
 
 
 def hinge_loss_graph(model, ids, gold, eta):
@@ -132,8 +118,8 @@ def hinge_loss_graph(model, ids, gold, eta):
     times the transition matrix. backward() routes the subgradient through
     the encoder, the projection and the transitions.
     """
-    scores_t = ag.matmul(model.hidden(ids), model.proj.w)
-    lat = lt.TagScoreLattice(scores_t.data + model.proj.b.data, model.trans, ids.lengths)
+    scores_t, emissions = lt.emission_scores(model.hidden(ids), model.proj)
+    lat = lt.TagScoreLattice(emissions, model.trans, ids.lengths)
     losses, violator = hinge_losses(lat, gold, eta)
     diff = (
         lt.path_emission_diff(scores_t, violator, gold)

@@ -150,7 +150,7 @@ def test_acceptance_4_hinge_semantics():
         gold = rng.integers(0, n_tags, size=n)
         if case % 3 == 0:   # engineer satisfied margins so both sides occur
             l.emissions[np.arange(n), gold] += 5.0
-        loss, _ = tr.hinge_loss(l, gold, eta)
+        (loss,), _ = tr.hinge_losses(l, gold, eta)
         gold_score = lt.path_score(l, gold)
         holds = all(
             gold_score >= lt.path_score(l, list(seq))

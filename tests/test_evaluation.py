@@ -63,6 +63,7 @@ class TestDecode:
         spans = ev.decode_tags_to_words(seq)
         covered = []
         for s in spans:
+            assert s.start < s.end    # spans carry no check of their own
             covered.extend(range(s.start, s.end))
             assert s.pos == seq[s.end - 1].pos    # a span's POS is its last character's
         assert covered == list(range(len(seq)))

@@ -31,26 +31,31 @@ class TestEmissionScores:
     def test_zero_weight_rows_equal_bias(self):
         proj = lat.ProjectionParams(Parameter(np.zeros((3, 4))),
                                     Parameter(np.array([1.0, -2.0, 0.5, 3.0])))
-        out = lat.emission_scores(Tensor(np.random.default_rng(0).normal(size=(5, 3))), proj)
-        for row in out.data:
+        _, emissions = lat.emission_scores(Tensor(np.random.default_rng(0).normal(size=(5, 3))),
+                                           proj)
+        for row in emissions:
             assert np.array_equal(row, proj.b.data)
 
     def test_single_tag_set(self):
         proj = lat.ProjectionParams(Parameter(np.ones((2, 1))), Parameter(np.zeros(1)))
-        out = lat.emission_scores(Tensor(np.ones((4, 2))), proj)
-        assert out.shape == (4, 1)
+        scores_t, emissions = lat.emission_scores(Tensor(np.ones((4, 2))), proj)
+        assert scores_t.shape == emissions.shape == (4, 1)
 
     def test_matches_hand_product(self):
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         w = rng.normal(size=(4, 2))
         b = rng.normal(size=2)
-        out = lat.emission_scores(Tensor(h), lat.ProjectionParams(Parameter(w), Parameter(b)))
+        scores_t, emissions = lat.emission_scores(
+            Tensor(h), lat.ProjectionParams(Parameter(w), Parameter(b)))
         want = np.zeros((3, 2))
         for i in range(3):
             for j in range(2):
-                want[i, j] = b[j] + sum(h[i, k] * w[k, j] for k in range(4))
-        assert np.allclose(out.data, want, atol=1e-12)
+                want[i, j] = sum(h[i, k] * w[k, j] for k in range(4))
+        # the tensor leaves the bias to tag_count_diff; the lattice's array adds it
+        assert np.allclose(scores_t.data, want, atol=1e-12)
+        assert np.allclose(emissions, want + b, atol=1e-12)
+        assert np.array_equal(emissions, h @ w + b)
 
 
 class TestPathScore:

@@ -14,7 +14,7 @@ from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import TRAIN_CHUNK_CHARS, Model
 from segtag.toydata import toy_corpus
-from util import randomize_parameters
+from util import randomize_parameters, taped_sum
 
 
 def tiny_model(seed=1, dtype=np.float32, **cfg_kwargs):
@@ -71,13 +71,13 @@ class TestHingeLoss:
 
     def test_satisfied_margin_gives_zero(self):
         l = self.make([[10.0, 0.0], [10.0, 0.0]])
-        loss, violator = tr.hinge_loss(l, [0, 0], eta=0.2)
+        (loss,), violator = tr.hinge_losses(l, [0, 0], eta=0.2)
         assert loss == 0.0
         assert violator == [0, 0]
 
     def test_tied_emissions_pay_the_margin(self):
         l = self.make([[0.0, 0.0]])
-        loss, violator = tr.hinge_loss(l, [0], eta=0.2)
+        (loss,), violator = tr.hinge_losses(l, [0], eta=0.2)
         assert loss == pytest.approx(0.2)
         assert violator == [1]
 
@@ -85,7 +85,7 @@ class TestHingeLoss:
         # the decoder breaks the tie towards tag 0, but the margin holds, so
         # the violator is gold itself and cancels in hinge_loss_graph
         l = self.make([[0.0, 0.0]])
-        loss, violator = tr.hinge_loss(l, [1], eta=0.0)
+        (loss,), violator = tr.hinge_losses(l, [1], eta=0.0)
         assert loss == 0.0
         assert violator == [1]
 
@@ -95,7 +95,6 @@ class TestHingeLoss:
         # sentence 1 holds; sentence 2 pays 0.2 at position 0 (tied emissions)
         assert losses.tolist() == pytest.approx([0.0, 0.2])
         assert violator == [0, 1, 1]
-        assert tr.hinge_loss(l, [0, 0, 1], eta=0.2)[0] == pytest.approx(0.2)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_enumeration_oracle(self, seed):
@@ -105,7 +104,7 @@ class TestHingeLoss:
                       rng.uniform(-1, 1, size=(n_tags, n_tags)))
         gold = rng.integers(0, n_tags, size=n)
         eta = float(rng.uniform(0.0, 0.5))
-        loss, _ = tr.hinge_loss(l, gold, eta)
+        (loss,), _ = tr.hinge_losses(l, gold, eta)
         assert loss == pytest.approx(enumerate_hinge_oracle(l, gold.tolist(), eta), abs=1e-9)
         assert loss >= 0.0
 
@@ -117,7 +116,7 @@ class TestHingeLoss:
                           rng.uniform(-1, 1, size=(n_tags, n_tags)))
             gold = rng.integers(0, n_tags, size=n).tolist()
             eta = 0.2
-            loss, _ = tr.hinge_loss(l, gold, eta)
+            (loss,), _ = tr.hinge_losses(l, gold, eta)
             gold_score = lt.path_score(l, gold)
             holds = all(
                 gold_score >= lt.path_score(l, list(seq))
@@ -127,18 +126,19 @@ class TestHingeLoss:
             assert (loss == 0.0) == holds
 
 
-class TestObjective:
+class TestRegularizer:
     def test_worked_example(self):
-        # one sentence with loss 0.5, l2 = 1e-4, squared norm 100
+        # l2 = 1e-4, squared norm 100
         p = Parameter(np.full(4, 5.0), name="w")
-        assert tr.objective([0.5], [("w", p)], 1e-4) == pytest.approx(0.505)
+        assert tr.regularizer_value([("w", p)], 1e-4) == pytest.approx(0.005)
 
-    def test_no_regularizer_is_mean(self):
-        assert tr.objective([1.0, 3.0], [], 0.0) == pytest.approx(2.0)
+    def test_zero_coefficient(self):
+        p = Parameter(np.full(4, 5.0), name="w")
+        assert tr.regularizer_value([("w", p)], 0.0) == 0.0
 
     def test_all_zero(self):
         p = Parameter(np.zeros(3), name="w")
-        assert tr.objective([0.0, 0.0], [("w", p)], 1e-4) == 0.0
+        assert tr.regularizer_value([("w", p)], 1e-4) == 0.0
 
 
 class TestBackpropMargin:
@@ -265,9 +265,9 @@ class TestBackpropMargin:
             diff, _, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
             reg = None
             for p in params:
-                term = ag.sum_all(p * p)
+                term = taped_sum(p, "square")
                 reg = term if reg is None else reg + term
-            return diff + 0.5 * l2 * reg
+            return diff + taped_sum(reg, scale=0.5 * l2)
 
         assert ag.grad_check(f, params, eps=1e-5) <= 1e-4
 

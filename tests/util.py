@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from segtag import autograd as ag
+from segtag import encoder as enc
+
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
 
@@ -20,6 +23,35 @@ def benchmark_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def taped_sum(x, act=None, scale=1.0):
+    """Scalar root scale * sum(act(x)) on the tape, act None, "tanh" or
+    "square": what grad checks and backward() tests reduce a tensor to.
+
+    Its gradient is bitwise what the same sum built from elementwise ops
+    (sum, tanh, x * x, times a constant) would give x.
+    """
+    if act == "tanh":
+        y = np.tanh(x.data)
+        dy = 1.0 - y * y
+    elif act == "square":
+        y = x.data * x.data
+        dy = 2.0 * x.data
+    else:
+        y = x.data
+        dy = np.ones_like(y)
+    out = ag.Tensor(scale * y.sum())
+    if ag._taped("taped_sum", out, (x,)):
+        out._backward = lambda grad: ag._accum(x, (grad * scale) * dy)
+    return out
+
+
+def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
+    """Encoder parameters drawn from rng as a Model draws its own."""
+    manifest = enc.parameter_manifest(cfg, n_unigrams, n_bigrams)
+    arrays = enc.draw_parameters(manifest, rng, dtype)
+    return enc.EncoderParams(enc.named_parameters(manifest, arrays, dtype))
 
 
 def randomize_parameters(model, seed=42, scale=0.5):
