@@ -92,19 +92,63 @@ class TestGradCheck:
             ag.grad_check(f, [p])
 
 
+def _ragged(rng, n):
+    """A random split of n rows into sentence lengths."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+
+
 def _op_cases(rng):
-    """One scalar-valued function per op, over random shapes."""
+    """One scalar-valued function per taped op, over random shapes."""
+    from segtag import encoder as enc
+    from segtag import lattice as lt
+
     n = int(rng.integers(1, 5))
     a = int(rng.integers(1, 5))
     b = int(rng.integers(1, 4))
     x = rand_param(rng, n, a, name="x")
     w = rand_param(rng, a, b, name="w")
     y = rand_param(rng, n, a, name="y")
+    lengths = _ragged(rng, n)
+    table = rand_param(rng, 6, a, name="table")
+    ids = rng.integers(0, 6, size=n)
+    bank = enc.ConvFilterBank([rand_param(rng, q * a, b) for q in (1, 2, 3)],
+                              [rand_param(rng, b) for _ in range(3)])
+    window = int(rng.integers(1, 4))
+    mlp = enc.MlpParams(rand_param(rng, window * a, b), rand_param(rng, b))
+    k = int(rng.integers(1, a + 1))
+    hw = enc.HighwayParams(rand_param(rng, a, a), rand_param(rng, a))
+    lstm = enc.LstmParams(rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b))
+    # tag sequences long enough that some path/gold counts differ
+    m, t = int(rng.integers(4, 9)), int(rng.integers(2, 5))
+    scores = rand_param(rng, m, t, name="scores")
+    bias = rand_param(rng, t, name="bias")
+    trans = lt.TransitionMatrix(rand_param(rng, t, t, name="a"))
+    path, gold = rng.integers(0, t, size=m), rng.integers(0, t, size=m)
+    tag_lengths = _ragged(rng, m)
     return {
         "matmul": (lambda: taped_sum(ag.matmul(x, w), "tanh"), [x, w]),
         "add": (lambda: taped_sum(x + y), [x, y]),
         "add_scalar": (lambda: taped_sum(x + 1.5) + 3.0, [x]),
         "concat_cols": (lambda: taped_sum(ag.concat_cols([x, y]), "tanh"), [x, y]),
+        "embed_rows": (lambda: taped_sum(enc.embed_rows(table, ids), "tanh"), [table]),
+        "conv_feature_maps": (
+            lambda: taped_sum(enc.conv_feature_maps(x, bank, lengths), "tanh"),
+            [x, *bank.weights, *bank.biases]),
+        "mlp_encode": (lambda: taped_sum(enc.mlp_encode(x, mlp, window, lengths), "tanh"),
+                       [x, mlp.w, mlp.b]),
+        "kmax_pool": (lambda: taped_sum(enc.kmax_pool(x, k), "tanh"), [x]),
+        "highway_forward": (lambda: taped_sum(enc.highway_forward(x, y, hw), "tanh"),
+                            [x, y, hw.w, hw.b]),
+        "lstm_forward": (lambda: taped_sum(enc.lstm_forward(x, lstm, lengths=lengths), "tanh"),
+                         [x, lstm.w, lstm.b]),
+        "lstm_forward_reverse": (
+            lambda: taped_sum(enc.lstm_forward(x, lstm, reverse=True, lengths=lengths), "tanh"),
+            [x, lstm.w, lstm.b]),
+        "path_emission_diff": (lambda: lt.path_emission_diff(scores, path, gold), [scores]),
+        "tag_count_diff": (lambda: lt.tag_count_diff(bias, path, gold), [bias]),
+        "arc_count_diff": (
+            lambda: lt.arc_count_diff(trans.a, trans, path, gold, tag_lengths), [trans.a]),
     }
 
 
@@ -114,7 +158,7 @@ OP_NAMES = sorted(_op_cases(np.random.default_rng(0)).keys())
 @pytest.mark.parametrize("op", OP_NAMES)
 @pytest.mark.parametrize("seed", range(8))
 def test_every_op_matches_finite_differences(op, seed):
-    # 4 ops x 8 seeds = 32 random shape/seed cases in total
+    # 14 ops x 8 seeds = 112 random shape/seed cases in total
     rng = np.random.default_rng(1000 * seed + OP_NAMES.index(op))
     f, params = _op_cases(rng)[op]
     assert ag.grad_check(f, params, eps=1e-5) <= 1e-4
