@@ -16,29 +16,32 @@ n = 10
 
 
 def init_params(cfg):
-    """Draw the parameters the config's manifest lists, as a Model does."""
+    """Draw the parameters the config's manifest lists, as a Model does, into
+    its name -> Parameter map."""
     manifest = enc.parameter_manifest(cfg, n_unigrams=30, n_bigrams=0)
-    named = enc.named_parameters(manifest, enc.draw_parameters(manifest, rng), np.float32)
-    return enc.EncoderParams(named)
+    return enc.named_parameters(manifest, enc.draw_parameters(manifest, rng), np.float32)
 
 
 cfg = EncoderConfig(d=50, h=100, feature_map_sets=5, feature_maps=100)
 params = init_params(cfg)
+print("parameters:        ", ", ".join(params))
 ids = CharIds(uni=rng.integers(0, 30, size=n))
 
-x = enc.embed_sentence(ids, params.table, cfg)
+x = enc.embed_sentence(ids, params["embed.unigram"], None, cfg)
 print("embeddings:        ", x.shape)
 
-z = enc.conv_feature_maps(x, params.conv)
+bank = [(params[f"conv.q{q}.w"], params[f"conv.q{q}.b"]) for q in range(1, 6)]
+z = enc.conv_feature_maps(x, bank)
 print("conv feature maps: ", z.shape, " (uni-gram .. 5-gram, 100 maps each)")
 
 pooled = enc.kmax_pool(z, cfg.k_pool)
 print("k-max pooled:      ", pooled.shape, " (k equals the embedding width)")
 
-mixed = enc.highway_forward(x, pooled, params.highway)
+mixed = enc.highway_forward(x, pooled, params["highway.w"], params["highway.b"])
 print("highway mixed:     ", mixed.shape)
 
-h = enc.blstm_forward(mixed, params.lstm_fwd, params.lstm_bwd)
+h = enc.blstm_forward(mixed, (params["lstm.fwd.w"], params["lstm.fwd.b"]),
+                      (params["lstm.bwd.w"], params["lstm.bwd.b"]))
 print("BLSTM states:      ", h.shape, " (forward ++ backward)")
 
 out = enc.encode(ids, params, cfg)

@@ -168,7 +168,7 @@ def cmd_train(args):
                   normalize_width=settings["normalize_width"])
     if settings["embeddings"]:
         _, stats = cp.load_pretrained_embeddings(
-            settings["embeddings"], vocab, cfg.d, table=model.encoder.table)
+            settings["embeddings"], vocab, cfg.d, table=model.named["embed.unigram"])
         log.info("pre-trained embeddings: %s", stats)
 
     dev = None

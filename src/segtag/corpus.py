@@ -15,7 +15,7 @@ from itertools import repeat
 import numpy as np
 
 from .autograd import Parameter
-from .encoder import CharIds, EmbeddingTable, draw_parameters
+from .encoder import CharIds, draw_parameters
 
 log = logging.getLogger(__name__)
 
@@ -331,16 +331,16 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
     The file starts with a "<count> <dim>" header; each following line is a
     token and dim whitespace-separated reals. Rows for in-vocabulary
     characters are copied; everything else keeps its random initialization
-    and is counted as skipped. Values must be finite. Pass an existing table
-    to fill its unigram rows in place; without one, a float32 unigram-only
-    table is drawn from rng by the model's embedding rule.
+    and is counted as skipped. Values must be finite. Pass a model's
+    `embed.unigram` Parameter as `table` to fill its rows in place; without
+    one, a float32 table is drawn from rng by the model's embedding rule.
     """
     if table is None:
         uni, = draw_parameters([("embed.unigram", (vocab.n_chars, d))],
                                rng or np.random.default_rng(0))
-        table = EmbeddingTable(Parameter(uni, name="embed.unigram"))
-    if table.d != d:
-        raise EmbeddingFormatError(f"table width {table.d} != requested d {d}")
+        table = Parameter(uni, name="embed.unigram")
+    if table.shape[1] != d:
+        raise EmbeddingFormatError(f"table width {table.shape[1]} != requested d {d}")
 
     loaded = skipped = 0
     with open(path, encoding="utf-8") as f:
@@ -364,7 +364,7 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
             token = fields[0]
             try:
                 with np.errstate(over="ignore"):    # past the table's range is inf, refused below
-                    vec = np.array([float(v) for v in fields[1:]], dtype=table.unigram.dtype)
+                    vec = np.array([float(v) for v in fields[1:]], dtype=table.dtype)
             except ValueError:
                 raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
             if not np.isfinite(vec).all():
@@ -373,7 +373,7 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
             if row is None:
                 skipped += 1
                 continue
-            table.unigram.data[row] = vec
+            table.data[row] = vec
             loaded += 1
     denom = max(len(vocab.char_to_id), 1)
     return table, EmbeddingLoadStats(loaded, skipped, loaded / denom)

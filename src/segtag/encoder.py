@@ -172,82 +172,7 @@ class CharIds:
                    lengths=cat("lengths"))
 
 
-@dataclass
-class EmbeddingTable:
-    """Unigram (and optional bigram) embedding matrices.
-
-    Row Vocab.UNK (0) is the unknown token, row Vocab.PAD (1) the padding
-    token; the pad row is only referenced through sentence-boundary bigrams,
-    so sentences that never touch it leave it unchanged.
-    """
-
-    unigram: Parameter
-    bigram: Parameter | None = None
-
-    @property
-    def d(self):
-        return self.unigram.shape[1]
-
-
-@dataclass
-class ConvFilterBank:
-    """One wide-convolution filter per n-gram order q = 1..Q."""
-
-    weights: list   # weights[q-1]: Parameter[(q * d_in) x l_q]
-    biases: list    # biases[q-1]: Parameter[l_q]
-
-    @property
-    def orders(self):
-        return len(self.weights)
-
-
-@dataclass
-class HighwayParams:
-    w: Parameter    # square gate matrix, d_pool x d_pool
-    b: Parameter
-
-
-@dataclass
-class LstmParams:
-    """Gate parameters for one direction; gate block order is (i, o, f, c-hat)."""
-
-    w: Parameter    # (d_pool + h) x 4h
-    b: Parameter    # 4h
-
-    @property
-    def hidden_size(self):
-        return self.b.shape[0] // 4
-
-
-@dataclass
-class MlpParams:
-    w: Parameter    # (window * d_in) x h
-    b: Parameter
-
-
-_ENCODER_LAYERS = ("embed.", "conv.", "highway.", "lstm.", "mlp.")
 _DIRECTIONS = {"none": (), "lstm": ("fwd",), "blstm": ("fwd", "bwd")}
-
-
-class EncoderParams:
-    """The encoder's Parameters grouped per layer, picked by name out of a
-    manifest-ordered name -> Parameter map; a layer the config leaves out is
-    None, and entries of other layers (the tag projection's) are ignored."""
-
-    def __init__(self, named):
-        self.named = {k: p for k, p in named.items() if k.startswith(_ENCODER_LAYERS)}
-        self.table = EmbeddingTable(named["embed.unigram"], named.get("embed.bigram"))
-        orders = [k[:-2] for k in self.named if k.startswith("conv.") and k.endswith(".w")]
-        self.conv = ConvFilterBank([named[f"{o}.w"] for o in orders],
-                                   [named[f"{o}.b"] for o in orders]) if orders else None
-        self.highway, self.lstm_fwd, self.lstm_bwd, self.mlp = (
-            cls(named[f"{layer}.w"], named[f"{layer}.b"]) if f"{layer}.w" in named else None
-            for layer, cls in (("highway", HighwayParams), ("lstm.fwd", LstmParams),
-                               ("lstm.bwd", LstmParams), ("mlp", MlpParams)))
-
-    def parameters(self):
-        """Ordered (name, Parameter) pairs, in manifest order."""
-        return list(self.named.items())
 
 
 def _affine(layer, fan_in, fan_out):
@@ -311,18 +236,19 @@ def embed_rows(table_param, ids):
     return out
 
 
-def embed_sentence(ids, table, cfg):
+def embed_sentence(ids, unigram, bigram, cfg):
     """Look up per-position embeddings; with bigrams on, each row is
-    e(c_i) ++ e_b(c_{i-1} c_i) ++ e_b(c_i c_{i+1}) for width 3d."""
+    e(c_i) ++ e_b(c_{i-1} c_i) ++ e_b(c_i c_{i+1}) for width 3d. Row
+    Vocab.UNK is the unknown token; only boundary bigrams reach Vocab.PAD."""
     if len(ids) == 0 or ids.lengths.min() < 1:
         raise ValueError("cannot embed an empty sentence")
-    uni = embed_rows(table.unigram, ids.uni)
+    uni = embed_rows(unigram, ids.uni)
     if not cfg.use_bigram:
         return uni
-    if table.bigram is None or ids.bi_left is None or ids.bi_right is None:
+    if bigram is None or ids.bi_left is None or ids.bi_right is None:
         raise ConfigError("bigram features enabled but bigram table or ids missing")
-    left = embed_rows(table.bigram, ids.bi_left)
-    right = embed_rows(table.bigram, ids.bi_right)
+    left = embed_rows(bigram, ids.bi_left)
+    right = embed_rows(bigram, ids.bi_right)
     return concat_cols([uni, left, right])
 
 
@@ -387,24 +313,26 @@ def _window_tanh(what, x, left, right, filters, lengths):
     return out
 
 
-def mlp_encode(x, mlp, window, lengths=None):
-    """Windowed baseline encoder: tanh(W_h^T [x_{i-..} .. x_{i+..}] + b_h).
+def mlp_encode(x, w, b, window, lengths=None):
+    """Windowed baseline encoder: tanh(W_h^T [x_{i-..} .. x_{i+..}] + b_h),
+    W (window * d_in) x h.
 
     `lengths` lists the sentences packed in x; windows stop at their ends.
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     width = window * _width("mlp_encode", x)
-    if mlp.w.shape[0] != width or mlp.w.shape[1] != mlp.b.shape[0]:
-        raise ShapeError(f"mlp_encode: W {mlp.w.shape}, b {mlp.b.shape} do not fit "
+    if w.shape[0] != width or w.shape[1] != b.shape[0]:
+        raise ShapeError(f"mlp_encode: W {w.shape}, b {b.shape} do not fit "
                          f"window {window} over x {x.shape}")
     return _window_tanh("mlp_encode", x, (window - 1) // 2, window // 2,
-                        [(slice(0, width), mlp.w, mlp.b)], lengths)
+                        [(slice(0, width), w, b)], lengths)
 
 
 def conv_feature_maps(x, bank, lengths=None):
     """Wide n-gram convolutions, tanh per map set, concatenated along features.
 
+    `bank` holds one (W, b) per n-gram order q = 1..Q, W (q * d_in) x l_q.
     Order q sees the rows i - floor((q-1)/2) .. i + ceil((q-1)/2), zero padded
     at the margins so the output keeps the input length; with several
     sentences packed in x (`lengths`), each sentence's ends are margins too.
@@ -412,14 +340,14 @@ def conv_feature_maps(x, bank, lengths=None):
     reads its q middle row blocks as a column view.
     """
     d = _width("conv_feature_maps", x)
-    left = (bank.orders - 1) // 2
+    left = (len(bank) - 1) // 2
     filters = []
-    for q, (w, b) in enumerate(zip(bank.weights, bank.biases), start=1):
+    for q, (w, b) in enumerate(bank, start=1):
         if w.shape[0] != q * d or w.shape[1] != b.shape[0]:
             raise ShapeError(f"conv order {q}: W {w.shape}, b {b.shape} do not fit x {x.shape}")
         lo = (left - (q - 1) // 2) * d
         filters.append((slice(lo, lo + q * d), w, b))
-    return _window_tanh("conv_feature_maps", x, left, bank.orders // 2, filters, lengths)
+    return _window_tanh("conv_feature_maps", x, left, len(bank) // 2, filters, lengths)
 
 
 def kmax_pool(z, k):
@@ -462,9 +390,9 @@ def kmax_pool(z, k):
     return out
 
 
-def highway_forward(x, cov_x, hw):
+def highway_forward(x, cov_x, w, b):
     """Gated mix of transformed and carried input with carry = 1 - transform:
-    out = cov_x * g + x * (1 - g), g = sigmoid(W_T^T x + b_T).
+    out = cov_x * g + x * (1 - g), g = sigmoid(W_T^T x + b_T), W_T square.
 
     One tape node with inputs (x, cov_x, W_T, b_T) and a hand-written backward.
     """
@@ -472,32 +400,33 @@ def highway_forward(x, cov_x, hw):
         raise ShapeError(
             f"highway carry {x.shape} and transformed input {cov_x.shape} are decoupled"
         )
-    xd, cd, w = x.data, cov_x.data, hw.w.data
-    z = xd @ w + hw.b.data
+    xd, cd, wd = x.data, cov_x.data, w.data
+    z = xd @ wd + b.data
     check_finite("highway_forward gate pre-activation", z)
     gate = _sigmoid(z)
     carry = 1.0 - gate
     out = Tensor(cd * gate + xd * carry)
-    if not _taped("highway_forward", out, (x, cov_x, hw.w, hw.b)):
+    if not _taped("highway_forward", out, (x, cov_x, w, b)):
         return out
 
     def _back(grad):
         dz = grad * (cd - xd) * gate * carry
         _accum(cov_x, grad * gate)
-        _accum(x, grad * carry + dz @ w.T)
-        _accum(hw.w, xd.T @ dz)
-        _accum(hw.b, dz.sum(axis=0))
+        _accum(x, grad * carry + dz @ wd.T)
+        _accum(w, xd.T @ dz)
+        _accum(b, dz.sum(axis=0))
 
     out._backward = _back
     return out
 
 
-def lstm_forward(xhat, p, reverse=False, lengths=None):
+def lstm_forward(xhat, w, b, reverse=False, lengths=None):
     """Single-direction LSTM over the rows of xhat, zero initial state.
 
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
-    c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With reverse=True the
-    positions are visited last to first and the outputs realigned to input order.
+    W_g (d + h) x 4h, c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With
+    reverse=True the positions are visited last to first and the outputs
+    realigned to input order.
     With several sentences packed in xhat (`lengths`), each runs from its own
     zero state, all of them in the same steps.
 
@@ -511,23 +440,23 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
     overwrites the cached activations, first with each gate's derivative
     factor and then with the gradient of its pre-activation.
     """
-    x, w = xhat.data, p.w.data
+    x, wd = xhat.data, w.data
     if x.ndim != 2:
         raise ShapeError(f"lstm_forward: expected 2-D input, got {xhat.shape}")
     n, d = x.shape
-    h = p.hidden_size
-    if w.shape != (d + h, 4 * h):
-        raise ShapeError(f"lstm_forward: W {w.shape} does not fit x {xhat.shape} with h={h}")
+    h = b.shape[0] // 4
+    if wd.shape != (d + h, 4 * h):
+        raise ShapeError(f"lstm_forward: W {wd.shape} does not fit x {xhat.shape} with h={h}")
     where, steps = _packed_steps(lengths, n, reverse)
-    layer = p.w.name.removesuffix(".w") or "lstm"
+    layer = w.name.removesuffix(".w") or "lstm"
     direction = "reverse" if reverse else "forward"
     op = f"lstm_forward {layer} ({direction})"
     what = f"{op} gate pre-activations"
     xp = np.empty_like(x)
     xp[where] = x
-    acts = xp @ w[:d]
-    acts += p.b.data
-    w_h = w[d:]
+    acts = xp @ wd[:d]
+    acts += b.data
+    w_h = wd[d:]
     half = np.full(4 * h, 0.5, dtype=acts.dtype)     # for _sigmoid: c-hat gets tanh
     half[3 * h:] = 1.0
     shift = 1.0 - half
@@ -547,7 +476,7 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
         np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
         prev = lo
     out = Tensor(hidden[where])
-    if not _taped(op, out, (xhat, p.w, p.b)):
+    if not _taped(op, out, (xhat, w, b)):
         return out
 
     def _back(grad):
@@ -576,7 +505,7 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
         # backpropagation through time: the factors become d pre-activations
         d_hidden = np.empty_like(hidden)
         d_hidden[where] = grad
-        w_hT = np.ascontiguousarray(w[d:].T)
+        w_hT = np.ascontiguousarray(wd[d:].T)
         dc_carry = np.empty_like(hidden[:m0])
         acts_4 = acts.reshape(n, 4, h)
         m_next = 0
@@ -600,43 +529,49 @@ def lstm_forward(xhat, p, reverse=False, lengths=None):
                            axis=0, out=dc_dh[m0:])
         xp = np.empty_like(x)
         xp[where] = x
-        _accum(xhat, (acts @ w[:d].T)[where])
-        _accum(p.w, np.concatenate([xp.T @ acts, h_before.T @ acts[m0:]]))
-        _accum(p.b, acts.sum(axis=0))
+        _accum(xhat, (acts @ wd[:d].T)[where])
+        _accum(w, np.concatenate([xp.T @ acts, h_before.T @ acts[m0:]]))
+        _accum(b, acts.sum(axis=0))
 
     out._backward = _back
     return out
 
 
 def blstm_forward(xhat, fwd, bwd, lengths=None):
-    """Concatenate forward and backward LSTM states per position."""
-    if fwd.hidden_size != bwd.hidden_size:
-        raise ConfigError(
-            f"forward h={fwd.hidden_size} and backward h={bwd.hidden_size} differ"
-        )
-    return concat_cols([lstm_forward(xhat, fwd, reverse=False, lengths=lengths),
-                        lstm_forward(xhat, bwd, reverse=True, lengths=lengths)])
+    """Concatenate forward and backward LSTM states per position; fwd and
+    bwd are each direction's (W, b)."""
+    h_fwd, h_bwd = fwd[1].shape[0] // 4, bwd[1].shape[0] // 4
+    if h_fwd != h_bwd:
+        raise ConfigError(f"forward h={h_fwd} and backward h={h_bwd} differ")
+    return concat_cols([lstm_forward(xhat, *fwd, reverse=False, lengths=lengths),
+                        lstm_forward(xhat, *bwd, reverse=True, lengths=lengths)])
 
 
-def encode(ids, params, cfg):
-    """Run the configured encoder stack over the sentence(s) packed in ids.
+def encode(ids, named, cfg):
+    """Run the configured encoder stack over the sentence(s) packed in ids,
+    reading each layer's Parameters out of `named` by their manifest names.
 
     A layer's output is let go as soon as the next layer has read it, so
     under autograd.no_grad(), where no tape holds it, it is freed there.
     """
-    x = embed_sentence(ids, params.table, cfg)
+    def affine(layer):
+        return named[f"{layer}.w"], named[f"{layer}.b"]
+
+    x = embed_sentence(ids, named["embed.unigram"], named.get("embed.bigram"), cfg)
     if cfg.mlp_baseline:
-        return mlp_encode(x, params.mlp, cfg.window, ids.lengths)
+        return mlp_encode(x, *affine("mlp"), cfg.window, ids.lengths)
     feats = x
     if cfg.use_conv:
-        feats = conv_feature_maps(x, params.conv, ids.lengths)
+        bank = [affine(f"conv.q{q}") for q in range(1, cfg.feature_map_sets + 1)]
+        feats = conv_feature_maps(x, bank, ids.lengths)
         if cfg.use_pooling:
             feats = kmax_pool(feats, cfg.k_pool)
             if cfg.use_highway:
-                feats = highway_forward(x, feats, params.highway)
+                feats = highway_forward(x, feats, *affine("highway"))
     del x
+    lstm = [affine(f"lstm.{direction}") for direction in _DIRECTIONS[cfg.recurrent]]
     if cfg.recurrent == "lstm":
-        return lstm_forward(feats, params.lstm_fwd, lengths=ids.lengths)
+        return lstm_forward(feats, *lstm[0], lengths=ids.lengths)
     if cfg.recurrent == "blstm":
-        return blstm_forward(feats, params.lstm_fwd, params.lstm_bwd, ids.lengths)
+        return blstm_forward(feats, *lstm, ids.lengths)
     return feats

@@ -67,20 +67,27 @@ def _match_counts(gold_spans, pred_spans, joint):
 
 
 def _check_alignment(gold, pred):
+    """Refuse unequal sentence counts, an empty span list, or a sentence whose
+    gold and predicted spans (a partition of [0, n) in order) end apart."""
     if len(gold) != len(pred):
         raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
     for i, (g, p) in enumerate(zip(gold, pred)):
-        n_g = max(s.end for s in g)
-        n_p = max(s.end for s in p)
-        if n_g != n_p:
-            raise ValueError(f"sentence {i}: gold covers {n_g} chars, prediction {n_p}")
+        if not g or not p:
+            raise ValueError(f"sentence {i}: {'gold' if not g else 'predicted'} span list is empty")
+        if g[-1].end != p[-1].end:
+            raise ValueError(f"sentence {i}: gold covers {g[-1].end} chars, "
+                             f"prediction {p[-1].end}")
 
 
 def prf_counts(gold, pred, mode="joint"):
     """(correct, gold total, predicted total) over lists of span lists."""
+    _check_alignment(gold, pred)
+    return _counts(gold, pred, mode)
+
+
+def _counts(gold, pred, mode):
     if mode not in ("joint", "seg"):
         raise ValueError(f"mode must be 'joint' or 'seg', got {mode!r}")
-    _check_alignment(gold, pred)
     correct = n_gold = n_pred = 0
     for g, p in zip(gold, pred):
         correct += _match_counts(g, p, joint=(mode == "joint"))
@@ -101,9 +108,8 @@ def score_prf(gold, pred, mode="joint"):
     return _prf(*prf_counts(gold, pred, mode))
 
 
-def per_pos_counts(gold, pred):
+def _per_pos_counts(gold, pred):
     """Joint-mode (correct, gold, pred) counts broken down by POS label."""
-    _check_alignment(gold, pred)
     counts = defaultdict(lambda: [0, 0, 0])
     for g, p in zip(gold, pred):
         gold_keys = set(g)
@@ -118,13 +124,14 @@ def per_pos_counts(gold, pred):
 
 def report(gold, pred, modes=("joint", "seg"), per_pos=False):
     """Tab-separated evaluation report: mode, P, R, F, correct, gold, pred."""
+    _check_alignment(gold, pred)
     lines = []
     for mode in modes:
-        correct, n_gold, n_pred = prf_counts(gold, pred, mode)
+        correct, n_gold, n_pred = _counts(gold, pred, mode)
         p, r, f = _prf(correct, n_gold, n_pred)
         lines.append(f"{mode}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{correct}\t{n_gold}\t{n_pred}")
     if per_pos:
-        for pos, (correct, n_gold, n_pred) in per_pos_counts(gold, pred).items():
+        for pos, (correct, n_gold, n_pred) in _per_pos_counts(gold, pred).items():
             p, r, f = _prf(correct, n_gold, n_pred)
             lines.append(f"pos:{pos}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{correct}\t{n_gold}\t{n_pred}")
     return "\n".join(lines)

@@ -12,11 +12,9 @@ transition is scored across a sentence boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .autograd import Parameter, Tensor, _accum, _check_lengths, _packed_steps, _taped, matmul
+from .autograd import Tensor, _accum, _check_lengths, _packed_steps, _taped, matmul
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -29,14 +27,6 @@ class InfeasibleLatticeError(ValueError):
 
 class GuardError(ValueError):
     """Brute-force enumeration would exceed the instance-size guard."""
-
-
-@dataclass
-class ProjectionParams:
-    """Per-position linear map from encoder output to tag scores."""
-
-    w: Parameter    # d_out x |T|
-    b: Parameter    # |T|
 
 
 class TransitionMatrix:
@@ -94,15 +84,15 @@ class TagScoreLattice:
         return self.emissions.shape[1]
 
 
-def emission_scores(h, proj):
+def emission_scores(h, w, b):
     """Tag scores per position, a plain linear map: the tensor h @ W, on the
     tape when one is recording, and the array h @ W + b of the lattice.
 
     The bias reaches the gradient through tag_count_diff, which counts tags
     instead of adding b to every row of the tape.
     """
-    scores_t = matmul(h, proj.w)
-    return scores_t, scores_t.data + proj.b.data
+    scores_t = matmul(h, w)
+    return scores_t, scores_t.data + b.data
 
 
 def _check_tags(lat, tags):
@@ -261,6 +251,23 @@ def path_emission_diff(scores_t, path, gold):
     return out
 
 
+def _count_weighted(op, param, counts):
+    """Differentiable sum of integer counts times the entries of param they
+    index. Entries counted zero times are left out, so the value and
+    gradient are bitwise independent of them."""
+    idx = np.nonzero(counts)
+    weights = counts[idx].astype(param.data.dtype)
+    out = Tensor((param.data[idx] * weights).sum())
+    if not _taped(op, out, (param,)):
+        return out
+
+    def _back(grad):
+        param.grad[idx] += weights * grad
+
+    out._backward = _back
+    return out
+
+
 def tag_count_diff(b_param, path, gold):
     """Differentiable sum_t (uses in path - uses in gold) * b[t].
 
@@ -270,28 +277,18 @@ def tag_count_diff(b_param, path, gold):
     n_tags = b_param.shape[0]
     counts = (np.bincount(np.asarray(path, dtype=np.intp), minlength=n_tags)
               - np.bincount(np.asarray(gold, dtype=np.intp), minlength=n_tags))
-    idx = np.flatnonzero(counts)
-    weights = counts[idx].astype(b_param.data.dtype)
-    out = Tensor((b_param.data[idx] * weights).sum())
-    if not _taped("tag_count_diff", out, (b_param,)):
-        return out
-
-    def _back(grad):
-        b_param.grad[idx] += weights * grad
-
-    out._backward = _back
-    return out
+    return _count_weighted("tag_count_diff", b_param, counts)
 
 
-def arc_count_diff(a_param, trans, path, gold, lengths=None):
-    """Differentiable sum over arcs of (uses in path - uses in gold) * A[arc].
+def arc_count_diff(trans, path, gold, lengths=None):
+    """Differentiable sum over arcs of (uses in path - uses in gold) * trans.a[arc].
 
     Arc counts are integers, so arcs crossed equally often cancel exactly;
     masked arcs contribute nothing and receive no gradient. With several
     sentences packed in the sequences (`lengths`, default one), the arc out
     of each sentence's last character is not counted, as in path_score.
     """
-    n_tags = a_param.shape[0]
+    n_tags = trans.n_tags
     counts = np.zeros((n_tags, n_tags), dtype=np.int64)
     path = np.asarray(path, dtype=np.intp)
     gold = np.asarray(gold, dtype=np.intp)
@@ -301,17 +298,7 @@ def arc_count_diff(a_param, trans, path, gold, lengths=None):
     np.add.at(counts, (gold[:-1], gold[1:]), -within)
     if trans.mask is not None:
         counts[trans.mask] = 0   # decoding never crosses masked arcs anyway
-    idx = np.nonzero(counts)
-    weights = counts[idx].astype(a_param.data.dtype)
-    out = Tensor((a_param.data[idx] * weights).sum())
-    if not _taped("arc_count_diff", out, (a_param,)):
-        return out
-
-    def _back(grad):
-        a_param.grad[idx] += weights * grad
-
-    out._backward = _back
-    return out
+    return _count_weighted("arc_count_diff", trans.a, counts)
 
 
 def bmes_transition_mask(tagset):

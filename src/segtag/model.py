@@ -63,8 +63,6 @@ class Model:
         else:
             _check_state(manifest, state)
         self.named = enc.named_parameters(manifest, state, self.dtype)
-        self.encoder = enc.EncoderParams(self.named)
-        self.proj = lt.ProjectionParams(self.named["proj.w"], self.named["proj.b"])
         mask = lt.bmes_transition_mask(tagset) if constrain_transitions else None
         self.trans = lt.TransitionMatrix(self.named["trans.a"], mask)
 
@@ -83,12 +81,12 @@ class Model:
     def hidden(self, ids):
         """Encoder output tensor for the sentence(s) in ids, attached to the
         autograd tape unless built under autograd.no_grad()."""
-        return enc.encode(ids, self.encoder, self.cfg)
+        return enc.encode(ids, self.named, self.cfg)
 
     def emissions(self, ids):
         """Per-position tag scores as lattice.emission_scores gives them: the
         unbiased tensor, attached to the tape as hidden() is, and the array."""
-        return lt.emission_scores(self.hidden(ids), self.proj)
+        return lt.emission_scores(self.hidden(ids), self.named["proj.w"], self.named["proj.b"])
 
     def lattice(self, ids):
         """Decoding-ready lattice of the emission scores, detached from any

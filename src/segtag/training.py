@@ -118,13 +118,13 @@ def hinge_loss_graph(model, ids, gold, eta):
     times the transition matrix. backward() routes the subgradient through
     the encoder, the projection and the transitions.
     """
-    scores_t, emissions = lt.emission_scores(model.hidden(ids), model.proj)
+    scores_t, emissions = model.emissions(ids)
     lat = lt.TagScoreLattice(emissions, model.trans, ids.lengths)
     losses, violator = hinge_losses(lat, gold, eta)
     diff = (
         lt.path_emission_diff(scores_t, violator, gold)
-        + lt.tag_count_diff(model.proj.b, violator, gold)
-        + lt.arc_count_diff(model.trans.a, model.trans, violator, gold, ids.lengths)
+        + lt.tag_count_diff(model.named["proj.b"], violator, gold)
+        + lt.arc_count_diff(model.trans, violator, gold, ids.lengths)
         + margin_delta(gold, violator, eta)
     )
     return diff, losses, violator

@@ -107,8 +107,7 @@ def test_acceptance_3_layer_oracles():
         biases = [rng.normal(size=w.shape[1]) for w in weights]
         x = rng.normal(size=(n, d))
         out = enc.conv_feature_maps(
-            Tensor(x), enc.ConvFilterBank([Parameter(w) for w in weights],
-                                          [Parameter(b) for b in biases]))
+            Tensor(x), [(Parameter(w), Parameter(b)) for w, b in zip(weights, biases)])
         worst_conv = max(worst_conv, rel_err(out.data, conv_oracle(x, weights, biases)))
 
     for _ in range(100):
@@ -119,7 +118,7 @@ def test_acceptance_3_layer_oracles():
         b = rng.normal(size=4 * h)
         x = rng.normal(size=(n, d))
         reverse = bool(rng.integers(0, 2))
-        out = enc.lstm_forward(Tensor(x), enc.LstmParams(Parameter(w), Parameter(b)),
+        out = enc.lstm_forward(Tensor(x), Parameter(w), Parameter(b),
                                reverse=reverse)
         worst_lstm = max(worst_lstm, rel_err(out.data, lstm_oracle(x, w, b, reverse)))
 
@@ -281,7 +280,7 @@ def test_acceptance_8_pretrained_embedding_loading(tmp_path):
     assert stats.loaded == 5
     assert stats.coverage == pytest.approx(5 / len(vocab.chars))
     for tok, vec in vectors.items():
-        assert np.allclose(table.unigram.data[vocab.char_id(tok)], vec, atol=1e-7)
+        assert np.allclose(table.data[vocab.char_id(tok)], vec, atol=1e-7)
 
     with pytest.raises(cp.EmbeddingFormatError):
         cp.load_pretrained_embeddings(path, vocab, d=50)

@@ -112,13 +112,14 @@ def _op_cases(rng):
     lengths = _ragged(rng, n)
     table = rand_param(rng, 6, a, name="table")
     ids = rng.integers(0, 6, size=n)
-    bank = enc.ConvFilterBank([rand_param(rng, q * a, b) for q in (1, 2, 3)],
-                              [rand_param(rng, b) for _ in range(3)])
+    conv_w = [rand_param(rng, q * a, b) for q in (1, 2, 3)]
+    conv_b = [rand_param(rng, b) for _ in range(3)]
+    bank = list(zip(conv_w, conv_b))
     window = int(rng.integers(1, 4))
-    mlp = enc.MlpParams(rand_param(rng, window * a, b), rand_param(rng, b))
+    mlp = rand_param(rng, window * a, b), rand_param(rng, b)
     k = int(rng.integers(1, a + 1))
-    hw = enc.HighwayParams(rand_param(rng, a, a), rand_param(rng, a))
-    lstm = enc.LstmParams(rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b))
+    hw = rand_param(rng, a, a), rand_param(rng, a)
+    lstm = rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b)
     # tag sequences long enough that some path/gold counts differ
     m, t = int(rng.integers(4, 9)), int(rng.integers(2, 5))
     scores = rand_param(rng, m, t, name="scores")
@@ -134,21 +135,21 @@ def _op_cases(rng):
         "embed_rows": (lambda: taped_sum(enc.embed_rows(table, ids), "tanh"), [table]),
         "conv_feature_maps": (
             lambda: taped_sum(enc.conv_feature_maps(x, bank, lengths), "tanh"),
-            [x, *bank.weights, *bank.biases]),
-        "mlp_encode": (lambda: taped_sum(enc.mlp_encode(x, mlp, window, lengths), "tanh"),
-                       [x, mlp.w, mlp.b]),
+            [x, *conv_w, *conv_b]),
+        "mlp_encode": (lambda: taped_sum(enc.mlp_encode(x, *mlp, window, lengths), "tanh"),
+                       [x, *mlp]),
         "kmax_pool": (lambda: taped_sum(enc.kmax_pool(x, k), "tanh"), [x]),
-        "highway_forward": (lambda: taped_sum(enc.highway_forward(x, y, hw), "tanh"),
-                            [x, y, hw.w, hw.b]),
-        "lstm_forward": (lambda: taped_sum(enc.lstm_forward(x, lstm, lengths=lengths), "tanh"),
-                         [x, lstm.w, lstm.b]),
+        "highway_forward": (lambda: taped_sum(enc.highway_forward(x, y, *hw), "tanh"),
+                            [x, y, *hw]),
+        "lstm_forward": (lambda: taped_sum(enc.lstm_forward(x, *lstm, lengths=lengths), "tanh"),
+                         [x, *lstm]),
         "lstm_forward_reverse": (
-            lambda: taped_sum(enc.lstm_forward(x, lstm, reverse=True, lengths=lengths), "tanh"),
-            [x, lstm.w, lstm.b]),
+            lambda: taped_sum(enc.lstm_forward(x, *lstm, reverse=True, lengths=lengths), "tanh"),
+            [x, *lstm]),
         "path_emission_diff": (lambda: lt.path_emission_diff(scores, path, gold), [scores]),
         "tag_count_diff": (lambda: lt.tag_count_diff(bias, path, gold), [bias]),
         "arc_count_diff": (
-            lambda: lt.arc_count_diff(trans.a, trans, path, gold, tag_lengths), [trans.a]),
+            lambda: lt.arc_count_diff(trans, path, gold, tag_lengths), [trans.a]),
     }
 
 
@@ -229,12 +230,12 @@ def taped_ops():
     x = Tensor(rng.uniform(-1.0, 1.0, size=(7, 4)))
     y = Tensor(rng.uniform(-1.0, 1.0, size=(7, 4)))
     w, b = rand_param(rng, 4, 5), rand_param(rng, 5)
-    bank = enc.ConvFilterBank([rand_param(rng, q * 4, 3) for q in (1, 2, 3)],
-                              [rand_param(rng, 3) for _ in range(3)])
-    mlp = enc.MlpParams(rand_param(rng, 12, 5), rand_param(rng, 5))
-    hw = enc.HighwayParams(rand_param(rng, 4, 4), rand_param(rng, 4))
-    lstm = enc.LstmParams(rand_param(rng, 7, 12, name="lstm.fwd.w"), rand_param(rng, 12))
-    lstm_bwd = enc.LstmParams(Parameter(lstm.w.data, name="lstm.bwd.w"), lstm.b)
+    conv_w = [rand_param(rng, q * 4, 3) for q in (1, 2, 3)]
+    bank = list(zip(conv_w, [rand_param(rng, 3) for _ in range(3)]))
+    mlp = rand_param(rng, 12, 5), rand_param(rng, 5)
+    hw = rand_param(rng, 4, 4), rand_param(rng, 4)
+    lstm = rand_param(rng, 7, 12, name="lstm.fwd.w"), rand_param(rng, 12)
+    lstm_bwd = Parameter(lstm[0].data, name="lstm.bwd.w"), lstm[1]
     table = rand_param(rng, 10, 4)
     scores = Tensor(rng.uniform(-1.0, 1.0, size=(7, 5)))
     trans = lt.TransitionMatrix(rand_param(rng, 5, 5))
@@ -244,16 +245,16 @@ def taped_ops():
         ("matmul", lambda: ag.matmul(x, w)), ("concat_cols", lambda: ag.concat_cols([x, y])),
         ("embed_rows", lambda: enc.embed_rows(table, [1, 4, 4, 9, 0, 2, 3])),
         ("conv_feature_maps", lambda: enc.conv_feature_maps(x, bank, lengths)),
-        ("mlp_encode", lambda: enc.mlp_encode(x, mlp, 3, lengths)),
+        ("mlp_encode", lambda: enc.mlp_encode(x, *mlp, 3, lengths)),
         ("kmax_pool", lambda: enc.kmax_pool(x, 2)),
-        ("highway_forward", lambda: enc.highway_forward(x, y, hw)),
+        ("highway_forward", lambda: enc.highway_forward(x, y, *hw)),
         (r"lstm_forward lstm\.fwd \(forward\)",
-         lambda: enc.lstm_forward(x, lstm, lengths=lengths)),
+         lambda: enc.lstm_forward(x, *lstm, lengths=lengths)),
         (r"lstm_forward lstm\.bwd \(reverse\)",
-         lambda: enc.lstm_forward(x, lstm_bwd, reverse=True, lengths=lengths)),
+         lambda: enc.lstm_forward(x, *lstm_bwd, reverse=True, lengths=lengths)),
         ("path_emission_diff", lambda: lt.path_emission_diff(scores, path, gold)),
         ("tag_count_diff", lambda: lt.tag_count_diff(b, path, gold)),
-        ("arc_count_diff", lambda: lt.arc_count_diff(trans.a, trans, path, gold, lengths)),
+        ("arc_count_diff", lambda: lt.arc_count_diff(trans, path, gold, lengths)),
     ]
 
 

@@ -166,22 +166,19 @@ class TestPacking:
     def test_empty_sentence_in_a_pack_rejected(self):
         cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none")
-        table = enc.EmbeddingTable(Parameter(np.zeros((6, 4))))
         ids = CharIds.pack([CharIds(uni=np.array([2])), CharIds(uni=np.array([], dtype=int))])
         with pytest.raises(ValueError, match="empty"):
-            enc.embed_sentence(ids, table, cfg)
+            enc.embed_sentence(ids, Parameter(np.zeros((6, 4))), None, cfg)
 
     def test_lengths_must_partition_the_rows(self):
-        p = enc.LstmParams(w=Parameter(np.zeros((5, 8))), b=Parameter(np.zeros(8)))
         with pytest.raises(ag.ShapeError, match="partition"):
-            enc.lstm_forward(Tensor(np.zeros((4, 3))), p, lengths=[2, 3])
-        bank = enc.ConvFilterBank([Parameter(np.zeros((3 * q, 2))) for q in (1, 2, 3)],
-                                  [Parameter(np.zeros(2)) for _ in range(3)])
+            enc.lstm_forward(Tensor(np.zeros((4, 3))), Parameter(np.zeros((5, 8))),
+                             Parameter(np.zeros(8)), lengths=[2, 3])
+        bank = [(Parameter(np.zeros((3 * q, 2))), Parameter(np.zeros(2))) for q in (1, 2, 3)]
         with pytest.raises(ag.ShapeError, match="partition"):
             enc.conv_feature_maps(Tensor(np.zeros((4, 3))), bank, lengths=[4, 0])
-        mlp = enc.MlpParams(bank.weights[2], bank.biases[2])
         with pytest.raises(ag.ShapeError, match="partition"):
-            enc.mlp_encode(Tensor(np.zeros((4, 3))), mlp, 3, lengths=[4, 0])
+            enc.mlp_encode(Tensor(np.zeros((4, 3))), *bank[2], 3, lengths=[4, 0])
 
     @pytest.mark.parametrize("cap", [1, 5, 8, 100])
     def test_length_chunks_sort_and_cap(self, cap):
@@ -205,30 +202,29 @@ class TestRaggedLayers:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm(self, reverse):
         rng = np.random.default_rng(60)
-        p = enc.LstmParams(w=Parameter(rng.normal(size=(5, 8)) * 0.5),
-                           b=Parameter(rng.normal(size=8) * 0.5))
+        w = Parameter(rng.normal(size=(5, 8)) * 0.5)
+        b = Parameter(rng.normal(size=8) * 0.5)
         x = Parameter(rng.normal(size=(sum(RAGGED), 3)), name="x")
-        out = enc.lstm_forward(x, p, reverse=reverse, lengths=RAGGED)
+        out = enc.lstm_forward(x, w, b, reverse=reverse, lengths=RAGGED)
         for got, rows in zip(_blocks(out.data, RAGGED), _blocks(x.data, RAGGED)):
-            alone = enc.lstm_forward(Tensor(rows), p, reverse=reverse).data
+            alone = enc.lstm_forward(Tensor(rows), w, b, reverse=reverse).data
             assert np.max(np.abs(got - alone)) <= 1e-12
 
         def f():
-            return taped_sum(enc.lstm_forward(x, p, reverse=reverse, lengths=RAGGED), "tanh")
+            return taped_sum(enc.lstm_forward(x, w, b, reverse=reverse, lengths=RAGGED), "tanh")
 
-        assert ag.grad_check(f, [x, p.w, p.b]) <= 1e-4
+        assert ag.grad_check(f, [x, w, b]) <= 1e-4
 
     def test_conv_bank_windows_stop_at_sentence_ends(self):
         rng = np.random.default_rng(61)
         x = Parameter(rng.normal(size=(sum(RAGGED), 3)), name="x")
-        bank = enc.ConvFilterBank(
-            [Parameter(rng.normal(size=(3 * q, 2)), name=f"w{q}") for q in (1, 2, 3)],
-            [Parameter(rng.normal(size=2), name=f"b{q}") for q in (1, 2, 3)],
-        )
+        weights = [Parameter(rng.normal(size=(3 * q, 2)), name=f"w{q}") for q in (1, 2, 3)]
+        biases = [Parameter(rng.normal(size=2), name=f"b{q}") for q in (1, 2, 3)]
+        bank = list(zip(weights, biases))
         out = enc.conv_feature_maps(x, bank, RAGGED)
         for got, rows in zip(_blocks(out.data, RAGGED), _blocks(x.data, RAGGED)):
             assert np.max(np.abs(got - enc.conv_feature_maps(Tensor(rows), bank).data)) <= 1e-12
-        params = [x, *bank.weights, *bank.biases]
+        params = [x, *weights, *biases]
         err = ag.grad_check(
             lambda: taped_sum(enc.conv_feature_maps(x, bank, RAGGED), "tanh"), params)
         assert err <= 1e-4
@@ -236,26 +232,26 @@ class TestRaggedLayers:
     def test_mlp_window_stops_at_sentence_ends(self):
         rng = np.random.default_rng(62)
         x = Parameter(rng.normal(size=(sum(RAGGED), 3)), name="x")
-        mlp = enc.MlpParams(Parameter(rng.normal(size=(9, 2)), name="w"),
-                            Parameter(rng.normal(size=2), name="b"))
-        out = enc.mlp_encode(x, mlp, 3, RAGGED)
+        w = Parameter(rng.normal(size=(9, 2)), name="w")
+        b = Parameter(rng.normal(size=2), name="b")
+        out = enc.mlp_encode(x, w, b, 3, RAGGED)
         for got, rows in zip(_blocks(out.data, RAGGED), _blocks(x.data, RAGGED)):
-            assert np.max(np.abs(got - enc.mlp_encode(Tensor(rows), mlp, 3).data)) <= 1e-12
-        err = ag.grad_check(lambda: taped_sum(enc.mlp_encode(x, mlp, 3, RAGGED), "tanh"),
-                            [x, mlp.w, mlp.b])
+            assert np.max(np.abs(got - enc.mlp_encode(Tensor(rows), w, b, 3).data)) <= 1e-12
+        err = ag.grad_check(lambda: taped_sum(enc.mlp_encode(x, w, b, 3, RAGGED), "tanh"),
+                            [x, w, b])
         assert err <= 1e-4
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_padding_never_raises(self, reverse):
         # only real positions are checked: huge weights fail the long sentence,
         # while a short one's idle padding steps are never computed
-        p = enc.LstmParams(w=Parameter(np.full((5, 8), 1e308), name="lstm.fwd.w"),
-                           b=Parameter(np.zeros(8)))
+        w = Parameter(np.full((5, 8), 1e308), name="lstm.fwd.w")
+        b = Parameter(np.zeros(8))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ag.NumericError, match="lstm"):
-                enc.lstm_forward(Tensor(np.ones((4, 3))), p, reverse=reverse, lengths=[1, 3])
-        p.w.data[...] = 0.1
-        out = enc.lstm_forward(Tensor(np.ones((6, 3))), p, reverse=reverse, lengths=[1, 5])
+                enc.lstm_forward(Tensor(np.ones((4, 3))), w, b, reverse=reverse, lengths=[1, 3])
+        w.data[...] = 0.1
+        out = enc.lstm_forward(Tensor(np.ones((6, 3))), w, b, reverse=reverse, lengths=[1, 5])
         assert np.all(np.isfinite(out.data))
 
 

@@ -167,7 +167,7 @@ class TestTrainCommand:
         model = mf.load(model_path)
         # training updates the rows, but they must have started from the file;
         # with 2 epochs on a tiny corpus they stay near the seeded values
-        row = model.encoder.table.unigram.data[model.vocab.char_id("a")]
+        row = model.named["embed.unigram"].data[model.vocab.char_id("a")]
         assert abs(float(row.mean()) - 0.5) < 0.45
 
 

@@ -249,8 +249,8 @@ class TestEmbeddingLoader:
         table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
         assert stats.loaded == 2 and stats.skipped == 0
         assert stats.coverage == pytest.approx(2 / len(vocab.chars))
-        assert np.allclose(table.unigram.data[vocab.char_id("A")], vecs["A"])
-        assert np.allclose(table.unigram.data[vocab.char_id("C")], vecs["C"])
+        assert np.allclose(table.data[vocab.char_id("A")], vecs["A"])
+        assert np.allclose(table.data[vocab.char_id("C")], vecs["C"])
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         vocab = self.vocab()
@@ -286,4 +286,4 @@ class TestEmbeddingLoader:
         table2, stats = cp.load_pretrained_embeddings(path, vocab, d=4, table=table)
         assert table2 is table
         assert stats.loaded == 1
-        assert np.allclose(table.unigram.data[vocab.char_id("B")], vecs["B"])
+        assert np.allclose(table.data[vocab.char_id("B")], vecs["B"])

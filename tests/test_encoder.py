@@ -6,81 +6,81 @@ import pytest
 from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
+from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
 from segtag.corpus import Vocab
-from segtag.encoder import CharIds, EmbeddingTable, EncoderConfig
+from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 from util import (conv_oracle, init_encoder_params, kmax_oracle, lstm_oracle, rel_err, taped_sum,
                   topology_grid)
 
 
-def make_table(rng, n_chars=6, d=4, bigram=False, n_bigrams=9):
+def make_tables(rng, n_chars=6, d=4, bigram=False, n_bigrams=9):
+    """Unigram and (or None) bigram embedding Parameters."""
     uni = Parameter(rng.uniform(-1, 1, size=(n_chars, d)))
     bi = Parameter(rng.uniform(-1, 1, size=(n_bigrams, d))) if bigram else None
-    return EmbeddingTable(uni, bi)
+    return uni, bi
 
 
 class TestEmbed:
     def test_direct_lookup(self):
         rng = np.random.default_rng(0)
-        table = make_table(rng)
+        uni, bi = make_tables(rng)
         cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none")
-        out = enc.embed_sentence(CharIds(uni=np.array([2, 3])), table, cfg)
-        assert np.array_equal(out.data, table.unigram.data[[2, 3]])
+        out = enc.embed_sentence(CharIds(uni=np.array([2, 3])), uni, bi, cfg)
+        assert np.array_equal(out.data, uni.data[[2, 3]])
 
     def test_unk_row(self):
         rng = np.random.default_rng(1)
-        table = make_table(rng)
+        uni, bi = make_tables(rng)
         cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none")
-        out = enc.embed_sentence(CharIds(uni=np.array([Vocab.UNK])), table, cfg)
-        assert np.array_equal(out.data[0], table.unigram.data[0])
+        out = enc.embed_sentence(CharIds(uni=np.array([Vocab.UNK])), uni, bi, cfg)
+        assert np.array_equal(out.data[0], uni.data[0])
 
     def test_bigram_concat_width(self):
         rng = np.random.default_rng(2)
-        table = make_table(rng, d=50, bigram=True)
+        uni, bi = make_tables(rng, d=50, bigram=True)
         cfg = EncoderConfig(d=50, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none", use_bigram=True)
         assert cfg.d_in == 150
         ids = CharIds(uni=np.array([2, 3, 4]),
                       bi_left=np.array([0, 1, 2]),
                       bi_right=np.array([1, 2, 0]))
-        out = enc.embed_sentence(ids, table, cfg)
+        out = enc.embed_sentence(ids, uni, bi, cfg)
         assert out.shape == (3, 150)
-        want = np.concatenate([table.unigram.data[[2, 3, 4]],
-                               table.bigram.data[[0, 1, 2]],
-                               table.bigram.data[[1, 2, 0]]], axis=1)
+        want = np.concatenate([uni.data[[2, 3, 4]],
+                               bi.data[[0, 1, 2]],
+                               bi.data[[1, 2, 0]]], axis=1)
         assert np.array_equal(out.data, want)
 
     def test_empty_sentence_rejected(self):
         rng = np.random.default_rng(3)
-        table = make_table(rng)
+        uni, bi = make_tables(rng)
         cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
                             use_highway=False, recurrent="none")
         with pytest.raises(ValueError, match="empty"):
-            enc.embed_sentence(CharIds(uni=np.array([], dtype=int)), table, cfg)
+            enc.embed_sentence(CharIds(uni=np.array([], dtype=int)), uni, bi, cfg)
 
 
 class TestMlpEncode:
     def test_window_one_is_rowwise_affine_tanh(self):
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(5, 3)))
-        mlp = enc.MlpParams(w=Parameter(rng.normal(size=(3, 2))),
-                            b=Parameter(rng.normal(size=2)))
-        out = enc.mlp_encode(x, mlp, window=1)
-        want = np.tanh(x.data @ mlp.w.data + mlp.b.data)
+        w, b = Parameter(rng.normal(size=(3, 2))), Parameter(rng.normal(size=2))
+        out = enc.mlp_encode(x, w, b, window=1)
+        want = np.tanh(x.data @ w.data + b.data)
         assert np.allclose(out.data, want, atol=1e-12)
 
     def test_window_three_single_row_pads_both_sides(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(1, 3)))
-        mlp = enc.MlpParams(w=Parameter(rng.normal(size=(9, 2))),
-                            b=Parameter(rng.normal(size=2)))
-        out = enc.mlp_encode(x, mlp, window=3)
+        w, b = Parameter(rng.normal(size=(9, 2))), Parameter(rng.normal(size=2))
+        out = enc.mlp_encode(x, w, b, window=3)
         padded = np.concatenate([np.zeros(3), x.data[0], np.zeros(3)])
-        want = np.tanh(padded @ mlp.w.data + mlp.b.data)
+        want = np.tanh(padded @ w.data + b.data)
         assert np.allclose(out.data[0], want, atol=1e-12)
 
     def test_window_three_matches_sliding_window_oracle(self):
@@ -89,7 +89,7 @@ class TestMlpEncode:
         x = rng.normal(size=(n, d))
         w = rng.normal(size=(3 * d, h))
         b = rng.normal(size=h)
-        out = enc.mlp_encode(Tensor(x), enc.MlpParams(Parameter(w), Parameter(b)), window=3)
+        out = enc.mlp_encode(Tensor(x), Parameter(w), Parameter(b), window=3)
         xpad = np.vstack([np.zeros(d), x, np.zeros(d)])
         for i in range(n):
             window = np.concatenate([xpad[i], xpad[i + 1], xpad[i + 2]])
@@ -97,16 +97,16 @@ class TestMlpEncode:
 
     def test_bad_window_rejected(self):
         with pytest.raises(enc.ConfigError, match="window"):
-            enc.mlp_encode(Tensor(np.zeros((2, 2))), None, window=0)
+            enc.mlp_encode(Tensor(np.zeros((2, 2))), None, None, window=0)
 
     def test_mismatched_weights_rejected(self):
         x = Tensor(np.zeros((4, 3)))
-        mlp = enc.MlpParams(w=Parameter(np.zeros((6, 2))), b=Parameter(np.zeros(2)))
+        w, b = Parameter(np.zeros((6, 2))), Parameter(np.zeros(2))
         with pytest.raises(ag.ShapeError, match=r"mlp_encode.*\(6, 2\).*\(4, 3\)"):
-            enc.mlp_encode(x, mlp, window=3)
-        mlp = enc.MlpParams(w=Parameter(np.zeros((9, 2))), b=Parameter(np.zeros(3)))
+            enc.mlp_encode(x, w, b, window=3)
+        w, b = Parameter(np.zeros((9, 2))), Parameter(np.zeros(3))
         with pytest.raises(ag.ShapeError, match="mlp_encode"):
-            enc.mlp_encode(x, mlp, window=3)
+            enc.mlp_encode(x, w, b, window=3)
 
 
 class TestConvFeatureMaps:
@@ -115,18 +115,15 @@ class TestConvFeatureMaps:
         x = Tensor(rng.normal(size=(4, 3)))
         w = Parameter(rng.normal(size=(3, 5)))
         b = Parameter(rng.normal(size=5))
-        out = enc.conv_feature_maps(x, enc.ConvFilterBank([w], [b]))
+        out = enc.conv_feature_maps(x, [(w, b)])
         assert np.allclose(out.data, np.tanh(x.data @ w.data + b.data), atol=1e-12)
 
     def test_zero_filters_give_constant_rows(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(5, 3)))
-        bank = enc.ConvFilterBank(
-            [Parameter(np.zeros((3 * q, 4))) for q in (1, 2, 3)],
-            [Parameter(rng.normal(size=4)) for _ in (1, 2, 3)],
-        )
+        bank = [(Parameter(np.zeros((3 * q, 4))), Parameter(rng.normal(size=4))) for q in (1, 2, 3)]
         out = enc.conv_feature_maps(x, bank)
-        want = np.concatenate([np.tanh(b.data) for b in bank.biases])
+        want = np.concatenate([np.tanh(b.data) for _, b in bank])
         for row in out.data:
             assert np.allclose(row, want, atol=1e-12)
 
@@ -136,7 +133,8 @@ class TestConvFeatureMaps:
         cfg = EncoderConfig(d=50, h=4, feature_map_sets=5, feature_maps=100)
         params = init_encoder_params(cfg, n_unigrams=10, n_bigrams=0, rng=rng)
         x = Tensor(rng.normal(size=(7, 50)).astype(np.float32))
-        out = enc.conv_feature_maps(x, params.conv)
+        out = enc.conv_feature_maps(x, [(params[f"conv.q{q}.w"], params[f"conv.q{q}.b"])
+                                        for q in range(1, 6)])
         assert out.shape == (7, 500)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -148,8 +146,7 @@ class TestConvFeatureMaps:
         weights = [rng.normal(size=(q * d, int(rng.integers(1, 4)))) for q in range(1, orders + 1)]
         biases = [rng.normal(size=w.shape[1]) for w in weights]
         x = rng.normal(size=(n, d))
-        bank = enc.ConvFilterBank([Parameter(w) for w in weights],
-                                  [Parameter(b) for b in biases])
+        bank = [(Parameter(w), Parameter(b)) for w, b in zip(weights, biases)]
         out = enc.conv_feature_maps(Tensor(x), bank)
         assert rel_err(out.data, conv_oracle(x, weights, biases)) <= 1e-10
 
@@ -159,12 +156,11 @@ class TestConvFeatureMaps:
         # order q and an MLP window of q see the same rows, through the same window op
         rng = np.random.default_rng(10 * q + n)
         x = Tensor(rng.normal(size=(n, 3)))
-        bank = enc.ConvFilterBank([Parameter(rng.normal(size=(3 * k, 2))) for k in range(1, q + 1)],
-                                  [Parameter(rng.normal(size=2)) for _ in range(q)])
+        weights = [Parameter(rng.normal(size=(3 * k, 2))) for k in range(1, q + 1)]
+        bank = list(zip(weights, [Parameter(rng.normal(size=2)) for _ in range(q)]))
         z = enc.conv_feature_maps(x, bank)
         assert z.shape == (n, 2 * q)
-        mlp = enc.MlpParams(bank.weights[-1], bank.biases[-1])
-        out = enc.mlp_encode(x, mlp, window=q)
+        out = enc.mlp_encode(x, *bank[-1], window=q)
         assert out.shape == (n, 2)
         assert np.allclose(z.data[:, -2:], out.data, rtol=0, atol=1e-12)
 
@@ -172,18 +168,17 @@ class TestConvFeatureMaps:
     def test_gradients_match_finite_differences(self, orders):
         rng = np.random.default_rng(30 + orders)
         x = Parameter(rng.normal(size=(4, 3)), name="x")
-        bank = enc.ConvFilterBank(
-            [Parameter(rng.normal(size=(3 * q, 2)), name=f"w{q}") for q in range(1, orders + 1)],
-            [Parameter(rng.normal(size=2), name=f"b{q}") for q in range(1, orders + 1)],
-        )
-        params = [x, *bank.weights, *bank.biases]
+        weights = [Parameter(rng.normal(size=(3 * q, 2)), name=f"w{q}") for q in range(1, orders + 1)]
+        biases = [Parameter(rng.normal(size=2), name=f"b{q}") for q in range(1, orders + 1)]
+        bank = list(zip(weights, biases))
+        params = [x, *weights, *biases]
         err = ag.grad_check(lambda: taped_sum(enc.conv_feature_maps(x, bank), "tanh"), params)
         assert err <= 1e-4
 
     def test_overflowing_pre_activation_raises_unless_checks_are_off(self):
         # tanh would squash the overflow to 1; finite checks are always on
         x = Tensor(np.ones((3, 2)))
-        bank = enc.ConvFilterBank([Parameter(np.full((2, 2), 1e308))], [Parameter(np.zeros(2))])
+        bank = [(Parameter(np.full((2, 2), 1e308)), Parameter(np.zeros(2)))]
         with np.errstate(over="ignore"):
             with pytest.raises(ag.NumericError, match="conv_feature_maps"):
                 enc.conv_feature_maps(x, bank)
@@ -285,76 +280,73 @@ class TestHighway:
     def test_saturated_carry_gate_passes_input(self):
         rng = np.random.default_rng(11)
         x, cov = self._inputs(rng)
-        hw = enc.HighwayParams(Parameter(np.zeros((3, 3))), Parameter(np.full(3, -1e6)))
-        out = enc.highway_forward(x, cov, hw)
+        out = enc.highway_forward(x, cov, Parameter(np.zeros((3, 3))), Parameter(np.full(3, -1e6)))
         assert np.max(np.abs(out.data - x.data)) < 1e-6
 
     def test_saturated_transform_gate_passes_conv(self):
         rng = np.random.default_rng(12)
         x, cov = self._inputs(rng)
-        hw = enc.HighwayParams(Parameter(np.zeros((3, 3))), Parameter(np.full(3, 1e6)))
-        out = enc.highway_forward(x, cov, hw)
+        out = enc.highway_forward(x, cov, Parameter(np.zeros((3, 3))), Parameter(np.full(3, 1e6)))
         assert np.max(np.abs(out.data - cov.data)) < 1e-6
 
     def test_neutral_gate_averages(self):
         rng = np.random.default_rng(13)
         x, cov = self._inputs(rng)
-        hw = enc.HighwayParams(Parameter(np.zeros((3, 3))), Parameter(np.zeros(3)))
-        out = enc.highway_forward(x, cov, hw)
+        out = enc.highway_forward(x, cov, Parameter(np.zeros((3, 3))), Parameter(np.zeros(3)))
         assert np.allclose(out.data, 0.5 * (x.data + cov.data), atol=1e-12)
 
     def test_coupling_error(self):
-        hw = enc.HighwayParams(Parameter(np.zeros((3, 3))), Parameter(np.zeros(3)))
+        w, b = Parameter(np.zeros((3, 3))), Parameter(np.zeros(3))
         with pytest.raises(ag.ShapeError, match="decoupled"):
-            enc.highway_forward(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), hw)
+            enc.highway_forward(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))), w, b)
 
     def test_is_one_tape_node_over_its_inputs(self):
         rng = np.random.default_rng(14)
         x, cov = self._inputs(rng)
-        hw = enc.HighwayParams(Parameter(rng.normal(size=(3, 3))), Parameter(rng.normal(size=3)))
-        out = enc.highway_forward(x, cov, hw)
+        w, b = Parameter(rng.normal(size=(3, 3))), Parameter(rng.normal(size=3))
+        out = enc.highway_forward(x, cov, w, b)
         assert len(out._prev) == 4
-        assert all(a is b for a, b in zip(out._prev, (x, cov, hw.w, hw.b)))
+        assert all(p is q for p, q in zip(out._prev, (x, cov, w, b)))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_gradients_match_finite_differences(self, n):
         rng = np.random.default_rng(60 + n)
         x = Parameter(rng.normal(size=(n, 3)), name="x")
         cov = Parameter(rng.normal(size=(n, 3)), name="cov_x")
-        hw = enc.HighwayParams(Parameter(rng.normal(size=(3, 3)), name="w"),
-                               Parameter(rng.normal(size=3), name="b"))
+        w = Parameter(rng.normal(size=(3, 3)), name="w")
+        b = Parameter(rng.normal(size=3), name="b")
 
         def f():
-            return taped_sum(enc.highway_forward(x, cov, hw), "tanh")
+            return taped_sum(enc.highway_forward(x, cov, w, b), "tanh")
 
-        assert ag.grad_check(f, [x, cov, hw.w, hw.b]) <= 1e-4
+        assert ag.grad_check(f, [x, cov, w, b]) <= 1e-4
 
     def test_overflowing_gate_raises(self):
         # the sigmoid would squash the overflow to 1, so the gate checks itself
         x, cov = Tensor(np.ones((3, 2))), Tensor(np.zeros((3, 2)))
-        hw = enc.HighwayParams(Parameter(np.full((2, 2), 1e308)), Parameter(np.zeros(2)))
+        w, b = Parameter(np.full((2, 2), 1e308)), Parameter(np.zeros(2))
         with np.errstate(over="ignore"):
             with pytest.raises(ag.NumericError, match="highway_forward"):
-                enc.highway_forward(x, cov, hw)
+                enc.highway_forward(x, cov, w, b)
 
 
 class TestLstm:
     def _params(self, rng, d, h):
-        return enc.LstmParams(w=Parameter(rng.normal(size=(d + h, 4 * h)) * 0.5),
-                              b=Parameter(rng.normal(size=4 * h) * 0.5))
+        """(W, b) of one direction."""
+        return (Parameter(rng.normal(size=(d + h, 4 * h)) * 0.5),
+                Parameter(rng.normal(size=4 * h) * 0.5))
 
     def test_zero_weights_fixpoint(self):
-        p = enc.LstmParams(w=Parameter(np.zeros((7, 12))), b=Parameter(np.zeros(12)))
         x = Tensor(np.random.default_rng(14).normal(size=(5, 4)))
-        out = enc.lstm_forward(x, p)
+        out = enc.lstm_forward(x, Parameter(np.zeros((7, 12))), Parameter(np.zeros(12)))
         assert np.array_equal(out.data, np.zeros((5, 3)))
 
     def test_single_step_ignores_direction(self):
         rng = np.random.default_rng(15)
         p = self._params(rng, 4, 3)
         x = Tensor(rng.normal(size=(1, 4)))
-        fwd = enc.lstm_forward(x, p, reverse=False)
-        bwd = enc.lstm_forward(x, p, reverse=True)
+        fwd = enc.lstm_forward(x, *p, reverse=False)
+        bwd = enc.lstm_forward(x, *p, reverse=True)
         assert np.array_equal(fwd.data, bwd.data)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -362,32 +354,32 @@ class TestLstm:
         rng = np.random.default_rng(16)
         p = self._params(rng, 3, 2)
         x = rng.normal(size=(4, 3))
-        out = enc.lstm_forward(Tensor(x), p, reverse=reverse)
-        want = lstm_oracle(x, p.w.data, p.b.data, reverse=reverse)
+        w, b = self._params(rng, 3, 2)
+        out = enc.lstm_forward(Tensor(x), w, b, reverse=reverse)
+        want = lstm_oracle(x, w.data, b.data, reverse=reverse)
         assert rel_err(out.data, want) <= 1e-10
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_gradients_match_finite_differences(self, n, reverse):
         rng = np.random.default_rng(50 + n)
-        p = self._params(rng, 3, 2)
+        w, b = self._params(rng, 3, 2)
         x = Parameter(rng.normal(size=(n, 3)), name="x")
 
         def f():
-            return taped_sum(enc.lstm_forward(x, p, reverse=reverse), "tanh")
+            return taped_sum(enc.lstm_forward(x, w, b, reverse=reverse), "tanh")
 
-        assert ag.grad_check(f, [x, p.w, p.b]) <= 1e-4
+        assert ag.grad_check(f, [x, w, b]) <= 1e-4
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_overflowing_gates_raise_unless_checks_are_off(self, reverse):
         # sigmoid and tanh squash an infinite pre-activation to a finite h,
         # so the layer must check its gates and cell states itself
-        p = enc.LstmParams(w=Parameter(np.full((5, 12), 1e308), name="lstm.fwd.w"),
-                           b=Parameter(np.zeros(12)))
+        w = Parameter(np.full((5, 12), 1e308), name="lstm.fwd.w")
         x = Tensor(np.ones((3, 2)))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ag.NumericError, match=r"lstm\.fwd"):
-                enc.lstm_forward(x, p, reverse=reverse)
+                enc.lstm_forward(x, w, Parameter(np.zeros(12)), reverse=reverse)
 
 
 class TestBlstm:
@@ -395,27 +387,27 @@ class TestBlstm:
         # h = 100 per the default setting gives 200-wide output rows
         rng = np.random.default_rng(17)
         h = 100
-        p = [enc.LstmParams(w=Parameter(rng.normal(size=(8 + h, 4 * h)) * 0.01),
-                            b=Parameter(np.zeros(4 * h))) for _ in range(2)]
+        p = [(Parameter(rng.normal(size=(8 + h, 4 * h)) * 0.01), Parameter(np.zeros(4 * h)))
+             for _ in range(2)]
         out = enc.blstm_forward(Tensor(rng.normal(size=(3, 8))), p[0], p[1])
         assert out.shape == (3, 200)
 
     def test_single_position_concatenates_both_steps(self):
         rng = np.random.default_rng(18)
-        fwd = enc.LstmParams(Parameter(rng.normal(size=(5, 8))), Parameter(rng.normal(size=8)))
-        bwd = enc.LstmParams(Parameter(rng.normal(size=(5, 8))), Parameter(rng.normal(size=8)))
+        fwd = (Parameter(rng.normal(size=(5, 8))), Parameter(rng.normal(size=8)))
+        bwd = (Parameter(rng.normal(size=(5, 8))), Parameter(rng.normal(size=8)))
         x = Tensor(rng.normal(size=(1, 3)))
         out = enc.blstm_forward(x, fwd, bwd)
-        f = enc.lstm_forward(x, fwd).data
-        b = enc.lstm_forward(x, bwd).data
+        f = enc.lstm_forward(x, *fwd).data
+        b = enc.lstm_forward(x, *bwd).data
         assert np.array_equal(out.data, np.concatenate([f, b], axis=1))
 
     def test_reversal_symmetry(self):
         # reversing the input and swapping directions reverses rows and swaps halves
         rng = np.random.default_rng(19)
         h = 3
-        fwd = enc.LstmParams(Parameter(rng.normal(size=(4 + h, 4 * h))), Parameter(rng.normal(size=4 * h)))
-        bwd = enc.LstmParams(Parameter(rng.normal(size=(4 + h, 4 * h))), Parameter(rng.normal(size=4 * h)))
+        fwd = (Parameter(rng.normal(size=(4 + h, 4 * h))), Parameter(rng.normal(size=4 * h)))
+        bwd = (Parameter(rng.normal(size=(4 + h, 4 * h))), Parameter(rng.normal(size=4 * h)))
         x = rng.normal(size=(5, 4))
         a = enc.blstm_forward(Tensor(x), fwd, bwd).data
         b = enc.blstm_forward(Tensor(x[::-1].copy()), bwd, fwd).data
@@ -423,8 +415,8 @@ class TestBlstm:
         assert np.allclose(a, swapped[::-1], atol=1e-12)
 
     def test_mismatched_hidden_sizes_rejected(self):
-        fwd = enc.LstmParams(Parameter(np.zeros((5, 8))), Parameter(np.zeros(8)))
-        bwd = enc.LstmParams(Parameter(np.zeros((6, 12))), Parameter(np.zeros(12)))
+        fwd = (Parameter(np.zeros((5, 8))), Parameter(np.zeros(8)))
+        bwd = (Parameter(np.zeros((6, 12))), Parameter(np.zeros(12)))
         with pytest.raises(enc.ConfigError, match="differ"):
             enc.blstm_forward(Tensor(np.zeros((2, 3))), fwd, bwd)
 
@@ -436,13 +428,14 @@ class TestEncode:
         cfg = EncoderConfig(d=50, h=100, feature_map_sets=5, feature_maps=100)
         params = init_encoder_params(cfg, n_unigrams=12, n_bigrams=0, rng=rng)
         ids = CharIds(uni=rng.integers(0, 12, size=10))
-        x = enc.embed_sentence(ids, params.table, cfg)
+        x = enc.embed_sentence(ids, params["embed.unigram"], None, cfg)
         assert x.shape == (10, 50)
-        z = enc.conv_feature_maps(x, params.conv)
+        z = enc.conv_feature_maps(x, [(params[f"conv.q{q}.w"], params[f"conv.q{q}.b"])
+                                      for q in range(1, 6)])
         assert z.shape == (10, 500)
         pooled = enc.kmax_pool(z, cfg.k_pool)
         assert pooled.shape == (10, 50)
-        hw = enc.highway_forward(x, pooled, params.highway)
+        hw = enc.highway_forward(x, pooled, params["highway.w"], params["highway.b"])
         assert hw.shape == (10, 50)
         out = enc.encode(ids, params, cfg)
         assert out.shape == (10, 200)
@@ -454,8 +447,9 @@ class TestEncode:
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         ids = CharIds(uni=rng.integers(0, 9, size=6))
         out = enc.encode(ids, params, cfg)
-        x = enc.embed_sentence(ids, params.table, cfg)
-        want = enc.blstm_forward(x, params.lstm_fwd, params.lstm_bwd)
+        x = enc.embed_sentence(ids, params["embed.unigram"], None, cfg)
+        want = enc.blstm_forward(x, (params["lstm.fwd.w"], params["lstm.fwd.b"]),
+                                 (params["lstm.bwd.w"], params["lstm.bwd.b"]))
         assert np.array_equal(out.data, want.data)
 
     def test_cnn_only_output_width(self):
@@ -499,7 +493,7 @@ MLP_TOPOLOGY = dict(use_conv=False, use_pooling=False, use_highway=False, recurr
 
 
 class TestManifest:
-    """One (name, shape) list drives drawing, grouping and the model file."""
+    """One (name, shape) list drives drawing, the encoder's reads and the model file."""
 
     @pytest.mark.parametrize("topo", topology_grid() + [MLP_TOPOLOGY])
     @pytest.mark.parametrize("use_bigram", [False, True])
@@ -512,23 +506,20 @@ class TestManifest:
         manifest = enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
         assert [(n, p.shape) for n, p in model.parameters()] == manifest
         assert all(p.name == n for n, p in model.parameters())
-        encoder_names = [n for n, _ in enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams)]
-        assert [n for n, _ in model.encoder.parameters()] == encoder_names
-        # every grouped layer tensor is the Parameter the map holds
-        e = model.encoder
-        grouped = [e.table.unigram, e.table.bigram, model.trans.a]
-        if e.conv is not None:
-            grouped += e.conv.weights + e.conv.biases
-        for layer in (e.highway, e.lstm_fwd, e.lstm_bwd, e.mlp, model.proj):
-            grouped += [layer.w, layer.b] if layer is not None else []
-        assert ({id(p) for p in grouped if p is not None}
-                == {id(p) for _, p in model.parameters()})
+        # the model reads every entry: one violating chunk's backward reaches each
+        corpus = toy_corpus(6, seed=1)
+        ids = CharIds.pack(vocab.encode(s.chars, use_bigram) for s in corpus)
+        gold = np.concatenate([tagset.encode(s.tags) for s in corpus])
+        diff, losses, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
+        assert losses.any()
+        diff.backward()
+        assert [n for n, p in model.parameters() if not p.grad.any()] == []
 
     def test_initialization_rule(self):
         cfg = EncoderConfig(d=50, h=8, feature_map_sets=2, feature_maps=60)
         params = init_encoder_params(cfg, n_unigrams=400, n_bigrams=0,
                                      rng=np.random.default_rng(3))
-        for name, p in params.parameters():
+        for name, p in params.items():
             if name.startswith("embed."):
                 assert 0 < np.abs(p.data).max() <= 0.01
             elif p.data.ndim == 1:
@@ -591,6 +582,6 @@ def test_encode_gradients_spot_check(topo):
     params = init_encoder_params(cfg, n_unigrams=7, n_bigrams=0, rng=rng,
                                  dtype=np.float64)
     ids = CharIds(uni=rng.integers(0, 7, size=4))
-    names_params = [p for _, p in params.parameters()]
+    names_params = list(params.values())
     err = ag.grad_check(lambda: taped_sum(enc.encode(ids, params, cfg), "tanh"), names_params)
     assert err <= 1e-4

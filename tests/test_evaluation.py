@@ -113,6 +113,16 @@ class TestScore:
         with pytest.raises(ValueError, match="covers"):
             ev.score_prf(gold, pred)
 
+    @pytest.mark.parametrize("side", ["gold", "predicted"])
+    def test_empty_span_list_names_the_sentence(self, side):
+        spans = [[WordSpan(0, 1, "NN")], [WordSpan(0, 2, "NN")]]
+        empty = [spans[0], []]
+        gold, pred = (empty, spans) if side == "gold" else (spans, empty)
+        with pytest.raises(ValueError, match=f"sentence 1: {side} span list is empty"):
+            ev.score_prf(gold, pred)
+        with pytest.raises(ValueError, match=f"sentence 1: {side} span list is empty"):
+            ev.report(gold, pred)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_joint_f_never_exceeds_seg_f(self, seed):
         rng = np.random.default_rng(1000 + seed)

@@ -150,7 +150,7 @@ class TestBackpropMargin:
         # single position: boosting the gold tag's bias makes it dominate
         lat_obj = model.lattice(ids)
         gold = np.asarray(lt.viterbi(lat_obj)[0])
-        model.proj.b.data[gold[0]] += 50.0
+        model.named["proj.b"].data[gold[0]] += 50.0
         diff, (loss,), violator = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
         assert loss == 0.0
         assert violator == gold.tolist()
@@ -169,20 +169,21 @@ class TestBackpropMargin:
         diff, losses, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
         assert losses.any()
         diff.backward()
-        table = model.encoder.table
-        assert not np.any(table.unigram.grad[cp.Vocab.PAD])
-        assert not np.any(table.bigram.grad[cp.Vocab.PAD])
-        assert np.any(table.unigram.grad)  # real rows did move
+        unigram, bigram = model.named["embed.unigram"], model.named["embed.bigram"]
+        assert not np.any(unigram.grad[cp.Vocab.PAD])
+        assert not np.any(bigram.grad[cp.Vocab.PAD])
+        assert np.any(unigram.grad)  # real rows did move
 
     def test_shared_prefix_transition_gradients_cancel(self):
         # gold and violator both open with the arc 0->1, which nets to zero;
-        # a stub encoder hands the hinge fixed tag scores through an identity
+        # a stub model hands the hinge fixed tag scores through an identity
         # projection, so the margin picks the violator [0, 1, 1]
         hidden = Parameter(np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         a = Parameter(np.zeros((2, 2)))
+        named = {"proj.w": Parameter(np.eye(2)), "proj.b": Parameter(np.zeros(2))}
         model = SimpleNamespace(
-            hidden=lambda ids: hidden,
-            proj=lt.ProjectionParams(Parameter(np.eye(2)), Parameter(np.zeros(2))),
+            emissions=lambda ids: lt.emission_scores(hidden, named["proj.w"], named["proj.b"]),
+            named=named,
             trans=lt.TransitionMatrix(a))
         ids = SimpleNamespace(lengths=np.array([3]))
         diff, (loss,), violator = tr.hinge_loss_graph(model, ids, [0, 1, 0], eta=0.2)
@@ -194,7 +195,7 @@ class TestBackpropMargin:
         assert a.grad[1, 1] == 1.0
         assert hidden.grad[2, 1] == 1.0 and hidden.grad[2, 0] == -1.0
         assert not np.any(hidden.grad[:2])
-        assert model.proj.b.grad.tolist() == [-1.0, 1.0]
+        assert named["proj.b"].grad.tolist() == [-1.0, 1.0]
 
     def test_tape_size_does_not_grow_with_sentence_length(self):
         # the conv bank and each LSTM direction are one tape node each, so the
@@ -289,7 +290,7 @@ class TestApplyUpdate:
         tr.apply_update(model, cfg, batch_size=1)
         # objective gradient l2 * theta is applied even with zero data grad,
         # as one single gradient vector (no separate decay pass)
-        p = model.proj.w
+        p = model.named["proj.w"]
         assert p.accumulator.max() > 0.0
 
     def test_adagrad_normalizes_by_accumulated_square(self):
@@ -334,9 +335,9 @@ class TestApplyUpdate:
     def test_frozen_embeddings_skip_updates(self):
         model, sents = tiny_model()
         cfg = tr.TrainConfig(l2=0.01, finetune_embeddings=False, batch_size=4, seed=9)
-        before = model.encoder.table.unigram.data.copy()
+        before = model.named["embed.unigram"].data.copy()
         tr.train_epoch(sents, model, cfg, epoch=1)
-        assert np.array_equal(before, model.encoder.table.unigram.data)
+        assert np.array_equal(before, model.named["embed.unigram"].data)
 
     def test_sgd_option(self):
         p = Parameter(np.array([1.0]), name="w")
@@ -376,7 +377,7 @@ class TestTrainEpoch:
 
     def test_numeric_error_names_epoch_batch_and_sentences(self):
         model, sents = tiny_model()
-        model.proj.w.data[0, 0] = np.nan
+        model.named["proj.w"].data[0, 0] = np.nan
         cfg = tr.TrainConfig(batch_size=4, seed=2)
         with pytest.raises(ag.NumericError) as info:
             tr.train_epoch(sents, model, cfg, epoch=3)

@@ -48,10 +48,11 @@ def taped_sum(x, act=None, scale=1.0):
 
 
 def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
-    """Encoder parameters drawn from rng as a Model draws its own."""
+    """The encoder's name -> Parameter map, drawn from rng as a Model draws
+    its own."""
     manifest = enc.parameter_manifest(cfg, n_unigrams, n_bigrams)
     arrays = enc.draw_parameters(manifest, rng, dtype)
-    return enc.EncoderParams(enc.named_parameters(manifest, arrays, dtype))
+    return enc.named_parameters(manifest, arrays, dtype)
 
 
 def randomize_parameters(model, seed=42, scale=0.5):
