@@ -88,13 +88,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_prev", "_backward")
 
-    def __init__(self, data, _prev=(), _backward=None):
+    def __init__(self, data):
         self.data = _as_float_array(data)
         if not np.all(np.isfinite(self.data)):
             raise NumericError("tensor contains NaN/Inf")
         self.grad = None
-        self._prev = tuple(_prev)
-        self._backward = _backward
+        self._prev, self._backward = (), None
 
     @property
     def shape(self):
@@ -172,16 +171,18 @@ class Parameter(Tensor):
     The gradient buffer survives across backward passes so the gradients of
     a mini-batch's chunks accumulate; call zero_grad() at batch start. The
     AdaGrad accumulator is None until the parameter's first AdaGrad update
-    creates it, so a model that only tags holds no optimizer state.
+    creates it, so a model that only tags holds no optimizer state. Its
+    data is not checked for NaN/Inf: it is drawn, or Model checked it.
     """
 
     __slots__ = ("name", "accumulator")
 
     def __init__(self, data, name=""):
-        super().__init__(data)
+        self.data = _as_float_array(data)
         self.name = name
         self.grad = np.zeros(self.data.shape, self.data.dtype)    # calloc: no write pass
         self.accumulator = None
+        self._prev, self._backward = (), None
 
     def zero_grad(self):
         self.grad.fill(0.0)

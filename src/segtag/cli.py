@@ -193,17 +193,12 @@ def _open_out(path):
     return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
 
 
-def _render(chars, tags):
-    spans = ev.decode_tags_to_words(tags)
-    return " ".join("".join(chars[s.start:s.end]) + cp.WORD_POS_SEP + s.pos for s in spans)
-
-
 def _write_tagged(model, lines, fout):
     """Tag a group of input lines (character lists) together and write them
     in input order; a blank line stays blank."""
     tagged = iter(model.tag_batch([chars for chars in lines if chars]))
     for chars in lines:
-        print(_render(chars, next(tagged)) if chars else "", file=fout)
+        print(cp.format_words(chars, next(tagged)) if chars else "", file=fout)
 
 
 def cmd_tag(args):
@@ -215,8 +210,12 @@ def cmd_tag(args):
     fout = _open_out(args.output)
     try:
         group, size = [], 0
-        for line in fin:
-            text = line.rstrip("\n")
+        for lineno, line in enumerate(fin, start=1):
+            text = line.strip()    # as the corpus parser strips its lines
+            if len(text.split(maxsplit=1)) > 1:    # a space would be tagged as a character
+                where = "standard input" if fin is sys.stdin else args.input
+                raise CliError(f"{where} line {lineno}: raw text holds whitespace; "
+                               "give one unsegmented sentence per line")
             if fold:
                 text = cp.fold_width(text)
             group.append(list(text))

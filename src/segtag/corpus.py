@@ -11,9 +11,11 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
+from . import evaluation as ev
 from .autograd import Parameter
 from .encoder import CharIds, draw_parameters
 
@@ -44,61 +46,16 @@ class EmbeddingFormatError(ValueError):
     """A pre-trained embedding file does not parse or has the wrong width."""
 
 
-class JointTag:
-    """One character's label: word-position tag crossed with a POS label.
+class JointTag(NamedTuple):
+    """One character's label: word-position tag (B/M/E/S) crossed with a
+    POS label. A plain tuple, so equality and hashing run in C; TagSet
+    checks the position tag of tags that arrive from outside."""
 
-    Interned: JointTag(seg, pos) returns the one shared instance for that
-    pair, so equal tags are the same object and equality and hashing are
-    the default identity checks, which run in C. Instances are immutable
-    and never freed: the table grows with the distinct POS labels seen.
-    """
-
-    __slots__ = ("seg", "pos")
-    _interned = {}    # (seg, pos) -> the instance
-
-    def __new__(cls, seg, pos):
-        tag = cls._interned.get((seg, pos))
-        if tag is None:
-            if seg not in SEG_LABELS:
-                raise ValueError(f"segment tag must be one of {SEG_LABELS}, got {seg!r}")
-            tag = object.__new__(cls)
-            object.__setattr__(tag, "seg", seg)
-            object.__setattr__(tag, "pos", pos)
-            tag = cls._interned.setdefault((seg, pos), tag)
-        return tag
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"JointTag is immutable; cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"JointTag is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return JointTag, (self.seg, self.pos)    # unpickles to the interned instance
-
-    def __repr__(self):
-        return f"JointTag(seg={self.seg!r}, pos={self.pos!r})"
+    seg: str
+    pos: str
 
     def __str__(self):
         return f"{self.seg}-{self.pos}"
-
-    @classmethod
-    def parse(cls, text):
-        seg, _, pos = text.partition("-")
-        if not pos:
-            raise ValueError(f"cannot parse joint tag {text!r}")
-        return cls(seg, pos)
-
-
-_WORD_TAGS = {}    # pos -> its (S, B, M, E) tags
-
-
-def _word_tags(pos):
-    """The four tags a word labelled pos draws its characters' tags from."""
-    tags = _WORD_TAGS.get(pos)
-    if tags is None:
-        tags = _WORD_TAGS[pos] = tuple(JointTag(seg, pos) for seg in "SBME")
-    return tags
 
 
 @dataclass
@@ -118,12 +75,19 @@ class Sentence:
         return len(self.chars)
 
 
+_WORD_TAGS = {}    # pos -> its (S, B, M, E) tags, shared by every word labelled pos
+
+
 def expand_word(word, pos):
-    """Per-character tags for one word: S alone, B..E, or B M.. E."""
+    """Per-character tags for one word: S alone, B..E, or B M.. E, drawn
+    from the POS label's four shared tags."""
     n = len(word)
     if n == 0:
         raise ValueError("cannot expand an empty word")
-    single, begin, middle, end = _word_tags(pos)
+    tags = _WORD_TAGS.get(pos)
+    if tags is None:
+        tags = _WORD_TAGS[pos] = tuple(JointTag(seg, pos) for seg in "SBME")
+    single, begin, middle, end = tags
     if n == 1:
         return [single]
     return [begin, *[middle] * (n - 2), end]
@@ -160,11 +124,7 @@ def parse_tagged_corpus(lines, strict=True, normalize_width=False):
             if normalize_width:
                 word = fold_width(word)
             chars.extend(word)
-            single, begin, middle, end = _WORD_TAGS.get(pos) or _word_tags(pos)
-            if len(word) == 1:
-                tags.append(single)
-            else:
-                tags += (begin, *[middle] * (len(word) - 2), end)
+            tags += expand_word(word, pos)
         if chars:
             sentences.append(Sentence(chars, tags))
     if malformed:
@@ -172,19 +132,18 @@ def parse_tagged_corpus(lines, strict=True, normalize_width=False):
     return sentences
 
 
+def format_words(chars, tags):
+    """One "word/POS ..." line: the words evaluation.decode_tags_to_words
+    finds in tags, illegal BMES runs repaired."""
+    return " ".join("".join(chars[s.start:s.end]) + WORD_POS_SEP + s.pos
+                    for s in ev.decode_tags_to_words(tags))
+
+
 def format_sentence(sentence):
     """Render a gold-tagged sentence back to one "word/POS ..." line."""
     if sentence.tags is None:
         raise ValueError("sentence has no tags to serialize")
-    tokens = []
-    start = 0
-    for i, tag in enumerate(sentence.tags):
-        if tag.seg in ("E", "S"):
-            tokens.append("".join(sentence.chars[start:i + 1]) + WORD_POS_SEP + tag.pos)
-            start = i + 1
-    if start < len(sentence.chars):  # defensively close a dangling word
-        tokens.append("".join(sentence.chars[start:]) + WORD_POS_SEP + sentence.tags[-1].pos)
-    return " ".join(tokens)
+    return format_words(sentence.chars, sentence.tags)
 
 
 def serialize_corpus(sentences):
@@ -240,31 +199,26 @@ class Vocab:
 
 
 class TagSet:
-    """Ordered joint tag alphabet with a stable POS-major, seg-minor layout."""
+    """Ordered joint tag alphabet with a stable POS-major, seg-minor layout;
+    its POS labels are its tags', sorted."""
 
-    def __init__(self, tags, pos_labels):
+    def __init__(self, tags):
         self._tags = list(tags)
-        self.pos_labels = list(pos_labels)
+        for t in self._tags:
+            if t.seg not in SEG_LABELS:
+                raise ValueError(f"segment tag must be one of {SEG_LABELS}, got {t.seg!r}")
+        self.pos_labels = sorted({t.pos for t in self._tags})
         self._index = {t: i for i, t in enumerate(self._tags)}
+        if len(self._index) != len(self._tags):
+            raise ValueError("a tag appears more than once")
 
     @classmethod
     def cross_product(cls, pos_labels):
-        labels = sorted(set(pos_labels))
-        tags = [JointTag(seg, pos) for pos in labels for seg in SEG_LABELS]
-        return cls(tags, labels)
+        return cls(JointTag(seg, pos) for pos in sorted(set(pos_labels)) for seg in SEG_LABELS)
 
     @classmethod
     def observed_only(cls, tag_counts):
-        labels = sorted({t.pos for t in tag_counts})
-        seg_rank = {s: i for i, s in enumerate(SEG_LABELS)}
-        tags = sorted(tag_counts, key=lambda t: (t.pos, seg_rank[t.seg]))
-        return cls(tags, labels)
-
-    def index(self, tag):
-        try:
-            return self._index[tag]
-        except KeyError:
-            raise ValueError(f"tag {tag} not in tag set") from None
+        return cls(sorted(tag_counts, key=lambda t: (t.pos, SEG_LABELS.index(t.seg))))
 
     def tag(self, i):
         return self._tags[i]

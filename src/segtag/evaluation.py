@@ -79,13 +79,8 @@ def _check_alignment(gold, pred):
                              f"prediction {p[-1].end}")
 
 
-def prf_counts(gold, pred, mode="joint"):
-    """(correct, gold total, predicted total) over lists of span lists."""
-    _check_alignment(gold, pred)
-    return _counts(gold, pred, mode)
-
-
 def _counts(gold, pred, mode):
+    """(correct, gold total, predicted total) over lists of span lists."""
     if mode not in ("joint", "seg"):
         raise ValueError(f"mode must be 'joint' or 'seg', got {mode!r}")
     correct = n_gold = n_pred = 0
@@ -105,7 +100,8 @@ def _prf(correct, n_gold, n_pred):
 
 def score_prf(gold, pred, mode="joint"):
     """Precision, recall and F1 over per-sentence span lists."""
-    return _prf(*prf_counts(gold, pred, mode))
+    _check_alignment(gold, pred)
+    return _prf(*_counts(gold, pred, mode))
 
 
 def _per_pos_counts(gold, pred):

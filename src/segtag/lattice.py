@@ -308,15 +308,10 @@ def bmes_transition_mask(tagset):
     may only be followed by B-y or S-y. Off by default: the transition
     matrix normally learns these regularities itself.
     """
-    n = len(tagset)
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        seg_i, pos_i = tagset.tag(i).seg, tagset.tag(i).pos
-        for j in range(n):
-            seg_j, pos_j = tagset.tag(j).seg, tagset.tag(j).pos
-            if seg_i in ("B", "M"):
-                ok = seg_j in ("M", "E") and pos_j == pos_i
-            else:
-                ok = seg_j in ("B", "S")
-            mask[i, j] = not ok
-    return mask
+    seg = np.array([t.seg for t in tagset])
+    label_ids = {}    # POS labels as ints: a numpy string array drops trailing NULs
+    pos = np.array([label_ids.setdefault(t.pos, len(label_ids)) for t in tagset])
+    opens = np.isin(seg, ("B", "M"))        # the word goes on after this tag
+    continues = np.isin(seg, ("M", "E"))    # the tag goes on an open word
+    ok = np.where(opens[:, None], continues & (pos[:, None] == pos), ~continues)
+    return ~ok

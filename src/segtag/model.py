@@ -43,7 +43,8 @@ class Model:
     The parameters follow ``encoder.parameter_manifest``: drawn from `seed`
     in its order, so equal seeds give bit-identical models, or taken over
     with no draw from `state`, arrays in that order as snapshot() returns
-    them (not copied when already of dtype).
+    them (not copied when already of dtype). A state array holding NaN/Inf
+    is refused with a NumericError that names its parameter.
     """
 
     def __init__(self, cfg, vocab, tagset, seed=1, dtype=np.float32,
@@ -61,7 +62,7 @@ class Model:
         if state is None:
             state = enc.draw_parameters(manifest, np.random.default_rng(seed), self.dtype)
         else:
-            _check_state(manifest, state)
+            state = _check_state(manifest, state, self.dtype)
         self.named = enc.named_parameters(manifest, state, self.dtype)
         mask = lt.bmes_transition_mask(tagset) if constrain_transitions else None
         self.trans = lt.TransitionMatrix(self.named["trans.a"], mask)
@@ -126,15 +127,24 @@ class Model:
         return [p.data.copy() for _, p in self.parameters()]
 
     def load_state(self, state):
-        _check_state([(name, p.shape) for name, p in self.parameters()], state)
+        state = _check_state([(n, p.shape) for n, p in self.parameters()], state, self.dtype)
         for p, value in zip(self.named.values(), state):
             p.data[...] = value
 
 
-def _check_state(manifest, state):
-    """Raise ValueError unless state holds one array of each manifest shape."""
+def _check_state(manifest, state, dtype):
+    """The state's arrays as dtype. Raise ValueError unless it holds one
+    array of each manifest shape, and NumericError, naming the parameter,
+    when one holds NaN/Inf (a value past dtype's range included)."""
     if len(state) != len(manifest):
         raise ValueError(f"snapshot holds {len(state)} tensors, model has {len(manifest)}")
+    arrays = []
     for (name, shape), value in zip(manifest, state):
         if np.shape(value) != shape:
             raise ValueError(f"{name}: snapshot shape {np.shape(value)} != {shape}")
+        with np.errstate(over="ignore"):    # overflows to inf, refused next
+            value = np.asarray(value, dtype=dtype)
+        if not np.isfinite(value).all():
+            raise ag.NumericError(f"parameter {name!r} holds NaN/Inf")
+        arrays.append(value)
+    return arrays

@@ -29,7 +29,7 @@ checksum before trusting any content, checks every block's name, shape and
 size against the manifest of the stored config, vocabulary and tag set before
 it allocates a parameter, and builds the model from the stored arrays with
 no random draw. A stored config, tag set or block that fails validation
-(NaN/Inf included) raises ModelCorruptionError.
+(NaN/Inf included, which Model checks) raises ModelCorruptionError.
 
 Saving always writes version 2. Version 1 files still load: they have no
 preprocessing byte (normalize_width reads as 0), and their train config
@@ -45,6 +45,7 @@ import zlib
 
 import numpy as np
 
+from .autograd import NumericError
 from .corpus import JointTag, TagSet, Vocab
 from .encoder import ConfigError, EncoderConfig, parameter_manifest
 from .model import Model
@@ -248,9 +249,12 @@ def _read_tagset(r):
     if not pairs:
         raise ModelCorruptionError("stored tag set is empty")
     try:
-        return TagSet([JointTag(seg, pos) for seg, pos in pairs], labels)
+        tagset = TagSet(JointTag(seg, pos) for seg, pos in pairs)
+        if tagset.pos_labels != labels:
+            raise ValueError(f"POS labels {labels} are not its tags' {tagset.pos_labels}")
     except ValueError as e:
         raise ModelCorruptionError(f"stored tag set is invalid: {e}") from None
+    return tagset
 
 
 def save(model, path, train_cfg=None):
@@ -325,10 +329,11 @@ def load(path):
         blocks.append(np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape))
     if r.pos != len(body):
         raise ModelCorruptionError(f"{len(body) - r.pos} trailing bytes after parameters")
-    for (name, _), values in zip(manifest, blocks):
-        if not np.isfinite(values).all():
-            raise ModelCorruptionError(f"parameter block {name!r} holds NaN/Inf")
-    model = Model(cfg, vocab, tagset, constrain_transitions=constrained,
-                  normalize_width=normalize_width, state=[v.astype(np.float32) for v in blocks])
+    try:
+        model = Model(cfg, vocab, tagset, constrain_transitions=constrained,
+                      normalize_width=normalize_width,
+                      state=[v.astype(np.float32) for v in blocks])
+    except NumericError as e:   # Model's finite check, naming the block
+        raise ModelCorruptionError(f"stored {e}") from None
     model.train_cfg = train_cfg
     return model

@@ -8,6 +8,9 @@ from segtag import cli
 from segtag import corpus as cp
 from segtag import modelfile as mf
 from segtag.toydata import toy_corpus
+from util import PERFBENCH
+
+TOY_MODEL = PERFBENCH / "models" / "toy.model"
 
 
 @pytest.fixture()
@@ -218,7 +221,26 @@ class TestTagCommand:
         model = mf.load(model_path)
         for line, out in zip(lines, got):
             chars = list(line)
-            assert out == (cli._render(chars, model.tag_chars(chars)) if chars else "")
+            assert out == (cp.format_words(chars, model.tag_chars(chars)) if chars else "")
+
+    def test_surrounding_whitespace_is_stripped(self, tmp_path):
+        fin = tmp_path / "in.txt"
+        fout = tmp_path / "out.txt"
+        fin.write_text("  abcde\t\n \t \nfgh \r\n", encoding="utf-8")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 0
+        lines = fout.read_text(encoding="utf-8").split("\n")
+        assert lines[1] == "" and len(lines) == 4
+        model = mf.load(TOY_MODEL)
+        assert lines[0] == cp.format_words(list("abcde"), model.tag_chars(list("abcde")))
+        # the tool's own parser reads its output back
+        assert [s.chars for s in cp.parse_tagged_corpus(lines)] == [list("abcde"), list("fgh")]
+
+    def test_interior_whitespace_is_refused_naming_the_line(self, tmp_path, capsys):
+        fin = tmp_path / "in.txt"
+        fin.write_text("abc\nabcde fgh\n", encoding="utf-8")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(tmp_path / "o.txt")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"segtag: {fin} line 2: raw text holds whitespace")
 
     def test_deterministic_output(self, trained, tmp_path):
         model_path, _ = trained

@@ -7,7 +7,7 @@ from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag import training as tr
-from segtag.autograd import Parameter, Tensor
+from segtag.autograd import NumericError, Parameter, Tensor
 from segtag.corpus import Vocab
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import Model
@@ -542,6 +542,21 @@ class TestManifest:
         state[1] = state[1][:, 1:]
         with pytest.raises(ValueError, match="conv.q1.w: snapshot shape"):
             Model(cfg, vocab, tagset, state=state)
+
+    # 1e39 is finite as given but past float32's range
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
+    def test_non_finite_state_is_refused_by_name(self, value):
+        vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(6, seed=1))
+        cfg = EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=4)
+        model = Model(cfg, vocab, tagset, seed=5)
+        before = model.snapshot()
+        state = [a.astype(np.float64) for a in before]
+        state[1][0, 0] = value
+        with pytest.raises(NumericError, match="parameter 'conv.q1.w' holds NaN/Inf"):
+            Model(cfg, vocab, tagset, state=state)
+        with pytest.raises(NumericError, match="parameter 'conv.q1.w' holds NaN/Inf"):
+            model.load_state(state)
+        assert all(np.array_equal(p.data, a) for (_, p), a in zip(model.parameters(), before))
 
 
 class TestConfigValidation:

@@ -3,8 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from segtag import corpus as cp
 from segtag import lattice as lat
+from segtag import modelfile as mf
 from segtag.autograd import Parameter, Tensor
+from util import PERFBENCH, bmes_mask_oracle
 
 
 def make_lattice(rng, n, n_tags, mask=None, scale=1.0, integer=False):
@@ -254,6 +257,26 @@ class TestMask:
         want = np.zeros((3, 3))
         want[1, 0], want[0, 2], want[0, 0] = 1.0, 1.0, -3.0
         assert np.array_equal(a.grad, want)
+
+
+class TestBmesMask:
+    @pytest.mark.parametrize("labels", [["NN"], ["NN", "VV", "PU"], ["a", "a\x00", "b-c", "名"]])
+    def test_cross_product_matches_oracle(self, labels):
+        tagset = cp.TagSet.cross_product(labels)
+        assert np.array_equal(lat.bmes_transition_mask(tagset), bmes_mask_oracle(list(tagset)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_observed_only_matches_oracle(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        tags = {cp.JointTag(cp.SEG_LABELS[s], ("NN", "VV", "PU", "AD")[p])
+                for s, p in rng.integers(0, 4, size=(int(rng.integers(1, 12)), 2))}
+        tagset = cp.TagSet.observed_only(tags)
+        assert np.array_equal(lat.bmes_transition_mask(tagset), bmes_mask_oracle(list(tagset)))
+
+    def test_wide_model_matches_oracle(self):
+        tagset = mf.load(PERFBENCH / "models" / "wide.model").tagset
+        assert len(tagset) == 128
+        assert np.array_equal(lat.bmes_transition_mask(tagset), bmes_mask_oracle(list(tagset)))
 
 
 class TestMarginDiffOps:

@@ -247,6 +247,38 @@ class TestLoad:
         with pytest.raises(mf.ModelCorruptionError, match="'trans.a' holds NaN/Inf"):
             mf.load(path)
 
+    @staticmethod
+    def first_tag_offset(path):
+        """Offset of the stored tag set's first (seg, pos) pair, B-NN."""
+        pair = struct.pack("<I", 1) + b"B" + struct.pack("<I", 2) + b"NN"
+        return path.read_bytes().index(pair)
+
+    def test_invalid_stored_segment_tag_is_corruption(self, tmp_path):
+        path = tmp_path / "m.model"
+        mf.save(build_model(), path)
+        rewrite_field(path, self.first_tag_offset(path) + 4, "<c", b"X")
+        with pytest.raises(mf.ModelCorruptionError, match="stored tag set is invalid: .*'X'"):
+            mf.load(path)
+
+    def test_repeated_stored_tag_is_corruption(self, tmp_path):
+        # M-NN, the second stored tag, rewritten to a second B-NN
+        path = tmp_path / "m.model"
+        mf.save(build_model(), path)
+        rewrite_field(path, self.first_tag_offset(path) + 11 + 4, "<c", b"B")
+        with pytest.raises(mf.ModelCorruptionError,
+                           match="stored tag set is invalid: a tag appears more than once"):
+            mf.load(path)
+
+    def test_stored_pos_labels_must_be_the_tags_labels(self, tmp_path):
+        # the label list NN, PU, VV precedes the tag count; rewrite PU to PX
+        path = tmp_path / "m.model"
+        mf.save(build_model(), path)
+        offset = self.first_tag_offset(path) - 4 - 6 - 6 + 5
+        rewrite_field(path, offset, "<c", b"X")
+        with pytest.raises(mf.ModelCorruptionError,
+                           match=r"stored tag set is invalid: POS labels \['NN', 'PX', 'VV'\]"):
+            mf.load(path)
+
     def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
         path = tmp_path / "m.model"
         mf.save(build_model(use_bigram=True, constrained=True), path)

@@ -85,6 +85,22 @@ def topology_grid():
     return [dict(recurrent=r, **s) for s in stacks for r in ("none", "lstm", "blstm")]
 
 
+def bmes_mask_oracle(tags):
+    """The forbidden-transition mask of lattice.bmes_transition_mask, tag
+    pair by tag pair: after B-x or M-x only M-x or E-x, after E or S only B
+    or S."""
+    n = len(tags)
+    mask = np.zeros((n, n), dtype=bool)
+    for i, a in enumerate(tags):
+        for j, b in enumerate(tags):
+            if a.seg in ("B", "M"):
+                ok = b.seg in ("M", "E") and b.pos == a.pos
+            else:
+                ok = b.seg in ("B", "S")
+            mask[i, j] = not ok
+    return mask
+
+
 def sigmoid_scalar(z):
     return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
 
