@@ -146,24 +146,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
-    def __add__(self, other):
-        """Elementwise sum; a tensor operand must match the shape exactly, a
-        python scalar folds in as a constant. The hinge graph adds its terms."""
-        tensor = isinstance(other, Tensor)
-        if tensor:
-            _same_shape("add", self, other)
-        out = Tensor(self.data + (other.data if tensor else other))
-        if not _taped("add", out, (self, other) if tensor else (self,)):
-            return out
-
-        def _back(grad):
-            _accum(self, grad)
-            if tensor:
-                _accum(other, grad)
-
-        out._backward = _back
-        return out
-
 
 class Parameter(Tensor):
     """Trainable tensor with persistent gradient and adaptive-rate accumulator.
@@ -207,11 +189,6 @@ def _accum(t, g):
         t.grad += g
     else:
         t.grad = t.grad + g
-
-
-def _same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
 
 
 def matmul(x, w):

@@ -201,23 +201,38 @@ def _write_tagged(model, lines, fout):
         print(cp.format_words(chars, next(tagged)) if chars else "", file=fout)
 
 
+def _read_raw(fin, where, fold):
+    """Every line of raw input, stripped as the corpus parser strips its
+    lines (and width-folded if fold). A line with interior whitespace is
+    refused, naming it: the space would be tagged as a character."""
+    texts = []
+    for lineno, line in enumerate(fin, start=1):
+        text = line.strip()
+        if len(text.split(maxsplit=1)) > 1:
+            raise CliError(f"{where} line {lineno}: raw text holds whitespace; "
+                           "give one unsegmented sentence per line")
+        texts.append(cp.fold_width(text) if fold else text)
+    return texts
+
+
 def cmd_tag(args):
+    """Tag raw lines. The whole input is read and checked before the output
+    is opened, so a refused line leaves no output file, and an existing one
+    keeps its bytes."""
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "tag"))
     # a model trained on width-folded text says so in its file
     fold = settings["normalize_width"] or model.normalize_width
     fin = _open_in(args.input)
+    try:
+        texts = _read_raw(fin, "standard input" if fin is sys.stdin else args.input, fold)
+    finally:
+        if fin is not sys.stdin:
+            fin.close()
     fout = _open_out(args.output)
     try:
         group, size = [], 0
-        for lineno, line in enumerate(fin, start=1):
-            text = line.strip()    # as the corpus parser strips its lines
-            if len(text.split(maxsplit=1)) > 1:    # a space would be tagged as a character
-                where = "standard input" if fin is sys.stdin else args.input
-                raise CliError(f"{where} line {lineno}: raw text holds whitespace; "
-                               "give one unsegmented sentence per line")
-            if fold:
-                text = cp.fold_width(text)
+        for text in texts:
             group.append(list(text))
             size += len(text)
             if size >= TAG_GROUP_CHARS:
@@ -225,8 +240,6 @@ def cmd_tag(args):
                 group, size = [], 0
         _write_tagged(model, group, fout)
     finally:
-        if fin is not sys.stdin:
-            fin.close()
         if fout is not sys.stdout:
             fout.close()
     return 0

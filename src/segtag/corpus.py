@@ -288,41 +288,44 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
     and is counted as skipped. Values must be finite. Pass a model's
     `embed.unigram` Parameter as `table` to fill its rows in place; without
     one, a float32 table is drawn from rng by the model's embedding rule.
+    Every EmbeddingFormatError names the file, and the line when it has one.
     """
+    def bad(what, lineno=None):
+        where = path if lineno is None else f"{path} line {lineno}"
+        return EmbeddingFormatError(f"{where}: {what}")
+
     if table is None:
         uni, = draw_parameters([("embed.unigram", (vocab.n_chars, d))],
                                rng or np.random.default_rng(0))
         table = Parameter(uni, name="embed.unigram")
     if table.shape[1] != d:
-        raise EmbeddingFormatError(f"table width {table.shape[1]} != requested d {d}")
+        raise bad(f"table width {table.shape[1]} != requested d {d}")
 
     loaded = skipped = 0
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
-            raise EmbeddingFormatError("missing '<count> <dim>' header line")
+            raise bad("missing '<count> <dim>' header line")
         try:
             _, dim = int(header[0]), int(header[1])
         except ValueError:
-            raise EmbeddingFormatError(f"bad header {' '.join(header)!r}") from None
+            raise bad(f"bad header {' '.join(header)!r}") from None
         if dim != d:
-            raise EmbeddingFormatError(f"file dimension {dim} != model dimension {d}")
+            raise bad(f"file dimension {dim} != model dimension {d}")
         for lineno, line in enumerate(f, start=2):
             fields = line.rstrip("\n").split()
             if not fields:
                 continue
             if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: expected token + {dim} values, got {len(fields) - 1}"
-                )
+                raise bad(f"expected token + {dim} values, got {len(fields) - 1}", lineno)
             token = fields[0]
             try:
                 with np.errstate(over="ignore"):    # past the table's range is inf, refused below
                     vec = np.array([float(v) for v in fields[1:]], dtype=table.dtype)
             except ValueError:
-                raise EmbeddingFormatError(f"line {lineno}: malformed float") from None
+                raise bad("malformed float", lineno) from None
             if not np.isfinite(vec).all():
-                raise EmbeddingFormatError(f"line {lineno}: NaN or infinite value")
+                raise bad("NaN or infinite value", lineno)
             row = vocab.char_to_id.get(token)
             if row is None:
                 skipped += 1

@@ -5,6 +5,9 @@ transition matrix. A path scores the sum of its emissions and the
 transition scores between consecutive tags; Viterbi finds the exact argmax,
 optionally over hamming-margin-augmented emissions for max-margin training.
 A brute-force enumerator with identical tie-breaking serves as the oracle.
+The module records no tape: it decodes, and it counts the tags and arcs on
+which two paths differ, which training's hinge node weighs
+(training.hinge_loss_graph).
 
 A lattice may pack several sentences end to end (``lengths``): Viterbi then
 decodes each one on its own, all of them in the same steps, and no
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, _accum, _check_lengths, _packed_steps, _taped, matmul
+from .autograd import _check_lengths, _packed_steps, matmul
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -88,8 +91,8 @@ def emission_scores(h, w, b):
     """Tag scores per position, a plain linear map: the tensor h @ W, on the
     tape when one is recording, and the array h @ W + b of the lattice.
 
-    The bias reaches the gradient through tag_count_diff, which counts tags
-    instead of adding b to every row of the tape.
+    The bias reaches the gradient through the hinge's tag counts
+    (tag_count_diff) instead of being added to every row of the tape.
     """
     scores_t = matmul(h, w)
     return scores_t, scores_t.data + b.data
@@ -224,67 +227,27 @@ def brute_force_decode(lat, gold=None, eta=0.0):
     return path, score
 
 
-def path_emission_diff(scores_t, path, gold):
-    """Differentiable sum_i scores[i, path_i] - scores[i, gold_i].
+def path_emission_diff(scores, path, gold):
+    """sum_i scores[i, path_i] - scores[i, gold_i] over an n x |T| score array.
 
     The subtraction happens per position before summation, so positions
-    where the sequences agree cancel bitwise: they contribute exactly zero
-    to the value and the gradient, and perturbing parameters that only feed
-    such positions cannot move the result. scores_t is the per-position tag
-    score tensor without the bias row (the bias is handled by
-    tag_count_diff, whose cancellation is exact in integer counts).
+    where the sequences agree cancel bitwise: they add exactly zero, and
+    scores that only such positions read cannot move the result.
     """
-    path = np.asarray(path, dtype=np.intp)
-    gold = np.asarray(gold, dtype=np.intp)
-    rows = np.arange(scores_t.shape[0])
-    out = Tensor((scores_t.data[rows, path] - scores_t.data[rows, gold]).sum())
-    if not _taped("path_emission_diff", out, (scores_t,)):
-        return out
-
-    def _back(grad):
-        g = np.zeros_like(scores_t.data)
-        np.add.at(g, (rows, path), grad)
-        np.add.at(g, (rows, gold), -grad)
-        _accum(scores_t, g)
-
-    out._backward = _back
-    return out
+    rows = np.arange(len(scores))
+    return (scores[rows, path] - scores[rows, gold]).sum()
 
 
-def _count_weighted(op, param, counts):
-    """Differentiable sum of integer counts times the entries of param they
-    index. Entries counted zero times are left out, so the value and
-    gradient are bitwise independent of them."""
-    idx = np.nonzero(counts)
-    weights = counts[idx].astype(param.data.dtype)
-    out = Tensor((param.data[idx] * weights).sum())
-    if not _taped(op, out, (param,)):
-        return out
-
-    def _back(grad):
-        param.grad[idx] += weights * grad
-
-    out._backward = _back
-    return out
-
-
-def tag_count_diff(b_param, path, gold):
-    """Differentiable sum_t (uses in path - uses in gold) * b[t].
-
-    Tags used equally often by both sequences drop out entirely, so the
-    value and gradient are bitwise independent of their bias entries.
-    """
-    n_tags = b_param.shape[0]
-    counts = (np.bincount(np.asarray(path, dtype=np.intp), minlength=n_tags)
-              - np.bincount(np.asarray(gold, dtype=np.intp), minlength=n_tags))
-    return _count_weighted("tag_count_diff", b_param, counts)
+def tag_count_diff(n_tags, path, gold):
+    """Per tag: its uses in path minus its uses in gold, as integers."""
+    return np.bincount(path, minlength=n_tags) - np.bincount(gold, minlength=n_tags)
 
 
 def arc_count_diff(trans, path, gold, lengths=None):
-    """Differentiable sum over arcs of (uses in path - uses in gold) * trans.a[arc].
+    """Per arc i -> j: its uses in path minus its uses in gold, as an
+    integer |T| x |T| array.
 
-    Arc counts are integers, so arcs crossed equally often cancel exactly;
-    masked arcs contribute nothing and receive no gradient. With several
+    Masked arcs count zero; decoding never crosses them anyway. With several
     sentences packed in the sequences (`lengths`, default one), the arc out
     of each sentence's last character is not counted, as in path_score.
     """
@@ -297,8 +260,8 @@ def arc_count_diff(trans, path, gold, lengths=None):
     np.add.at(counts, (path[:-1], path[1:]), within)
     np.add.at(counts, (gold[:-1], gold[1:]), -within)
     if trans.mask is not None:
-        counts[trans.mask] = 0   # decoding never crosses masked arcs anyway
-    return _count_weighted("arc_count_diff", trans.a, counts)
+        counts[trans.mask] = 0
+    return counts
 
 
 def bmes_transition_mask(tagset):

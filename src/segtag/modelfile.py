@@ -24,7 +24,8 @@ Layout (all integers little-endian, strings UTF-8 with a u32 length prefix):
 
 Parameter blocks follow the model's manifest (``encoder.parameter_manifest``);
 the LSTM gate blocks inside each weight matrix are stored in (input, output,
-forget, candidate) order. Saving is byte-deterministic. Loading verifies the
+forget, candidate) order. Saving is byte-deterministic, and it refuses a
+parameter that would be stored as NaN/Inf, as loading does. Loading verifies the
 checksum before trusting any content, checks every block's name, shape and
 size against the manifest of the stored config, vocabulary and tag set before
 it allocates a parameter, and builds the model from the stored arrays with
@@ -97,9 +98,6 @@ class _Writer:
         data = s.encode("utf-8")
         self.u32(len(data))
         self.buf.write(data)
-
-    def f32_array(self, arr):
-        self.buf.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
     def getvalue(self):
         return self.buf.getvalue()
@@ -258,7 +256,12 @@ def _read_tagset(r):
 
 
 def save(model, path, train_cfg=None):
-    """Write the model; returns the file's CRC-32 checksum."""
+    """Write the model; returns the file's CRC-32 checksum.
+
+    A parameter that holds NaN/Inf once stored as float32 (a value past its
+    range included) is refused with a NumericError naming it before the file
+    is opened, since load would refuse the file.
+    """
     tc = train_cfg or model.train_cfg or TrainConfig()
     w = _Writer()
     w.raw(MAGIC)
@@ -271,11 +274,15 @@ def save(model, path, train_cfg=None):
     params = model.parameters()
     w.u32(len(params))
     for name, p in params:
+        with np.errstate(over="ignore"):    # past float32's range is inf, refused next
+            values = np.ascontiguousarray(p.data, dtype="<f4")
+        if not np.isfinite(values).all():
+            raise NumericError(f"parameter {name!r} holds NaN/Inf; not saving {path}")
         w.string(name)
         w.u32(p.data.ndim)
         for extent in p.data.shape:
             w.u32(extent)
-        w.f32_array(p.data)
+        w.raw(values.tobytes())
     body = w.getvalue()
     checksum = zlib.crc32(body)
     try:

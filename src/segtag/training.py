@@ -108,26 +108,49 @@ def regularizer_value(params, l2):
 
 
 def hinge_loss_graph(model, ids, gold, eta):
-    """Summed hinge loss of the sentence(s) in ids as an autograd tensor, plus
-    the detached per-sentence losses and the violator (packed like gold).
+    """Summed hinge loss of the sentence(s) in ids as one tape node, plus the
+    detached per-sentence losses and the violator (packed like gold).
 
-    The tensor is score(violator) - score(gold) + margin, assembled from
-    three pieces whose inactive coordinates cancel exactly: per-position
-    differences of the unbiased scores, integer tag-count differences times
-    the projection bias, and integer arc-count differences within sentences
-    times the transition matrix. backward() routes the subgradient through
-    the encoder, the projection and the transitions.
+    The node's inputs are the unbiased tag scores, the projection bias and
+    the transition matrix. Its value score(violator) - score(gold) + margin
+    is assembled from pieces whose inactive coordinates cancel exactly:
+    per-position differences of the unbiased scores, integer tag-count
+    differences times the bias, and integer arc-count differences within
+    sentences times the transitions (masked arcs count zero). Its backward
+    scatters +-1 into the scores' gradient, which the projection and the
+    encoder carry on, and adds the counts to the bias and transition
+    gradients.
     """
     scores_t, emissions = model.emissions(ids)
     lat = lt.TagScoreLattice(emissions, model.trans, ids.lengths)
     losses, violator = hinge_losses(lat, gold, eta)
-    diff = (
-        lt.path_emission_diff(scores_t, violator, gold)
-        + lt.tag_count_diff(model.named["proj.b"], violator, gold)
-        + lt.arc_count_diff(model.trans, violator, gold, ids.lengths)
-        + margin_delta(gold, violator, eta)
-    )
+    b, a = model.named["proj.b"], model.trans.a
+    tags = lt.tag_count_diff(b.shape[0], violator, gold).astype(b.dtype)
+    arcs = lt.arc_count_diff(model.trans, violator, gold, ids.lengths).astype(a.dtype)
+    diff = ag.Tensor(lt.path_emission_diff(scores_t.data, violator, gold)
+                     + _counted(b.data, tags) + _counted(a.data, arcs)
+                     + margin_delta(gold, violator, eta))
+    if not ag._taped("hinge_loss_graph", diff, (scores_t, b, a)):
+        return diff, losses, violator
+    rows = np.arange(len(violator))
+
+    def _back(grad):
+        g = np.zeros_like(scores_t.data)
+        g[rows, violator] += grad    # each index pair holds one row once
+        g[rows, gold] -= grad
+        ag._accum(scores_t, g)
+        ag._accum(b, tags * grad)
+        ag._accum(a, arcs * grad)
+
+    diff._backward = _back
     return diff, losses, violator
+
+
+def _counted(values, counts):
+    """sum(counts * values) over the entries counted at least once, so the
+    entries counted zero times are bitwise left out."""
+    idx = np.nonzero(counts)
+    return (values[idx] * counts[idx]).sum()
 
 
 def apply_update(model, cfg, batch_size):

@@ -173,6 +173,37 @@ class TestTrainCommand:
         row = model.named["embed.unigram"].data[model.vocab.char_id("a")]
         assert abs(float(row.mean()) - 0.5) < 0.45
 
+    def test_non_embedding_file_is_named(self, toy_files, capsys):
+        # a corpus file has no '<count> <dim>' header
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), "--embeddings", str(corpus))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"segtag: {corpus}: missing '<count> <dim>' header line\n"
+        assert not model_path.exists()
+
+    def test_overflowing_update_writes_no_model(self, tmp_path):
+        # four sentences leave the 0.1 dev split empty, so no forward pass
+        # runs after the one update that lr = 1e300 throws past float32's
+        # range: the save refuses the parameters instead of writing a model
+        # that loading refuses. A subprocess, so the overflow stays a warning.
+        corpus = tmp_path / "train.txt"
+        corpus.write_text(cp.serialize_corpus(toy_corpus(4, seed=5)), encoding="utf-8")
+        config = tmp_path / "hot.cfg"
+        config.write_text("d = 8\nh = 8\nfeature_map_sets = 2\nfeature_map_size = 8\n"
+                          "lr = 1e300\nepochs = 1\n", encoding="utf-8")
+        model_path = tmp_path / "m.model"
+        proc = subprocess.run([sys.executable, "-m", "segtag.cli", "train", "--config",
+                               str(config), "--corpus", str(corpus), "--model", str(model_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        lines = [line for line in proc.stderr.splitlines() if line.startswith("segtag:")]
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith("segtag: parameter '") and "NaN/Inf" in lines[0]
+        assert not model_path.exists()
+
 
 class TestTagCommand:
     @pytest.fixture()
@@ -241,6 +272,22 @@ class TestTagCommand:
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(tmp_path / "o.txt")) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"segtag: {fin} line 2: raw text holds whitespace")
+
+    def test_refused_line_leaves_no_output(self, tmp_path, capsys):
+        # the refused line comes after more than one group of tagged lines
+        rng = np.random.default_rng(4)
+        lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
+        assert sum(map(len, lines)) > cli.TAG_GROUP_CHARS
+        fin = tmp_path / "in.txt"
+        fin.write_text("\n".join(lines + ["ab cd"]) + "\n", encoding="utf-8")
+        fout = tmp_path / "out.txt"
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
+        assert capsys.readouterr().err.startswith(f"segtag: {fin} line 21: ")
+        assert not fout.exists()
+        # an existing output file keeps its bytes
+        fout.write_bytes(b"kept\n")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
+        assert fout.read_bytes() == b"kept\n"
 
     def test_deterministic_output(self, trained, tmp_path):
         model_path, _ = trained

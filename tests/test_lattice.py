@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from segtag import corpus as cp
 from segtag import lattice as lat
 from segtag import modelfile as mf
+from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
-from util import PERFBENCH, bmes_mask_oracle
+from util import PERFBENCH, bmes_mask_oracle, projection_model
 
 
 def make_lattice(rng, n, n_tags, mask=None, scale=1.0, integer=False):
@@ -54,7 +56,7 @@ class TestEmissionScores:
         for i in range(3):
             for j in range(2):
                 want[i, j] = sum(h[i, k] * w[k, j] for k in range(4))
-        # the tensor leaves the bias to tag_count_diff; the lattice's array adds it
+        # the tensor leaves the bias to the hinge's tag counts; the lattice's array adds it
         assert np.allclose(scores_t.data, want, atol=1e-12)
         assert np.allclose(emissions, want + b, atol=1e-12)
         assert np.array_equal(emissions, h @ w + b)
@@ -243,20 +245,28 @@ class TestMask:
         with pytest.raises(lat.InfeasibleLatticeError):
             lat.brute_force_decode(l)
 
-    def test_masked_entries_get_no_gradient(self):
-        rng = np.random.default_rng(14)
-        a = Parameter(rng.normal(size=(3, 3)))
+    def test_masked_arcs_count_zero_and_get_no_gradient(self):
         mask = np.zeros((3, 3), dtype=bool)
         mask[0, 1] = True
-        trans = lat.TransitionMatrix(a, mask)
-        path, gold = [0, 1, 0, 2], [0, 0, 0, 0]
-        out = lat.arc_count_diff(trans, path, gold)
-        # the masked arc 0->1 counts for nothing, in the value and the gradient
-        assert abs(out.item() - (a.data[1, 0] + a.data[0, 2] - 3 * a.data[0, 0])) < 1e-12
-        out.backward()
-        want = np.zeros((3, 3))
-        want[1, 0], want[0, 2], want[0, 0] = 1.0, 1.0, -3.0
-        assert np.array_equal(a.grad, want)
+        trans = lat.TransitionMatrix(Parameter(np.zeros((3, 3))), mask)
+        # the masked arc 0->1 counts for nothing
+        want = np.zeros((3, 3), dtype=int)
+        want[1, 0], want[0, 2], want[0, 0] = 1, 1, -3
+        assert np.array_equal(lat.arc_count_diff(trans, [0, 1, 0, 2], [0, 0, 0, 0]), want)
+        # the hinge node adds the same counts to the gradient: a gold path
+        # crossing the masked arc leaves its entry untouched
+        rng = np.random.default_rng(14)
+        trans.a.data[...] = rng.normal(size=(3, 3))
+        gold = [0, 1, 1, 2]
+        model = projection_model(Parameter(rng.normal(size=(4, 2))),
+                                 Parameter(rng.normal(size=(2, 3))), Parameter(np.zeros(3)), trans)
+        one_sentence = SimpleNamespace(lengths=[4])
+        diff, (loss,), violator = tr.hinge_loss_graph(model, one_sentence, gold, 0.2)
+        assert loss > 0.0
+        diff.backward()
+        assert trans.a.grad[0, 1] == 0.0
+        assert np.array_equal(trans.a.grad, lat.arc_count_diff(trans, violator, gold))
+        assert np.any(trans.a.grad)
 
 
 class TestBmesMask:
@@ -279,51 +289,85 @@ class TestBmesMask:
         assert np.array_equal(lat.bmes_transition_mask(tagset), bmes_mask_oracle(list(tagset)))
 
 
-class TestMarginDiffOps:
-    def test_path_emission_diff_value_and_gradient(self):
+class TestPathDiffHelpers:
+    """The emission difference and the integer counts the hinge node weighs."""
+
+    def test_path_emission_diff(self):
         rng = np.random.default_rng(17)
-        scores = Parameter(rng.normal(size=(4, 3)))
+        scores = rng.normal(size=(4, 3))
         path, gold = [2, 1, 0, 1], [2, 0, 0, 2]
-        out = lat.path_emission_diff(scores, path, gold)
-        want = sum(scores.data[i, p] - scores.data[i, g]
-                   for i, (p, g) in enumerate(zip(path, gold)))
-        assert abs(out.item() - want) < 1e-12
-        out.backward()
-        # positions 0 and 2 agree: exactly zero gradient rows
-        assert not np.any(scores.grad[0]) and not np.any(scores.grad[2])
-        assert scores.grad[1, 1] == 1.0 and scores.grad[1, 0] == -1.0
+        want = sum(scores[i, p] - scores[i, g] for i, (p, g) in enumerate(zip(path, gold)))
+        assert abs(lat.path_emission_diff(scores, path, gold) - want) < 1e-12
 
     def test_agreeing_positions_are_bitwise_inert(self):
         rng = np.random.default_rng(18)
-        scores = Parameter(rng.normal(size=(3, 3)))
+        scores = rng.normal(size=(3, 3))
         path, gold = [1, 2, 1], [1, 0, 1]
-        before = lat.path_emission_diff(scores, path, gold).item()
-        scores.data[0, 1] += 17.0   # only touched by the agreeing position
-        assert lat.path_emission_diff(scores, path, gold).item() == before
+        before = lat.path_emission_diff(scores, path, gold)
+        scores[0, 1] += 17.0   # only read by the agreeing position
+        assert lat.path_emission_diff(scores, path, gold) == before
 
     def test_tag_count_diff(self):
-        b = Parameter(np.array([1.0, 10.0, 100.0]))
         # tag 1 used once by both: drops out; tag 0 net +1, tag 2 net -1
-        out = lat.tag_count_diff(b, [0, 1, 0], [0, 1, 2])
-        assert out.item() == 1.0 - 100.0
-        out.backward()
-        assert b.grad.tolist() == [1.0, 0.0, -1.0]
+        assert lat.tag_count_diff(3, [0, 1, 0], [0, 1, 2]).tolist() == [1, 0, -1]
 
     def test_arc_count_diff(self):
-        a = Parameter(np.arange(9.0).reshape(3, 3))
-        trans = lat.TransitionMatrix(a)
-        path, gold = [0, 1, 2], [0, 1, 1]
+        trans = lat.TransitionMatrix(Parameter(np.zeros((3, 3))))
         # shared arc 0->1 cancels; net +1 on 1->2, -1 on 1->1
-        out = lat.arc_count_diff(trans, path, gold)
-        assert out.item() == a.data[1, 2] - a.data[1, 1]
-        out.backward()
-        want = np.zeros((3, 3))
-        want[1, 2], want[1, 1] = 1.0, -1.0
-        assert np.array_equal(a.grad, want)
+        want = np.zeros((3, 3), dtype=int)
+        want[1, 2], want[1, 1] = 1, -1
+        assert np.array_equal(lat.arc_count_diff(trans, [0, 1, 2], [0, 1, 1]), want)
+
+    def test_arc_count_diff_skips_sentence_boundaries(self):
+        trans = lat.TransitionMatrix(Parameter(np.zeros((2, 2))))
+        # packed [0, 1] + [1, 0] against [0, 0] + [0, 0]: the arc 1->1 across
+        # the boundary is counted for neither
+        want = np.array([[-2, 1], [1, 0]])
+        assert np.array_equal(lat.arc_count_diff(trans, [0, 1, 1, 0], [0, 0, 0, 0], [2, 2]), want)
 
     def test_arc_count_diff_single_position(self):
-        a = Parameter(np.ones((2, 2)))
-        out = lat.arc_count_diff(lat.TransitionMatrix(a), [1], [0])
-        assert out.item() == 0.0
-        out.backward()
-        assert not np.any(a.grad)
+        trans = lat.TransitionMatrix(Parameter(np.ones((2, 2))))
+        assert not lat.arc_count_diff(trans, [1], [0]).any()
+
+    @pytest.mark.parametrize("helper", ["path_emission_diff", "tag_count_diff",
+                                        "arc_count_diff", "score_difference"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sentence_by_sentence_loops(self, helper, seed):
+        # random shapes and ragged packings, odd seeds with random forbidden
+        # transitions: each helper against loops over the packed sentences,
+        # and the three weighted by the bias and the transitions against the
+        # path-score difference the hinge node's value stands for
+        rng = np.random.default_rng(1900 + seed)
+        n_tags = int(rng.integers(2, 5))
+        lengths = rng.integers(1, 5, size=int(rng.integers(1, 4))).tolist()
+        m = sum(lengths)
+        mask = rng.random((n_tags, n_tags)) < 0.4 if seed % 2 else None
+        trans = lat.TransitionMatrix(Parameter(rng.normal(size=(n_tags, n_tags))), mask)
+        scores, b = rng.normal(size=(m, n_tags)), rng.normal(size=n_tags)
+        path, gold = rng.integers(0, n_tags, size=m), rng.integers(0, n_tags, size=m)
+        ends = np.cumsum(lengths)
+        sentences = [slice(end - n, end) for n, end in zip(lengths, ends)]
+        if helper == "path_emission_diff":
+            want = sum(scores[i, path[i]] - scores[i, gold[i]] for i in range(m))
+            assert lat.path_emission_diff(scores, path, gold) == pytest.approx(want, abs=1e-12)
+        elif helper == "tag_count_diff":
+            want = [path.tolist().count(t) - gold.tolist().count(t) for t in range(n_tags)]
+            assert lat.tag_count_diff(n_tags, path, gold).tolist() == want
+        elif helper == "arc_count_diff":
+            want = np.zeros((n_tags, n_tags), dtype=int)
+            for s in sentences:
+                for seq, sign in ((path[s], 1), (gold[s], -1)):
+                    for i, j in zip(seq[:-1], seq[1:]):
+                        if mask is None or not mask[i, j]:
+                            want[i, j] += sign
+            assert np.array_equal(lat.arc_count_diff(trans, path, gold, lengths), want)
+        else:
+            free = lat.TransitionMatrix(trans.a)
+            got = (lat.path_emission_diff(scores, path, gold)
+                   + lat.tag_count_diff(n_tags, path, gold) @ b
+                   + (lat.arc_count_diff(free, path, gold, lengths) * trans.a.data).sum())
+            emissions = scores + b
+            want = sum(path_score_oracle(emissions[s], trans.a.data, path[s])
+                       - path_score_oracle(emissions[s], trans.a.data, gold[s])
+                       for s in sentences)
+            assert got == pytest.approx(want, abs=1e-9)

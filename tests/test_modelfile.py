@@ -9,6 +9,7 @@ import pytest
 
 from segtag import corpus as cp
 from segtag import modelfile as mf
+from segtag.autograd import NumericError
 from segtag.encoder import EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
@@ -58,6 +59,22 @@ class TestSave:
         loaded = mf.load(p1)
         mf.save(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("dtype, value", [(np.float32, np.nan), (np.float32, np.inf),
+                                              (np.float64, 1e300)])
+    def test_non_finite_parameter_refused_before_the_file_opens(self, tmp_path, dtype, value):
+        # 1e300 is finite in float64 but inf once stored as float32
+        model = build_model()
+        model = Model(model.cfg, model.vocab, model.tagset, dtype=dtype)
+        model.named["lstm.bwd.w"].data[1, 2] = value
+        path = tmp_path / "a.model"
+        with pytest.raises(NumericError, match="parameter 'lstm.bwd.w' holds NaN/Inf"):
+            mf.save(model, path)
+        assert not path.exists()
+        path.write_bytes(b"kept")
+        with pytest.raises(NumericError):
+            mf.save(model, path)
+        assert path.read_bytes() == b"kept"
 
     def test_unwritable_path_surfaces_oserror(self, tmp_path):
         model = build_model()

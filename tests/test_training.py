@@ -14,7 +14,7 @@ from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import TRAIN_CHUNK_CHARS, Model
 from segtag.toydata import toy_corpus
-from util import randomize_parameters, taped_sum
+from util import projection_model, randomize_parameters, taped_sum, taped_total
 
 
 def tiny_model(seed=1, dtype=np.float32, **cfg_kwargs):
@@ -180,11 +180,8 @@ class TestBackpropMargin:
         # projection, so the margin picks the violator [0, 1, 1]
         hidden = Parameter(np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 0.0]]))
         a = Parameter(np.zeros((2, 2)))
-        named = {"proj.w": Parameter(np.eye(2)), "proj.b": Parameter(np.zeros(2))}
-        model = SimpleNamespace(
-            emissions=lambda ids: lt.emission_scores(hidden, named["proj.w"], named["proj.b"]),
-            named=named,
-            trans=lt.TransitionMatrix(a))
+        b = Parameter(np.zeros(2))
+        model = projection_model(hidden, Parameter(np.eye(2)), b, lt.TransitionMatrix(a))
         ids = SimpleNamespace(lengths=np.array([3]))
         diff, (loss,), violator = tr.hinge_loss_graph(model, ids, [0, 1, 0], eta=0.2)
         assert violator == [0, 1, 1]
@@ -195,7 +192,28 @@ class TestBackpropMargin:
         assert a.grad[1, 1] == 1.0
         assert hidden.grad[2, 1] == 1.0 and hidden.grad[2, 0] == -1.0
         assert not np.any(hidden.grad[:2])
-        assert named["proj.b"].grad.tolist() == [-1.0, 1.0]
+        assert b.grad.tolist() == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_backward_adds_violator_minus_gold(self, seed):
+        # through an identity projection, the tag scores' gradient is the
+        # violator's one-hot rows minus gold's, and the bias and transitions
+        # get the integer tag and within-sentence arc count differences
+        rng = np.random.default_rng(40 + seed)
+        n_tags, lengths = 4, [3, 1, 5]
+        hidden = Parameter(rng.normal(size=(9, n_tags)))
+        b = Parameter(rng.normal(size=n_tags))
+        trans = lt.TransitionMatrix(Parameter(rng.normal(size=(n_tags, n_tags))))
+        model = projection_model(hidden, Parameter(np.eye(n_tags)), b, trans)
+        gold = rng.integers(0, n_tags, size=9)
+        diff, losses, violator = tr.hinge_loss_graph(
+            model, SimpleNamespace(lengths=np.array(lengths)), gold, eta=0.5)
+        assert losses.any()
+        diff.backward()
+        onehot = np.eye(n_tags)
+        assert np.array_equal(hidden.grad, onehot[violator] - onehot[gold])
+        assert np.array_equal(b.grad, lt.tag_count_diff(n_tags, violator, gold))
+        assert np.array_equal(trans.a.grad, lt.arc_count_diff(trans, violator, gold, lengths))
 
     def test_tape_size_does_not_grow_with_sentence_length(self):
         # the conv bank and each LSTM direction are one tape node each, so the
@@ -223,7 +241,7 @@ class TestBackpropMargin:
 
     def test_hinge_graph_op_nodes_at_published_widths(self):
         # embed, conv bank, k-max, highway, two LSTM directions and their concat,
-        # the projection, and six for the hinge sum: each layer is one node
+        # the projection, and the hinge: each layer is one node
         sents = toy_corpus(3, seed=3)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
         model = Model(EncoderConfig(), vocab, tagset, seed=1)
@@ -237,7 +255,7 @@ class TestBackpropMargin:
                 seen.add(id(node))
                 ops += node._backward is not None
                 stack.extend(node._prev)
-        assert ops == 14
+        assert ops == 9
 
     def test_full_model_gradient_passes_grad_check(self):
         model, _ = tiny_model(dtype=np.float64)
@@ -264,11 +282,7 @@ class TestBackpropMargin:
 
         def f():
             diff, _, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
-            reg = None
-            for p in params:
-                term = taped_sum(p, "square")
-                reg = term if reg is None else reg + term
-            return diff + taped_sum(reg, scale=0.5 * l2)
+            return taped_total([diff] + [taped_sum(p, "square", scale=0.5 * l2) for p in params])
 
         assert ag.grad_check(f, params, eps=1e-5) <= 1e-4
 

@@ -7,11 +7,13 @@ cross-checks for the vectorized implementations.
 import importlib.util
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from segtag import autograd as ag
 from segtag import encoder as enc
+from segtag import lattice as lt
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -45,6 +47,26 @@ def taped_sum(x, act=None, scale=1.0):
     if ag._taped("taped_sum", out, (x,)):
         out._backward = lambda grad: ag._accum(x, (grad * scale) * dy)
     return out
+
+
+def taped_total(terms):
+    """Scalar root: the sum of scalar tensors, on the tape, each term getting
+    the root's gradient."""
+    terms = tuple(terms)
+    out = ag.Tensor(sum(t.data for t in terms))
+    if ag._taped("taped_total", out, terms):
+        def _back(grad):
+            for t in terms:
+                ag._accum(t, grad)
+        out._backward = _back
+    return out
+
+
+def projection_model(hidden, w, b, trans):
+    """What training.hinge_loss_graph reads of a Model, with the encoder
+    output fixed to `hidden`: tag scores hidden @ w (+ b in the lattice)."""
+    return SimpleNamespace(emissions=lambda ids: lt.emission_scores(hidden, w, b),
+                           named={"proj.w": w, "proj.b": b}, trans=trans)
 
 
 def init_encoder_params(cfg, n_unigrams, n_bigrams, rng, dtype=np.float32):
