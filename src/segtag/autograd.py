@@ -207,28 +207,6 @@ def matmul(x, w):
     return out
 
 
-def concat_cols(parts):
-    """Concatenate 2-D tensors with equal row counts along columns."""
-    parts = list(parts)
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row mismatch in {[p.shape for p in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
-    if not _taped("concat_cols", out, tuple(parts)):
-        return out
-
-    def _back(grad):
-        ofs = 0
-        for p in parts:
-            w = p.shape[1]
-            _accum(p, grad[:, ofs:ofs + w])
-            ofs += w
-
-    out._backward = _back
-    return out
-
-
 def _check_lengths(lengths, n):
     """`lengths` (None: one sentence) as an array, checked to split n packed
     rows into sentences."""

@@ -143,6 +143,20 @@ def _require(settings, key, command):
     return settings[key]
 
 
+def _read_corpus(path, settings, fold):
+    """The sentences of a word/POS corpus file. A malformed token is refused
+    naming the file and the line, and a file without sentences is refused."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
+                                               normalize_width=fold)
+        except cp.CorpusFormatError as e:
+            raise CliError(f"{path} {e}") from None
+    if not sentences:
+        raise CliError(f"no sentences in {path}")
+    return sentences
+
+
 def cmd_train(args):
     settings = resolve_settings(args)
     corpus_path = _require(settings, "corpus", "train")
@@ -150,11 +164,7 @@ def cmd_train(args):
     cfg = encoder_config_from(settings)
     train_cfg = train_config_from(settings)
 
-    with open(corpus_path, encoding="utf-8") as f:
-        sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
-                                           normalize_width=settings["normalize_width"])
-    if not sentences:
-        raise CliError(f"no sentences in {corpus_path}")
+    sentences = _read_corpus(corpus_path, settings, settings["normalize_width"])
     vocab, tagset = cp.build_vocab_and_tagset(
         sentences, min_count=settings["min_count"],
         bigram_min_count=settings["bigram_min_count"],
@@ -173,9 +183,7 @@ def cmd_train(args):
 
     dev = None
     if settings["dev"]:
-        with open(settings["dev"], encoding="utf-8") as f:
-            dev = cp.parse_tagged_corpus(f, strict=settings["strict"],
-                                         normalize_width=settings["normalize_width"])
+        dev = _read_corpus(settings["dev"], settings, settings["normalize_width"])
     best = train(sentences, model, train_cfg, dev=dev)
     model.train_cfg = train_cfg
     checksum = mf.save(model, model_path)
@@ -185,20 +193,18 @@ def cmd_train(args):
     return 0
 
 
-def _open_in(path):
-    return sys.stdin if path in (None, "-") else open(path, encoding="utf-8")
-
-
-def _open_out(path):
-    return sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
-
-
-def _write_tagged(model, lines, fout):
-    """Tag a group of input lines (character lists) together and write them
-    in input order; a blank line stays blank."""
-    tagged = iter(model.tag_batch([chars for chars in lines if chars]))
-    for chars in lines:
-        print(cp.format_words(chars, next(tagged)) if chars else "", file=fout)
+def _tagged_lines(model, texts):
+    """The output lines of raw input lines, a blank one kept blank, tagged in
+    groups of about TAG_GROUP_CHARS characters to bound the tags held at once."""
+    out, group, size = [], [], 0
+    for i, text in enumerate(texts):
+        group.append(list(text))
+        size += len(text)
+        if size >= TAG_GROUP_CHARS or i == len(texts) - 1:
+            tagged = iter(model.tag_batch([chars for chars in group if chars]))
+            out += [cp.format_words(chars, next(tagged)) if chars else "" for chars in group]
+            group, size = [], 0
+    return out
 
 
 def _read_raw(fin, where, fold):
@@ -216,32 +222,24 @@ def _read_raw(fin, where, fold):
 
 
 def cmd_tag(args):
-    """Tag raw lines. The whole input is read and checked before the output
-    is opened, so a refused line leaves no output file, and an existing one
-    keeps its bytes."""
+    """Tag raw lines. The whole input is read, checked and tagged before the
+    output is opened, so a refused line or a failed tagging leaves no output
+    file, and an existing one keeps its bytes."""
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "tag"))
     # a model trained on width-folded text says so in its file
     fold = settings["normalize_width"] or model.normalize_width
-    fin = _open_in(args.input)
-    try:
-        texts = _read_raw(fin, "standard input" if fin is sys.stdin else args.input, fold)
-    finally:
-        if fin is not sys.stdin:
-            fin.close()
-    fout = _open_out(args.output)
-    try:
-        group, size = [], 0
-        for text in texts:
-            group.append(list(text))
-            size += len(text)
-            if size >= TAG_GROUP_CHARS:
-                _write_tagged(model, group, fout)
-                group, size = [], 0
-        _write_tagged(model, group, fout)
-    finally:
-        if fout is not sys.stdout:
-            fout.close()
+    if args.input in (None, "-"):
+        texts = _read_raw(sys.stdin, "standard input", fold)
+    else:
+        with open(args.input, encoding="utf-8") as fin:
+            texts = _read_raw(fin, args.input, fold)
+    out = "".join(line + "\n" for line in _tagged_lines(model, texts))
+    if args.output in (None, "-"):
+        sys.stdout.write(out)
+    else:
+        with open(args.output, "w", encoding="utf-8") as fout:
+            fout.write(out)
     return 0
 
 
@@ -253,11 +251,7 @@ def cmd_eval(args):
     model = mf.load(_require(settings, "model", "eval"))
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
-    with open(gold_path, encoding="utf-8") as f:
-        sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
-                                           normalize_width=fold)
-    if not sentences:
-        raise CliError(f"no sentences in {gold_path}")
+    sentences = _read_corpus(gold_path, settings, fold)
     gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
     pred = [ev.decode_tags_to_words(tags)
             for tags in model.tag_batch([s.chars for s in sentences])]

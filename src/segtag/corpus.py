@@ -282,12 +282,12 @@ class EmbeddingLoadStats:
 def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
     """Initialize a character embedding table from a word2vec-format text file.
 
-    The file starts with a "<count> <dim>" header; each following line is a
-    token and dim whitespace-separated reals. Rows for in-vocabulary
-    characters are copied; everything else keeps its random initialization
-    and is counted as skipped. Values must be finite. Pass a model's
-    `embed.unigram` Parameter as `table` to fill its rows in place; without
-    one, a float32 table is drawn from rng by the model's embedding rule.
+    The file starts with a "<count> <dim>" header; each of the count lines
+    after it is a distinct token and dim whitespace-separated finite reals.
+    Rows for in-vocabulary characters are copied once the whole file is
+    checked; the rest keep their initial values and count as skipped. Pass a
+    model's `embed.unigram` Parameter as `table` to fill its rows in place;
+    without one, a float32 table is drawn from rng by the model's embedding rule.
     Every EmbeddingFormatError names the file, and the line when it has one.
     """
     def bad(what, lineno=None):
@@ -301,17 +301,19 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
     if table.shape[1] != d:
         raise bad(f"table width {table.shape[1]} != requested d {d}")
 
-    loaded = skipped = 0
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise bad("missing '<count> <dim>' header line")
         try:
-            _, dim = int(header[0]), int(header[1])
+            count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise bad(f"bad header {' '.join(header)!r}") from None
+        if count < 0:
+            raise bad(f"negative row count {count}", 1)
         if dim != d:
             raise bad(f"file dimension {dim} != model dimension {d}")
+        first_line, found = {}, {}      # token -> its line; table row -> its vector
         for lineno, line in enumerate(f, start=2):
             fields = line.rstrip("\n").split()
             if not fields:
@@ -326,11 +328,15 @@ def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
                 raise bad("malformed float", lineno) from None
             if not np.isfinite(vec).all():
                 raise bad("NaN or infinite value", lineno)
+            if token in first_line:
+                raise bad(f"token {token!r} repeats line {first_line[token]}", lineno)
+            first_line[token] = lineno
             row = vocab.char_to_id.get(token)
-            if row is None:
-                skipped += 1
-                continue
-            table.data[row] = vec
-            loaded += 1
+            if row is not None:
+                found[row] = vec
+    if len(first_line) != count:
+        raise bad(f"header counts {count} rows, the file holds {len(first_line)}")
+    for row, vec in found.items():
+        table.data[row] = vec
     denom = max(len(vocab.char_to_id), 1)
-    return table, EmbeddingLoadStats(loaded, skipped, loaded / denom)
+    return table, EmbeddingLoadStats(len(found), count - len(found), len(found) / denom)

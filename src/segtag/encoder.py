@@ -4,9 +4,9 @@ The main pipeline maps a character-id sequence to per-position feature
 vectors: embedding lookup, wide n-gram convolutions, k-max pooling along the
 feature axis, a highway gate over the pooled features, and an optional
 (bi)directional LSTM. A windowed MLP encoder is kept as the baseline
-topology. Every stage is differentiable through the autograd tape; the conv
-bank (or MLP window), the highway gate and each LSTM direction are single
-fused tape nodes with hand-written backward passes.
+topology. Each stage is one fused tape node with a hand-written backward
+pass: the embedding lookups, the conv bank (or MLP window), k-max pooling,
+the highway gate, and the LSTM with both its directions in one node.
 
 The input may pack several sentences end to end (``CharIds.pack``). Row-wise
 stages ignore the packing; the window stages (conv bank, MLP window) and the
@@ -25,12 +25,12 @@ from .autograd import (
     ShapeError,
     Tensor,
     _accum,
+    _grad_on,
     _packed_steps,
     _taped,
     _window_rows,
     _window_rows_grad,
     check_finite,
-    concat_cols,
 )
 
 RECURRENT_KINDS = ("none", "lstm", "blstm")
@@ -222,34 +222,27 @@ def named_parameters(manifest, arrays, dtype):
             for (name, _), a in zip(manifest, arrays, strict=True)}
 
 
-def embed_rows(table_param, ids):
-    """Differentiable row gather from an embedding matrix."""
-    ids = np.asarray(ids, dtype=np.intp)
-    out = Tensor(table_param.data[ids])
-    if not _taped("embed_rows", out, (table_param,)):
-        return out
-
-    def _back(grad):
-        np.add.at(table_param.grad, ids, grad)
-
-    out._backward = _back
-    return out
-
-
 def embed_sentence(ids, unigram, bigram, cfg):
     """Look up per-position embeddings; with bigrams on, each row is
     e(c_i) ++ e_b(c_{i-1} c_i) ++ e_b(c_i c_{i+1}) for width 3d. Row
     Vocab.UNK is the unknown token; only boundary bigrams reach Vocab.PAD."""
     if len(ids) == 0 or ids.lengths.min() < 1:
         raise ValueError("cannot embed an empty sentence")
-    uni = embed_rows(unigram, ids.uni)
-    if not cfg.use_bigram:
-        return uni
-    if bigram is None or ids.bi_left is None or ids.bi_right is None:
-        raise ConfigError("bigram features enabled but bigram table or ids missing")
-    left = embed_rows(bigram, ids.bi_left)
-    right = embed_rows(bigram, ids.bi_right)
-    return concat_cols([uni, left, right])
+    lookups = [(unigram, ids.uni)]
+    if cfg.use_bigram:
+        if bigram is None or ids.bi_left is None or ids.bi_right is None:
+            raise ConfigError("bigram features enabled but bigram table or ids missing")
+        lookups += [(bigram, ids.bi_left), (bigram, ids.bi_right)]
+    out = Tensor(np.concatenate([table.data[rows] for table, rows in lookups], axis=1))
+    if not _taped("embed_sentence", out, (unigram, bigram) if cfg.use_bigram else (unigram,)):
+        return out
+
+    def _back(grad):
+        for (table, rows), g in zip(lookups, np.split(grad, len(lookups), axis=1)):
+            np.add.at(table.grad, rows, g)
+
+    out._backward = _back
+    return out
 
 
 def _sigmoid(z, half=0.5, shift=0.5):
@@ -420,8 +413,9 @@ def highway_forward(x, cov_x, w, b):
     return out
 
 
-def lstm_forward(xhat, w, b, reverse=False, lengths=None):
-    """Single-direction LSTM over the rows of xhat, zero initial state.
+def _lstm_direction(xhat, w, b, reverse, lengths, op):
+    """Single-direction LSTM over the rows of xhat, zero initial state: its
+    states in input order and backward closure. `op` names it in errors.
 
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
     W_g (d + h) x 4h, c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With
@@ -430,8 +424,8 @@ def lstm_forward(xhat, w, b, reverse=False, lengths=None):
     With several sentences packed in xhat (`lengths`), each runs from its own
     zero state, all of them in the same steps.
 
-    One tape node. The input half of every position's gates is a single
-    GEMM, X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
+    The input half of every position's gates is a single GEMM,
+    X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
     per sentence still running. The rows are laid out step-major with no
     padding (``autograd._packed_steps``): step t is one contiguous block, and
     h_{t-1} is the head of the block before it. One _sigmoid call activates
@@ -442,15 +436,12 @@ def lstm_forward(xhat, w, b, reverse=False, lengths=None):
     """
     x, wd = xhat.data, w.data
     if x.ndim != 2:
-        raise ShapeError(f"lstm_forward: expected 2-D input, got {xhat.shape}")
+        raise ShapeError(f"{op}: expected 2-D input, got {xhat.shape}")
     n, d = x.shape
     h = b.shape[0] // 4
     if wd.shape != (d + h, 4 * h):
-        raise ShapeError(f"lstm_forward: W {wd.shape} does not fit x {xhat.shape} with h={h}")
+        raise ShapeError(f"{op}: W {wd.shape} does not fit x {xhat.shape} with h={h}")
     where, steps = _packed_steps(lengths, n, reverse)
-    layer = w.name.removesuffix(".w") or "lstm"
-    direction = "reverse" if reverse else "forward"
-    op = f"lstm_forward {layer} ({direction})"
     what = f"{op} gate pre-activations"
     xp = np.empty_like(x)
     xp[where] = x
@@ -475,9 +466,6 @@ def lstm_forward(xhat, w, b, reverse=False, lengths=None):
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
         np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
         prev = lo
-    out = Tensor(hidden[where])
-    if not _taped(op, out, (xhat, w, b)):
-        return out
 
     def _back(grad):
         m0 = steps[0][1]    # every sentence runs at the first step
@@ -533,18 +521,49 @@ def lstm_forward(xhat, w, b, reverse=False, lengths=None):
         _accum(w, np.concatenate([xp.T @ acts, h_before.T @ acts[m0:]]))
         _accum(b, acts.sum(axis=0))
 
+    return hidden[where], _back
+
+
+def _recurrent(fn, xhat, directions, lengths):
+    """LSTM directions (W, b, reverse) over the rows of xhat, states side by
+    side: one tape node, named "blstm_forward lstm.fwd (forward), lstm.bwd
+    (reverse)". A direction's caches are freed before the next one runs under
+    no_grad(), and in backward() as soon as it has run."""
+    labels = [f"{w.name.removesuffix('.w') or 'lstm'} ({'reverse' if rev else 'forward'})"
+              for w, _, rev in directions]
+    states, backs = [], []
+    for (w, b, reverse), label in zip(directions, labels):
+        state, back = _lstm_direction(xhat, w, b, reverse, lengths, f"{fn} {label}")
+        states.append(state)
+        if _grad_on.get():
+            backs.append(back)
+        del back    # under no_grad() this frees the direction's caches
+    out = Tensor(np.concatenate(states, axis=1))
+    if not _taped(f"{fn} {', '.join(labels)}", out,
+                  (xhat, *(p for w, b, _ in directions for p in (w, b)))):
+        return out
+
+    def _back(grad):
+        for k, g in enumerate(np.split(grad, len(backs), axis=1)):
+            back, backs[k] = backs[k], None
+            back(g)
+
     out._backward = _back
     return out
 
 
+def lstm_forward(xhat, w, b, reverse=False, lengths=None):
+    """Single-direction LSTM over the rows of xhat (_lstm_direction); one tape node."""
+    return _recurrent("lstm_forward", xhat, [(w, b, reverse)], lengths)
+
+
 def blstm_forward(xhat, fwd, bwd, lengths=None):
     """Concatenate forward and backward LSTM states per position; fwd and
-    bwd are each direction's (W, b)."""
+    bwd are each direction's (W, b). One tape node over both directions."""
     h_fwd, h_bwd = fwd[1].shape[0] // 4, bwd[1].shape[0] // 4
     if h_fwd != h_bwd:
         raise ConfigError(f"forward h={h_fwd} and backward h={h_bwd} differ")
-    return concat_cols([lstm_forward(xhat, *fwd, reverse=False, lengths=lengths),
-                        lstm_forward(xhat, *bwd, reverse=True, lengths=lengths)])
+    return _recurrent("blstm_forward", xhat, [(*fwd, False), (*bwd, True)], lengths)
 
 
 def encode(ids, named, cfg):

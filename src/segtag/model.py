@@ -11,9 +11,9 @@ from . import lattice as lt
 # Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
 # a bigger GEMM but need more memory per chunk. At the published widths
 # (tracemalloc, float32):
-# - a training chunk's tape holds 9.7 KB per character after its forward
-#   pass and peaks at 12.4 KB per character during backward(), which
-#   releases it as it goes (one 514-character chunk);
+# - a training chunk's tape holds 8.9 KB per character after its forward
+#   pass and peaks at 12.5 KB per character during backward(), which
+#   releases it as it goes (one 485-character chunk);
 # - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
 #   chunk peaks at 5.4 KB per character (one ~1,000-character chunk), where
 #   with the tape on it peaked at 9.8. Its chunk is therefore twice the

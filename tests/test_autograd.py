@@ -135,10 +135,20 @@ def _op_cases(rng):
     tagger = projection_model(hidden, proj, bias, trans)
     tag_ids = SimpleNamespace(lengths=np.array(_ragged(rng, m)))
     gold = rng.integers(0, t, size=m)
+    # bigram ids: left and right share the table and the id bi[0]; uni repeats an id
+    bi_table = rand_param(rng, 3, a, name="bi_table")
+    bi = rng.integers(0, 3, size=n + 1)
+    bi[-1] = bi[0]
+    ids[-1] = ids[0]
+    chars = enc.CharIds(uni=ids, bi_left=bi[:-1], bi_right=bi[1:], lengths=np.array(lengths))
+    bigram_cfg = enc.EncoderConfig(d=a, h=1, use_conv=False, use_pooling=False,
+                                   use_highway=False, recurrent="none", use_bigram=True)
+    lstm_bwd = rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b)
     return {
         "matmul": (lambda: taped_sum(ag.matmul(x, w), "tanh"), [x, w]),
-        "concat_cols": (lambda: taped_sum(ag.concat_cols([x, y]), "tanh"), [x, y]),
-        "embed_rows": (lambda: taped_sum(enc.embed_rows(table, ids), "tanh"), [table]),
+        "embed_sentence": (
+            lambda: taped_sum(enc.embed_sentence(chars, table, bi_table, bigram_cfg), "tanh"),
+            [table, bi_table]),
         "conv_feature_maps": (
             lambda: taped_sum(enc.conv_feature_maps(x, bank, lengths), "tanh"),
             [x, *conv_w, *conv_b]),
@@ -152,6 +162,9 @@ def _op_cases(rng):
         "lstm_forward_reverse": (
             lambda: taped_sum(enc.lstm_forward(x, *lstm, reverse=True, lengths=lengths), "tanh"),
             [x, *lstm]),
+        "blstm_forward": (
+            lambda: taped_sum(enc.blstm_forward(x, lstm, lstm_bwd, lengths), "tanh"),
+            [x, *lstm, *lstm_bwd]),
         "hinge_loss_graph": (lambda: tr.hinge_loss_graph(tagger, tag_ids, gold, 0.2)[0],
                              [hidden, proj, bias, trans.a]),
     }
@@ -241,20 +254,25 @@ def taped_ops():
     hw = rand_param(rng, 4, 4), rand_param(rng, 4)
     lstm = rand_param(rng, 7, 12, name="lstm.fwd.w"), rand_param(rng, 12)
     lstm_bwd = Parameter(lstm[0].data, name="lstm.bwd.w"), lstm[1]
-    table = rand_param(rng, 10, 4)
+    table, bigrams = rand_param(rng, 10, 4), rand_param(rng, 6, 4)
+    bi = np.array([0, 5, 2, 2, 1, 3, 1, 0])
+    chars = enc.CharIds(uni=np.array([1, 4, 4, 9, 0, 2, 3]), bi_left=bi[:-1], bi_right=bi[1:],
+                        lengths=np.array(lengths))
+    bigram_cfg = enc.EncoderConfig(d=4, h=1, use_conv=False, use_pooling=False,
+                                   use_highway=False, recurrent="none", use_bigram=True)
     tagger = projection_model(x, w, b, lt.TransitionMatrix(rand_param(rng, 5, 5)))
     gold = [0, 2, 2, 3, 1, 0, 4]
     return [
-        ("matmul", lambda: ag.matmul(x, w)), ("concat_cols", lambda: ag.concat_cols([x, y])),
-        ("embed_rows", lambda: enc.embed_rows(table, [1, 4, 4, 9, 0, 2, 3])),
+        ("matmul", lambda: ag.matmul(x, w)),
+        ("embed_sentence", lambda: enc.embed_sentence(chars, table, bigrams, bigram_cfg)),
         ("conv_feature_maps", lambda: enc.conv_feature_maps(x, bank, lengths)),
         ("mlp_encode", lambda: enc.mlp_encode(x, *mlp, 3, lengths)),
         ("kmax_pool", lambda: enc.kmax_pool(x, 2)),
         ("highway_forward", lambda: enc.highway_forward(x, y, *hw)),
         (r"lstm_forward lstm\.fwd \(forward\)",
          lambda: enc.lstm_forward(x, *lstm, lengths=lengths)),
-        (r"lstm_forward lstm\.bwd \(reverse\)",
-         lambda: enc.lstm_forward(x, *lstm_bwd, reverse=True, lengths=lengths)),
+        (r"blstm_forward lstm\.fwd \(forward\), lstm\.bwd \(reverse\)",
+         lambda: enc.blstm_forward(x, lstm, lstm_bwd, lengths)),
         ("hinge_loss_graph", lambda: tr.hinge_loss_graph(
             tagger, SimpleNamespace(lengths=np.array(lengths)), gold, 0.2)[0]),
     ]

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtag import cli
 from segtag import corpus as cp
 from segtag import modelfile as mf
+from segtag.autograd import NumericError
+from segtag.model import Model
 from segtag.toydata import toy_corpus
 from util import PERFBENCH
 
@@ -156,6 +164,26 @@ class TestTrainCommand:
         assert lines[0].endswith("NaN/Inf")
         assert not model_path.exists()
 
+    def test_empty_dev_file_is_named(self, toy_files, capsys):
+        # an empty --dev file would train with no model selection at all
+        corpus, config, tmp = toy_files
+        dev, model_path = tmp / "dev.txt", tmp / "m.model"
+        dev.write_text("\n", encoding="utf-8")
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--dev", str(dev), "--model", str(model_path))
+        assert rc == 1
+        assert capsys.readouterr().err == f"segtag: no sentences in {dev}\n"
+        assert not model_path.exists()
+
+    def test_malformed_corpus_names_the_file_and_line(self, toy_files, capsys):
+        corpus, config, tmp = toy_files
+        bad = tmp / "bad.txt"
+        bad.write_text("ab/NN\nab/\n", encoding="utf-8")
+        rc = run_cli("train", "--config", str(config), "--corpus", str(bad),
+                     "--model", str(tmp / "m.model"))
+        assert rc == 1
+        assert capsys.readouterr().err == f"segtag: {bad} line 2: token 'ab/' is not word/POS\n"
+
     def test_pretrained_embeddings_are_loaded(self, toy_files, caplog):
         corpus, config, tmp = toy_files
         emb = tmp / "emb.txt"
@@ -286,6 +314,32 @@ class TestTagCommand:
         assert not fout.exists()
         # an existing output file keeps its bytes
         fout.write_bytes(b"kept\n")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
+        assert fout.read_bytes() == b"kept\n"
+
+    def test_failed_tagging_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # 20 lines of 360 characters make two groups; the second group's
+        # tagging fails after the first group was tagged
+        rng = np.random.default_rng(4)
+        lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
+        fin = tmp_path / "in.txt"
+        fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls, tag_batch = [], Model.tag_batch
+
+        def failing(model, sentences):
+            calls.append(len(sentences))
+            if len(calls) == 2:
+                raise NumericError("tensor contains NaN/Inf")
+            return tag_batch(model, sentences)
+
+        monkeypatch.setattr(Model, "tag_batch", failing)
+        fout = tmp_path / "out.txt"
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
+        assert capsys.readouterr().err == "segtag: tensor contains NaN/Inf\n"
+        assert len(calls) == 2 and not fout.exists()
+        # an existing output file keeps its bytes
+        fout.write_bytes(b"kept\n")
+        calls.clear()
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
         assert fout.read_bytes() == b"kept\n"
 
@@ -423,3 +477,64 @@ def test_console_entry_point(toy_files):
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert model_path.exists()
+
+
+# tagged sentences of toy characters (x is never in a vocabulary)
+_sentence = st.lists(st.builds("{}/{}".format, st.text("abcx", min_size=1, max_size=3),
+                               st.sampled_from(["NN", "VV"])), min_size=1, max_size=4).map(" ".join)
+_settings = st.fixed_dictionaries({
+    "encoder": st.sampled_from(["full", "full", "mlp"]),
+    "recurrent": st.sampled_from(["none", "lstm", "blstm"]),
+    "conv": st.booleans(), "pooling": st.booleans(), "highway": st.booleans(),
+    "bigrams": st.booleans(), "bigram_min_count": st.integers(1, 2),
+    "d": st.integers(1, 4), "h": st.integers(1, 4),
+    "feature_map_sets": st.integers(1, 3), "feature_map_size": st.integers(2, 6),
+    "epochs": st.integers(1, 2), "batch": st.integers(1, 4),
+    "dev_fraction": st.sampled_from(["0", "0.3"]),
+    "constrain_transitions": st.booleans(), "observed_tags_only": st.booleans(),
+    "optimizer": st.sampled_from(["adagrad", "sgd"]),
+})
+# a line appended to one of the files; each is refused (window = 3 unless
+# the encoder is mlp)
+_FAULTS = [("cfg", "learning_rate = 1"), ("cfg", "d 4"), ("cfg", "lr = nan"),
+           ("cfg", "epochs = 0"), ("cfg", "window = 3"), ("train", "ab/"),
+           ("gold", "/NN"), ("raw", "a b")]
+
+
+def _main(*argv):
+    """(exit code, stderr) of one in-process run; any exception escaping
+    main fails the test with its traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(list(argv))
+    return rc, err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(config=_settings, train=st.lists(_sentence, min_size=1, max_size=6),
+       gold=st.lists(_sentence, max_size=3),
+       raw=st.lists(st.sampled_from(["", "ab", "cxa", "bbbbbbb"]), max_size=4),
+       mode=st.sampled_from(["joint", "seg", "both"]),
+       fault=st.one_of(st.none(), st.sampled_from(_FAULTS)))
+def test_main_exits_cleanly_on_generated_inputs(config, train, gold, raw, mode, fault):
+    # train, tag and eval exit 0 or 1, with one "segtag:" line exactly when
+    # they fail, and train and tag leave their file exactly when they succeed
+    files = {"cfg": [f"{k} = {v}" for k, v in config.items()],
+             "train": train, "gold": gold, "raw": raw}
+    if fault:
+        files[fault[0]] = files[fault[0]] + [fault[1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, lines in files.items():
+            (tmp / name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        model, out = tmp / "m.model", tmp / "out.txt"
+        runs = [("train", "--config", str(tmp / "cfg"), "--corpus", str(tmp / "train"),
+                 "--model", str(model)),
+                ("tag", "--model", str(model), str(tmp / "raw"), str(out)),
+                ("eval", "--model", str(model), "--corpus", str(tmp / "gold"), "--mode", mode)]
+        for argv in runs:
+            rc, err = _main(*argv)
+            assert rc in (0, 1), (argv, rc, err)
+            assert len([l for l in err.splitlines() if l.startswith("segtag:")]) == rc, err
+            written = {"train": model, "tag": out}.get(argv[0])
+            assert written is None or written.exists() == (rc == 0), (argv, err)

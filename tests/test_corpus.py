@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from segtag import corpus as cp
 from segtag import evaluation as ev
+from segtag.autograd import Parameter
 from segtag.corpus import JointTag
 from util import benchmark_workloads
 
@@ -311,3 +312,29 @@ class TestEmbeddingLoader:
         assert table2 is table
         assert stats.loaded == 1
         assert np.allclose(table.data[vocab.char_id("B")], vecs["B"])
+
+    def test_header_count_must_match_the_rows(self, tmp_path):
+        vocab = self.vocab()
+        path = tmp_path / "emb.txt"
+        path.write_text("5 3\nA 0.1 0.2 0.3\n", encoding="utf-8")
+        with pytest.raises(cp.EmbeddingFormatError) as info:
+            cp.load_pretrained_embeddings(path, vocab, d=3)
+        assert str(info.value) == f"{path}: header counts 5 rows, the file holds 1"
+
+    def test_negative_count_cites_the_header_line(self, tmp_path):
+        vocab = self.vocab()
+        path = tmp_path / "emb.txt"
+        path.write_text("-4 3\n", encoding="utf-8")
+        with pytest.raises(cp.EmbeddingFormatError, match="line 1: negative row count -4"):
+            cp.load_pretrained_embeddings(path, vocab, d=3)
+
+    def test_repeated_token_cites_both_lines_and_leaves_the_table(self, tmp_path):
+        # one of the three characters is covered; a later row must not win silently
+        vocab = self.vocab()
+        path = tmp_path / "emb.txt"
+        path.write_text("3 3\nA 0.1 0.2 0.3\nzz 0 0 0\nA 0.4 0.5 0.6\n", encoding="utf-8")
+        table = Parameter(np.random.default_rng(0).uniform(size=(vocab.n_chars, 3)))
+        before = table.data.copy()
+        with pytest.raises(cp.EmbeddingFormatError, match="line 4: token 'A' repeats line 2"):
+            cp.load_pretrained_embeddings(path, vocab, d=3, table=table)
+        assert np.array_equal(table.data, before)

@@ -216,7 +216,7 @@ class TestBackpropMargin:
         assert np.array_equal(trans.a.grad, lt.arc_count_diff(trans, violator, gold, lengths))
 
     def test_tape_size_does_not_grow_with_sentence_length(self):
-        # the conv bank and each LSTM direction are one tape node each, so the
+        # the conv bank and the BLSTM are one tape node each, so the
         # graph behind a hinge loss has the same nodes for 5 and 60 characters
         model, sents = tiny_model()
         chars = [c for s in sents for c in s.chars]
@@ -239,13 +239,15 @@ class TestBackpropMargin:
             sizes.append(reachable(diff))
         assert sizes[0] == sizes[1]
 
-    def test_hinge_graph_op_nodes_at_published_widths(self):
-        # embed, conv bank, k-max, highway, two LSTM directions and their concat,
-        # the projection, and the hinge: each layer is one node
+    @pytest.mark.parametrize("use_bigram", [False, True])
+    def test_hinge_graph_op_nodes_at_published_widths(self, use_bigram):
+        # embed (both tables), conv bank, k-max, highway, BLSTM (both
+        # directions), the projection, and the hinge: each layer is one node
         sents = toy_corpus(3, seed=3)
-        vocab, tagset = cp.build_vocab_and_tagset(sents)
-        model = Model(EncoderConfig(), vocab, tagset, seed=1)
-        ids = model.vocab.encode(sents[0].chars)
+        vocab, tagset = cp.build_vocab_and_tagset(sents, use_bigram=use_bigram,
+                                                  bigram_min_count=1)
+        model = Model(EncoderConfig(use_bigram=use_bigram), vocab, tagset, seed=1)
+        ids = model.vocab.encode(sents[0].chars, use_bigram)
         gold = model.tagset.encode(sents[0].tags)
         diff, _, _ = tr.hinge_loss_graph(model, ids, gold, eta=0.2)
         seen, stack, ops = set(), [diff], 0
@@ -255,7 +257,7 @@ class TestBackpropMargin:
                 seen.add(id(node))
                 ops += node._backward is not None
                 stack.extend(node._prev)
-        assert ops == 9
+        assert ops == 7
 
     def test_full_model_gradient_passes_grad_check(self):
         model, _ = tiny_model(dtype=np.float64)
