@@ -151,7 +151,13 @@ def serialize_corpus(sentences):
 
 
 class Vocab:
-    """Character and bigram index maps with unk at 0 and pad at 1."""
+    """Character and bigram index maps with unk at 0 and pad at 1.
+
+    encode maps every unknown character or bigram to UNK and never returns
+    PAD: boundary bigrams are ordinary entries keyed with BOUNDARY (UNK when
+    rarer than the bigram cutoff). Row PAD of each embedding table is kept
+    unread so that model files keep their table shapes.
+    """
 
     UNK, PAD = 0, 1
 
@@ -184,7 +190,7 @@ class Vocab:
         return self.bigram_to_id.get((a, b), self.UNK)
 
     def encode(self, chars, use_bigram=False):
-        """Index one sentence; boundary bigrams use the padding marker."""
+        """Index one sentence; boundary bigrams are keyed with BOUNDARY."""
         n = len(chars)
         uni = np.fromiter(map(self.char_to_id.get, chars, repeat(self.UNK)),
                           dtype=np.intp, count=n)

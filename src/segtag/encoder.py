@@ -98,7 +98,11 @@ class EncoderConfig:
                 raise ConfigError(f"feature map widths must be positive: {self.feature_maps}")
             if self.use_pooling and self.conv_width < self.k_pool:
                 raise ConfigError(
-                    f"total feature maps {self.conv_width} < pooling width {self.k_pool}"
+                    f"feature_map_sets={self.feature_map_sets} with per-set widths "
+                    f"{self.feature_maps} (feature_map_size on the command line, "
+                    f"feature_maps in EncoderConfig) give {self.conv_width} feature maps, "
+                    f"fewer than the pooling width {self.k_pool} = "
+                    f"{'3d' if self.use_bigram else 'd'} for d={self.d} (bigrams triple d)"
                 )
 
     @property
@@ -127,8 +131,6 @@ class EncoderConfig:
     @property
     def d_out(self):
         """Encoder output width seen by the projection layer."""
-        if self.mlp_baseline:
-            return self.h
         if self.recurrent == "blstm":
             return 2 * self.h
         if self.recurrent == "lstm":
@@ -225,7 +227,7 @@ def named_parameters(manifest, arrays, dtype):
 def embed_sentence(ids, unigram, bigram, cfg):
     """Look up per-position embeddings; with bigrams on, each row is
     e(c_i) ++ e_b(c_{i-1} c_i) ++ e_b(c_i c_{i+1}) for width 3d. Row
-    Vocab.UNK is the unknown token; only boundary bigrams reach Vocab.PAD."""
+    Vocab.UNK is the unknown token; no id reaches Vocab.PAD."""
     if len(ids) == 0 or ids.lengths.min() < 1:
         raise ValueError("cannot embed an empty sentence")
     lookups = [(unigram, ids.uni)]

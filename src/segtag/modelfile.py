@@ -72,35 +72,25 @@ class ModelCorruptionError(ValueError):
     """The file is truncated, fails its checksum, or contradicts its manifest."""
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = io.BytesIO()
+# The fixed-width records of the layout above, each stated once for save and
+# load. "?" is a u8 flag; any nonzero byte reads as true.
+_ENCODER_WIDTHS = "<III"        # d, h, Q; the Q map widths follow as "<{Q}I"
+# use_conv, use_pooling, use_highway, recurrent code, mlp_baseline, window,
+# use_bigram, constrain_transitions
+_ENCODER_SWITCHES = "<???B?I??"
+_TRAIN_NUMBERS = "<dddIIqd"     # the _TRAIN_NUMBER_FIELDS, in order
+_TRAIN_NUMBER_FIELDS = ("alpha", "eta", "l2", "batch_size", "max_epochs", "seed",
+                        "dev_fraction")
 
-    def raw(self, data):
-        self.buf.write(data)
 
-    def u8(self, v):
-        self.buf.write(struct.pack("<B", v))
-
-    def u32(self, v):
-        self.buf.write(struct.pack("<I", v))
-
-    def u64(self, v):
-        self.buf.write(struct.pack("<Q", v))
-
-    def i64(self, v):
-        self.buf.write(struct.pack("<q", v))
-
-    def f64(self, v):
-        self.buf.write(struct.pack("<d", v))
+class _Writer(io.BytesIO):
+    def put(self, fmt, *values):
+        self.write(struct.pack(fmt, *values))
 
     def string(self, s):
         data = s.encode("utf-8")
-        self.u32(len(data))
-        self.buf.write(data)
-
-    def getvalue(self):
-        return self.buf.getvalue()
+        self.put("<I", len(data))
+        self.write(data)
 
 
 class _Reader:
@@ -115,26 +105,12 @@ class _Reader:
         self.pos += n
         return out
 
-    def _unpack(self, fmt):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
-
-    def u8(self):
-        return self._unpack("<B")
-
-    def u32(self):
-        return self._unpack("<I")
-
-    def u64(self):
-        return self._unpack("<Q")
-
-    def i64(self):
-        return self._unpack("<q")
-
-    def f64(self):
-        return self._unpack("<d")
+    def get(self, fmt):
+        """The values of one record; a truncated record is refused unread."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def string(self):
-        n = self.u32()
+        (n,) = self.get("<I")
         try:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
@@ -142,65 +118,40 @@ class _Reader:
 
 
 def _write_encoder_config(w, cfg, constrained):
-    w.u32(cfg.d)
-    w.u32(cfg.h)
-    w.u32(cfg.feature_map_sets)
-    for l in cfg.feature_maps:
-        w.u32(l)
-    w.u8(cfg.use_conv)
-    w.u8(cfg.use_pooling)
-    w.u8(cfg.use_highway)
-    w.u8(_RECURRENT_CODES[cfg.recurrent])
-    w.u8(cfg.mlp_baseline)
-    w.u32(cfg.window)
-    w.u8(cfg.use_bigram)
-    w.u8(constrained)
+    w.put(_ENCODER_WIDTHS, cfg.d, cfg.h, cfg.feature_map_sets)
+    w.put(f"<{cfg.feature_map_sets}I", *cfg.feature_maps)
+    w.put(_ENCODER_SWITCHES, cfg.use_conv, cfg.use_pooling, cfg.use_highway,
+          _RECURRENT_CODES[cfg.recurrent], cfg.mlp_baseline, cfg.window, cfg.use_bigram,
+          constrained)
 
 
 def _read_encoder_config(r):
-    d = r.u32()
-    h = r.u32()
-    q = r.u32()
-    maps = tuple(r.u32() for _ in range(q))
-    use_conv = bool(r.u8())
-    use_pooling = bool(r.u8())
-    use_highway = bool(r.u8())
-    code = r.u8()
+    d, h, q = r.get(_ENCODER_WIDTHS)
+    maps = r.get(f"<{q}I")
+    conv, pooling, highway, code, mlp, window, bigram, constrained = r.get(_ENCODER_SWITCHES)
     if code not in _RECURRENT_NAMES:
         raise ModelCorruptionError(f"unknown recurrent layer code {code}")
-    mlp = bool(r.u8())
-    window = r.u32()
-    use_bigram = bool(r.u8())
-    constrained = bool(r.u8())
     try:
         cfg = EncoderConfig(d=d, h=h, feature_map_sets=q, feature_maps=maps,
-                            use_conv=use_conv, use_pooling=use_pooling,
-                            use_highway=use_highway, recurrent=_RECURRENT_NAMES[code],
-                            mlp_baseline=mlp, window=window, use_bigram=use_bigram)
+                            use_conv=conv, use_pooling=pooling, use_highway=highway,
+                            recurrent=_RECURRENT_NAMES[code], mlp_baseline=mlp,
+                            window=window, use_bigram=bigram)
     except ConfigError as e:
         raise ModelCorruptionError(f"stored encoder config is invalid: {e}") from None
     return cfg, constrained
 
 
 def _write_train_config(w, tc):
-    w.f64(tc.alpha)
-    w.f64(tc.eta)
-    w.f64(tc.l2)
-    w.u32(tc.batch_size)
-    w.u32(tc.max_epochs)
-    w.i64(tc.seed)
-    w.f64(tc.dev_fraction)
+    w.put(_TRAIN_NUMBERS, *(getattr(tc, f) for f in _TRAIN_NUMBER_FIELDS))
     w.string(tc.optimizer)
-    w.u8(tc.finetune_embeddings)
+    w.put("<?", tc.finetune_embeddings)
 
 
 def _read_train_config(r, version):
-    fields = dict(alpha=r.f64(), eta=r.f64(), l2=r.f64(), batch_size=r.u32(),
-                  max_epochs=r.u32(), seed=r.i64(), dev_fraction=r.f64(),
-                  optimizer=r.string())
+    fields = dict(zip(_TRAIN_NUMBER_FIELDS, r.get(_TRAIN_NUMBERS)), optimizer=r.string())
     if version == 1:
-        r.u8()   # version 1's deterministic flag, which nothing read
-    fields["finetune_embeddings"] = bool(r.u8())
+        r.take(1)   # version 1's deterministic flag, which nothing read
+    (fields["finetune_embeddings"],) = r.get("<?")
     try:
         return TrainConfig(**fields)
     except ValueError as e:
@@ -208,42 +159,39 @@ def _read_train_config(r, version):
 
 
 def _write_vocab(w, vocab):
-    chars = vocab.chars
-    w.u32(len(chars))
-    for c in chars:
+    w.put("<I", len(vocab.chars))
+    for c in vocab.chars:
         w.string(c)
-    bigrams = vocab.bigrams
-    w.u32(len(bigrams))
-    for a, b in bigrams:
+    w.put("<I", len(vocab.bigrams))
+    for a, b in vocab.bigrams:
         w.string(a)
         w.string(b)
-    freq = sorted(vocab.char_freq.items())
-    w.u32(len(freq))
-    for c, n in freq:
+    w.put("<I", len(vocab.char_freq))
+    for c, n in sorted(vocab.char_freq.items()):
         w.string(c)
-        w.u64(n)
+        w.put("<Q", n)
 
 
 def _read_vocab(r):
-    chars = [r.string() for _ in range(r.u32())]
-    bigrams = [(r.string(), r.string()) for _ in range(r.u32())]
-    freq = {r.string(): r.u64() for _ in range(r.u32())}
+    chars = [r.string() for _ in range(r.get("<I")[0])]
+    bigrams = [(r.string(), r.string()) for _ in range(r.get("<I")[0])]
+    freq = {r.string(): r.get("<Q")[0] for _ in range(r.get("<I")[0])}
     return Vocab(chars, bigrams, freq)
 
 
 def _write_tagset(w, tagset):
-    w.u32(len(tagset.pos_labels))
+    w.put("<I", len(tagset.pos_labels))
     for p in tagset.pos_labels:
         w.string(p)
-    w.u32(len(tagset))
+    w.put("<I", len(tagset))
     for t in tagset:
         w.string(t.seg)
         w.string(t.pos)
 
 
 def _read_tagset(r):
-    labels = [r.string() for _ in range(r.u32())]
-    pairs = [(r.string(), r.string()) for _ in range(r.u32())]
+    labels = [r.string() for _ in range(r.get("<I")[0])]
+    pairs = [(r.string(), r.string()) for _ in range(r.get("<I")[0])]
     if not pairs:
         raise ModelCorruptionError("stored tag set is empty")
     try:
@@ -264,25 +212,23 @@ def save(model, path, train_cfg=None):
     """
     tc = train_cfg or model.train_cfg or TrainConfig()
     w = _Writer()
-    w.raw(MAGIC)
-    w.u32(VERSION)
+    w.write(MAGIC)
+    w.put("<I", VERSION)
     _write_encoder_config(w, model.cfg, model.constrained)
-    w.u8(model.normalize_width)
+    w.put("<?", model.normalize_width)
     _write_train_config(w, tc)
     _write_vocab(w, model.vocab)
     _write_tagset(w, model.tagset)
     params = model.parameters()
-    w.u32(len(params))
+    w.put("<I", len(params))
     for name, p in params:
         with np.errstate(over="ignore"):    # past float32's range is inf, refused next
             values = np.ascontiguousarray(p.data, dtype="<f4")
         if not np.isfinite(values).all():
             raise NumericError(f"parameter {name!r} holds NaN/Inf; not saving {path}")
         w.string(name)
-        w.u32(p.data.ndim)
-        for extent in p.data.shape:
-            w.u32(extent)
-        w.raw(values.tobytes())
+        w.put(f"<I{values.ndim}I", values.ndim, *values.shape)
+        w.write(values)
     body = w.getvalue()
     checksum = zlib.crc32(body)
     try:
@@ -310,17 +256,17 @@ def load(path):
         raise ModelCorruptionError(f"{path} fails its checksum")
     r = _Reader(body)
     r.take(len(MAGIC))
-    version = r.u32()
+    (version,) = r.get("<I")
     if version not in READABLE_VERSIONS:
         raise ModelVersionError(
             f"file version {version} is not supported (readable: {READABLE_VERSIONS})")
     cfg, constrained = _read_encoder_config(r)
-    normalize_width = bool(r.u8()) if version >= 2 else False
+    (normalize_width,) = r.get("<?") if version >= 2 else (False,)
     train_cfg = _read_train_config(r, version)
     vocab = _read_vocab(r)
     tagset = _read_tagset(r)
     manifest = parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
-    n_blocks = r.u32()
+    (n_blocks,) = r.get("<I")
     if n_blocks != len(manifest):
         raise ModelCorruptionError(
             f"file holds {n_blocks} parameter blocks, model expects {len(manifest)}"
@@ -330,7 +276,8 @@ def load(path):
         stored_name = r.string()
         if stored_name != name:
             raise ModelCorruptionError(f"parameter {stored_name!r} where {name!r} expected")
-        stored = tuple(r.u32() for _ in range(r.u32()))
+        (ndim,) = r.get("<I")
+        stored = r.get(f"<{ndim}I")
         if stored != shape:
             raise ModelCorruptionError(f"{name}: stored shape {stored} != {shape}")
         blocks.append(np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape))

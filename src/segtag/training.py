@@ -113,12 +113,12 @@ def hinge_loss_graph(model, ids, gold, eta):
 
     The node's inputs are the unbiased tag scores, the projection bias and
     the transition matrix. Its value score(violator) - score(gold) + margin
-    is assembled from pieces whose inactive coordinates cancel exactly:
-    per-position differences of the unbiased scores, integer tag-count
-    differences times the bias, and integer arc-count differences within
-    sentences times the transitions (masked arcs count zero). Its backward
-    scatters +-1 into the scores' gradient, which the projection and the
-    encoder carry on, and adds the counts to the bias and transition
+    is the sum of per-position differences of the unbiased scores, integer
+    tag-count differences times the bias and integer arc-count differences
+    within sentences times the transitions (masked arcs count zero); a
+    position, tag or arc on which the two paths agree adds exactly 0.0. Its
+    backward scatters +-1 into the scores' gradient, which the projection
+    and the encoder carry on, and adds the counts to the bias and transition
     gradients.
     """
     scores_t, emissions = model.emissions(ids)
@@ -128,7 +128,7 @@ def hinge_loss_graph(model, ids, gold, eta):
     tags = lt.tag_count_diff(b.shape[0], violator, gold).astype(b.dtype)
     arcs = lt.arc_count_diff(model.trans, violator, gold, ids.lengths).astype(a.dtype)
     diff = ag.Tensor(lt.path_emission_diff(scores_t.data, violator, gold)
-                     + _counted(b.data, tags) + _counted(a.data, arcs)
+                     + (b.data * tags).sum() + (a.data * arcs).sum()
                      + margin_delta(gold, violator, eta))
     if not ag._taped("hinge_loss_graph", diff, (scores_t, b, a)):
         return diff, losses, violator
@@ -144,13 +144,6 @@ def hinge_loss_graph(model, ids, gold, eta):
 
     diff._backward = _back
     return diff, losses, violator
-
-
-def _counted(values, counts):
-    """sum(counts * values) over the entries counted at least once, so the
-    entries counted zero times are bitwise left out."""
-    idx = np.nonzero(counts)
-    return (values[idx] * counts[idx]).sum()
 
 
 def apply_update(model, cfg, batch_size):

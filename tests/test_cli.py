@@ -76,6 +76,23 @@ class TestSettings:
         config.write_text("\n# comment\nepochs = 4  # trailing\n\n", encoding="utf-8")
         assert cli.parse_config_file(config) == {"epochs": 4}
 
+    def test_bad_boolean_names_the_key_and_line(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("epochs = 2\nconv = maybe\n", encoding="utf-8")
+        with pytest.raises(cli.CliError) as info:
+            cli.parse_config_file(config)
+        assert str(info.value) == f"{config}:2: bad value for conv: not a boolean: 'maybe'"
+
+    def test_unknown_encoder_is_named(self, toy_files, capsys):
+        corpus, config, tmp = toy_files
+        config.write_text(config.read_text(encoding="utf-8") + "encoder = foo\n", encoding="utf-8")
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path))
+        assert rc == 1
+        assert capsys.readouterr().err == "segtag: encoder must be 'full' or 'mlp', got 'foo'\n"
+        assert not model_path.exists()
+
     def test_mlp_topology_switch(self):
         args = cli.build_parser().parse_args(
             ["train", "--encoder", "mlp", "--window", "5"])
@@ -117,6 +134,23 @@ class TestTrainCommand:
                      "--model", str(model_path), "--window", "3")
         assert rc == 1
         assert "window" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_pooled_width_refusal_names_the_settings_and_d(self, toy_files, capsys):
+        # pooling restores the embedding width: d, or 3d = 6 with bigrams on
+        corpus, _, tmp = toy_files
+        config = tmp / "narrow.cfg"
+        config.write_text("d = 2\nbigrams = true\nfeature_map_sets = 2\nfeature_map_size = 2\n",
+                          encoding="utf-8")
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path))
+        assert rc == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("segtag: ")
+        for part in ("feature_map_sets=2", "feature_map_size", "feature_maps", "4 feature maps",
+                     "pooling width 6 = 3d for d=2", "bigrams triple d"):
+            assert part in lines[0]
         assert not model_path.exists()
 
     def test_missing_corpus_flag(self, toy_files, capsys):

@@ -10,6 +10,7 @@ from segtag import corpus as cp
 from segtag import evaluation as ev
 from segtag.autograd import Parameter
 from segtag.corpus import JointTag
+from segtag.toydata import toy_corpus
 from util import benchmark_workloads
 
 
@@ -229,12 +230,23 @@ class TestVocabAndTagSet:
         with pytest.raises(ValueError, match="empty"):
             cp.build_vocab_and_tagset([])
 
-    def test_encode_boundary_bigrams_use_padding_marker(self):
+    def test_encode_boundary_bigrams_use_boundary_keys(self):
         vocab, _ = cp.build_vocab_and_tagset(self.corpus(), use_bigram=True, bigram_min_count=1)
         ids = vocab.encode(["A", "B"], use_bigram=True)
         assert ids.bi_left[0] == vocab.bigram_id(cp.BOUNDARY, "A")
         assert ids.bi_right[1] == vocab.bigram_id("B", cp.BOUNDARY)
         assert ids.bi_left[1] == vocab.bigram_id("A", "B")
+
+    def test_encode_never_returns_pad(self):
+        # unknown characters and bigrams, and boundary bigrams rarer than the
+        # cutoff, all map to UNK; row PAD is never looked up
+        sents = toy_corpus(30, seed=4)
+        vocab, _ = cp.build_vocab_and_tagset(sents, use_bigram=True, bigram_min_count=2)
+        ids = [vocab.encode(chars, use_bigram=True)
+               for chars in [s.chars for s in sents] + [list("?"), list("a?b")]]
+        for row in [i.uni for i in ids] + [i.bi_left for i in ids] + [i.bi_right for i in ids]:
+            assert cp.Vocab.PAD not in row
+        assert cp.Vocab.UNK in ids[-1].uni and cp.Vocab.UNK in ids[-1].bi_left
 
     def test_encode_unknown_tag_named(self):
         _, tagset = cp.build_vocab_and_tagset(self.corpus())
@@ -312,6 +324,27 @@ class TestEmbeddingLoader:
         assert table2 is table
         assert stats.loaded == 1
         assert np.allclose(table.data[vocab.char_id("B")], vecs["B"])
+
+    def test_non_integer_header_is_named(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a b\nA 0.1 0.2 0.3\n", encoding="utf-8")
+        with pytest.raises(cp.EmbeddingFormatError) as info:
+            cp.load_pretrained_embeddings(path, self.vocab(), d=3)
+        assert str(info.value) == f"{path}: bad header 'a b'"
+
+    def test_wrong_field_count_cites_line(self, tmp_path):
+        path, _ = self.write_file(tmp_path, ["A"], d=3, junk="B 0.1 0.2")
+        with pytest.raises(cp.EmbeddingFormatError) as info:
+            cp.load_pretrained_embeddings(path, self.vocab(), d=3)
+        assert str(info.value) == f"{path} line 3: expected token + 3 values, got 2"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        vocab = self.vocab()
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\nA 0.1 0.2 0.3\n\n  \nC 0.4 0.5 0.6\n", encoding="utf-8")
+        table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
+        assert stats.loaded == 2 and stats.skipped == 0
+        assert np.allclose(table.data[vocab.char_id("C")], [0.4, 0.5, 0.6])
 
     def test_header_count_must_match_the_rows(self, tmp_path):
         vocab = self.vocab()

@@ -572,6 +572,14 @@ class TestConfigValidation:
         with pytest.raises(enc.ConfigError, match="pooling width"):
             EncoderConfig(d=50, feature_map_sets=1, feature_maps=10)
 
+    def test_feature_map_sets_must_be_positive(self):
+        with pytest.raises(enc.ConfigError, match="feature_map_sets must be >= 1, got 0"):
+            EncoderConfig(feature_map_sets=0)
+
+    def test_one_width_per_map_set(self):
+        with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
+            EncoderConfig(d=5, feature_map_sets=2, feature_maps=(4, 5, 6))
+
     def test_mlp_excludes_conv_stack(self):
         with pytest.raises(enc.ConfigError, match="mlp"):
             EncoderConfig(mlp_baseline=True)

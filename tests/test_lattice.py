@@ -269,6 +269,24 @@ class TestMask:
         assert np.any(trans.a.grad)
 
 
+class TestRefusals:
+    def test_mask_must_match_the_transition_shape(self):
+        with pytest.raises(ValueError, match=r"mask shape \(3, 2\) != transition shape \(3, 3\)"):
+            lat.TransitionMatrix(Parameter(np.zeros((3, 3))), np.zeros((3, 2), dtype=bool))
+
+    @pytest.mark.parametrize("emissions, match", [
+        (np.zeros(3), r"emissions must be n x \|T\| with n >= 1, got \(3,\)"),
+        (np.zeros((0, 3)), r"emissions must be n x \|T\| with n >= 1, got \(0, 3\)"),
+        (np.zeros((2, 4)), "emissions have 4 tags, transitions 3"),
+        (np.array([[0.0, np.nan, 0.0]]), "emissions must be finite"),
+        (np.array([[0.0, 0.0, -np.inf]]), "emissions must be finite"),
+    ])
+    def test_lattice_refuses_bad_emissions(self, emissions, match):
+        trans = lat.TransitionMatrix(Parameter(np.zeros((3, 3))))
+        with pytest.raises(ValueError, match=match):
+            lat.TagScoreLattice(emissions, trans)
+
+
 class TestBmesMask:
     @pytest.mark.parametrize("labels", [["NN"], ["NN", "VV", "PU"], ["a", "a\x00", "b-c", "名"]])
     def test_cross_product_matches_oracle(self, labels):

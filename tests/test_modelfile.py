@@ -192,6 +192,14 @@ class TestLoad:
         with pytest.raises(mf.ModelCorruptionError, match="max_epochs"):
             mf.load(path)
 
+    def test_trailing_bytes_after_the_parameters_are_corruption(self, tmp_path):
+        path = tmp_path / "m.model"
+        mf.save(build_model(), path)
+        body = path.read_bytes()[:-4] + b"xyz"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(mf.ModelCorruptionError, match="3 trailing bytes after parameters"):
+            mf.load(path)
+
     def test_every_truncation_is_a_model_file_error(self, tmp_path):
         # every cut through the header and every 13th through the parameters,
         # each tried as it is and with its checksum re-sealed, so the reader

@@ -160,8 +160,8 @@ class TestBackpropMargin:
             assert not np.any(p.grad)
 
     def test_pad_embedding_rows_never_receive_gradient(self):
-        # the pad slot is only reachable through boundary bigram keys, so the
-        # pad rows themselves stay untouched by any sentence
+        # Vocab.encode never returns the pad id (boundary bigrams have their
+        # own keys), so the pad rows stay untouched by any sentence
         model, sents = tiny_model(use_bigram=True, feature_maps=12)
         model.zero_grads()
         ids = CharIds.pack(model.vocab.encode(s.chars, use_bigram=True) for s in sents)
