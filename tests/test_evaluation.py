@@ -5,8 +5,17 @@ from hypothesis import strategies as st
 
 from segtag import corpus as cp
 from segtag import evaluation as ev
+from segtag import lattice as lt
 from segtag.corpus import JointTag
 from segtag.evaluation import WordSpan
+
+from util import decode_oracle
+
+# (seg, POS) pairs of 1 to 30 tags over one to three random POS labels, so
+# words of a label continue and illegal runs occur
+_TAG_PAIRS = st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3).flatmap(
+    lambda labels: st.lists(st.tuples(st.sampled_from(cp.SEG_LABELS), st.sampled_from(labels)),
+                            min_size=1, max_size=30))
 
 
 def tags(*pairs):
@@ -53,11 +62,8 @@ class TestDecode:
             covered.extend(range(s.start, s.end))
         assert covered == list(range(n))
 
-    # one to three random POS labels per sequence, so words of a label continue
     @settings(max_examples=300, deadline=None)
-    @given(pairs=st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=3).flatmap(
-        lambda labels: st.lists(st.tuples(st.sampled_from(cp.SEG_LABELS), st.sampled_from(labels)),
-                                min_size=1, max_size=30)))
+    @given(pairs=_TAG_PAIRS)
     def test_partitions_every_position_on_any_tag_sequence(self, pairs):
         seq = tags(*pairs)
         spans = ev.decode_tags_to_words(seq)
@@ -67,6 +73,26 @@ class TestDecode:
             covered.extend(range(s.start, s.end))
             assert s.pos == seq[s.end - 1].pos    # a span's POS is its last character's
         assert covered == list(range(len(seq)))
+
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=_TAG_PAIRS)
+    def test_equals_the_state_machine_oracle(self, pairs):
+        seq = tags(*pairs)
+        assert ev.decode_tags_to_words(seq) == decode_oracle(seq)
+
+    def test_word_rule_is_the_constrained_lattices_rule(self):
+        """An open word goes on into exactly the tags the transition mask
+        allows after it; after E or S the mask forbids exactly the tags that
+        would go on a word."""
+        tagset = cp.TagSet.cross_product(["NN", "VV", "PU"])
+        mask = lt.bmes_transition_mask(tagset)
+        for i, a in enumerate(tagset):
+            for j, b in enumerate(tagset):
+                if a.seg in ("B", "M"):
+                    joined = len(ev.decode_tags_to_words([a, b])) == 1
+                    assert joined == (not mask[i, j]), (a, b)
+                else:
+                    assert mask[i, j] == (b.seg in ("M", "E")), (a, b)
 
     def test_recovers_gold_spans_on_corpus(self):
         sents = cp.parse_tagged_corpus(["AB/NR C/VV", "X/AS WXYZ/NN", "QRS/VV T/PU"])

@@ -123,6 +123,33 @@ def bmes_mask_oracle(tags):
     return mask
 
 
+def decode_oracle(tags):
+    """The spans of evaluation.decode_tags_to_words, from a two-state
+    machine: S emits a singleton, B (or a stray M) opens a word that M of
+    its POS continues and E of its POS closes; any other tag closes the open
+    word at the previous character, and a stray E is a singleton. A span's
+    POS is its last character's."""
+    spans = []
+    open_start = open_pos = None
+    for i, tag in enumerate(tags):
+        if open_start is not None:
+            if tag.seg == "M" and tag.pos == open_pos:
+                continue
+            if tag.seg == "E" and tag.pos == open_pos:
+                spans.append((open_start, i + 1, tag.pos))
+                open_start = None
+                continue
+            spans.append((open_start, i, tags[i - 1].pos))
+            open_start = None
+        if tag.seg in ("S", "E"):
+            spans.append((i, i + 1, tag.pos))
+        else:
+            open_start, open_pos = i, tag.pos
+    if open_start is not None:
+        spans.append((open_start, len(tags), tags[-1].pos))
+    return spans
+
+
 def sigmoid_scalar(z):
     return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1.0 + math.exp(z))
 
