@@ -16,7 +16,7 @@ from . import modelfile as mf
 from .autograd import NumericError
 from .encoder import ConfigError, EncoderConfig
 from .model import TAG_CHUNK_CHARS, Model
-from .training import TrainConfig, train
+from .training import TrainConfig, gold_and_predicted_spans, train
 
 log = logging.getLogger("segtag")
 
@@ -252,9 +252,7 @@ def cmd_eval(args):
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
     sentences = _read_corpus(gold_path, settings, fold)
-    gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
-    pred = [ev.decode_tags_to_words(tags)
-            for tags in model.tag_batch([s.chars for s in sentences])]
+    gold, pred = gold_and_predicted_spans(model, sentences)
     print(ev.report(gold, pred, modes=modes, per_pos=settings["per_pos"]))
     return 0
 

@@ -60,13 +60,13 @@ class JointTag(NamedTuple):
 
 @dataclass
 class Sentence:
-    """A character sequence, optionally with gold joint tags."""
+    """A character sequence with its gold joint tags."""
 
     chars: list
-    tags: list = None
+    tags: list
 
     def __post_init__(self):
-        if self.tags is not None and len(self.tags) != len(self.chars):
+        if len(self.tags) != len(self.chars):
             raise ValueError(
                 f"{len(self.tags)} tags for {len(self.chars)} characters"
             )
@@ -141,8 +141,6 @@ def format_words(chars, tags):
 
 def format_sentence(sentence):
     """Render a gold-tagged sentence back to one "word/POS ..." line."""
-    if sentence.tags is None:
-        raise ValueError("sentence has no tags to serialize")
     return format_words(sentence.chars, sentence.tags)
 
 
@@ -261,8 +259,7 @@ def build_vocab_and_tagset(sentences, min_count=1, bigram_min_count=2,
         if use_bigram:
             padded = [BOUNDARY] + list(s.chars) + [BOUNDARY]
             bigram_freq.update(zip(padded, padded[1:]))
-        if s.tags:
-            tag_counts.update(s.tags)
+        tag_counts.update(s.tags)
     chars = sorted(c for c, f in char_freq.items() if f >= min_count)
     bigrams = sorted(b for b, f in bigram_freq.items() if f >= bigram_min_count)
     vocab = Vocab(chars, bigrams, char_freq)

@@ -77,6 +77,10 @@ class EncoderConfig:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.window != 1 and not self.mlp_baseline:
             raise ConfigError(f"window={self.window} needs mlp_baseline; no other encoder reads it")
+        if len(self.feature_maps) != self.feature_map_sets:
+            raise ConfigError(
+                f"{self.feature_map_sets} map sets but {len(self.feature_maps)} widths"
+            )
         if self.mlp_baseline:
             if self.use_conv or self.use_pooling or self.use_highway:
                 raise ConfigError("mlp_baseline excludes the conv/pooling/highway stack")
@@ -90,10 +94,6 @@ class EncoderConfig:
         if self.use_conv:
             if self.feature_map_sets < 1:
                 raise ConfigError(f"feature_map_sets must be >= 1, got {self.feature_map_sets}")
-            if len(self.feature_maps) != self.feature_map_sets:
-                raise ConfigError(
-                    f"{self.feature_map_sets} map sets but {len(self.feature_maps)} widths"
-                )
             if any(l < 1 for l in self.feature_maps):
                 raise ConfigError(f"feature map widths must be positive: {self.feature_maps}")
             if self.use_pooling and self.conv_width < self.k_pool:

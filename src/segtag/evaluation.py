@@ -1,15 +1,22 @@
 """Span recovery and precision/recall/F1 scoring.
 
-Predicted joint-tag sequences are turned back into (start, end, POS) word
-spans; invalid position-tag transitions are repaired locally by closing the
-open word and starting anew, so span recovery is total. Scoring counts a
-predicted span as correct when gold contains the identical boundaries (and
-POS, in joint mode).
+Joint-tag sequences become (start, end, POS) word spans by one boundary
+rule: a word goes on from one character to the next only when the first
+tag's segment is in OPENS, the second's is in CONTINUES and both carry the
+same POS. So span recovery is total, and an invalid run is cut where it
+breaks. The constrained lattice (lattice.bmes_transition_mask, built from
+the same tuples: this module imports nothing from segtag) forbids the same
+arcs at which the rule cuts an open word. Scoring counts a predicted span
+as correct when gold contains the identical boundaries (and POS, in joint
+mode).
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from typing import NamedTuple
+
+OPENS = ("B", "M")          # a word goes on after a tag of these segments
+CONTINUES = ("M", "E")      # a tag of these segments goes on an open word
 
 
 class WordSpan(NamedTuple):
@@ -27,34 +34,24 @@ class WordSpan(NamedTuple):
 def decode_tags_to_words(tags):
     """Recover word spans from a joint-tag sequence, repairing invalid runs.
 
-    S emits a singleton and B opens a word that M (same POS) continues and E
-    (same POS) closes. Any tag that cannot legally continue the open word
-    closes it at the previous character and starts fresh; a stray M opens a
-    word, a stray E emits a singleton. Each span's POS comes from its last
-    character's tag. The result always partitions [0, n).
+    A word starts at every position except where the previous tag's segment
+    is in OPENS, this tag's is in CONTINUES and both carry the same POS, so
+    a stray M opens a word and a stray E is a singleton. Each span's POS
+    comes from its last character's tag. The result always partitions
+    [0, n).
     """
     if len(tags) == 0:
         raise ValueError("cannot decode an empty tag sequence")
     spans = []
-    open_start = None
-    open_pos = None
-    for i, tag in enumerate(tags):
-        if open_start is not None:
-            if tag.seg == "M" and tag.pos == open_pos:
-                continue
-            if tag.seg == "E" and tag.pos == open_pos:
-                spans.append(WordSpan(open_start, i + 1, tag.pos))
-                open_start = None
-                continue
-            # illegal continuation: close at the previous character
-            spans.append(WordSpan(open_start, i, tags[i - 1].pos))
-            open_start = None
-        if tag.seg == "S" or tag.seg == "E":
-            spans.append(WordSpan(i, i + 1, tag.pos))
-        else:  # B, or a stray M, opens a word
-            open_start, open_pos = i, tag.pos
-    if open_start is not None:
-        spans.append(WordSpan(open_start, len(tags), tags[-1].pos))
+    start = 0
+    prev_seg, prev_pos = tags[0]
+    for i in range(1, len(tags)):
+        seg, pos = tags[i]
+        if not (prev_seg in OPENS and seg in CONTINUES and pos == prev_pos):
+            spans.append(WordSpan(start, i, prev_pos))
+            start = i
+        prev_seg, prev_pos = seg, pos
+    spans.append(WordSpan(start, len(tags), prev_pos))
     return spans
 
 

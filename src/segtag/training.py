@@ -210,12 +210,16 @@ def train_epoch(corpus, model, cfg, epoch=0):
     )
 
 
+def gold_and_predicted_spans(model, sentences):
+    """Word spans of gold sentences' tags and of the model's tags for their characters."""
+    gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
+    return gold, [ev.decode_tags_to_words(tags)
+                  for tags in model.tag_batch([s.chars for s in sentences])]
+
+
 def evaluate(model, sentences, mode="joint"):
     """Tag the raw characters of gold sentences and score P/R/F."""
-    gold_spans = [ev.decode_tags_to_words(s.tags) for s in sentences]
-    pred_spans = [ev.decode_tags_to_words(tags)
-                  for tags in model.tag_batch([s.chars for s in sentences])]
-    return ev.score_prf(gold_spans, pred_spans, mode)
+    return ev.score_prf(*gold_and_predicted_spans(model, sentences), mode)
 
 
 @dataclass

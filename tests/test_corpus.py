@@ -229,6 +229,8 @@ class TestVocabAndTagSet:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             cp.build_vocab_and_tagset([])
+        with pytest.raises(ValueError, match="no gold tags"):
+            cp.build_vocab_and_tagset([cp.Sentence([], [])])
 
     def test_encode_boundary_bigrams_use_boundary_keys(self):
         vocab, _ = cp.build_vocab_and_tagset(self.corpus(), use_bigram=True, bigram_min_count=1)

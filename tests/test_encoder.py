@@ -580,6 +580,16 @@ class TestConfigValidation:
         with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
             EncoderConfig(d=5, feature_map_sets=2, feature_maps=(4, 5, 6))
 
+    # a model file stores one width per map set even where no conv layer reads them
+    @pytest.mark.parametrize("topo", [
+        dict(recurrent="blstm"),
+        dict(recurrent="none", mlp_baseline=True),
+    ])
+    def test_one_width_per_map_set_without_the_conv_layer(self, topo):
+        with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
+            EncoderConfig(d=4, h=3, use_conv=False, use_pooling=False, use_highway=False,
+                          feature_map_sets=2, feature_maps=(1, 2, 3), **topo)
+
     def test_mlp_excludes_conv_stack(self):
         with pytest.raises(enc.ConfigError, match="mlp"):
             EncoderConfig(mlp_baseline=True)

@@ -88,11 +88,11 @@ class TestDecode:
         mask = lt.bmes_transition_mask(tagset)
         for i, a in enumerate(tagset):
             for j, b in enumerate(tagset):
-                if a.seg in ("B", "M"):
+                if a.seg in ev.OPENS:
                     joined = len(ev.decode_tags_to_words([a, b])) == 1
                     assert joined == (not mask[i, j]), (a, b)
                 else:
-                    assert mask[i, j] == (b.seg in ("M", "E")), (a, b)
+                    assert mask[i, j] == (b.seg in ev.CONTINUES), (a, b)
 
     def test_recovers_gold_spans_on_corpus(self):
         sents = cp.parse_tagged_corpus(["AB/NR C/VV", "X/AS WXYZ/NN", "QRS/VV T/PU"])

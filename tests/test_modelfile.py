@@ -102,11 +102,14 @@ class TestLoad:
         dict(use_conv=True, use_pooling=False, use_highway=False, recurrent="none"),
         dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
              mlp_baseline=True, window=3),
+        dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="lstm",
+             feature_map_sets=0, feature_maps=()),
     ])
     def test_round_trip_across_topologies(self, tmp_path, cfg_kwargs):
         sents = toy_corpus(8, seed=2)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
-        cfg = EncoderConfig(d=5, h=4, feature_map_sets=2, feature_maps=6, **cfg_kwargs)
+        cfg = EncoderConfig(**{"d": 5, "h": 4, "feature_map_sets": 2, "feature_maps": 6,
+                               **cfg_kwargs})
         model = Model(cfg, vocab, tagset, seed=3)
         path = tmp_path / "m.model"
         mf.save(model, path)
