@@ -293,7 +293,10 @@ def _window_tanh(what, x, left, right, filters, lengths):
 
     def _back(grad):
         xw = _window_rows(x.data, left, right, lengths)
-        g = grad * (1.0 - z * z)
+        # d tanh in place over the output: its readers' backwards have all run
+        g = np.multiply(z, z, out=z)
+        np.subtract(1.0, g, out=g)
+        g *= grad
         gxw = np.zeros_like(xw)
         ofs = 0
         for cols, w, b in filters:
@@ -483,8 +486,11 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
         f[...] = gate_f
         gate_f *= 1.0 - gate_f
         gate_f[:m0] = 0.0                           # the first step has c_{t-1} = 0
-        for (prev, _), (lo, m) in zip(steps, steps[1:]):
-            gate_f[lo:lo + m] *= cells[prev:prev + m]
+        # each row after the first step continues its sentence's row one step
+        # earlier, which holds c_{t-1} for the forget gate here and h_{t-1} below
+        active = np.array([m for _, m in steps], dtype=np.intp)
+        before = np.arange(m0, n) - np.repeat(active[:-1], active[1:])
+        gate_f[m0:] *= cells[before]
         di = gate_i * (1.0 - gate_i)
         di *= c_hat
         np.multiply(c_hat, c_hat, out=c_hat)
@@ -512,11 +518,9 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
                 np.multiply(dc, f[lo:lo + m], out=dc_carry[:m])
                 d_hidden[prev:prev + m] += acts[lo:lo + m] @ w_hT
             m_next = m
-        # W's recurrent half pairs each step after the first with h_{t-1}, the
-        # head of the step before; gather those rows into a finished buffer
-        active = np.array([m for _, m in steps], dtype=np.intp)
-        h_before = np.take(hidden, np.arange(m0, n) - np.repeat(active[:-1], active[1:]),
-                           axis=0, out=dc_dh[m0:])
+        # W's recurrent half pairs each step after the first with h_{t-1};
+        # gather those rows into a finished buffer
+        h_before = np.take(hidden, before, axis=0, out=dc_dh[m0:])
         xp = np.empty_like(x)
         xp[where] = x
         _accum(xhat, (acts @ wd[:d].T)[where])

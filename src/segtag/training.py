@@ -151,23 +151,28 @@ def apply_update(model, cfg, batch_size):
 
     The gradient of the objective is mean data gradient plus l2 * theta,
     applied as a single vector per parameter; there is no separate decay
-    step, so a zero objective gradient leaves the parameter untouched.
+    step, so a zero objective gradient leaves the parameter untouched. The
+    step is computed in place in the gradient buffer, which is zeroed after.
     """
     for name, p in model.parameters():
         if not cfg.finetune_embeddings and name.startswith("embed."):
             p.zero_grad()
             continue
-        g = p.grad / batch_size
+        g = p.grad
+        g /= batch_size
         if cfg.l2:
-            g = g + cfg.l2 * p.data
+            g += cfg.l2 * p.data
         if cfg.optimizer == "adagrad":
             if p.accumulator is None:    # first update: bitwise what zeros + g*g gives
                 p.accumulator = g * g
             else:
                 p.accumulator += g * g
-            p.data -= cfg.alpha * g / np.sqrt(p.accumulator + ADAGRAD_EPS)
+            root = p.accumulator + ADAGRAD_EPS
+            g *= cfg.alpha
+            g /= np.sqrt(root, out=root)
         else:
-            p.data -= cfg.alpha * g
+            g *= cfg.alpha
+        p.data -= g
         p.zero_grad()
 
 
