@@ -15,14 +15,10 @@ from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
 from .encoder import ConfigError, EncoderConfig
-from .model import TAG_CHUNK_CHARS, Model
+from .model import Model
 from .training import TrainConfig, gold_and_predicted_spans, train
 
 log = logging.getLogger("segtag")
-
-# `segtag tag` reads input lines in groups of about this many characters and
-# tags each group in one call, so the model can pack lines of similar length
-TAG_GROUP_CHARS = 4 * TAG_CHUNK_CHARS
 
 
 def _bool(text):
@@ -194,16 +190,14 @@ def cmd_train(args):
 
 
 def _tagged_lines(model, texts):
-    """The output lines of raw input lines, a blank one kept blank, tagged in
-    groups of about TAG_GROUP_CHARS characters to bound the tags held at once."""
-    out, group, size = [], [], 0
-    for i, text in enumerate(texts):
-        group.append(list(text))
-        size += len(text)
-        if size >= TAG_GROUP_CHARS or i == len(texts) - 1:
-            tagged = iter(model.tag_batch([chars for chars in group if chars]))
-            out += [cp.format_words(chars, next(tagged)) if chars else "" for chars in group]
-            group, size = [], 0
+    """The output lines of raw input lines, a blank one kept blank. The
+    non-blank lines are tagged in one call, and each chunk's lines are
+    rendered as the model decodes it, so no more than a chunk's tags are held."""
+    out = [""] * len(texts)
+    lines = [i for i, text in enumerate(texts) if text]
+    for k, path in model.tagged([texts[i] for i in lines]):
+        i = lines[k]
+        out[i] = cp.format_words(texts[i], model.tagset.decode(path))
     return out
 
 

@@ -133,19 +133,11 @@ def parse_tagged_corpus(lines, strict=True, normalize_width=False):
 
 
 def format_words(chars, tags):
-    """One "word/POS ..." line: the words evaluation.decode_tags_to_words
-    finds in tags, illegal BMES runs repaired."""
+    """One "word/POS ..." line of chars (a str or a list of characters): the
+    words evaluation.decode_tags_to_words finds in tags, illegal BMES runs
+    repaired."""
     return " ".join("".join(chars[s.start:s.end]) + WORD_POS_SEP + s.pos
                     for s in ev.decode_tags_to_words(tags))
-
-
-def format_sentence(sentence):
-    """Render a gold-tagged sentence back to one "word/POS ..." line."""
-    return format_words(sentence.chars, sentence.tags)
-
-
-def serialize_corpus(sentences):
-    return "\n".join(format_sentence(s) for s in sentences) + "\n"
 
 
 class Vocab:
@@ -180,12 +172,6 @@ class Vocab:
     @property
     def n_bigrams(self):
         return len(self.bigram_to_id) + 2
-
-    def char_id(self, c):
-        return self.char_to_id.get(c, self.UNK)
-
-    def bigram_id(self, a, b):
-        return self.bigram_to_id.get((a, b), self.UNK)
 
     def encode(self, chars, use_bigram=False):
         """Index one sentence; boundary bigrams are keyed with BOUNDARY."""
@@ -224,8 +210,9 @@ class TagSet:
     def observed_only(cls, tag_counts):
         return cls(sorted(tag_counts, key=lambda t: (t.pos, SEG_LABELS.index(t.seg))))
 
-    def tag(self, i):
-        return self._tags[i]
+    def decode(self, ids):
+        """The joint tags of tag indices, such as a Viterbi path."""
+        return list(map(self._tags.__getitem__, ids))
 
     def __len__(self):
         return len(self._tags)

@@ -94,31 +94,40 @@ class Model:
         tape, so the encoder's forward caches are freed before decoding."""
         return lt.TagScoreLattice(self.emissions(ids)[1], self.trans, ids.lengths)
 
-    def _paths(self, sentences):
-        """Tag-index paths of raw character sequences, in input order.
+    def chunks(self, sentences, cap):
+        """(indices, packed CharIds) of each chunk of raw character sequences:
+        the sentences sorted by length and cut by length_chunks at `cap`
+        characters, each chunk's sentences encoded and packed end to end."""
+        for chunk in length_chunks([len(s) for s in sentences], cap):
+            yield chunk, enc.CharIds.pack(
+                self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
 
-        Sentences of similar length share a chunk of at most TAG_CHUNK_CHARS
-        characters, which runs once through the encoder, with no tape, and
-        one batched Viterbi; each sentence is still decoded on its own.
+    def tagged(self, sentences):
+        """(index, tag-index path) of each raw character sequence, chunk by chunk.
+
+        Each chunk of at most TAG_CHUNK_CHARS characters runs once through the
+        encoder, with no tape, and one batched Viterbi; each sentence is still
+        decoded on its own. The paths come in chunk order, not input order.
         """
-        paths = [None] * len(sentences)
-        with ag.no_grad():
-            for chunk in length_chunks([len(s) for s in sentences], TAG_CHUNK_CHARS):
-                ids = enc.CharIds.pack(
-                    self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
+        for chunk, ids in self.chunks(sentences, TAG_CHUNK_CHARS):
+            # no_grad() is a context variable: left open across the yield, it
+            # would turn the tape off for the caller too
+            with ag.no_grad():
                 path, _ = lt.viterbi(self.lattice(ids))
-                ends = np.cumsum(ids.lengths).tolist()
-                for i, lo, hi in zip(chunk, [0] + ends, ends):
-                    paths[i] = path[lo:hi]
-        return paths
+            ends = np.cumsum(ids.lengths).tolist()
+            yield from zip(chunk, (path[lo:hi] for lo, hi in zip([0] + ends, ends)))
 
     def tag_batch(self, sentences):
         """Viterbi-decode raw character sequences into joint tag lists."""
-        return [[self.tagset.tag(i) for i in path] for path in self._paths(sentences)]
+        tags = [None] * len(sentences)
+        for i, path in self.tagged(sentences):
+            tags[i] = self.tagset.decode(path)
+        return tags
 
     def tag_ids(self, chars):
         """Viterbi-decode one raw character sequence into tag indices."""
-        return self._paths([chars])[0]
+        (_, path), = self.tagged([chars])
+        return path
 
     def tag_chars(self, chars):
         return self.tag_batch([chars])[0]

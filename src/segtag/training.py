@@ -2,11 +2,12 @@
 
 Each sentence contributes a structured hinge loss: the score of the best
 margin-augmented competitor minus the gold path score. A mini-batch runs in
-length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, packed as in tagging:
-one encoder pass, one Viterbi and one backward() per chunk. backward()
-releases the chunk's tape as it goes, and the chunk's graph is dropped before
-the next one is built, so memory follows the chunk, not the batch. AdaGrad
-(or plain SGD) applies each batch with the L2 term folded into the update.
+length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, cut and packed
+by Model.chunks as tagging's are: one encoder pass, one Viterbi and one
+backward() per chunk. backward() releases the chunk's tape as it goes, and
+the chunk's graph is dropped before the next one is built, so memory follows
+the chunk, not the batch. AdaGrad (or plain SGD) applies each batch with the
+L2 term folded into the update.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation as ev
 from . import lattice as lt
-from .encoder import CharIds
-from .model import TRAIN_CHUNK_CHARS, length_chunks
+from .model import TRAIN_CHUNK_CHARS
 
 log = logging.getLogger(__name__)
 
@@ -191,10 +191,8 @@ def train_epoch(corpus, model, cfg, epoch=0):
     model.zero_grads()
     for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[lo:lo + cfg.batch_size]
-        for chunk in length_chunks([len(corpus[i]) for i in batch], TRAIN_CHUNK_CHARS):
+        for chunk, ids in model.chunks([corpus[i].chars for i in batch], TRAIN_CHUNK_CHARS):
             sentences = batch[chunk]
-            ids = CharIds.pack(model.vocab.encode(corpus[i].chars, model.cfg.use_bigram)
-                               for i in sentences)
             gold = np.concatenate([model.tagset.encode(corpus[i].tags) for i in sentences])
             try:
                 diff, chunk_losses, _ = hinge_loss_graph(model, ids, gold, cfg.eta)

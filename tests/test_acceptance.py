@@ -21,11 +21,13 @@ from segtag.encoder import EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 from util import (
+    char_id,
     conv_oracle,
     kmax_oracle,
     lstm_oracle,
     randomize_parameters,
     rel_err,
+    serialize_corpus,
     topology_grid,
 )
 
@@ -219,11 +221,11 @@ def test_acceptance_6_ablation_ordering():
 def test_acceptance_7_round_trips(tmp_path):
     # corpus parse <-> serialize identity
     sents = toy_corpus(25, seed=7)
-    text = cp.serialize_corpus(sents)
+    text = serialize_corpus(sents)
     reparsed = cp.parse_tagged_corpus(text.splitlines())
     assert [s.chars for s in reparsed] == [s.chars for s in sents]
     assert [s.tags for s in reparsed] == [s.tags for s in sents]
-    assert cp.serialize_corpus(reparsed) == text
+    assert serialize_corpus(reparsed) == text
 
     # expand_word <-> decode_tags_to_words identity on gold-constructed spans
     rng = np.random.default_rng(20240007)
@@ -280,7 +282,7 @@ def test_acceptance_8_pretrained_embedding_loading(tmp_path):
     assert stats.loaded == 5
     assert stats.coverage == pytest.approx(5 / len(vocab.chars))
     for tok, vec in vectors.items():
-        assert np.allclose(table.data[vocab.char_id(tok)], vec, atol=1e-7)
+        assert np.allclose(table.data[char_id(vocab, tok)], vec, atol=1e-7)
 
     with pytest.raises(cp.EmbeddingFormatError):
         cp.load_pretrained_embeddings(path, vocab, d=50)

@@ -80,7 +80,7 @@ def test_batched_tagging_equals_one_sentence_at_a_time(case, texts):
     ids = [model.vocab.encode(s, model.cfg.use_bigram) for s in sentences]
 
     alone = [lt.viterbi(model.lattice(i))[0] for i in ids]
-    assert model.tag_batch(sentences) == [[model.tagset.tag(t) for t in p] for p in alone]
+    assert model.tag_batch(sentences) == [model.tagset.decode(p) for p in alone]
 
     packed = model.emissions(CharIds.pack(ids))[1]
     want = np.concatenate([model.emissions(i)[1] for i in ids])
@@ -385,6 +385,19 @@ def test_tagging_and_training_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_tagging_leaves_the_tape_on_between_chunks():
+    # Model.tagged turns the tape off for each chunk only: its caller, which
+    # runs between chunks, still records one
+    sents = toy_corpus(8, seed=2)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=4), vocab, tagset)
+    tagged = model.tagged([s.chars for s in sents] + [ALPHABET * 40])
+    next(tagged)
+    assert ag._grad_on.get()
+    assert model.hidden(model.vocab.encode(sents[0].chars))._prev    # its inputs, recorded
+    tagged.close()
+
+
 def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
     # at the published widths a chunk's forward caches (BLSTM activations,
     # conv output, k-max indices) take ~10 KB per character; by the time
@@ -412,8 +425,7 @@ def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
 def taped_paths(model, sentences):
     """Tag paths as tagging ran with the tape on, in training-sized chunks."""
     paths = [None] * len(sentences)
-    for chunk in length_chunks([len(s) for s in sentences], TRAIN_CHUNK_CHARS):
-        ids = CharIds.pack(model.vocab.encode(sentences[i], model.cfg.use_bigram) for i in chunk)
+    for chunk, ids in model.chunks(sentences, TRAIN_CHUNK_CHARS):
         path, _ = lt.viterbi(model.lattice(ids))
         ends = np.cumsum(ids.lengths).tolist()
         for i, lo, hi in zip(chunk, [0] + ends, ends):
@@ -431,7 +443,7 @@ def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
     make = wl.toy_sentences if lang == "toy" else wl.wide_sentences
     sentences = [[c for word, _ in s for c in word] for seed in seeds for s in make(n, seed)]
     assert TAG_CHUNK_CHARS > TRAIN_CHUNK_CHARS
-    assert model._paths(sentences) == taped_paths(model, sentences)
+    assert sorted(model.tagged(sentences)) == list(enumerate(taped_paths(model, sentences)))
 
 
 def test_tagging_chunk_peak_memory_per_character():

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 from segtag import cli
 from segtag import corpus as cp
+from segtag import lattice as lt
 from segtag import modelfile as mf
 from segtag.autograd import NumericError
-from segtag.model import Model
+from segtag.model import TAG_CHUNK_CHARS, Model, length_chunks
 from segtag.toydata import toy_corpus
-from util import PERFBENCH
+from util import PERFBENCH, char_id, serialize_corpus
 
 TOY_MODEL = PERFBENCH / "models" / "toy.model"
 
@@ -25,7 +26,7 @@ TOY_MODEL = PERFBENCH / "models" / "toy.model"
 def toy_files(tmp_path):
     sents = toy_corpus(16, seed=5)
     corpus = tmp_path / "train.txt"
-    corpus.write_text(cp.serialize_corpus(sents), encoding="utf-8")
+    corpus.write_text(serialize_corpus(sents), encoding="utf-8")
     config = tmp_path / "small.cfg"
     config.write_text(
         "# tiny widths so tests stay fast\n"
@@ -232,7 +233,7 @@ class TestTrainCommand:
         model = mf.load(model_path)
         # training updates the rows, but they must have started from the file;
         # with 2 epochs on a tiny corpus they stay near the seeded values
-        row = model.named["embed.unigram"].data[model.vocab.char_id("a")]
+        row = model.named["embed.unigram"].data[char_id(model.vocab, "a")]
         assert abs(float(row.mean()) - 0.5) < 0.45
 
     def test_non_embedding_file_is_named(self, toy_files, capsys):
@@ -252,7 +253,7 @@ class TestTrainCommand:
         # range: the save refuses the parameters instead of writing a model
         # that loading refuses. A subprocess, so the overflow stays a warning.
         corpus = tmp_path / "train.txt"
-        corpus.write_text(cp.serialize_corpus(toy_corpus(4, seed=5)), encoding="utf-8")
+        corpus.write_text(serialize_corpus(toy_corpus(4, seed=5)), encoding="utf-8")
         config = tmp_path / "hot.cfg"
         config.write_text("d = 8\nh = 8\nfeature_map_sets = 2\nfeature_map_size = 8\n"
                           "lr = 1e300\nepochs = 1\n", encoding="utf-8")
@@ -296,15 +297,15 @@ class TestTagCommand:
         assert lines[1] == ""
         assert all("/" in l for l in (lines[0], lines[2]))
 
-    def test_lines_are_tagged_in_groups_and_written_in_order(self, trained, tmp_path):
+    def test_lines_are_tagged_in_chunks_and_written_in_order(self, trained, tmp_path):
         model_path, _ = trained
         rng = np.random.default_rng(9)
         lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
                                                           size=int(rng.integers(1, 40))))
                  for i in range(600)]
-        lines.insert(60, "abcdefghijkl" * (cli.TAG_CHUNK_CHARS // 12 + 1))   # longer than a chunk
-        assert len(lines[60]) > cli.TAG_CHUNK_CHARS
-        assert sum(map(len, lines)) > 2 * cli.TAG_GROUP_CHARS
+        lines.insert(60, "abcdefghijkl" * (TAG_CHUNK_CHARS // 12 + 1))   # longer than a chunk
+        assert len(lines[60]) > TAG_CHUNK_CHARS
+        assert sum(map(len, lines)) > 8 * TAG_CHUNK_CHARS
         fin = tmp_path / "in.txt"
         fout = tmp_path / "out.txt"
         fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -336,10 +337,10 @@ class TestTagCommand:
         assert err.startswith(f"segtag: {fin} line 2: raw text holds whitespace")
 
     def test_refused_line_leaves_no_output(self, tmp_path, capsys):
-        # the refused line comes after more than one group of tagged lines
+        # the refused line comes after more than four chunks' worth of lines
         rng = np.random.default_rng(4)
         lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
-        assert sum(map(len, lines)) > cli.TAG_GROUP_CHARS
+        assert sum(map(len, lines)) > 4 * TAG_CHUNK_CHARS
         fin = tmp_path / "in.txt"
         fin.write_text("\n".join(lines + ["ab cd"]) + "\n", encoding="utf-8")
         fout = tmp_path / "out.txt"
@@ -352,21 +353,21 @@ class TestTagCommand:
         assert fout.read_bytes() == b"kept\n"
 
     def test_failed_tagging_leaves_no_output(self, tmp_path, capsys, monkeypatch):
-        # 20 lines of 360 characters make two groups; the second group's
-        # tagging fails after the first group was tagged
+        # 20 lines of 360 characters make ten chunks; the second chunk's
+        # tagging fails after the first chunk was tagged
         rng = np.random.default_rng(4)
         lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
         fin = tmp_path / "in.txt"
         fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        calls, tag_batch = [], Model.tag_batch
+        calls, lattice = [], Model.lattice
 
-        def failing(model, sentences):
-            calls.append(len(sentences))
+        def failing(model, ids):
+            calls.append(len(ids.lengths))
             if len(calls) == 2:
                 raise NumericError("tensor contains NaN/Inf")
-            return tag_batch(model, sentences)
+            return lattice(model, ids)
 
-        monkeypatch.setattr(Model, "tag_batch", failing)
+        monkeypatch.setattr(Model, "lattice", failing)
         fout = tmp_path / "out.txt"
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
         assert capsys.readouterr().err == "segtag: tensor contains NaN/Inf\n"
@@ -376,6 +377,28 @@ class TestTagCommand:
         calls.clear()
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
         assert fout.read_bytes() == b"kept\n"
+
+    def test_one_viterbi_per_chunk_over_the_whole_input(self, tmp_path, monkeypatch):
+        # lines of mixed length, blank ones among them, worth several 4,096-
+        # character groups: they are sorted and cut over the whole input, not
+        # group by group, so each chunk but the last is filled to the cap
+        rng = np.random.default_rng(12)
+        lines = ["" if i % 9 == 0 else "".join(rng.choice(list("abcdefghijkl"),
+                                                          size=int(rng.integers(3, 120))))
+                 for i in range(400)]
+        assert sum(map(len, lines)) > 4 * 4096
+        fin = tmp_path / "in.txt"
+        fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        calls, viterbi = [], lt.viterbi
+
+        def counted(lat):
+            calls.append(lat.n)
+            return viterbi(lat)
+
+        monkeypatch.setattr(lt, "viterbi", counted)
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(tmp_path / "o.txt")) == 0
+        want = list(length_chunks([len(line) for line in lines if line], TAG_CHUNK_CHARS))
+        assert len(calls) == len(want)
 
     def test_deterministic_output(self, trained, tmp_path):
         model_path, _ = trained
@@ -423,7 +446,7 @@ class TestEvalCommand:
         # end-to-end: train on the toy corpus, then eval on the same file
         sents = toy_corpus(50, seed=0)
         corpus = tmp_path / "train.txt"
-        corpus.write_text(cp.serialize_corpus(sents), encoding="utf-8")
+        corpus.write_text(serialize_corpus(sents), encoding="utf-8")
         config = tmp_path / "toy.cfg"
         config.write_text("d = 16\nh = 16\nfeature_map_sets = 3\n"
                           "feature_map_size = 16\nepochs = 10\n", encoding="utf-8")
@@ -478,7 +501,7 @@ class TestWidthFolding:
         wide = [cp.Sentence([full_width(c) for c in s.chars], s.tags)
                 for s in toy_corpus(16, seed=5)]
         corpus = tmp / "wide.txt"
-        corpus.write_text(cp.serialize_corpus(wide), encoding="utf-8")
+        corpus.write_text(serialize_corpus(wide), encoding="utf-8")
         raw = tmp / "wide_raw.txt"
         raw.write_text("".join("".join(s.chars) + "\n" for s in wide), encoding="utf-8")
         folding = tmp / "folding.cfg"

@@ -11,7 +11,7 @@ from segtag import evaluation as ev
 from segtag.autograd import Parameter
 from segtag.corpus import JointTag
 from segtag.toydata import toy_corpus
-from util import benchmark_workloads
+from util import benchmark_workloads, bigram_id, char_id, serialize_corpus
 
 
 class TestJointTag:
@@ -119,17 +119,17 @@ class TestParse:
         gold = tmp_path / f"{name}.gold"
         wl.write_gold(gold, sentences)
         with open(gold, encoding="utf-8") as f:
-            text = cp.serialize_corpus(cp.parse_tagged_corpus(f))
+            text = serialize_corpus(cp.parse_tagged_corpus(f))
         assert text.encode("utf-8") == gold.read_bytes()
 
     def test_round_trip(self):
         lines = ["AB/NR C/VV", "X/AS WXYZ/NN"]
         sents = cp.parse_tagged_corpus(lines)
-        text = cp.serialize_corpus(sents)
+        text = serialize_corpus(sents)
         again = cp.parse_tagged_corpus(text.splitlines())
         assert [s.chars for s in again] == [s.chars for s in sents]
         assert [s.tags for s in again] == [s.tags for s in sents]
-        assert cp.serialize_corpus(again) == text
+        assert serialize_corpus(again) == text
 
 
 # words hold no whitespace but may hold the separator; POS labels hold neither
@@ -148,10 +148,10 @@ def test_parse_and_serialize_round_trip_on_unicode(drawn):
     sentences = [cp.Sentence([c for w, _ in words for c in w],
                              [t for w, p in words for t in cp.expand_word(w, p)])
                  for words in drawn]
-    text = cp.serialize_corpus(sentences)
+    text = serialize_corpus(sentences)
     again = cp.parse_tagged_corpus(io.StringIO(text))
     assert again == sentences
-    assert cp.serialize_corpus(again).encode("utf-8") == text.encode("utf-8")
+    assert serialize_corpus(again).encode("utf-8") == text.encode("utf-8")
 
 
 _CHARS = st.characters().filter(lambda c: not c.isspace())
@@ -181,9 +181,9 @@ class TestVocabAndTagSet:
         assert len(tagset) == 8  # 4 seg labels x 2 POS labels
         assert tagset.pos_labels == ["NR", "VV"]
         # POS-major, seg-minor order
-        assert str(tagset.tag(0)) == "B-NR"
-        assert str(tagset.tag(3)) == "S-NR"
-        assert str(tagset.tag(4)) == "B-VV"
+        assert str(tagset.decode([0])[0]) == "B-NR"
+        assert str(tagset.decode([3])[0]) == "S-NR"
+        assert str(tagset.decode([4])[0]) == "B-VV"
 
     def test_observed_only_tagset(self):
         _, tagset = cp.build_vocab_and_tagset(self.corpus(), observed_tags_only=True)
@@ -196,8 +196,8 @@ class TestVocabAndTagSet:
         # A, B, C all appear twice; add a singleton
         vocab2, _ = cp.build_vocab_and_tagset(
             self.corpus() + cp.parse_tagged_corpus(["Q/NR"]), min_count=2)
-        assert vocab2.char_id("Q") == cp.Vocab.UNK
-        assert vocab.char_id("A") != cp.Vocab.UNK
+        assert char_id(vocab2, "Q") == cp.Vocab.UNK
+        assert char_id(vocab, "A") != cp.Vocab.UNK
 
     def test_deterministic_index_maps(self):
         v1, t1 = cp.build_vocab_and_tagset(self.corpus(), use_bigram=True, bigram_min_count=1)
@@ -235,9 +235,9 @@ class TestVocabAndTagSet:
     def test_encode_boundary_bigrams_use_boundary_keys(self):
         vocab, _ = cp.build_vocab_and_tagset(self.corpus(), use_bigram=True, bigram_min_count=1)
         ids = vocab.encode(["A", "B"], use_bigram=True)
-        assert ids.bi_left[0] == vocab.bigram_id(cp.BOUNDARY, "A")
-        assert ids.bi_right[1] == vocab.bigram_id("B", cp.BOUNDARY)
-        assert ids.bi_left[1] == vocab.bigram_id("A", "B")
+        assert ids.bi_left[0] == bigram_id(vocab, cp.BOUNDARY, "A")
+        assert ids.bi_right[1] == bigram_id(vocab, "B", cp.BOUNDARY)
+        assert ids.bi_left[1] == bigram_id(vocab, "A", "B")
 
     def test_encode_never_returns_pad(self):
         # unknown characters and bigrams, and boundary bigrams rarer than the
@@ -261,7 +261,7 @@ class TestVocabAndTagSet:
         vocab, _ = cp.build_vocab_and_tagset(self.corpus())
         ids = vocab.encode(["A", "?"])
         assert ids.uni[1] == cp.Vocab.UNK
-        assert ids.uni[0] == vocab.char_id("A")
+        assert ids.uni[0] == char_id(vocab, "A")
 
 
 class TestEmbeddingLoader:
@@ -288,8 +288,8 @@ class TestEmbeddingLoader:
         table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
         assert stats.loaded == 2 and stats.skipped == 0
         assert stats.coverage == pytest.approx(2 / len(vocab.chars))
-        assert np.allclose(table.data[vocab.char_id("A")], vecs["A"])
-        assert np.allclose(table.data[vocab.char_id("C")], vecs["C"])
+        assert np.allclose(table.data[char_id(vocab, "A")], vecs["A"])
+        assert np.allclose(table.data[char_id(vocab, "C")], vecs["C"])
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         vocab = self.vocab()
@@ -325,7 +325,7 @@ class TestEmbeddingLoader:
         table2, stats = cp.load_pretrained_embeddings(path, vocab, d=4, table=table)
         assert table2 is table
         assert stats.loaded == 1
-        assert np.allclose(table.data[vocab.char_id("B")], vecs["B"])
+        assert np.allclose(table.data[char_id(vocab, "B")], vecs["B"])
 
     def test_non_integer_header_is_named(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -346,7 +346,7 @@ class TestEmbeddingLoader:
         path.write_text("2 3\nA 0.1 0.2 0.3\n\n  \nC 0.4 0.5 0.6\n", encoding="utf-8")
         table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
         assert stats.loaded == 2 and stats.skipped == 0
-        assert np.allclose(table.data[vocab.char_id("C")], [0.4, 0.5, 0.6])
+        assert np.allclose(table.data[char_id(vocab, "C")], [0.4, 0.5, 0.6])
 
     def test_header_count_must_match_the_rows(self, tmp_path):
         vocab = self.vocab()

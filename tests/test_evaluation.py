@@ -9,7 +9,7 @@ from segtag import lattice as lt
 from segtag.corpus import JointTag
 from segtag.evaluation import WordSpan
 
-from util import decode_oracle
+from util import decode_oracle, format_sentence
 
 # (seg, POS) pairs of 1 to 30 tags over one to three random POS labels, so
 # words of a label continue and illegal runs occur
@@ -101,7 +101,7 @@ class TestDecode:
             # rebuild the original words from the spans
             words = [("".join(s.chars[sp.start:sp.end]), sp.pos) for sp in spans]
             line = " ".join(f"{w}/{p}" for w, p in words)
-            assert line == cp.format_sentence(s)
+            assert line == format_sentence(s)
 
 
 class TestScore:

@@ -1,10 +1,12 @@
 """The suite's own failure path: under the repository's warning filters and
 conftest, a failing Hypothesis property fails on its own and every test after
-it still runs."""
+it still runs, and every planted defect of the mutant table still applies."""
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from mutants import MUTANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +34,13 @@ def test_failing_property_fails_alone(tmp_path):
     assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout[-3000:]
     assert "1 failed, 1 passed" in proc.stdout, proc.stdout[-3000:]
     assert "Falsifying example" in proc.stdout
+
+
+def test_every_mutant_applies_exactly_once():
+    # tests/mutants.py runs outside tier-1; here only its table is checked
+    for mutant in MUTANTS:
+        text = (ROOT / mutant.path).read_text(encoding="utf-8")
+        assert text.count(mutant.old) == 1, (mutant.name, mutant.old)
+        assert mutant.new != mutant.old, mutant.name
+        for test in mutant.tests:
+            assert (ROOT / test.split("::")[0]).is_file(), (mutant.name, test)

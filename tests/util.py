@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from segtag import autograd as ag
+from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag import lattice as lt
 
@@ -25,6 +26,26 @@ def benchmark_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def format_sentence(sentence):
+    """Render a gold-tagged sentence back to one "word/POS ..." line."""
+    return cp.format_words(sentence.chars, sentence.tags)
+
+
+def serialize_corpus(sentences):
+    """A corpus file's text: one format_sentence line per sentence."""
+    return "\n".join(format_sentence(s) for s in sentences) + "\n"
+
+
+def char_id(vocab, c):
+    """The vocabulary index of character c; UNK when it is not in vocab."""
+    return vocab.char_to_id.get(c, vocab.UNK)
+
+
+def bigram_id(vocab, a, b):
+    """The vocabulary index of the bigram (a, b); UNK when it is not in vocab."""
+    return vocab.bigram_to_id.get((a, b), vocab.UNK)
 
 
 def taped_sum(x, act=None, scale=1.0):
