@@ -1,13 +1,11 @@
 """Planted defects, and the tests that must catch each one.
 
 Each entry names a file, an exact text in it, the text that replaces it, and
-the tests expected to fail once it is replaced. The runner exports a
-revision of the repository with ``git archive`` into a temporary directory,
-applies one entry there, and runs only that entry's tests against the
-export's ``src``:
+the tests expected to fail once it is replaced. For each entry the runner
+exports ``HEAD`` with ``git archive`` into a temporary directory, applies the
+entry there, and runs only that entry's tests against the export's ``src``:
 
-    python tests/mutants.py             # every entry, at HEAD
-    python tests/mutants.py REV         # every entry, at another revision
+    python tests/mutants.py
 
 A mutant is killed only when pytest exits 1 (tests failed); exit 0 means it
 survived, and any other exit code is an error. The runner exits 0 only when
@@ -99,12 +97,12 @@ MUTANTS = (
 )
 
 
-def export(rev, dest):
-    """The files of revision rev, written under dest by a local git archive."""
-    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+def export(dest):
+    """The files of HEAD, written under dest by a local git archive."""
+    archive = subprocess.Popen(["git", "archive", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", str(dest)], stdin=archive.stdout, check=True)
     if archive.wait():
-        raise RuntimeError(f"git archive {rev} exited {archive.returncode}")
+        raise RuntimeError(f"git archive HEAD exited {archive.returncode}")
 
 
 def apply(mutant, root):
@@ -115,10 +113,10 @@ def apply(mutant, root):
     path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
 
 
-def run(mutant, rev):
-    """pytest's exit code for mutant's tests on an export of rev with mutant applied."""
+def run(mutant):
+    """pytest's exit code for mutant's tests on an export of HEAD with mutant applied."""
     with tempfile.TemporaryDirectory(prefix="segtag-mutant-") as tmp:
-        export(rev, tmp)
+        export(tmp)
         apply(mutant, tmp)
         env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"), PYTHONDONTWRITEBYTECODE="1")
         env.setdefault("HYPOTHESIS_PROFILE", "ci")
@@ -127,12 +125,11 @@ def run(mutant, rev):
             cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv):
-    rev = argv[0] if argv else "HEAD"
+def main():
     verdicts = {0: "SURVIVED", 1: "killed"}
     bad = 0
     for mutant in MUTANTS:
-        code = run(mutant, rev)
+        code = run(mutant)
         verdict = verdicts.get(code, f"ERROR (pytest exit {code})")
         bad += code != 1
         print(f"{verdict:<24} {mutant.name}", flush=True)
@@ -141,4 +138,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
