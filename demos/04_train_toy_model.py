@@ -39,7 +39,7 @@ print(f"training-set joint F1 {f:.4f}")
 # Round-trip through the model file and tag some raw text.
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "toy.model"
-    mf.save(model, path, train_cfg=train_cfg)
+    mf.save(model, path)
     reloaded = mf.load(path)
 print(f"\nsaved and reloaded {path.name}; tagging raw input:")
 for line in ("abcdegh", "ijklf"):

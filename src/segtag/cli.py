@@ -174,14 +174,13 @@ def cmd_train(args):
                   normalize_width=settings["normalize_width"])
     if settings["embeddings"]:
         _, stats = cp.load_pretrained_embeddings(
-            settings["embeddings"], vocab, cfg.d, table=model.named["embed.unigram"])
+            settings["embeddings"], vocab, model.named["embed.unigram"])
         log.info("pre-trained embeddings: %s", stats)
 
     dev = None
     if settings["dev"]:
         dev = _read_corpus(settings["dev"], settings, settings["normalize_width"])
     best = train(sentences, model, train_cfg, dev=dev)
-    model.train_cfg = train_cfg
     checksum = mf.save(model, model_path)
     f1 = "n/a" if best.dev_f1 is None else f"{best.dev_f1:.4f}"
     log.info("saved epoch %d (dev F1 %s) to %s, crc32 %08x",

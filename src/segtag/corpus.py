@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import evaluation as ev
-from .autograd import Parameter
-from .encoder import CharIds, draw_parameters
+from .encoder import CharIds
 
 log = logging.getLogger(__name__)
 
@@ -151,10 +150,9 @@ class Vocab:
 
     UNK, PAD = 0, 1
 
-    def __init__(self, chars, bigrams=None, char_freq=None):
+    def __init__(self, chars, bigrams=None):
         self.char_to_id = {c: i + 2 for i, c in enumerate(chars)}
         self.bigram_to_id = {b: i + 2 for i, b in enumerate(bigrams or [])}
-        self.char_freq = dict(char_freq or {})
 
     @property
     def chars(self):
@@ -249,7 +247,7 @@ def build_vocab_and_tagset(sentences, min_count=1, bigram_min_count=2,
         tag_counts.update(s.tags)
     chars = sorted(c for c, f in char_freq.items() if f >= min_count)
     bigrams = sorted(b for b, f in bigram_freq.items() if f >= bigram_min_count)
-    vocab = Vocab(chars, bigrams, char_freq)
+    vocab = Vocab(chars, bigrams)
     if not tag_counts:
         raise ValueError("corpus has no gold tags to build a tag set from")
     if observed_tags_only:
@@ -269,28 +267,22 @@ class EmbeddingLoadStats:
         return f"loaded {self.loaded} rows, skipped {self.skipped}, coverage {self.coverage:.1%}"
 
 
-def load_pretrained_embeddings(path, vocab, d, rng=None, table=None):
-    """Initialize a character embedding table from a word2vec-format text file.
+def load_pretrained_embeddings(path, vocab, table):
+    """Fill rows of a character embedding table, such as a model's
+    `embed.unigram` Parameter, in place from a word2vec-format text file.
 
-    The file starts with a "<count> <dim>" header; each of the count lines
-    after it is a distinct token and dim whitespace-separated finite reals.
-    Rows for in-vocabulary characters are copied once the whole file is
-    checked; the rest keep their initial values and count as skipped. Pass a
-    model's `embed.unigram` Parameter as `table` to fill its rows in place;
-    without one, a float32 table is drawn from rng by the model's embedding rule.
-    Every EmbeddingFormatError names the file, and the line when it has one.
+    The file starts with a "<count> <dim>" header, dim being the table's
+    width; each of the count lines after it is a distinct token and dim
+    whitespace-separated finite reals. Rows for in-vocabulary characters are
+    copied once the whole file is checked; the rest keep their values and
+    count as skipped. Every EmbeddingFormatError names the file, and the line
+    when it has one.
     """
     def bad(what, lineno=None):
         where = path if lineno is None else f"{path} line {lineno}"
         return EmbeddingFormatError(f"{where}: {what}")
 
-    if table is None:
-        uni, = draw_parameters([("embed.unigram", (vocab.n_chars, d))],
-                               rng or np.random.default_rng(0))
-        table = Parameter(uni, name="embed.unigram")
-    if table.shape[1] != d:
-        raise bad(f"table width {table.shape[1]} != requested d {d}")
-
+    d = table.shape[1]
     with open(path, encoding="utf-8") as f:
         header = f.readline().split()
         if len(header) != 2:

@@ -56,7 +56,6 @@ class Model:
         # True when the vocabulary was built from width-folded text
         # (corpus.fold_width); `segtag tag` and `eval` then fold their input too
         self.normalize_width = bool(normalize_width)
-        self.train_cfg = None   # optional TrainConfig snapshot, kept for serialization
         self.dtype = np.dtype(dtype)
         manifest = enc.parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
         if state is None:

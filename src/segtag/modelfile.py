@@ -3,20 +3,17 @@
 Layout (all integers little-endian, strings UTF-8 with a u32 length prefix):
 
     magic           6 bytes  "FJSTM1"
-    version         u32      2
+    version         u32      3
     encoder config  u32 d, u32 h, u32 Q, u32[Q] map widths, u8 use_conv,
                     u8 use_pooling, u8 use_highway, u8 recurrent code
                     (0 none / 1 lstm / 2 blstm), u8 mlp_baseline, u32 window,
                     u8 use_bigram, u8 constrain_transitions
     preprocessing   u8 normalize_width (the training text was width-folded,
                     so tagging folds its input too)
-    train config    f64 alpha, f64 eta, f64 l2, u32 batch_size, u32 max_epochs,
-                    i64 seed, f64 dev_fraction, str optimizer,
-                    u8 finetune_embeddings
     vocabulary      u32 char count + chars in index order; u32 bigram count +
-                    (str, str) pairs in index order; u32 frequency count +
-                    (str char, u64 count) sorted by char
-    tag set         u32 POS count + labels; u32 tag count + (str seg, str pos)
+                    (str, str) pairs in index order
+    tag set         u32 tag count + (str seg, str pos) pairs; the POS labels
+                    are the tags', sorted
     parameters      u32 block count; per block str name, u32 ndim, u32[ndim]
                     shape, then f32 values row-major (32-bit on disk
                     regardless of the in-memory compute precision)
@@ -32,15 +29,27 @@ it allocates a parameter, and builds the model from the stored arrays with
 no random draw. A stored config, tag set or block that fails validation
 (NaN/Inf included, which Model checks) raises ModelCorruptionError.
 
-Saving always writes version 2. Version 1 files still load: they have no
-preprocessing byte (normalize_width reads as 0), and their train config
-holds one more u8 between optimizer and finetune_embeddings, a flag that
-never changed training, which the reader skips.
+Saving always writes version 3. Version 1 and 2 files still load. They hold
+three more sections, which nothing reads and the reader skips:
+
+    train config    after preprocessing: f64 alpha, f64 eta, f64 l2,
+                    u32 batch_size, u32 max_epochs, i64 seed, f64 dev_fraction,
+                    str optimizer, u8 finetune_embeddings (version 1 has one
+                    more u8 before finetune_embeddings)
+    frequencies     after the bigrams: u32 count + (str char, u64 count) pairs
+    POS labels      before the tags: u32 count + labels
+
+A skipped section that is truncated or holds an undecodable string is still
+a ModelCorruptionError. Version 1 has no preprocessing byte: normalize_width
+reads as off.
 """
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
+import shutil
 import struct
 import zlib
 
@@ -50,11 +59,10 @@ from .autograd import NumericError
 from .corpus import JointTag, TagSet, Vocab
 from .encoder import ConfigError, EncoderConfig, parameter_manifest
 from .model import Model
-from .training import TrainConfig
 
 MAGIC = b"FJSTM1"
-VERSION = 2
-READABLE_VERSIONS = (1, 2)
+VERSION = 3
+READABLE_VERSIONS = (1, 2, 3)
 
 _RECURRENT_CODES = {"none": 0, "lstm": 1, "blstm": 2}
 _RECURRENT_NAMES = {v: k for k, v in _RECURRENT_CODES.items()}
@@ -78,9 +86,9 @@ _ENCODER_WIDTHS = "<III"        # d, h, Q; the Q map widths follow as "<{Q}I"
 # use_conv, use_pooling, use_highway, recurrent code, mlp_baseline, window,
 # use_bigram, constrain_transitions
 _ENCODER_SWITCHES = "<???B?I??"
-_TRAIN_NUMBERS = "<dddIIqd"     # the _TRAIN_NUMBER_FIELDS, in order
-_TRAIN_NUMBER_FIELDS = ("alpha", "eta", "l2", "batch_size", "max_epochs", "seed",
-                        "dev_fraction")
+# the numbers of a version 1 or 2 train config: alpha, eta, l2, batch_size,
+# max_epochs, seed, dev_fraction
+_OLD_TRAIN_NUMBERS = "<dddIIqd"
 
 
 class _Writer(io.BytesIO):
@@ -141,23 +149,6 @@ def _read_encoder_config(r):
     return cfg, constrained
 
 
-def _write_train_config(w, tc):
-    w.put(_TRAIN_NUMBERS, *(getattr(tc, f) for f in _TRAIN_NUMBER_FIELDS))
-    w.string(tc.optimizer)
-    w.put("<?", tc.finetune_embeddings)
-
-
-def _read_train_config(r, version):
-    fields = dict(zip(_TRAIN_NUMBER_FIELDS, r.get(_TRAIN_NUMBERS)), optimizer=r.string())
-    if version == 1:
-        r.take(1)   # version 1's deterministic flag, which nothing read
-    (fields["finetune_embeddings"],) = r.get("<?")
-    try:
-        return TrainConfig(**fields)
-    except ValueError as e:
-        raise ModelCorruptionError(f"stored train config is invalid: {e}") from None
-
-
 def _write_vocab(w, vocab):
     w.put("<I", len(vocab.chars))
     for c in vocab.chars:
@@ -166,57 +157,53 @@ def _write_vocab(w, vocab):
     for a, b in vocab.bigrams:
         w.string(a)
         w.string(b)
-    w.put("<I", len(vocab.char_freq))
-    for c, n in sorted(vocab.char_freq.items()):
-        w.string(c)
-        w.put("<Q", n)
 
 
-def _read_vocab(r):
+def _read_vocab(r, version):
     chars = [r.string() for _ in range(r.get("<I")[0])]
     bigrams = [(r.string(), r.string()) for _ in range(r.get("<I")[0])]
-    freq = {r.string(): r.get("<Q")[0] for _ in range(r.get("<I")[0])}
-    return Vocab(chars, bigrams, freq)
+    if version < 3:     # the character frequency table
+        for _ in range(r.get("<I")[0]):
+            r.string()
+            r.get("<Q")
+    return Vocab(chars, bigrams)
 
 
 def _write_tagset(w, tagset):
-    w.put("<I", len(tagset.pos_labels))
-    for p in tagset.pos_labels:
-        w.string(p)
     w.put("<I", len(tagset))
     for t in tagset:
         w.string(t.seg)
         w.string(t.pos)
 
 
-def _read_tagset(r):
-    labels = [r.string() for _ in range(r.get("<I")[0])]
+def _read_tagset(r, version):
+    if version < 3:     # the POS label list
+        for _ in range(r.get("<I")[0]):
+            r.string()
     pairs = [(r.string(), r.string()) for _ in range(r.get("<I")[0])]
     if not pairs:
         raise ModelCorruptionError("stored tag set is empty")
     try:
-        tagset = TagSet(JointTag(seg, pos) for seg, pos in pairs)
-        if tagset.pos_labels != labels:
-            raise ValueError(f"POS labels {labels} are not its tags' {tagset.pos_labels}")
+        return TagSet(JointTag(seg, pos) for seg, pos in pairs)
     except ValueError as e:
         raise ModelCorruptionError(f"stored tag set is invalid: {e}") from None
-    return tagset
 
 
-def save(model, path, train_cfg=None):
+def save(model, path):
     """Write the model; returns the file's CRC-32 checksum.
 
     A parameter that holds NaN/Inf once stored as float32 (a value past its
-    range included) is refused with a NumericError naming it before the file
-    is opened, since load would refuse the file.
+    range included) is refused with a NumericError naming it before any
+    file is opened, since load would refuse the file. The file is written
+    beside path and then renamed onto it, so a failed save leaves path as it
+    was; an existing file keeps its mode, and a symbolic link is written
+    through.
     """
-    tc = train_cfg or model.train_cfg or TrainConfig()
     w = _Writer()
     w.write(MAGIC)
     w.put("<I", VERSION)
     _write_encoder_config(w, model.cfg, model.constrained)
     w.put("<?", model.normalize_width)
-    _write_train_config(w, tc)
     _write_vocab(w, model.vocab)
     _write_tagset(w, model.tagset)
     params = model.parameters()
@@ -231,10 +218,20 @@ def save(model, path, train_cfg=None):
         w.write(values)
     body = w.getvalue()
     checksum = zlib.crc32(body)
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"     # in target's directory, so os.replace renames it
     try:
-        with open(path, "wb") as f:
-            f.write(body)
-            f.write(struct.pack("<I", checksum))
+        with open(tmp, "xb") as f:
+            try:
+                f.write(body)
+                f.write(struct.pack("<I", checksum))
+                f.close()
+                with contextlib.suppress(FileNotFoundError):
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
     except OSError as e:
         raise OSError(f"cannot write model to {path}: {e}") from e
     return checksum
@@ -262,9 +259,12 @@ def load(path):
             f"file version {version} is not supported (readable: {READABLE_VERSIONS})")
     cfg, constrained = _read_encoder_config(r)
     (normalize_width,) = r.get("<?") if version >= 2 else (False,)
-    train_cfg = _read_train_config(r, version)
-    vocab = _read_vocab(r)
-    tagset = _read_tagset(r)
+    if version < 3:     # the train config
+        r.get(_OLD_TRAIN_NUMBERS)
+        r.string()                          # optimizer
+        r.take(2 if version == 1 else 1)    # version 1's deterministic flag; finetune_embeddings
+    vocab = _read_vocab(r, version)
+    tagset = _read_tagset(r, version)
     manifest = parameter_manifest(cfg, vocab.n_chars, vocab.n_bigrams, len(tagset))
     (n_blocks,) = r.get("<I")
     if n_blocks != len(manifest):
@@ -289,5 +289,4 @@ def load(path):
                       state=[v.astype(np.float32) for v in blocks])
     except NumericError as e:   # Model's finite check, naming the block
         raise ModelCorruptionError(f"stored {e}") from None
-    model.train_cfg = train_cfg
     return model

@@ -74,6 +74,11 @@ MUTANTS = (
            "if zlib.crc32(body) != stored:",
            "if False:",
            ("tests/test_modelfile.py::TestLoad",)),
+    Mutant("the v1/v2 reader does not skip the old POS label list",
+           "src/segtag/modelfile.py",
+           "if version < 3:     # the POS label list",
+           "if False:",
+           ("tests/test_modelfile.py::TestVersions",)),
     Mutant("AdaGrad without its epsilon",
            "src/segtag/training.py",
            "root = p.accumulator + ADAGRAD_EPS",

@@ -258,7 +258,7 @@ def test_acceptance_7_round_trips(tmp_path):
         train_cfg = tr.TrainConfig(seed=9, max_epochs=3, batch_size=10)
         tr.train(sents, m, train_cfg, log_stream=open(tmp_path / "log.txt", "w"))
         path = tmp_path / name
-        mf.save(m, path, train_cfg=train_cfg)
+        mf.save(m, path)
         files.append(path.read_bytes())
     assert files[0] == files[1]
     report(7, True, "corpus, span, model-file and deterministic-retrain round trips hold")
@@ -278,14 +278,16 @@ def test_acceptance_8_pretrained_embedding_loading(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
-    table, stats = cp.load_pretrained_embeddings(path, vocab, d)
+    table, stats = cp.load_pretrained_embeddings(
+        path, vocab, Parameter(np.zeros((vocab.n_chars, d), dtype=np.float32)))
     assert stats.loaded == 5
     assert stats.coverage == pytest.approx(5 / len(vocab.chars))
     for tok, vec in vectors.items():
         assert np.allclose(table.data[char_id(vocab, tok)], vec, atol=1e-7)
 
     with pytest.raises(cp.EmbeddingFormatError):
-        cp.load_pretrained_embeddings(path, vocab, d=50)
+        cp.load_pretrained_embeddings(
+            path, vocab, Parameter(np.zeros((vocab.n_chars, 50), dtype=np.float32)))
     report(8, True, f"5 rows initialized, coverage 5/{len(vocab.chars)}, "
            "dimension mismatch rejected")
 

@@ -264,6 +264,11 @@ class TestVocabAndTagSet:
         assert ids.uni[0] == char_id(vocab, "A")
 
 
+def zero_table(vocab, d):
+    """A d-wide character embedding table of zeros, as the loader fills it."""
+    return Parameter(np.zeros((vocab.n_chars, d), dtype=np.float32))
+
+
 class TestEmbeddingLoader:
     def write_file(self, tmp_path, chars, d, header_dim=None, junk=None):
         rows = [f"{len(chars)} {header_dim or d}"]
@@ -285,7 +290,7 @@ class TestEmbeddingLoader:
     def test_matching_rows_replaced_and_coverage_counted(self, tmp_path):
         vocab = self.vocab()
         path, vecs = self.write_file(tmp_path, ["A", "C"], d=3)
-        table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
+        table, stats = cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
         assert stats.loaded == 2 and stats.skipped == 0
         assert stats.coverage == pytest.approx(2 / len(vocab.chars))
         assert np.allclose(table.data[char_id(vocab, "A")], vecs["A"])
@@ -295,19 +300,19 @@ class TestEmbeddingLoader:
         vocab = self.vocab()
         path, _ = self.write_file(tmp_path, ["A"], d=100, header_dim=100)
         with pytest.raises(cp.EmbeddingFormatError, match="100.*50"):
-            cp.load_pretrained_embeddings(path, vocab, d=50)
+            cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 50))
 
     def test_unknown_tokens_skipped(self, tmp_path):
         vocab = self.vocab()
         path, _ = self.write_file(tmp_path, ["A", "zz"], d=3)
-        _, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
+        _, stats = cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
         assert stats.loaded == 1 and stats.skipped == 1
 
     def test_malformed_float_cites_line(self, tmp_path):
         vocab = self.vocab()
         path, _ = self.write_file(tmp_path, ["A"], d=3, junk="B 0.1 oops 0.3")
         with pytest.raises(cp.EmbeddingFormatError, match="line 3"):
-            cp.load_pretrained_embeddings(path, vocab, d=3)
+            cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
     def test_non_finite_value_cites_line(self, tmp_path, value):
@@ -315,14 +320,14 @@ class TestEmbeddingLoader:
         vocab = self.vocab()
         path, _ = self.write_file(tmp_path, ["A"], d=3, junk=f"B 0.1 {value} 0.3")
         with pytest.raises(cp.EmbeddingFormatError, match="line 3: NaN or infinite"):
-            cp.load_pretrained_embeddings(path, vocab, d=3)
+            cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
 
     def test_fills_existing_table_in_place(self, tmp_path):
         vocab = self.vocab()
         path, vecs = self.write_file(tmp_path, ["B"], d=4)
         rng = np.random.default_rng(0)
-        table, _ = cp.load_pretrained_embeddings(path, vocab, d=4, rng=rng)
-        table2, stats = cp.load_pretrained_embeddings(path, vocab, d=4, table=table)
+        table = Parameter(rng.uniform(-0.01, 0.01, size=(vocab.n_chars, 4)).astype(np.float32))
+        table2, stats = cp.load_pretrained_embeddings(path, vocab, table)
         assert table2 is table
         assert stats.loaded == 1
         assert np.allclose(table.data[char_id(vocab, "B")], vecs["B"])
@@ -331,20 +336,20 @@ class TestEmbeddingLoader:
         path = tmp_path / "emb.txt"
         path.write_text("a b\nA 0.1 0.2 0.3\n", encoding="utf-8")
         with pytest.raises(cp.EmbeddingFormatError) as info:
-            cp.load_pretrained_embeddings(path, self.vocab(), d=3)
+            cp.load_pretrained_embeddings(path, self.vocab(), zero_table(self.vocab(), 3))
         assert str(info.value) == f"{path}: bad header 'a b'"
 
     def test_wrong_field_count_cites_line(self, tmp_path):
         path, _ = self.write_file(tmp_path, ["A"], d=3, junk="B 0.1 0.2")
         with pytest.raises(cp.EmbeddingFormatError) as info:
-            cp.load_pretrained_embeddings(path, self.vocab(), d=3)
+            cp.load_pretrained_embeddings(path, self.vocab(), zero_table(self.vocab(), 3))
         assert str(info.value) == f"{path} line 3: expected token + 3 values, got 2"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         vocab = self.vocab()
         path = tmp_path / "emb.txt"
         path.write_text("2 3\nA 0.1 0.2 0.3\n\n  \nC 0.4 0.5 0.6\n", encoding="utf-8")
-        table, stats = cp.load_pretrained_embeddings(path, vocab, d=3)
+        table, stats = cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
         assert stats.loaded == 2 and stats.skipped == 0
         assert np.allclose(table.data[char_id(vocab, "C")], [0.4, 0.5, 0.6])
 
@@ -353,7 +358,7 @@ class TestEmbeddingLoader:
         path = tmp_path / "emb.txt"
         path.write_text("5 3\nA 0.1 0.2 0.3\n", encoding="utf-8")
         with pytest.raises(cp.EmbeddingFormatError) as info:
-            cp.load_pretrained_embeddings(path, vocab, d=3)
+            cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
         assert str(info.value) == f"{path}: header counts 5 rows, the file holds 1"
 
     def test_negative_count_cites_the_header_line(self, tmp_path):
@@ -361,7 +366,7 @@ class TestEmbeddingLoader:
         path = tmp_path / "emb.txt"
         path.write_text("-4 3\n", encoding="utf-8")
         with pytest.raises(cp.EmbeddingFormatError, match="line 1: negative row count -4"):
-            cp.load_pretrained_embeddings(path, vocab, d=3)
+            cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
 
     def test_repeated_token_cites_both_lines_and_leaves_the_table(self, tmp_path):
         # one of the three characters is covered; a later row must not win silently
@@ -371,5 +376,5 @@ class TestEmbeddingLoader:
         table = Parameter(np.random.default_rng(0).uniform(size=(vocab.n_chars, 3)))
         before = table.data.copy()
         with pytest.raises(cp.EmbeddingFormatError, match="line 4: token 'A' repeats line 2"):
-            cp.load_pretrained_embeddings(path, vocab, d=3, table=table)
+            cp.load_pretrained_embeddings(path, vocab, table)
         assert np.array_equal(table.data, before)

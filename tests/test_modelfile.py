@@ -1,5 +1,8 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -13,7 +16,6 @@ from segtag.autograd import NumericError
 from segtag.encoder import EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
-from segtag.training import TrainConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -55,7 +57,7 @@ class TestSave:
     def test_save_load_save_round_trip_bytes(self, tmp_path):
         model = build_model(use_bigram=True)
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
-        mf.save(model, p1, train_cfg=TrainConfig(seed=99))
+        mf.save(model, p1)
         loaded = mf.load(p1)
         mf.save(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -80,6 +82,51 @@ class TestSave:
         model = build_model()
         with pytest.raises(OSError, match="no/such"):
             mf.save(model, tmp_path / "no" / "such" / "dir.model")
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path):
+        # a file-size limit below the model's size, set in the saving process
+        # only; with SIGXFSZ ignored the write fails with EFBIG
+        path = tmp_path / "m.model"
+        mf.save(build_model(seed=5), path)
+        before = path.read_bytes()
+        script = (
+            "import resource, signal, sys\n"
+            "from segtag import modelfile as mf\n"
+            "model = mf.load(sys.argv[1])\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+            "                   (int(sys.argv[2]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "model.named['trans.a'].data += 1\n"
+            "try:\n"
+            "    mf.save(model, sys.argv[1])\n"
+            "except OSError as e:\n"
+            "    sys.exit(f'refused: {e}')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(path), str(len(before) // 2)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stderr.startswith("refused: cannot write model")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.model"]
+
+    def test_save_keeps_what_writing_in_place_kept(self, tmp_path):
+        # a new file's mode is the one open(path, "wb") gives, an existing
+        # file keeps its own, and a symbolic link is written through
+        model = build_model()
+        (tmp_path / "plain").write_bytes(b"")
+        new = tmp_path / "new.model"
+        mf.save(model, new)
+        assert new.stat().st_mode == (tmp_path / "plain").stat().st_mode
+        kept = tmp_path / "kept.model"
+        kept.write_bytes(b"old")
+        kept.chmod(0o604)
+        mf.save(model, kept)
+        assert kept.stat().st_mode & 0o777 == 0o604
+        link = tmp_path / "link.model"
+        link.symlink_to(kept.name)
+        mf.save(build_model(seed=6), link)
+        assert link.is_symlink()
+        assert kept.read_bytes() != new.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["kept.model", "link.model", "new.model", "plain"]
 
 
 class TestLoad:
@@ -126,14 +173,6 @@ class TestLoad:
         loaded = mf.load(path)
         for s in toy_corpus(5, seed=2):
             assert model.tag_ids(s.chars) == loaded.tag_ids(s.chars)
-
-    def test_train_config_snapshot_round_trips(self, tmp_path):
-        model = build_model()
-        tc = TrainConfig(alpha=0.05, eta=0.3, l2=0.001, batch_size=7, seed=123,
-                         optimizer="sgd", finetune_embeddings=False)
-        path = tmp_path / "m.model"
-        mf.save(model, path, train_cfg=tc)
-        assert mf.load(path).train_cfg == tc
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.model"
@@ -184,17 +223,6 @@ class TestLoad:
         with pytest.raises(mf.ModelCorruptionError, match="encoder config.*window=4278190081"):
             mf.load(path)
 
-    def test_invalid_stored_train_config_is_corruption(self, tmp_path):
-        # v2 layout up to max_epochs: magic, version, d, h, Q, Q map widths,
-        # five u8 flags, window, two u8 flags, normalize_width, three f64, batch_size
-        model = build_model()
-        path = tmp_path / "m.model"
-        mf.save(model, path)
-        offset = len(mf.MAGIC) + 4 * (4 + model.cfg.feature_map_sets) + 5 + 4 + 3 + 24 + 4
-        rewrite_field(path, offset, "<I", 0)
-        with pytest.raises(mf.ModelCorruptionError, match="max_epochs"):
-            mf.load(path)
-
     def test_trailing_bytes_after_the_parameters_are_corruption(self, tmp_path):
         path = tmp_path / "m.model"
         mf.save(build_model(), path)
@@ -206,21 +234,23 @@ class TestLoad:
     def test_every_truncation_is_a_model_file_error(self, tmp_path):
         # every cut through the header and every 13th through the parameters,
         # each tried as it is and with its checksum re-sealed, so the reader
-        # parses the truncated fields instead of failing the checksum
-        model = build_model(use_bigram=True)
+        # parses the truncated fields instead of failing the checksum; over
+        # a v3 file and the v1 and v2 fixtures, whose skipped sections are
+        # cut too
         path = tmp_path / "m.model"
-        mf.save(model, path)
-        full = path.read_bytes()
-        body = full[:-4]
-        for cut in [*range(1024), *range(1024, len(full), 13)]:
-            blobs = [full[:cut]]
-            if cut < len(body):
-                blobs.append(body[:cut] + struct.pack("<I", zlib.crc32(body[:cut])))
-            for blob in blobs:
-                path.write_bytes(blob)
-                with pytest.raises((mf.ModelFormatError, mf.ModelVersionError,
-                                    mf.ModelCorruptionError)):
-                    mf.load(path)
+        mf.save(build_model(use_bigram=True), path)
+        files = [path.read_bytes()] + [(DATA / f"tiny_v{v}.model").read_bytes() for v in (1, 2)]
+        for full in files:
+            body = full[:-4]
+            for cut in [*range(1024), *range(1024, len(full), 13)]:
+                blobs = [full[:cut]]
+                if cut < len(body):
+                    blobs.append(body[:cut] + struct.pack("<I", zlib.crc32(body[:cut])))
+                for blob in blobs:
+                    path.write_bytes(blob)
+                    with pytest.raises((mf.ModelFormatError, mf.ModelVersionError,
+                                        mf.ModelCorruptionError)):
+                        mf.load(path)
 
     def test_every_header_byte_rewrite_is_a_model_file_error(self, tmp_path):
         # every byte of the file header (width fields included) and of every
@@ -297,16 +327,6 @@ class TestLoad:
                            match="stored tag set is invalid: a tag appears more than once"):
             mf.load(path)
 
-    def test_stored_pos_labels_must_be_the_tags_labels(self, tmp_path):
-        # the label list NN, PU, VV precedes the tag count; rewrite PU to PX
-        path = tmp_path / "m.model"
-        mf.save(build_model(), path)
-        offset = self.first_tag_offset(path) - 4 - 6 - 6 + 5
-        rewrite_field(path, offset, "<c", b"X")
-        with pytest.raises(mf.ModelCorruptionError,
-                           match=r"stored tag set is invalid: POS labels \['NN', 'PX', 'VV'\]"):
-            mf.load(path)
-
     def test_loading_draws_no_random_numbers(self, tmp_path, monkeypatch):
         path = tmp_path / "m.model"
         mf.save(build_model(use_bigram=True, constrained=True), path)
@@ -333,36 +353,46 @@ class TestLoad:
 
 
 class TestVersions:
-    """Version 2 is written; version 1 files (no width-folding byte, one
-    unused train-config byte) are still read."""
-
-    V1_TRAIN_CFG = TrainConfig(alpha=0.05, eta=0.3, l2=0.001, batch_size=7, max_epochs=3,
-                               seed=99, optimizer="sgd", finetune_embeddings=False)
+    """Version 3 is written. Version 1 and 2 files are still read, their
+    train config, frequency table and POS label list skipped; version 1
+    has no width-folding byte and one more train-config byte."""
 
     @staticmethod
     def paths(model, sentences):
         return [model.tag_ids(list(s)) for s in sentences]
 
-    def test_v1_file_tags_as_saved_and_upgrades_to_v2(self, tmp_path):
-        # tiny_v1.model was written by the version-1 writer, with the Viterbi
-        # paths it gave recorded in tiny_v1.json
-        v1 = DATA / "tiny_v1.model"
-        want = json.loads((DATA / "tiny_v1.json").read_text(encoding="utf-8"))
-        assert file_version(v1) == 1
-        model = mf.load(v1)
-        assert model.cfg.use_bigram and model.constrained and not model.normalize_width
-        assert model.train_cfg == self.V1_TRAIN_CFG
+    def check_upgrade(self, tmp_path, name):
+        """The fixture's model, after checking that it and its v3 re-save
+        tag the recorded Viterbi paths and that the re-save is a fixed point."""
+        want = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))
+        model = mf.load(DATA / f"{name}.model")
         assert self.paths(model, want["sentences"]) == want["paths"]
 
         p1, p2 = tmp_path / "a.model", tmp_path / "b.model"
         mf.save(model, p1)
-        assert file_version(p1) == mf.VERSION == 2
-        assert len(p1.read_bytes()) == len(v1.read_bytes())  # one byte gone, one added
+        assert file_version(p1) == mf.VERSION == 3
         upgraded = mf.load(p1)
-        assert upgraded.train_cfg == self.V1_TRAIN_CFG
         assert self.paths(upgraded, want["sentences"]) == want["paths"]
         mf.save(upgraded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        return model
+
+    def test_v1_file_tags_as_saved_and_upgrades_to_v3(self, tmp_path):
+        # tiny_v1.model was written by the version-1 writer, with the Viterbi
+        # paths it gave recorded in tiny_v1.json
+        assert file_version(DATA / "tiny_v1.model") == 1
+        model = self.check_upgrade(tmp_path, "tiny_v1")
+        assert model.cfg.use_bigram and model.constrained and not model.normalize_width
+
+    def test_v2_file_tags_as_saved_and_upgrades_to_v3(self, tmp_path):
+        # tiny_v2.model was written by the version-2 writer (a width-folded,
+        # observed-tags LSTM model trained three toy epochs, saved with a
+        # non-default train config), with its Viterbi paths in tiny_v2.json
+        assert file_version(DATA / "tiny_v2.model") == 2
+        model = self.check_upgrade(tmp_path, "tiny_v2")
+        assert model.normalize_width and not model.constrained
+        assert model.cfg.recurrent == "lstm" and not model.cfg.use_bigram
+        assert len(model.tagset) == 7 and model.tagset.pos_labels == ["NN", "PU", "VV"]
 
     @pytest.mark.parametrize("normalize_width", [False, True])
     def test_normalize_width_round_trips(self, tmp_path, normalize_width):
@@ -370,7 +400,7 @@ class TestVersions:
         mf.save(build_model(normalize_width=normalize_width), path)
         assert mf.load(path).normalize_width is normalize_width
 
-    @pytest.mark.parametrize("version", [0, 3])
+    @pytest.mark.parametrize("version", [0, 4])
     def test_versions_other_than_1_and_2_are_refused(self, tmp_path, version):
         path = tmp_path / "m.model"
         mf.save(build_model(), path)
