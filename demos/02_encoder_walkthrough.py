@@ -48,15 +48,11 @@ out = enc.encode(ids, params, cfg)
 assert out.shape == (n, cfg.d_out)
 print("\nencode() composes the whole stack:", out.shape)
 
-# Topology switches realize the ablation grid: here, embeddings straight
+# stack x recurrent spans the ablation grid: here, embeddings straight
 # into a single-direction LSTM ("w/o CNN" row, LSTM column).
-bare = EncoderConfig(d=50, h=100, use_conv=False, use_pooling=False,
-                     use_highway=False, recurrent="lstm")
-bare_params = init_params(bare)
-print("w/o CNN + LSTM:    ", enc.encode(ids, bare_params, bare).shape)
+bare = EncoderConfig(d=50, h=100, stack="embed", recurrent="lstm")
+print("w/o CNN + LSTM:    ", enc.encode(ids, init_params(bare), bare).shape)
 
-# And the windowed MLP baseline.
-mlp = EncoderConfig(d=50, h=100, use_conv=False, use_pooling=False,
-                    use_highway=False, recurrent="none", mlp_baseline=True, window=5)
-mlp_params = init_params(mlp)
-print("MLP baseline (k=5):", enc.encode(ids, mlp_params, mlp).shape)
+# And the windowed MLP baseline, which replaces the whole stack.
+mlp = EncoderConfig(d=50, h=100, stack="mlp", window=5)
+print("MLP baseline (k=5):", enc.encode(ids, init_params(mlp), mlp).shape)

@@ -8,7 +8,7 @@ import time
 
 from segtag import corpus as cp
 from segtag import training as tr
-from segtag.encoder import EncoderConfig
+from segtag.encoder import RECURRENT_KINDS, EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 
@@ -16,18 +16,13 @@ train_set = toy_corpus(50, seed=0)
 heldout = toy_corpus(20, seed=100)
 vocab, tagset = cp.build_vocab_and_tagset(train_set)
 
-STACKS = [
-    ("w/o CNN", dict(use_conv=False, use_pooling=False, use_highway=False)),
-    ("CNN", dict(use_conv=True, use_pooling=False, use_highway=False)),
-    ("CNN+Pool", dict(use_conv=True, use_pooling=True, use_highway=False)),
-    ("CNN+Pool+Highway", dict(use_conv=True, use_pooling=True, use_highway=True)),
-]
-RECURRENT = ["none", "lstm", "blstm"]
+# EncoderConfig.stack level -> the paper's row label; each adds one stage
+STACKS = {"embed": "w/o CNN", "conv": "CNN", "pool": "CNN+Pool", "highway": "CNN+Pool+Highway"}
 
 
 def run(stack, recurrent, epochs=10):
     cfg = EncoderConfig(d=16, h=16, feature_map_sets=3, feature_maps=16,
-                        recurrent=recurrent, **stack)
+                        stack=stack, recurrent=recurrent)
     model = Model(cfg, vocab, tagset, seed=1)
     train_cfg = tr.TrainConfig(seed=1)
     for epoch in range(1, epochs + 1):
@@ -35,10 +30,10 @@ def run(stack, recurrent, epochs=10):
     return tr.evaluate(model, heldout)[2]
 
 
-print(f"{'stack':<18}" + "".join(f"{r:>8}" for r in RECURRENT))
+print(f"{'stack':<18}" + "".join(f"{r:>8}" for r in RECURRENT_KINDS))
 start = time.perf_counter()
-for name, stack in STACKS:
-    scores = [run(stack, r) for r in RECURRENT]
+for stack, name in STACKS.items():
+    scores = [run(stack, r) for r in RECURRENT_KINDS]
     print(f"{name:<18}" + "".join(f"{s:8.4f}" for s in scores))
 print(f"\n12 toy-scale trainings in {time.perf_counter() - start:.1f}s")
 print("(held-out joint F1; the toy language is easy enough that most "

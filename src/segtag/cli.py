@@ -14,7 +14,7 @@ from . import corpus as cp
 from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
-from .encoder import ConfigError, EncoderConfig
+from .encoder import STACKS, ConfigError, EncoderConfig
 from .model import Model
 from .training import TrainConfig, gold_and_predicted_spans, train
 
@@ -30,36 +30,38 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# the stage switches in stack order: turning one off ends the stack below it
+STAGE_SETTINGS = ("conv", "pooling", "highway")
+
 # key -> (parser, default); every flag has its config-file twin, and a few
-# model widths are config-only
+# model widths are config-only. The published defaults are the dataclasses'.
 SETTINGS = {
     "corpus": (str, None),
     "dev": (str, None),
     "embeddings": (str, None),
     "model": (str, None),
-    "seed": (int, 1),
+    "seed": (int, TrainConfig.seed),
     "encoder": (str, "full"),          # full | mlp
-    "recurrent": (str, "blstm"),       # none | lstm | blstm
-    "conv": (_bool, True),
-    "pooling": (_bool, True),
-    "highway": (_bool, True),
-    "bigrams": (_bool, False),
+    "recurrent": (str, EncoderConfig.recurrent),  # none | lstm | blstm
+    **{key: (_bool, i < STACKS.index(EncoderConfig.stack))
+       for i, key in enumerate(STAGE_SETTINGS)},
+    "bigrams": (_bool, EncoderConfig.use_bigram),
     "mode": (str, "both"),             # joint | seg | both
-    "epochs": (int, 30),
-    "batch": (int, 20),
-    "lr": (float, 0.2),
-    "margin": (float, 0.2),
-    "l2": (float, 1e-4),
-    "window": (int, 1),
-    "d": (int, 50),
-    "h": (int, 100),
-    "feature_map_sets": (int, 5),
-    "feature_map_size": (int, 100),
-    "dev_fraction": (float, 0.1),
-    "optimizer": (str, "adagrad"),
+    "epochs": (int, TrainConfig.max_epochs),
+    "batch": (int, TrainConfig.batch_size),
+    "lr": (float, TrainConfig.alpha),
+    "margin": (float, TrainConfig.eta),
+    "l2": (float, TrainConfig.l2),
+    "window": (int, EncoderConfig.window),
+    "d": (int, EncoderConfig.d),
+    "h": (int, EncoderConfig.h),
+    "feature_map_sets": (int, EncoderConfig.feature_map_sets),
+    "feature_map_size": (int, EncoderConfig.feature_maps),
+    "dev_fraction": (float, TrainConfig.dev_fraction),
+    "optimizer": (str, TrainConfig.optimizer),
     "min_count": (int, 1),
     "bigram_min_count": (int, 2),
-    "finetune_embeddings": (_bool, True),
+    "finetune_embeddings": (_bool, TrainConfig.finetune_embeddings),
     "observed_tags_only": (_bool, False),
     "constrain_transitions": (_bool, False),
     "strict": (_bool, True),
@@ -109,18 +111,14 @@ def resolve_settings(args):
 def encoder_config_from(settings):
     if settings["encoder"] not in ("full", "mlp"):
         raise CliError(f"encoder must be 'full' or 'mlp', got {settings['encoder']!r}")
-    common = dict(d=settings["d"], h=settings["h"], window=settings["window"],
-                  use_bigram=settings["bigrams"])
+    common = dict(d=settings["d"], h=settings["h"], recurrent=settings["recurrent"],
+                  window=settings["window"], use_bigram=settings["bigrams"])
     if settings["encoder"] == "mlp":
-        return EncoderConfig(use_conv=False, use_pooling=False, use_highway=False,
-                             recurrent="none", mlp_baseline=True, **common)
-    conv = settings["conv"]
-    pooling = settings["pooling"] and conv
-    highway = settings["highway"] and pooling
+        return EncoderConfig(stack="mlp", **common)
+    kept = [settings[key] for key in STAGE_SETTINGS] + [False]
     return EncoderConfig(feature_map_sets=settings["feature_map_sets"],
                          feature_maps=settings["feature_map_size"],
-                         use_conv=conv, use_pooling=pooling, use_highway=highway,
-                         recurrent=settings["recurrent"], **common)
+                         stack=STACKS[kept.index(False)], **common)
 
 
 def train_config_from(settings):

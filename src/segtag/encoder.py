@@ -34,6 +34,7 @@ from .autograd import (
 )
 
 RECURRENT_KINDS = ("none", "lstm", "blstm")
+STACKS = ("embed", "conv", "pool", "highway", "mlp")
 
 
 class ConfigError(ValueError):
@@ -44,21 +45,19 @@ class ConfigError(ValueError):
 class EncoderConfig:
     """Topology switches and widths for the encoder stack.
 
-    The ablation grid is spanned by use_conv / use_pooling / use_highway
-    and recurrent in {none, lstm, blstm}; mlp_baseline replaces the whole
-    convolutional stack with a windowed single-hidden-layer encoder.
+    The ablation grid is stack x recurrent. Each of the stacks embed, conv,
+    pool and highway adds one stage to the one before it: the conv bank,
+    k-max pooling, the highway gate. "mlp" replaces the whole stack with a
+    windowed single-hidden-layer encoder and runs without a recurrent layer.
     """
 
     d: int = 50                 # character embedding width
     h: int = 100                # LSTM (and MLP hidden) width
     feature_map_sets: int = 5   # Q: n-gram orders 1..Q
     feature_maps: tuple = 100   # l_q per order; an int replicates across orders
-    use_conv: bool = True
-    use_pooling: bool = True
-    use_highway: bool = True
-    recurrent: str = "blstm"
-    mlp_baseline: bool = False
-    window: int = 1             # MLP baseline context window
+    stack: str = "highway"      # one of STACKS
+    recurrent: str | None = None  # RECURRENT_KINDS; None: none for mlp, else blstm
+    window: int = 1             # MLP context window
     use_bigram: bool = False
 
     def __post_init__(self):
@@ -66,37 +65,32 @@ class EncoderConfig:
             self.feature_maps = (self.feature_maps,) * self.feature_map_sets
         else:
             self.feature_maps = tuple(int(l) for l in self.feature_maps)
-        self.validate()
-
-    def validate(self):
+        if self.recurrent is None:
+            self.recurrent = "none" if self.stack == "mlp" else "blstm"
         if self.d < 1 or self.h < 1:
             raise ConfigError(f"widths must be positive: d={self.d}, h={self.h}")
+        if self.stack not in STACKS:
+            raise ConfigError(f"stack must be one of {STACKS}, got {self.stack!r}")
         if self.recurrent not in RECURRENT_KINDS:
             raise ConfigError(f"recurrent must be one of {RECURRENT_KINDS}, got {self.recurrent!r}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.window != 1 and not self.mlp_baseline:
-            raise ConfigError(f"window={self.window} needs mlp_baseline; no other encoder reads it")
+        if self.window != 1 and self.stack != "mlp":
+            raise ConfigError(f"window={self.window} needs stack='mlp' (--encoder mlp); "
+                              "no other encoder reads it")
         if len(self.feature_maps) != self.feature_map_sets:
             raise ConfigError(
                 f"{self.feature_map_sets} map sets but {len(self.feature_maps)} widths"
             )
-        if self.mlp_baseline:
-            if self.use_conv or self.use_pooling or self.use_highway:
-                raise ConfigError("mlp_baseline excludes the conv/pooling/highway stack")
-            if self.recurrent != "none":
-                raise ConfigError("mlp_baseline runs without a recurrent layer")
-            return
-        if self.use_pooling and not self.use_conv:
-            raise ConfigError("pooling requires the convolutional layer")
-        if self.use_highway and not self.use_pooling:
-            raise ConfigError("highway requires pooling (carry/transform widths must agree)")
-        if self.use_conv:
+        if self.stack == "mlp" and self.recurrent != "none":
+            raise ConfigError(f"stack='mlp' (--encoder mlp) runs without a recurrent layer, "
+                              f"got recurrent={self.recurrent!r} (--recurrent)")
+        if self.has("conv"):
             if self.feature_map_sets < 1:
                 raise ConfigError(f"feature_map_sets must be >= 1, got {self.feature_map_sets}")
             if any(l < 1 for l in self.feature_maps):
                 raise ConfigError(f"feature map widths must be positive: {self.feature_maps}")
-            if self.use_pooling and self.conv_width < self.k_pool:
+            if self.has("pool") and self.conv_width < self.k_pool:
                 raise ConfigError(
                     f"feature_map_sets={self.feature_map_sets} with per-set widths "
                     f"{self.feature_maps} (feature_map_size on the command line, "
@@ -104,6 +98,10 @@ class EncoderConfig:
                     f"fewer than the pooling width {self.k_pool} = "
                     f"{'3d' if self.use_bigram else 'd'} for d={self.d} (bigrams triple d)"
                 )
+
+    def has(self, stage):
+        """Whether the stack runs stage ("conv", "pool" or "highway")."""
+        return self.stack != "mlp" and STACKS.index(self.stack) >= STACKS.index(stage)
 
     @property
     def d_in(self):
@@ -122,20 +120,16 @@ class EncoderConfig:
     @property
     def d_pool(self):
         """Width of the feature stack output (input to the recurrent layer)."""
-        if self.mlp_baseline:
+        if self.stack == "mlp":
             return self.h
-        if not self.use_conv:
-            return self.d_in
-        return self.k_pool if self.use_pooling else self.conv_width
+        # embed passes the embeddings on, and pooling restores their width
+        return self.conv_width if self.stack == "conv" else self.d_in
 
     @property
     def d_out(self):
-        """Encoder output width seen by the projection layer."""
-        if self.recurrent == "blstm":
-            return 2 * self.h
-        if self.recurrent == "lstm":
-            return self.h
-        return self.d_pool
+        """Encoder output width seen by the projection layer: h per LSTM
+        direction, or the stack's own width without one."""
+        return len(_DIRECTIONS[self.recurrent]) * self.h or self.d_pool
 
 
 @dataclass
@@ -191,14 +185,14 @@ def parameter_manifest(cfg, n_unigrams, n_bigrams, n_tags=None):
     out = [("embed.unigram", (n_unigrams, cfg.d))]
     if cfg.use_bigram:
         out.append(("embed.bigram", (n_bigrams, cfg.d)))
-    if cfg.use_conv:
+    if cfg.has("conv"):
         for q, l_q in enumerate(cfg.feature_maps, start=1):
             out += _affine(f"conv.q{q}", q * cfg.d_in, l_q)
-    if cfg.use_highway:
+    if cfg.has("highway"):
         out += _affine("highway", cfg.d_pool, cfg.d_pool)
     for direction in _DIRECTIONS[cfg.recurrent]:
         out += _affine(f"lstm.{direction}", cfg.d_pool + cfg.h, 4 * cfg.h)
-    if cfg.mlp_baseline:
+    if cfg.stack == "mlp":
         out += _affine("mlp", cfg.window * cfg.d_in, cfg.h)
     if n_tags is not None:
         out += _affine("proj", cfg.d_out, n_tags) + [("trans.a", (n_tags, n_tags))]
@@ -583,16 +577,16 @@ def encode(ids, named, cfg):
         return named[f"{layer}.w"], named[f"{layer}.b"]
 
     x = embed_sentence(ids, named["embed.unigram"], named.get("embed.bigram"), cfg)
-    if cfg.mlp_baseline:
+    if cfg.stack == "mlp":
         return mlp_encode(x, *affine("mlp"), cfg.window, ids.lengths)
     feats = x
-    if cfg.use_conv:
+    if cfg.has("conv"):
         bank = [affine(f"conv.q{q}") for q in range(1, cfg.feature_map_sets + 1)]
         feats = conv_feature_maps(x, bank, ids.lengths)
-        if cfg.use_pooling:
-            feats = kmax_pool(feats, cfg.k_pool)
-            if cfg.use_highway:
-                feats = highway_forward(x, feats, *affine("highway"))
+    if cfg.has("pool"):
+        feats = kmax_pool(feats, cfg.k_pool)
+    if cfg.has("highway"):
+        feats = highway_forward(x, feats, *affine("highway"))
     del x
     lstm = [affine(f"lstm.{direction}") for direction in _DIRECTIONS[cfg.recurrent]]
     if cfg.recurrent == "lstm":

@@ -7,7 +7,8 @@ Layout (all integers little-endian, strings UTF-8 with a u32 length prefix):
     encoder config  u32 d, u32 h, u32 Q, u32[Q] map widths, u8 use_conv,
                     u8 use_pooling, u8 use_highway, u8 recurrent code
                     (0 none / 1 lstm / 2 blstm), u8 mlp_baseline, u32 window,
-                    u8 use_bigram, u8 constrain_transitions
+                    u8 use_bigram, u8 constrain_transitions; the four
+                    flag bytes encode the stack (_STACK_FLAGS)
     preprocessing   u8 normalize_width (the training text was width-folded,
                     so tagging folds its input too)
     vocabulary      u32 char count + chars in index order; u32 bigram count +
@@ -66,6 +67,10 @@ READABLE_VERSIONS = (1, 2, 3)
 
 _RECURRENT_CODES = {"none": 0, "lstm": 1, "blstm": 2}
 _RECURRENT_NAMES = {v: k for k, v in _RECURRENT_CODES.items()}
+# stack -> its stored use_conv, use_pooling, use_highway, mlp_baseline bytes
+_STACK_FLAGS = {"embed": (0, 0, 0, 0), "conv": (1, 0, 0, 0), "pool": (1, 1, 0, 0),
+                "highway": (1, 1, 1, 0), "mlp": (0, 0, 0, 1)}
+_FLAG_STACKS = {v: k for k, v in _STACK_FLAGS.items()}
 
 
 class ModelFormatError(ValueError):
@@ -128,9 +133,9 @@ class _Reader:
 def _write_encoder_config(w, cfg, constrained):
     w.put(_ENCODER_WIDTHS, cfg.d, cfg.h, cfg.feature_map_sets)
     w.put(f"<{cfg.feature_map_sets}I", *cfg.feature_maps)
-    w.put(_ENCODER_SWITCHES, cfg.use_conv, cfg.use_pooling, cfg.use_highway,
-          _RECURRENT_CODES[cfg.recurrent], cfg.mlp_baseline, cfg.window, cfg.use_bigram,
-          constrained)
+    conv, pooling, highway, mlp = _STACK_FLAGS[cfg.stack]
+    w.put(_ENCODER_SWITCHES, conv, pooling, highway, _RECURRENT_CODES[cfg.recurrent], mlp,
+          cfg.window, cfg.use_bigram, constrained)
 
 
 def _read_encoder_config(r):
@@ -139,10 +144,13 @@ def _read_encoder_config(r):
     conv, pooling, highway, code, mlp, window, bigram, constrained = r.get(_ENCODER_SWITCHES)
     if code not in _RECURRENT_NAMES:
         raise ModelCorruptionError(f"unknown recurrent layer code {code}")
+    stack = _FLAG_STACKS.get((conv, pooling, highway, mlp))
+    if stack is None:
+        raise ModelCorruptionError(f"stored flags use_conv={conv:d} use_pooling={pooling:d} "
+                                   f"use_highway={highway:d} mlp_baseline={mlp:d} name no stack")
     try:
         cfg = EncoderConfig(d=d, h=h, feature_map_sets=q, feature_maps=maps,
-                            use_conv=conv, use_pooling=pooling, use_highway=highway,
-                            recurrent=_RECURRENT_NAMES[code], mlp_baseline=mlp,
+                            stack=stack, recurrent=_RECURRENT_NAMES[code],
                             window=window, use_bigram=bigram)
     except ConfigError as e:
         raise ModelCorruptionError(f"stored encoder config is invalid: {e}") from None

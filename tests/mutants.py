@@ -79,6 +79,12 @@ MUTANTS = (
            "if version < 3:     # the POS label list",
            "if False:",
            ("tests/test_modelfile.py::TestVersions",)),
+    Mutant("the stored flag bytes of pool and highway swapped",
+           "src/segtag/modelfile.py",
+           '"pool": (1, 1, 0, 0),\n                "highway": (1, 1, 1, 0)',
+           '"pool": (1, 1, 1, 0),\n                "highway": (1, 1, 0, 0)',
+           ("tests/test_modelfile.py::TestLoad::test_stack_flag_bytes_are_pinned",
+            "tests/test_modelfile.py::TestVersions")),
     Mutant("AdaGrad without its epsilon",
            "src/segtag/training.py",
            "root = p.accumulator + ADAGRAD_EPS",

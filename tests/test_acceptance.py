@@ -213,7 +213,7 @@ def test_acceptance_6_ablation_ordering():
         return tr.evaluate(model, heldout)[2]
 
     full = run(dict())   # CNN + pooling + highway + BLSTM
-    cnn_only = run(dict(use_pooling=False, use_highway=False, recurrent="none"))
+    cnn_only = run(dict(stack="conv", recurrent="none"))
     report(6, full >= cnn_only,
            f"held-out F1: full topology {full:.4f} >= CNN-only {cnn_only:.4f}")
 

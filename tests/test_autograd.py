@@ -141,8 +141,7 @@ def _op_cases(rng):
     bi[-1] = bi[0]
     ids[-1] = ids[0]
     chars = enc.CharIds(uni=ids, bi_left=bi[:-1], bi_right=bi[1:], lengths=np.array(lengths))
-    bigram_cfg = enc.EncoderConfig(d=a, h=1, use_conv=False, use_pooling=False,
-                                   use_highway=False, recurrent="none", use_bigram=True)
+    bigram_cfg = enc.EncoderConfig(d=a, h=1, stack="embed", recurrent="none", use_bigram=True)
     lstm_bwd = rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b)
     return {
         "matmul": (lambda: taped_sum(ag.matmul(x, w), "tanh"), [x, w]),
@@ -258,8 +257,7 @@ def taped_ops():
     bi = np.array([0, 5, 2, 2, 1, 3, 1, 0])
     chars = enc.CharIds(uni=np.array([1, 4, 4, 9, 0, 2, 3]), bi_left=bi[:-1], bi_right=bi[1:],
                         lengths=np.array(lengths))
-    bigram_cfg = enc.EncoderConfig(d=4, h=1, use_conv=False, use_pooling=False,
-                                   use_highway=False, recurrent="none", use_bigram=True)
+    bigram_cfg = enc.EncoderConfig(d=4, h=1, stack="embed", recurrent="none", use_bigram=True)
     tagger = projection_model(x, w, b, lt.TransitionMatrix(rand_param(rng, 5, 5)))
     gold = [0, 2, 2, 3, 1, 0, 4]
     return [
@@ -309,9 +307,8 @@ def test_no_grad_is_undone_on_leaving_the_block():
 MODEL_CONFIGS = [
     (dict(use_bigram=True, feature_maps=12), True),
     (dict(recurrent="lstm"), False),
-    (dict(use_conv=False, use_pooling=False, use_highway=False), False),
-    (dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
-          mlp_baseline=True, window=3), False),
+    (dict(stack="embed"), False),
+    (dict(stack="mlp", window=3), False),
 ]
 
 

@@ -37,16 +37,14 @@ _MODELS = {}
 def grid():
     """(topology, bigrams, constrained) for the 12 topologies and the MLP
     baseline, each with bigram features and constrained transitions on and off."""
-    mlp = dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
-               mlp_baseline=True, window=3)
-    return [(topo, bigram, constrained) for topo in topology_grid() + [mlp]
+    return [(topo, bigram, constrained) for topo in topology_grid(mlp=True)
             for bigram in (False, True) for constrained in (False, True)]
 
 
 def grid_id(case):
     topo, bigram, constrained = case
-    stack = "mlp" if topo.get("mlp_baseline") else "-".join(
-        k[4:] for k in ("use_conv", "use_pooling", "use_highway") if topo[k]) or "embed"
+    stages = {"pool": "conv-pooling", "highway": "conv-pooling-highway"}  # each stack's stages
+    stack = stages.get(topo["stack"], topo["stack"])
     return f"{stack}-{topo['recurrent']}-{'bi' if bigram else 'uni'}-{'mask' if constrained else 'free'}"
 
 
@@ -164,8 +162,7 @@ class TestPacking:
             CharIds.pack([])
 
     def test_empty_sentence_in_a_pack_rejected(self):
-        cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="none")
+        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
         ids = CharIds.pack([CharIds(uni=np.array([2])), CharIds(uni=np.array([], dtype=int))])
         with pytest.raises(ValueError, match="empty"):
             enc.embed_sentence(ids, Parameter(np.zeros((6, 4))), None, cfg)

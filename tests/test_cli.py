@@ -53,7 +53,7 @@ class TestSettings:
         assert (s["lr"], s["margin"], s["l2"], s["batch"]) == (0.2, 0.2, 1e-4, 20)
         assert s["window"] == 1
         cfg = cli.encoder_config_from(s)
-        assert cfg.use_conv and cfg.use_pooling and cfg.use_highway
+        assert cfg.stack == "highway"
         assert cfg.recurrent == "blstm"
 
     def test_flags_override_file_overrides_defaults(self, tmp_path):
@@ -98,13 +98,16 @@ class TestSettings:
         args = cli.build_parser().parse_args(
             ["train", "--encoder", "mlp", "--window", "5"])
         cfg = cli.encoder_config_from(cli.resolve_settings(args))
-        assert cfg.mlp_baseline and cfg.window == 5
-        assert cfg.recurrent == "none" and not cfg.use_conv
+        assert cfg.stack == "mlp" and cfg.window == 5
+        assert cfg.recurrent == "none"
 
     def test_no_conv_cascades(self):
-        args = cli.build_parser().parse_args(["train", "--no-conv"])
-        cfg = cli.encoder_config_from(cli.resolve_settings(args))
-        assert not (cfg.use_conv or cfg.use_pooling or cfg.use_highway)
+        # the stack ends below the first stage switched off
+        for flags, stack in [(["--no-conv"], "embed"), (["--no-conv", "--no-highway"], "embed"),
+                             (["--no-pooling"], "conv"), (["--no-pooling", "--no-highway"], "conv"),
+                             (["--no-highway"], "pool"), ([], "highway")]:
+            args = cli.build_parser().parse_args(["train", *flags])
+            assert cli.encoder_config_from(cli.resolve_settings(args)).stack == stack, flags
 
 
 class TestTrainCommand:
@@ -134,8 +137,23 @@ class TestTrainCommand:
         rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
                      "--model", str(model_path), "--window", "3")
         assert rc == 1
-        assert "window" in capsys.readouterr().err
+        assert "segtag: window=3 needs stack='mlp' (--encoder mlp)" in capsys.readouterr().err
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("recurrent", ["lstm", "blstm"])
+    def test_mlp_encoder_refuses_a_recurrent_layer(self, toy_files, capsys, recurrent):
+        # given as flags, then as config keys
+        corpus, config, tmp = toy_files
+        mlp_config = tmp / "mlp.cfg"
+        mlp_config.write_text(f"encoder = mlp\nrecurrent = {recurrent}\n", encoding="utf-8")
+        for extra in (["--config", str(config), "--encoder", "mlp", "--recurrent", recurrent],
+                      ["--config", str(mlp_config)]):
+            rc = run_cli("train", "--corpus", str(corpus), "--model", str(tmp / "m.model"), *extra)
+            lines = capsys.readouterr().err.splitlines()
+            assert rc == 1 and len(lines) == 1
+            assert lines[0].startswith("segtag: stack='mlp' (--encoder mlp) runs without")
+            assert lines[0].endswith(f"recurrent={recurrent!r} (--recurrent)")
+            assert not (tmp / "m.model").exists()
 
     def test_pooled_width_refusal_names_the_settings_and_d(self, toy_files, capsys):
         # pooling restores the embedding width: d, or 3d = 6 with bigrams on
@@ -550,7 +568,7 @@ _settings = st.fixed_dictionaries({
     "dev_fraction": st.sampled_from(["0", "0.3"]),
     "constrain_transitions": st.booleans(), "observed_tags_only": st.booleans(),
     "optimizer": st.sampled_from(["adagrad", "sgd"]),
-})
+}).map(lambda c: {**c, "recurrent": "none"} if c["encoder"] == "mlp" else c)  # mlp runs none
 # a line appended to one of the files; each is refused (window = 3 unless
 # the encoder is mlp)
 _FAULTS = [("cfg", "learning_rate = 1"), ("cfg", "d 4"), ("cfg", "lr = nan"),

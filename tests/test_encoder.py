@@ -27,24 +27,21 @@ class TestEmbed:
     def test_direct_lookup(self):
         rng = np.random.default_rng(0)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="none")
+        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
         out = enc.embed_sentence(CharIds(uni=np.array([2, 3])), uni, bi, cfg)
         assert np.array_equal(out.data, uni.data[[2, 3]])
 
     def test_unk_row(self):
         rng = np.random.default_rng(1)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="none")
+        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
         out = enc.embed_sentence(CharIds(uni=np.array([Vocab.UNK])), uni, bi, cfg)
         assert np.array_equal(out.data[0], uni.data[0])
 
     def test_bigram_concat_width(self):
         rng = np.random.default_rng(2)
         uni, bi = make_tables(rng, d=50, bigram=True)
-        cfg = EncoderConfig(d=50, h=2, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="none", use_bigram=True)
+        cfg = EncoderConfig(d=50, h=2, stack="embed", recurrent="none", use_bigram=True)
         assert cfg.d_in == 150
         ids = CharIds(uni=np.array([2, 3, 4]),
                       bi_left=np.array([0, 1, 2]),
@@ -59,8 +56,7 @@ class TestEmbed:
     def test_empty_sentence_rejected(self):
         rng = np.random.default_rng(3)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="none")
+        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
         with pytest.raises(ValueError, match="empty"):
             enc.embed_sentence(CharIds(uni=np.array([], dtype=int)), uni, bi, cfg)
 
@@ -442,8 +438,7 @@ class TestEncode:
 
     def test_without_cnn_embeddings_feed_blstm(self):
         rng = np.random.default_rng(21)
-        cfg = EncoderConfig(d=5, h=4, use_conv=False, use_pooling=False,
-                            use_highway=False, recurrent="blstm")
+        cfg = EncoderConfig(d=5, h=4, stack="embed", recurrent="blstm")
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         ids = CharIds(uni=rng.integers(0, 9, size=6))
         out = enc.encode(ids, params, cfg)
@@ -455,7 +450,7 @@ class TestEncode:
     def test_cnn_only_output_width(self):
         rng = np.random.default_rng(22)
         cfg = EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=5,
-                            use_pooling=False, use_highway=False, recurrent="none")
+                            stack="conv", recurrent="none")
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         out = enc.encode(CharIds(uni=rng.integers(0, 9, size=10)), params, cfg)
         assert out.shape == (10, cfg.d_pool) == (10, 10)
@@ -470,8 +465,7 @@ class TestEncode:
 
     def test_mlp_topology(self):
         rng = np.random.default_rng(24)
-        cfg = EncoderConfig(d=4, h=6, use_conv=False, use_pooling=False, use_highway=False,
-                            recurrent="none", mlp_baseline=True, window=5)
+        cfg = EncoderConfig(d=4, h=6, stack="mlp", window=5)
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         out = enc.encode(CharIds(uni=rng.integers(0, 9, size=7)), params, cfg)
         assert out.shape == (7, 6)
@@ -488,14 +482,10 @@ class TestEncode:
         assert out.shape == (5, 6)
 
 
-MLP_TOPOLOGY = dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
-                    mlp_baseline=True, window=3)
-
-
 class TestManifest:
     """One (name, shape) list drives drawing, the encoder's reads and the model file."""
 
-    @pytest.mark.parametrize("topo", topology_grid() + [MLP_TOPOLOGY])
+    @pytest.mark.parametrize("topo", topology_grid(mlp=True))
     @pytest.mark.parametrize("use_bigram", [False, True])
     def test_model_holds_exactly_the_manifest(self, topo, use_bigram):
         cfg = EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=(4, 5, 6),
@@ -560,14 +550,6 @@ class TestManifest:
 
 
 class TestConfigValidation:
-    def test_highway_needs_pooling(self):
-        with pytest.raises(enc.ConfigError, match="highway"):
-            EncoderConfig(use_pooling=False, use_highway=True)
-
-    def test_pooling_needs_conv(self):
-        with pytest.raises(enc.ConfigError, match="pooling"):
-            EncoderConfig(use_conv=False, use_pooling=True, use_highway=False)
-
     def test_pool_width_must_fit(self):
         with pytest.raises(enc.ConfigError, match="pooling width"):
             EncoderConfig(d=50, feature_map_sets=1, feature_maps=10)
@@ -581,18 +563,14 @@ class TestConfigValidation:
             EncoderConfig(d=5, feature_map_sets=2, feature_maps=(4, 5, 6))
 
     # a model file stores one width per map set even where no conv layer reads them
-    @pytest.mark.parametrize("topo", [
-        dict(recurrent="blstm"),
-        dict(recurrent="none", mlp_baseline=True),
-    ])
+    @pytest.mark.parametrize("topo", [dict(stack="embed"), dict(stack="mlp")])
     def test_one_width_per_map_set_without_the_conv_layer(self, topo):
         with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
-            EncoderConfig(d=4, h=3, use_conv=False, use_pooling=False, use_highway=False,
-                          feature_map_sets=2, feature_maps=(1, 2, 3), **topo)
+            EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=(1, 2, 3), **topo)
 
-    def test_mlp_excludes_conv_stack(self):
-        with pytest.raises(enc.ConfigError, match="mlp"):
-            EncoderConfig(mlp_baseline=True)
+    def test_unknown_stack(self):
+        with pytest.raises(enc.ConfigError, match="stack must be one of .*'mlp'.*, got 'cnn'"):
+            EncoderConfig(stack="cnn")
 
     def test_bad_recurrent(self):
         with pytest.raises(enc.ConfigError, match="recurrent"):
@@ -602,9 +580,8 @@ class TestConfigValidation:
         with pytest.raises(enc.ConfigError, match="window=3"):
             EncoderConfig(window=3)
         with pytest.raises(enc.ConfigError, match="window=2"):
-            EncoderConfig(use_conv=False, use_pooling=False, use_highway=False, window=2)
-        assert EncoderConfig(use_conv=False, use_pooling=False, use_highway=False,
-                             recurrent="none", mlp_baseline=True, window=3).window == 3
+            EncoderConfig(stack="embed", window=2)
+        assert EncoderConfig(stack="mlp", window=3).window == 3
 
 
 @pytest.mark.parametrize("topo", topology_grid()[:4])

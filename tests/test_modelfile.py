@@ -16,8 +16,14 @@ from segtag.autograd import NumericError
 from segtag.encoder import EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
+from util import topology_grid
 
 DATA = Path(__file__).parent / "data"
+# the stored use_conv, use_pooling, use_highway and mlp_baseline bytes of each
+# stack, and their offsets in a file with two map widths
+STACK_FLAG_BYTES = {"embed": (0, 0, 0, 0), "conv": (1, 0, 0, 0), "pool": (1, 1, 0, 0),
+                    "highway": (1, 1, 1, 0), "mlp": (0, 0, 0, 1)}
+FLAG_OFFSETS = (30, 31, 32, 34)
 
 
 def build_model(seed=4, use_bigram=False, constrained=False, normalize_width=False):
@@ -144,14 +150,8 @@ class TestLoad:
         assert loaded.vocab.char_to_id == model.vocab.char_to_id
         assert loaded.vocab.bigram_to_id == model.vocab.bigram_to_id
 
-    @pytest.mark.parametrize("cfg_kwargs", [
-        dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="lstm"),
-        dict(use_conv=True, use_pooling=False, use_highway=False, recurrent="none"),
-        dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="none",
-             mlp_baseline=True, window=3),
-        dict(use_conv=False, use_pooling=False, use_highway=False, recurrent="lstm",
-             feature_map_sets=0, feature_maps=()),
-    ])
+    @pytest.mark.parametrize("cfg_kwargs", topology_grid(mlp=True) + [
+        dict(stack="embed", recurrent="lstm", feature_map_sets=0, feature_maps=())])
     def test_round_trip_across_topologies(self, tmp_path, cfg_kwargs):
         sents = toy_corpus(8, seed=2)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
@@ -222,6 +222,23 @@ class TestLoad:
         rewrite_field(path, 38, "<B", 0xFF)
         with pytest.raises(mf.ModelCorruptionError, match="encoder config.*window=4278190081"):
             mf.load(path)
+
+    def test_stack_flag_bytes_are_pinned(self, tmp_path):
+        vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(4, seed=1))
+        path = tmp_path / "m.model"
+        for stack, flags in STACK_FLAG_BYTES.items():
+            cfg = EncoderConfig(d=5, h=4, feature_map_sets=2, feature_maps=6, stack=stack)
+            mf.save(Model(cfg, vocab, tagset, seed=1), path)
+            assert tuple(path.read_bytes()[i] for i in FLAG_OFFSETS) == flags, stack
+            assert mf.load(path).cfg == cfg
+        others = [f for f in np.ndindex(2, 2, 2, 2) if f not in STACK_FLAG_BYTES.values()]
+        assert len(others) == 11
+        for flags in others:
+            for offset, value in zip(FLAG_OFFSETS, flags):
+                rewrite_field(path, offset, "<B", value)
+            named = "use_conv={} use_pooling={} use_highway={} mlp_baseline={}".format(*flags)
+            with pytest.raises(mf.ModelCorruptionError, match=f"^stored flags {named} name no"):
+                mf.load(path)
 
     def test_trailing_bytes_after_the_parameters_are_corruption(self, tmp_path):
         path = tmp_path / "m.model"

@@ -117,15 +117,11 @@ def rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
-def topology_grid():
-    """The 12 ablation topologies: feature stack depth x recurrent flavor."""
-    stacks = [
-        dict(use_conv=False, use_pooling=False, use_highway=False),
-        dict(use_conv=True, use_pooling=False, use_highway=False),
-        dict(use_conv=True, use_pooling=True, use_highway=False),
-        dict(use_conv=True, use_pooling=True, use_highway=True),
-    ]
-    return [dict(recurrent=r, **s) for s in stacks for r in ("none", "lstm", "blstm")]
+def topology_grid(mlp=False):
+    """The 12 ablation topologies: feature stack depth x recurrent flavor;
+    with mlp, the window-3 MLP baseline too, for all 13 valid ones."""
+    grid = [dict(stack=s, recurrent=r) for s in enc.STACKS[:4] for r in ("none", "lstm", "blstm")]
+    return grid + [dict(stack="mlp", recurrent="none", window=3)] if mlp else grid
 
 
 def bmes_mask_oracle(tags):
