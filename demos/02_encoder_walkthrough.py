@@ -34,7 +34,7 @@ bank = [(params[f"conv.q{q}.w"], params[f"conv.q{q}.b"]) for q in range(1, 6)]
 z = enc.conv_feature_maps(x, bank)
 print("conv feature maps: ", z.shape, " (uni-gram .. 5-gram, 100 maps each)")
 
-pooled = enc.kmax_pool(z, cfg.k_pool)
+pooled = enc.kmax_pool(z, cfg.d_in)
 print("k-max pooled:      ", pooled.shape, " (k equals the embedding width)")
 
 mixed = enc.highway_forward(x, pooled, params["highway.w"], params["highway.b"])
@@ -56,3 +56,11 @@ print("w/o CNN + LSTM:    ", enc.encode(ids, init_params(bare), bare).shape)
 # And the windowed MLP baseline, which replaces the whole stack.
 mlp = EncoderConfig(d=50, h=100, stack="mlp", window=5)
 print("MLP baseline (k=5):", enc.encode(ids, init_params(mlp), mlp).shape)
+
+# The MLP reads no conv widths: it holds the canonical Q=0 and no map
+# widths, and a config that sets them is refused instead of storing them.
+print("MLP map widths:    ", mlp.feature_map_sets, mlp.feature_maps)
+try:
+    EncoderConfig(d=50, stack="mlp", feature_map_sets=5)
+except enc.ConfigError as e:
+    print("refused:           ", e)

@@ -8,7 +8,7 @@ import time
 
 from segtag import corpus as cp
 from segtag import training as tr
-from segtag.encoder import RECURRENT_KINDS, EncoderConfig
+from segtag.encoder import RECURRENT_KINDS, EncoderConfig, unread_widths
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 
@@ -21,8 +21,12 @@ STACKS = {"embed": "w/o CNN", "conv": "CNN", "pool": "CNN+Pool", "highway": "CNN
 
 
 def run(stack, recurrent, epochs=10):
-    cfg = EncoderConfig(d=16, h=16, feature_map_sets=3, feature_maps=16,
-                        stack=stack, recurrent=recurrent)
+    # each width goes only to a topology that reads it; one that does not
+    # would refuse it
+    unread = unread_widths(stack, recurrent)
+    widths = {k: v for k, v in dict(h=16, feature_map_sets=3, feature_maps=16).items()
+              if k not in unread}
+    cfg = EncoderConfig(d=16, stack=stack, recurrent=recurrent, **widths)
     model = Model(cfg, vocab, tagset, seed=1)
     train_cfg = tr.TrainConfig(seed=1)
     for epoch in range(1, epochs + 1):

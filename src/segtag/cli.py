@@ -2,7 +2,8 @@
 
 Settings resolve in three layers: built-in defaults, then a line-oriented
 "key = value" config file (# comments), then explicit command-line flags.
-Logs go to stderr and data to stdout so pipelines compose.
+--stack and --recurrent pick the encoder topology, which refuses a width it
+does not read. Logs go to stderr and data to stdout so pipelines compose.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import corpus as cp
 from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
-from .encoder import STACKS, ConfigError, EncoderConfig
+from .encoder import RECURRENT_KINDS, STACKS, WIDTHS, ConfigError, EncoderConfig
 from .model import Model
 from .training import TrainConfig, gold_and_predicted_spans, train
 
@@ -30,9 +31,6 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# the stage switches in stack order: turning one off ends the stack below it
-STAGE_SETTINGS = ("conv", "pooling", "highway")
-
 # key -> (parser, default); every flag has its config-file twin, and a few
 # model widths are config-only. The published defaults are the dataclasses'.
 SETTINGS = {
@@ -41,10 +39,8 @@ SETTINGS = {
     "embeddings": (str, None),
     "model": (str, None),
     "seed": (int, TrainConfig.seed),
-    "encoder": (str, "full"),          # full | mlp
-    "recurrent": (str, EncoderConfig.recurrent),  # none | lstm | blstm
-    **{key: (_bool, i < STACKS.index(EncoderConfig.stack))
-       for i, key in enumerate(STAGE_SETTINGS)},
+    "stack": (str, EncoderConfig.stack),          # encoder.STACKS
+    "recurrent": (str, EncoderConfig.recurrent),  # encoder.RECURRENT_KINDS
     "bigrams": (_bool, EncoderConfig.use_bigram),
     "mode": (str, "both"),             # joint | seg | both
     "epochs": (int, TrainConfig.max_epochs),
@@ -54,9 +50,7 @@ SETTINGS = {
     "l2": (float, TrainConfig.l2),
     "window": (int, EncoderConfig.window),
     "d": (int, EncoderConfig.d),
-    "h": (int, EncoderConfig.h),
-    "feature_map_sets": (int, EncoderConfig.feature_map_sets),
-    "feature_map_size": (int, EncoderConfig.feature_maps),
+    **{key: (int, None) for key, _, _ in WIDTHS.values()},  # None: the topology's own
     "dev_fraction": (float, TrainConfig.dev_fraction),
     "optimizer": (str, TrainConfig.optimizer),
     "min_count": (int, 1),
@@ -77,7 +71,7 @@ class CliError(ValueError):
 def parse_config_file(path):
     """Read "key = value" lines; unknown keys are errors naming the key."""
     values = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -109,26 +103,17 @@ def resolve_settings(args):
 
 
 def encoder_config_from(settings):
-    if settings["encoder"] not in ("full", "mlp"):
-        raise CliError(f"encoder must be 'full' or 'mlp', got {settings['encoder']!r}")
-    common = dict(d=settings["d"], h=settings["h"], recurrent=settings["recurrent"],
-                  window=settings["window"], use_bigram=settings["bigrams"])
-    if settings["encoder"] == "mlp":
-        return EncoderConfig(stack="mlp", **common)
-    kept = [settings[key] for key in STAGE_SETTINGS] + [False]
-    return EncoderConfig(feature_map_sets=settings["feature_map_sets"],
-                         feature_maps=settings["feature_map_size"],
-                         stack=STACKS[kept.index(False)], **common)
+    widths = {field: settings[key] for field, (key, _, _) in WIDTHS.items()}
+    return EncoderConfig(d=settings["d"], stack=settings["stack"], recurrent=settings["recurrent"],
+                         window=settings["window"], use_bigram=settings["bigrams"], **widths)
 
 
 def train_config_from(settings):
-    return TrainConfig(
-        alpha=settings["lr"], eta=settings["margin"], l2=settings["l2"],
-        batch_size=settings["batch"], max_epochs=settings["epochs"],
-        seed=settings["seed"], dev_fraction=settings["dev_fraction"],
-        optimizer=settings["optimizer"],
-        finetune_embeddings=settings["finetune_embeddings"],
-    )
+    return TrainConfig(alpha=settings["lr"], eta=settings["margin"], l2=settings["l2"],
+                       batch_size=settings["batch"], max_epochs=settings["epochs"],
+                       seed=settings["seed"], dev_fraction=settings["dev_fraction"],
+                       optimizer=settings["optimizer"],
+                       finetune_embeddings=settings["finetune_embeddings"])
 
 
 def _require(settings, key, command):
@@ -140,7 +125,7 @@ def _require(settings, key, command):
 def _read_corpus(path, settings, fold):
     """The sentences of a word/POS corpus file. A malformed token is refused
     naming the file and the line, and a file without sentences is refused."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
                                                normalize_width=fold)
@@ -223,7 +208,7 @@ def cmd_tag(args):
     if args.input in (None, "-"):
         texts = _read_raw(sys.stdin, "standard input", fold)
     else:
-        with open(args.input, encoding="utf-8") as fin:
+        with open(args.input, encoding="utf-8-sig") as fin:
             texts = _read_raw(fin, args.input, fold)
     out = "".join(line + "\n" for line in _tagged_lines(model, texts))
     if args.output in (None, "-"):
@@ -264,11 +249,8 @@ def build_parser():
     t.add_argument("--corpus", help="training corpus (word/POS lines)")
     t.add_argument("--dev", help="held-out corpus for model selection")
     t.add_argument("--embeddings", help="word2vec-format pre-trained characters")
-    t.add_argument("--encoder", choices=("full", "mlp"))
-    t.add_argument("--recurrent", choices=("none", "lstm", "blstm"))
-    t.add_argument("--no-conv", dest="conv", action="store_const", const=False)
-    t.add_argument("--no-pooling", dest="pooling", action="store_const", const=False)
-    t.add_argument("--no-highway", dest="highway", action="store_const", const=False)
+    t.add_argument("--stack", choices=STACKS, help="feature stack level, or the mlp baseline")
+    t.add_argument("--recurrent", choices=RECURRENT_KINDS)
     t.add_argument("--bigrams", action="store_const", const=True)
     t.add_argument("--epochs", type=int)
     t.add_argument("--batch", type=int)

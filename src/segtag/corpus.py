@@ -283,7 +283,7 @@ def load_pretrained_embeddings(path, vocab, table):
         return EmbeddingFormatError(f"{where}: {what}")
 
     d = table.shape[1]
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise bad("missing '<count> <dim>' header line")

@@ -41,6 +41,19 @@ class ConfigError(ValueError):
     """Encoder topology switches are inconsistent."""
 
 
+# width field -> (settings key, published value, canonical value). In EncoderConfig a width
+# the topology does not read is canonical, and one left None is published where it is read.
+WIDTHS = {"h": ("h", 100, 0), "feature_map_sets": ("feature_map_sets", 5, 0),
+          "feature_maps": ("feature_map_size", 100, ())}
+
+
+def unread_widths(stack, recurrent):
+    """The WIDTHS fields a topology does not read: the conv bank's without a
+    conv stage, and h with neither a recurrent layer nor the mlp."""
+    unread = () if stack in ("conv", "pool", "highway") else ("feature_map_sets", "feature_maps")
+    return unread + ("h",) if recurrent == "none" and stack != "mlp" else unread
+
+
 @dataclass
 class EncoderConfig:
     """Topology switches and widths for the encoder stack.
@@ -52,50 +65,56 @@ class EncoderConfig:
     """
 
     d: int = 50                 # character embedding width
-    h: int = 100                # LSTM (and MLP hidden) width
-    feature_map_sets: int = 5   # Q: n-gram orders 1..Q
-    feature_maps: tuple = 100   # l_q per order; an int replicates across orders
+    h: int | None = None        # LSTM (and MLP hidden) width
+    feature_map_sets: int | None = None  # Q: n-gram orders 1..Q
+    feature_maps: tuple | None = None    # l_q per order; an int replicates across orders
     stack: str = "highway"      # one of STACKS
     recurrent: str | None = None  # RECURRENT_KINDS; None: none for mlp, else blstm
     window: int = 1             # MLP context window
     use_bigram: bool = False
 
     def __post_init__(self):
-        if isinstance(self.feature_maps, int):
-            self.feature_maps = (self.feature_maps,) * self.feature_map_sets
-        else:
-            self.feature_maps = tuple(int(l) for l in self.feature_maps)
         if self.recurrent is None:
             self.recurrent = "none" if self.stack == "mlp" else "blstm"
-        if self.d < 1 or self.h < 1:
+        for field, kinds in (("stack", STACKS), ("recurrent", RECURRENT_KINDS)):
+            if getattr(self, field) not in kinds:
+                raise ConfigError(f"{field} must be one of {kinds}, got {getattr(self, field)!r}")
+        if self.stack == "mlp" and self.recurrent != "none":
+            raise ConfigError(f"stack='mlp' (--stack mlp) runs without a recurrent layer, "
+                              f"got recurrent={self.recurrent!r} (--recurrent)")
+        unread = unread_widths(self.stack, self.recurrent)
+        for field, (key, published, canonical) in WIDTHS.items():
+            value = getattr(self, field)
+            if value is None:
+                setattr(self, field, canonical if field in unread else published)
+            elif field in unread and value != canonical:
+                raise ConfigError(f"{field}={value!r} (setting {key}) is not read by "
+                                  f"stack={self.stack!r} with recurrent={self.recurrent!r}; "
+                                  "leave it unset")
+        maps = self.feature_maps
+        self.feature_maps = ((maps,) * self.feature_map_sets if isinstance(maps, int)
+                             else tuple(int(l) for l in maps))
+        if self.d < 1 or (self.h < 1 and "h" not in unread):
             raise ConfigError(f"widths must be positive: d={self.d}, h={self.h}")
-        if self.stack not in STACKS:
-            raise ConfigError(f"stack must be one of {STACKS}, got {self.stack!r}")
-        if self.recurrent not in RECURRENT_KINDS:
-            raise ConfigError(f"recurrent must be one of {RECURRENT_KINDS}, got {self.recurrent!r}")
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
         if self.window != 1 and self.stack != "mlp":
-            raise ConfigError(f"window={self.window} needs stack='mlp' (--encoder mlp); "
+            raise ConfigError(f"window={self.window} needs stack='mlp' (--stack mlp); "
                               "no other encoder reads it")
         if len(self.feature_maps) != self.feature_map_sets:
-            raise ConfigError(
-                f"{self.feature_map_sets} map sets but {len(self.feature_maps)} widths"
-            )
-        if self.stack == "mlp" and self.recurrent != "none":
-            raise ConfigError(f"stack='mlp' (--encoder mlp) runs without a recurrent layer, "
-                              f"got recurrent={self.recurrent!r} (--recurrent)")
+            raise ConfigError(f"{self.feature_map_sets} map sets but "
+                              f"{len(self.feature_maps)} widths")
         if self.has("conv"):
             if self.feature_map_sets < 1:
                 raise ConfigError(f"feature_map_sets must be >= 1, got {self.feature_map_sets}")
             if any(l < 1 for l in self.feature_maps):
                 raise ConfigError(f"feature map widths must be positive: {self.feature_maps}")
-            if self.has("pool") and self.conv_width < self.k_pool:
+            if self.has("pool") and self.conv_width < self.d_in:
                 raise ConfigError(
                     f"feature_map_sets={self.feature_map_sets} with per-set widths "
                     f"{self.feature_maps} (feature_map_size on the command line, "
                     f"feature_maps in EncoderConfig) give {self.conv_width} feature maps, "
-                    f"fewer than the pooling width {self.k_pool} = "
+                    f"fewer than the pooling width {self.d_in} = "
                     f"{'3d' if self.use_bigram else 'd'} for d={self.d} (bigrams triple d)"
                 )
 
@@ -107,11 +126,6 @@ class EncoderConfig:
     def d_in(self):
         """Per-position embedding width (3d when bigram features are on)."""
         return 3 * self.d if self.use_bigram else self.d
-
-    @property
-    def k_pool(self):
-        # pooling restores the embedding width so the highway carry is well-typed
-        return self.d_in
 
     @property
     def conv_width(self):
@@ -584,7 +598,7 @@ def encode(ids, named, cfg):
         bank = [affine(f"conv.q{q}") for q in range(1, cfg.feature_map_sets + 1)]
         feats = conv_feature_maps(x, bank, ids.lengths)
     if cfg.has("pool"):
-        feats = kmax_pool(feats, cfg.k_pool)
+        feats = kmax_pool(feats, cfg.d_in)    # the embedding width, as highway's carry
     if cfg.has("highway"):
         feats = highway_forward(x, feats, *affine("highway"))
     del x

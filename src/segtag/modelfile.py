@@ -42,7 +42,8 @@ three more sections, which nothing reads and the reader skips:
 
 A skipped section that is truncated or holds an undecodable string is still
 a ModelCorruptionError. Version 1 has no preprocessing byte: normalize_width
-reads as off.
+reads as off. A width the topology does not read is saved at its canonical
+value (encoder.WIDTHS); loading drops any other value an older file stored.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ import numpy as np
 
 from .autograd import NumericError
 from .corpus import JointTag, TagSet, Vocab
-from .encoder import ConfigError, EncoderConfig, parameter_manifest
+from .encoder import ConfigError, EncoderConfig, parameter_manifest, unread_widths
 from .model import Model
 
 MAGIC = b"FJSTM1"
@@ -142,16 +143,19 @@ def _read_encoder_config(r):
     d, h, q = r.get(_ENCODER_WIDTHS)
     maps = r.get(f"<{q}I")
     conv, pooling, highway, code, mlp, window, bigram, constrained = r.get(_ENCODER_SWITCHES)
-    if code not in _RECURRENT_NAMES:
+    recurrent = _RECURRENT_NAMES.get(code)
+    if recurrent is None:
         raise ModelCorruptionError(f"unknown recurrent layer code {code}")
     stack = _FLAG_STACKS.get((conv, pooling, highway, mlp))
     if stack is None:
         raise ModelCorruptionError(f"stored flags use_conv={conv:d} use_pooling={pooling:d} "
                                    f"use_highway={highway:d} mlp_baseline={mlp:d} name no stack")
+    widths = dict(h=h, feature_map_sets=q, feature_maps=maps)
+    for field in unread_widths(stack, recurrent):   # an older file may hold any value there
+        del widths[field]
     try:
-        cfg = EncoderConfig(d=d, h=h, feature_map_sets=q, feature_maps=maps,
-                            stack=stack, recurrent=_RECURRENT_NAMES[code],
-                            window=window, use_bigram=bigram)
+        cfg = EncoderConfig(d=d, stack=stack, recurrent=recurrent, window=window,
+                            use_bigram=bigram, **widths)
     except ConfigError as e:
         raise ModelCorruptionError(f"stored encoder config is invalid: {e}") from None
     return cfg, constrained

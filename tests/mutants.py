@@ -85,6 +85,13 @@ MUTANTS = (
            '"pool": (1, 1, 1, 0),\n                "highway": (1, 1, 0, 0)',
            ("tests/test_modelfile.py::TestLoad::test_stack_flag_bytes_are_pinned",
             "tests/test_modelfile.py::TestVersions")),
+    Mutant("a width the topology does not read keeps its published value",
+           "src/segtag/encoder.py",
+           "setattr(self, field, canonical if field in unread else published)",
+           "setattr(self, field, published)",
+           ("tests/test_encoder.py::TestConfigValidation",
+            "tests/test_modelfile.py::TestVersions"
+            "::test_stored_widths_the_topology_does_not_read_are_dropped")),
     Mutant("AdaGrad without its epsilon",
            "src/segtag/training.py",
            "root = p.accumulator + ADAGRAD_EPS",

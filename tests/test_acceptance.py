@@ -28,6 +28,7 @@ from util import (
     randomize_parameters,
     rel_err,
     serialize_corpus,
+    topology_config,
     topology_grid,
 )
 
@@ -78,7 +79,7 @@ def test_acceptance_2_gradient_fidelity_all_topologies():
     assert len(gold_sentence) == 5
     worst = {}
     for i, topo in enumerate(topology_grid()):
-        cfg = EncoderConfig(d=6, h=5, feature_map_sets=3, feature_maps=4, **topo)
+        cfg = topology_config(d=6, h=5, feature_map_sets=3, feature_maps=4, **topo)
         model = Model(cfg, vocab, tagset, seed=17, dtype=np.float64)
         randomize_parameters(model, seed=1000 + i)
         ids = vocab.encode(gold_sentence.chars)
@@ -205,7 +206,7 @@ def test_acceptance_6_ablation_ordering():
     vocab, tagset = cp.build_vocab_and_tagset(train_set)
 
     def run(topology):
-        cfg = EncoderConfig(d=16, h=16, feature_map_sets=3, feature_maps=16, **topology)
+        cfg = topology_config(d=16, h=16, feature_map_sets=3, feature_maps=16, **topology)
         model = Model(cfg, vocab, tagset, seed=1)
         train_cfg = tr.TrainConfig(seed=1)
         for epoch in range(1, 13):

@@ -7,7 +7,7 @@ import pytest
 
 from segtag import autograd as ag
 from segtag.autograd import Parameter, Tensor
-from util import projection_model, taped_sum
+from util import projection_model, taped_sum, topology_config
 
 
 def rand_param(rng, *shape, name=""):
@@ -141,7 +141,7 @@ def _op_cases(rng):
     bi[-1] = bi[0]
     ids[-1] = ids[0]
     chars = enc.CharIds(uni=ids, bi_left=bi[:-1], bi_right=bi[1:], lengths=np.array(lengths))
-    bigram_cfg = enc.EncoderConfig(d=a, h=1, stack="embed", recurrent="none", use_bigram=True)
+    bigram_cfg = enc.EncoderConfig(d=a, stack="embed", recurrent="none", use_bigram=True)
     lstm_bwd = rand_param(rng, a + b, 4 * b), rand_param(rng, 4 * b)
     return {
         "matmul": (lambda: taped_sum(ag.matmul(x, w), "tanh"), [x, w]),
@@ -257,7 +257,7 @@ def taped_ops():
     bi = np.array([0, 5, 2, 2, 1, 3, 1, 0])
     chars = enc.CharIds(uni=np.array([1, 4, 4, 9, 0, 2, 3]), bi_left=bi[:-1], bi_right=bi[1:],
                         lengths=np.array(lengths))
-    bigram_cfg = enc.EncoderConfig(d=4, h=1, stack="embed", recurrent="none", use_bigram=True)
+    bigram_cfg = enc.EncoderConfig(d=4, stack="embed", recurrent="none", use_bigram=True)
     tagger = projection_model(x, w, b, lt.TransitionMatrix(rand_param(rng, 5, 5)))
     gold = [0, 2, 2, 3, 1, 0, 4]
     return [
@@ -316,7 +316,6 @@ def test_training_and_tagging_run_every_taped_op(monkeypatch):
     # an op that only tests call would show up here as one nothing records
     from segtag import corpus as cp
     from segtag import training as tr
-    from segtag.encoder import EncoderConfig
     from segtag.model import Model
     from segtag.toydata import toy_corpus
 
@@ -331,7 +330,7 @@ def test_training_and_tagging_run_every_taped_op(monkeypatch):
             monkeypatch.setattr(module, "_taped", recording)
     sents = toy_corpus(12, seed=3)
     for overrides, constrained in MODEL_CONFIGS:
-        cfg = EncoderConfig(**dict(d=6, h=5, feature_map_sets=2, feature_maps=6) | overrides)
+        cfg = topology_config(**dict(d=6, h=5, feature_map_sets=2, feature_maps=6) | overrides)
         vocab, tagset = cp.build_vocab_and_tagset(sents, use_bigram=cfg.use_bigram,
                                                   bigram_min_count=1)
         model = Model(cfg, vocab, tagset, constrain_transitions=constrained)

@@ -24,7 +24,8 @@ from segtag.autograd import Parameter, Tensor
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import TAG_CHUNK_CHARS, TRAIN_CHUNK_CHARS, Model, length_chunks
 from segtag.toydata import ALPHABET, WORD_INVENTORY, toy_corpus
-from util import PERFBENCH, benchmark_workloads, randomize_parameters, taped_sum, topology_grid
+from util import (PERFBENCH, benchmark_workloads, randomize_parameters, taped_sum, topology_config,
+                  topology_grid)
 
 RAGGED = (1, 3, 5)
 
@@ -53,8 +54,8 @@ def float64_model(case):
     key = grid_id(case)
     if key not in _MODELS:
         topo, bigram, constrained = case
-        cfg = EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=4,
-                            use_bigram=bigram, **topo)
+        cfg = topology_config(d=4, h=3, feature_map_sets=3, feature_maps=4,
+                              use_bigram=bigram, **topo)
         vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(12, seed=3), use_bigram=bigram,
                                                   bigram_min_count=1)
         model = Model(cfg, vocab, tagset, seed=5, dtype=np.float64,
@@ -162,7 +163,7 @@ class TestPacking:
             CharIds.pack([])
 
     def test_empty_sentence_in_a_pack_rejected(self):
-        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
+        cfg = EncoderConfig(d=4, stack="embed", recurrent="none")
         ids = CharIds.pack([CharIds(uni=np.array([2])), CharIds(uni=np.array([], dtype=int))])
         with pytest.raises(ValueError, match="empty"):
             enc.embed_sentence(ids, Parameter(np.zeros((6, 4))), None, cfg)

@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segtag import cli
+from segtag import encoder as enc
 from segtag import corpus as cp
 from segtag import lattice as lt
 from segtag import modelfile as mf
 from segtag.autograd import NumericError
+from segtag.encoder import RECURRENT_KINDS, STACKS, ConfigError
 from segtag.model import TAG_CHUNK_CHARS, Model, length_chunks
 from segtag.toydata import toy_corpus
 from util import PERFBENCH, char_id, serialize_corpus
@@ -48,11 +50,12 @@ class TestSettings:
     def test_published_defaults(self):
         args = cli.build_parser().parse_args(["train"])
         s = cli.resolve_settings(args)
-        assert (s["d"], s["h"]) == (50, 100)
-        assert (s["feature_map_sets"], s["feature_map_size"]) == (5, 100)
         assert (s["lr"], s["margin"], s["l2"], s["batch"]) == (0.2, 0.2, 1e-4, 20)
         assert s["window"] == 1
+        # the widths are left to the topology, which reads all three
+        assert (s["h"], s["feature_map_sets"], s["feature_map_size"]) == (None, None, None)
         cfg = cli.encoder_config_from(s)
+        assert (cfg.d, cfg.h, cfg.feature_map_sets, cfg.feature_maps) == (50, 100, 5, (100,) * 5)
         assert cfg.stack == "highway"
         assert cfg.recurrent == "blstm"
 
@@ -77,37 +80,51 @@ class TestSettings:
         config.write_text("\n# comment\nepochs = 4  # trailing\n\n", encoding="utf-8")
         assert cli.parse_config_file(config) == {"epochs": 4}
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("\ufeffepochs = 4\nlr = 0.5\n", encoding="utf-8")
+        assert cli.parse_config_file(config) == {"epochs": 4, "lr": 0.5}
+
     def test_bad_boolean_names_the_key_and_line(self, tmp_path):
         config = tmp_path / "c.cfg"
-        config.write_text("epochs = 2\nconv = maybe\n", encoding="utf-8")
+        config.write_text("epochs = 2\nbigrams = maybe\n", encoding="utf-8")
         with pytest.raises(cli.CliError) as info:
             cli.parse_config_file(config)
-        assert str(info.value) == f"{config}:2: bad value for conv: not a boolean: 'maybe'"
-
-    def test_unknown_encoder_is_named(self, toy_files, capsys):
-        corpus, config, tmp = toy_files
-        config.write_text(config.read_text(encoding="utf-8") + "encoder = foo\n", encoding="utf-8")
-        model_path = tmp / "m.model"
-        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
-                     "--model", str(model_path))
-        assert rc == 1
-        assert capsys.readouterr().err == "segtag: encoder must be 'full' or 'mlp', got 'foo'\n"
-        assert not model_path.exists()
+        assert str(info.value) == f"{config}:2: bad value for bigrams: not a boolean: 'maybe'"
 
     def test_mlp_topology_switch(self):
         args = cli.build_parser().parse_args(
-            ["train", "--encoder", "mlp", "--window", "5"])
+            ["train", "--stack", "mlp", "--window", "5"])
         cfg = cli.encoder_config_from(cli.resolve_settings(args))
         assert cfg.stack == "mlp" and cfg.window == 5
         assert cfg.recurrent == "none"
 
-    def test_no_conv_cascades(self):
-        # the stack ends below the first stage switched off
-        for flags, stack in [(["--no-conv"], "embed"), (["--no-conv", "--no-highway"], "embed"),
-                             (["--no-pooling"], "conv"), (["--no-pooling", "--no-highway"], "conv"),
-                             (["--no-highway"], "pool"), ([], "highway")]:
-            args = cli.build_parser().parse_args(["train", *flags])
-            assert cli.encoder_config_from(cli.resolve_settings(args)).stack == stack, flags
+    def test_stack_setting_is_the_config_stack(self, tmp_path):
+        # each encoder.STACKS level by flag and by config key; the flag wins
+        config = tmp_path / "c.cfg"
+        for stack in STACKS:
+            config.write_text(f"stack = {stack}\n", encoding="utf-8")
+            for argv in (["--stack", stack], ["--config", str(config)],
+                         ["--config", str(config), "--stack", stack]):
+                args = cli.build_parser().parse_args(["train", *argv])
+                assert cli.encoder_config_from(cli.resolve_settings(args)).stack == stack
+        assert cli.encoder_config_from(cli.resolve_settings(
+            cli.build_parser().parse_args(["train"]))).stack == "highway"
+        config.write_text("stack = cnn\n", encoding="utf-8")
+        args = cli.build_parser().parse_args(["train", "--config", str(config)])
+        with pytest.raises(ConfigError, match=r"stack must be one of \('embed'.*, got 'cnn'"):
+            cli.encoder_config_from(cli.resolve_settings(args))
+
+    def test_stack_and_recurrent_flags_take_the_encoder_choices(self, capsys):
+        parser = cli.build_parser()
+        for flag, key, choices in (("--stack", "stack", STACKS),
+                                   ("--recurrent", "recurrent", RECURRENT_KINDS)):
+            for choice in choices:
+                assert getattr(parser.parse_args(["train", flag, choice]), key) == choice
+            with pytest.raises(SystemExit):
+                parser.parse_args(["train", flag, "cnn"])
+            err = capsys.readouterr().err
+            assert "invalid choice" in err and all(c in err for c in choices)
 
 
 class TestTrainCommand:
@@ -137,7 +154,7 @@ class TestTrainCommand:
         rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
                      "--model", str(model_path), "--window", "3")
         assert rc == 1
-        assert "segtag: window=3 needs stack='mlp' (--encoder mlp)" in capsys.readouterr().err
+        assert "segtag: window=3 needs stack='mlp' (--stack mlp)" in capsys.readouterr().err
         assert not model_path.exists()
 
     @pytest.mark.parametrize("recurrent", ["lstm", "blstm"])
@@ -145,15 +162,55 @@ class TestTrainCommand:
         # given as flags, then as config keys
         corpus, config, tmp = toy_files
         mlp_config = tmp / "mlp.cfg"
-        mlp_config.write_text(f"encoder = mlp\nrecurrent = {recurrent}\n", encoding="utf-8")
-        for extra in (["--config", str(config), "--encoder", "mlp", "--recurrent", recurrent],
+        mlp_config.write_text(f"stack = mlp\nrecurrent = {recurrent}\n", encoding="utf-8")
+        for extra in (["--config", str(config), "--stack", "mlp", "--recurrent", recurrent],
                       ["--config", str(mlp_config)]):
             rc = run_cli("train", "--corpus", str(corpus), "--model", str(tmp / "m.model"), *extra)
             lines = capsys.readouterr().err.splitlines()
             assert rc == 1 and len(lines) == 1
-            assert lines[0].startswith("segtag: stack='mlp' (--encoder mlp) runs without")
+            assert lines[0].startswith("segtag: stack='mlp' (--stack mlp) runs without")
             assert lines[0].endswith(f"recurrent={recurrent!r} (--recurrent)")
             assert not (tmp / "m.model").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--stack", "mlp"], "feature_map_sets=2 (setting feature_map_sets) is not read by "
+                             "stack='mlp' with recurrent='none'"),
+        (["--recurrent", "none"], "h=8 (setting h) is not read by stack='highway' with "
+                                  "recurrent='none'"),
+        (["--stack", "embed"], "feature_map_sets=2 (setting feature_map_sets) is not read by "
+                               "stack='embed' with recurrent='blstm'"),
+    ])
+    def test_a_width_the_topology_does_not_read_is_refused(self, toy_files, capsys,
+                                                            flags, named):
+        # toy_files' config sets h, feature_map_sets and feature_map_size
+        corpus, config, tmp = toy_files
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), *flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"segtag: {named}; leave it unset\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("stack", STACKS)
+    @pytest.mark.parametrize("recurrent", [None, "none"])
+    def test_each_topology_trains_with_the_widths_it_reads(self, toy_files, stack, recurrent):
+        # a config that sets only the widths the topology reads
+        corpus, _, tmp = toy_files
+        unread = enc.unread_widths(stack, recurrent)
+        widths = {"h": 6, "feature_map_sets": 2, "feature_maps": 8}
+        config = tmp / "reads.cfg"
+        config.write_text("d = 8\nepochs = 1\n" + "".join(
+            f"{enc.WIDTHS[field][0]} = {value}\n" for field, value in widths.items()
+            if field not in unread), encoding="utf-8")
+        model_path = tmp / "m.model"
+        flags = ["--stack", stack] + (["--recurrent", recurrent] if recurrent else [])
+        assert run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                       "--model", str(model_path), *flags) == 0
+        saved = mf.load(model_path).cfg
+        want = recurrent or ("none" if stack == "mlp" else "blstm")
+        assert (saved.stack, saved.recurrent) == (stack, want)
+        assert saved.h == (0 if "h" in unread else 6)
+        assert saved.feature_maps == (() if "feature_maps" in unread else (8, 8))
 
     def test_pooled_width_refusal_names_the_settings_and_d(self, toy_files, capsys):
         # pooling restores the embedding width: d, or 3d = 6 with bigrams on
@@ -303,6 +360,16 @@ class TestTagCommand:
         rc = run_cli("tag", "--model", str(model_path), str(fin), str(fout))
         assert rc == 0
         assert fout.read_text(encoding="utf-8") == ""
+
+    def test_byte_order_mark_is_not_tagged(self, tmp_path):
+        fin, fout = tmp_path / "in.txt", tmp_path / "out.txt"
+        outputs = []
+        for text in ("abcdefg\nkab\n", "\ufeffabcdefg\nkab\n"):
+            fin.write_text(text, encoding="utf-8")
+            assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 0
+            outputs.append(fout.read_text(encoding="utf-8"))
+        assert outputs[0] == outputs[1]
+        assert "\ufeff" not in outputs[1]
 
     def test_blank_line_round_trips(self, trained, tmp_path):
         model_path, _ = trained
@@ -460,6 +527,16 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert out.startswith("seg\t") and "joint" not in out
 
+    def test_byte_order_mark_is_not_a_gold_character(self, tmp_path, capsys):
+        gold = tmp_path / "gold.txt"
+        reports = []
+        for bom in ("", "\ufeff"):
+            gold.write_text(bom + "ab/NN cde/NN k/PU\n", encoding="utf-8")
+            assert run_cli("eval", "--model", str(TOY_MODEL), "--corpus", str(gold),
+                           "--per-pos") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
     def test_overfit_toy_training_set_scores_high(self, tmp_path, capsys):
         # end-to-end: train on the toy corpus, then eval on the same file
         sents = toy_corpus(50, seed=0)
@@ -557,10 +634,21 @@ def test_console_entry_point(toy_files):
 # tagged sentences of toy characters (x is never in a vocabulary)
 _sentence = st.lists(st.builds("{}/{}".format, st.text("abcx", min_size=1, max_size=3),
                                st.sampled_from(["NN", "VV"])), min_size=1, max_size=4).map(" ".join)
+
+
+def _reads_only(config):
+    """The drawn settings with recurrent = none under mlp, which runs none,
+    and without the widths that the topology does not read."""
+    if config["stack"] == "mlp":
+        config = {**config, "recurrent": "none"}
+    unread = [enc.WIDTHS[field][0]
+              for field in enc.unread_widths(config["stack"], config["recurrent"])]
+    return {key: value for key, value in config.items() if key not in unread}
+
+
 _settings = st.fixed_dictionaries({
-    "encoder": st.sampled_from(["full", "full", "mlp"]),
-    "recurrent": st.sampled_from(["none", "lstm", "blstm"]),
-    "conv": st.booleans(), "pooling": st.booleans(), "highway": st.booleans(),
+    "stack": st.sampled_from(STACKS),
+    "recurrent": st.sampled_from(RECURRENT_KINDS),
     "bigrams": st.booleans(), "bigram_min_count": st.integers(1, 2),
     "d": st.integers(1, 4), "h": st.integers(1, 4),
     "feature_map_sets": st.integers(1, 3), "feature_map_size": st.integers(2, 6),
@@ -568,9 +656,9 @@ _settings = st.fixed_dictionaries({
     "dev_fraction": st.sampled_from(["0", "0.3"]),
     "constrain_transitions": st.booleans(), "observed_tags_only": st.booleans(),
     "optimizer": st.sampled_from(["adagrad", "sgd"]),
-}).map(lambda c: {**c, "recurrent": "none"} if c["encoder"] == "mlp" else c)  # mlp runs none
+}).map(_reads_only)
 # a line appended to one of the files; each is refused (window = 3 unless
-# the encoder is mlp)
+# the stack is mlp)
 _FAULTS = [("cfg", "learning_rate = 1"), ("cfg", "d 4"), ("cfg", "lr = nan"),
            ("cfg", "epochs = 0"), ("cfg", "window = 3"), ("train", "ab/"),
            ("gold", "/NN"), ("raw", "a b")]

@@ -296,6 +296,14 @@ class TestEmbeddingLoader:
         assert np.allclose(table.data[char_id(vocab, "A")], vecs["A"])
         assert np.allclose(table.data[char_id(vocab, "C")], vecs["C"])
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        vocab = self.vocab()
+        path, vecs = self.write_file(tmp_path, ["A", "C"], d=3)
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        table, stats = cp.load_pretrained_embeddings(path, vocab, zero_table(vocab, 3))
+        assert stats.loaded == 2
+        assert np.allclose(table.data[char_id(vocab, "A")], vecs["A"])
+
     def test_dimension_mismatch_rejected(self, tmp_path):
         vocab = self.vocab()
         path, _ = self.write_file(tmp_path, ["A"], d=100, header_dim=100)

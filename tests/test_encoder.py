@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
 from util import (conv_oracle, init_encoder_params, kmax_oracle, lstm_oracle, rel_err, taped_sum,
-                  topology_grid)
+                  topology_config, topology_grid)
 
 
 def make_tables(rng, n_chars=6, d=4, bigram=False, n_bigrams=9):
@@ -27,21 +28,21 @@ class TestEmbed:
     def test_direct_lookup(self):
         rng = np.random.default_rng(0)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
+        cfg = EncoderConfig(d=4, stack="embed", recurrent="none")
         out = enc.embed_sentence(CharIds(uni=np.array([2, 3])), uni, bi, cfg)
         assert np.array_equal(out.data, uni.data[[2, 3]])
 
     def test_unk_row(self):
         rng = np.random.default_rng(1)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
+        cfg = EncoderConfig(d=4, stack="embed", recurrent="none")
         out = enc.embed_sentence(CharIds(uni=np.array([Vocab.UNK])), uni, bi, cfg)
         assert np.array_equal(out.data[0], uni.data[0])
 
     def test_bigram_concat_width(self):
         rng = np.random.default_rng(2)
         uni, bi = make_tables(rng, d=50, bigram=True)
-        cfg = EncoderConfig(d=50, h=2, stack="embed", recurrent="none", use_bigram=True)
+        cfg = EncoderConfig(d=50, stack="embed", recurrent="none", use_bigram=True)
         assert cfg.d_in == 150
         ids = CharIds(uni=np.array([2, 3, 4]),
                       bi_left=np.array([0, 1, 2]),
@@ -56,7 +57,7 @@ class TestEmbed:
     def test_empty_sentence_rejected(self):
         rng = np.random.default_rng(3)
         uni, bi = make_tables(rng)
-        cfg = EncoderConfig(d=4, h=2, stack="embed", recurrent="none")
+        cfg = EncoderConfig(d=4, stack="embed", recurrent="none")
         with pytest.raises(ValueError, match="empty"):
             enc.embed_sentence(CharIds(uni=np.array([], dtype=int)), uni, bi, cfg)
 
@@ -261,11 +262,11 @@ class TestKmaxPool:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = enc.kmax_pool(z, cfg.k_pool)
+            out = enc.kmax_pool(z, cfg.d_in)
             held = tracemalloc.get_traced_memory()[0] - base
         finally:
             tracemalloc.stop()
-        assert out.shape == (n, cfg.k_pool)
+        assert out.shape == (n, cfg.d_in)
         assert held < 1024 * n, held / n
 
 
@@ -429,7 +430,7 @@ class TestEncode:
         z = enc.conv_feature_maps(x, [(params[f"conv.q{q}.w"], params[f"conv.q{q}.b"])
                                       for q in range(1, 6)])
         assert z.shape == (10, 500)
-        pooled = enc.kmax_pool(z, cfg.k_pool)
+        pooled = enc.kmax_pool(z, cfg.d_in)
         assert pooled.shape == (10, 50)
         hw = enc.highway_forward(x, pooled, params["highway.w"], params["highway.b"])
         assert hw.shape == (10, 50)
@@ -449,8 +450,8 @@ class TestEncode:
 
     def test_cnn_only_output_width(self):
         rng = np.random.default_rng(22)
-        cfg = EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=5,
-                            stack="conv", recurrent="none")
+        cfg = EncoderConfig(d=4, feature_map_sets=2, feature_maps=5, stack="conv",
+                            recurrent="none")
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         out = enc.encode(CharIds(uni=rng.integers(0, 9, size=10)), params, cfg)
         assert out.shape == (10, cfg.d_pool) == (10, 10)
@@ -458,7 +459,7 @@ class TestEncode:
     @pytest.mark.parametrize("topo", topology_grid())
     def test_all_topology_output_widths(self, topo):
         rng = np.random.default_rng(23)
-        cfg = EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=4, **topo)
+        cfg = topology_config(d=4, h=3, feature_map_sets=3, feature_maps=4, **topo)
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=0, rng=rng)
         out = enc.encode(CharIds(uni=rng.integers(0, 9, size=5)), params, cfg)
         assert out.shape == (5, cfg.d_out)
@@ -473,7 +474,7 @@ class TestEncode:
     def test_bigram_pipeline_shapes(self):
         rng = np.random.default_rng(25)
         cfg = EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=8, use_bigram=True)
-        assert cfg.k_pool == 12
+        assert cfg.d_in == 12
         params = init_encoder_params(cfg, n_unigrams=9, n_bigrams=20, rng=rng)
         ids = CharIds(uni=rng.integers(0, 9, size=5),
                       bi_left=rng.integers(0, 20, size=5),
@@ -488,8 +489,8 @@ class TestManifest:
     @pytest.mark.parametrize("topo", topology_grid(mlp=True))
     @pytest.mark.parametrize("use_bigram", [False, True])
     def test_model_holds_exactly_the_manifest(self, topo, use_bigram):
-        cfg = EncoderConfig(d=4, h=3, feature_map_sets=3, feature_maps=(4, 5, 6),
-                            use_bigram=use_bigram, **topo)
+        cfg = topology_config(d=4, h=3, feature_map_sets=3, feature_maps=(4, 5, 6),
+                              use_bigram=use_bigram, **topo)
         vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(6, seed=1), use_bigram=use_bigram,
                                                   bigram_min_count=1)
         model = Model(cfg, vocab, tagset, seed=2)
@@ -562,11 +563,56 @@ class TestConfigValidation:
         with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
             EncoderConfig(d=5, feature_map_sets=2, feature_maps=(4, 5, 6))
 
-    # a model file stores one width per map set even where no conv layer reads them
     @pytest.mark.parametrize("topo", [dict(stack="embed"), dict(stack="mlp")])
-    def test_one_width_per_map_set_without_the_conv_layer(self, topo):
-        with pytest.raises(enc.ConfigError, match="2 map sets but 3 widths"):
-            EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=(1, 2, 3), **topo)
+    def test_map_fields_without_the_conv_layer_are_refused(self, topo):
+        recurrent = "blstm" if topo["stack"] == "embed" else "none"
+        with pytest.raises(enc.ConfigError) as info:
+            EncoderConfig(d=4, h=3, feature_map_sets=2, feature_maps=(1, 2), **topo)
+        assert str(info.value) == (
+            f"feature_map_sets=2 (setting feature_map_sets) is not read by "
+            f"stack={topo['stack']!r} with recurrent={recurrent!r}; leave it unset")
+
+    @pytest.mark.parametrize("stack, recurrent, width, named", [
+        ("mlp", "none", dict(feature_maps=8), "feature_maps=8 (setting feature_map_size)"),
+        ("embed", "lstm", dict(feature_maps=(8, 8)),
+         "feature_maps=(8, 8) (setting feature_map_size)"),
+        ("highway", "none", dict(h=7), "h=7 (setting h)"),
+        ("conv", "none", dict(h=100), "h=100 (setting h)"),
+        ("embed", "none", dict(h=1), "h=1 (setting h)"),
+    ])
+    def test_an_unread_width_is_refused_by_name(self, stack, recurrent, width, named):
+        with pytest.raises(enc.ConfigError) as info:
+            EncoderConfig(d=4, stack=stack, recurrent=recurrent, **width)
+        assert str(info.value) == (f"{named} is not read by stack={stack!r} with "
+                                   f"recurrent={recurrent!r}; leave it unset")
+
+    @pytest.mark.parametrize("topo", topology_grid(mlp=True))
+    def test_widths_resolve_to_published_or_canonical(self, topo):
+        cfg = EncoderConfig(**topo)
+        unread = enc.unread_widths(cfg.stack, cfg.recurrent)
+        for field, (_, published, canonical) in enc.WIDTHS.items():
+            want = canonical if field in unread else published
+            if field == "feature_maps" and field not in unread:
+                want = (published,) * cfg.feature_map_sets
+            assert getattr(cfg, field) == want, field
+        # the canonical values may also be given explicitly
+        assert EncoderConfig(**topo, **{f: enc.WIDTHS[f][2] for f in unread}) == cfg
+
+    @pytest.mark.parametrize("topo", topology_grid(mlp=True))
+    def test_the_unread_widths_are_those_the_manifest_ignores(self, topo):
+        # a width outside the rule changes the parameter shapes; one inside does not
+        cfg = EncoderConfig(d=4, **topo)
+        unread = enc.unread_widths(cfg.stack, cfg.recurrent)
+        manifest = enc.parameter_manifest(cfg, 9, 0, 5)
+        for field, value in (("h", 7), ("feature_map_sets", 2), ("feature_maps", (5, 7))):
+            other = copy.copy(cfg)
+            setattr(other, field, value)
+            if field == "feature_map_sets":
+                other.feature_maps = (5,) * value
+            elif field == "feature_maps":
+                other.feature_map_sets = len(value)
+            changed = enc.parameter_manifest(other, 9, 0, 5) != manifest
+            assert changed == (field not in unread), field
 
     def test_unknown_stack(self):
         with pytest.raises(enc.ConfigError, match="stack must be one of .*'mlp'.*, got 'cnn'"):
@@ -588,7 +634,7 @@ class TestConfigValidation:
 def test_encode_gradients_spot_check(topo):
     # full-grid gradient fidelity is covered by the acceptance suite
     rng = np.random.default_rng(26)
-    cfg = EncoderConfig(d=3, h=2, feature_map_sets=2, feature_maps=3, **topo)
+    cfg = topology_config(d=3, h=2, feature_map_sets=2, feature_maps=3, **topo)
     params = init_encoder_params(cfg, n_unigrams=7, n_bigrams=0, rng=rng,
                                  dtype=np.float64)
     ids = CharIds(uni=rng.integers(0, 7, size=4))

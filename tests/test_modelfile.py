@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import struct
@@ -16,14 +17,20 @@ from segtag.autograd import NumericError
 from segtag.encoder import EncoderConfig
 from segtag.model import Model
 from segtag.toydata import toy_corpus
-from util import topology_grid
+from util import topology_config, topology_grid
 
 DATA = Path(__file__).parent / "data"
-# the stored use_conv, use_pooling, use_highway and mlp_baseline bytes of each
-# stack, and their offsets in a file with two map widths
+# the stored use_conv, use_pooling, use_highway and mlp_baseline bytes of each stack
 STACK_FLAG_BYTES = {"embed": (0, 0, 0, 0), "conv": (1, 0, 0, 0), "pool": (1, 1, 0, 0),
                     "highway": (1, 1, 1, 0), "mlp": (0, 0, 0, 1)}
-FLAG_OFFSETS = (30, 31, 32, 34)
+# the offset of the u32 d; h and Q follow it, then Q map widths, then the flags
+WIDTHS_AT = len(mf.MAGIC) + 4
+
+
+def flag_offsets(q):
+    """The offsets of the four flag bytes in a file holding q map widths."""
+    first = WIDTHS_AT + 12 + 4 * q
+    return (first, first + 1, first + 2, first + 4)
 
 
 def build_model(seed=4, use_bigram=False, constrained=False, normalize_width=False):
@@ -155,8 +162,8 @@ class TestLoad:
     def test_round_trip_across_topologies(self, tmp_path, cfg_kwargs):
         sents = toy_corpus(8, seed=2)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
-        cfg = EncoderConfig(**{"d": 5, "h": 4, "feature_map_sets": 2, "feature_maps": 6,
-                               **cfg_kwargs})
+        cfg = topology_config(**{"d": 5, "h": 4, "feature_map_sets": 2, "feature_maps": 6,
+                                 **cfg_kwargs})
         model = Model(cfg, vocab, tagset, seed=3)
         path = tmp_path / "m.model"
         mf.save(model, path)
@@ -227,14 +234,15 @@ class TestLoad:
         vocab, tagset = cp.build_vocab_and_tagset(toy_corpus(4, seed=1))
         path = tmp_path / "m.model"
         for stack, flags in STACK_FLAG_BYTES.items():
-            cfg = EncoderConfig(d=5, h=4, feature_map_sets=2, feature_maps=6, stack=stack)
+            cfg = topology_config(d=5, h=4, feature_map_sets=2, feature_maps=6, stack=stack)
             mf.save(Model(cfg, vocab, tagset, seed=1), path)
-            assert tuple(path.read_bytes()[i] for i in FLAG_OFFSETS) == flags, stack
+            offsets = flag_offsets(cfg.feature_map_sets)
+            assert tuple(path.read_bytes()[i] for i in offsets) == flags, stack
             assert mf.load(path).cfg == cfg
         others = [f for f in np.ndindex(2, 2, 2, 2) if f not in STACK_FLAG_BYTES.values()]
         assert len(others) == 11
         for flags in others:
-            for offset, value in zip(FLAG_OFFSETS, flags):
+            for offset, value in zip(offsets, flags):
                 rewrite_field(path, offset, "<B", value)
             named = "use_conv={} use_pooling={} use_highway={} mlp_baseline={}".format(*flags)
             with pytest.raises(mf.ModelCorruptionError, match=f"^stored flags {named} name no"):
@@ -410,6 +418,35 @@ class TestVersions:
         assert model.normalize_width and not model.constrained
         assert model.cfg.recurrent == "lstm" and not model.cfg.use_bigram
         assert len(model.tagset) == 7 and model.tagset.pos_labels == ["NN", "PU", "VV"]
+
+    @pytest.mark.parametrize("name, stored, canonical", [
+        ("tiny_unread_v3_mlp", (6, (8, 8)),
+         dict(d=4, h=6, feature_map_sets=0, feature_maps=(), stack="mlp", recurrent="none",
+              window=3, use_bigram=True)),
+        ("tiny_unread_v3_highway", (7, (5, 7)),
+         dict(d=4, h=0, feature_map_sets=2, feature_maps=(5, 7), stack="highway",
+              recurrent="none", window=1, use_bigram=False)),
+    ])
+    def test_stored_widths_the_topology_does_not_read_are_dropped(self, tmp_path, name,
+                                                                  stored, canonical):
+        # each fixture was written by a version-3 writer that stored such
+        # widths (an mlp model with two map widths, a highway model without a
+        # recurrent layer with h=7), with its Viterbi paths and the CRC-32 of
+        # each parameter's stored float32 bytes in the json
+        blob = (DATA / f"{name}.model").read_bytes()
+        h, q = struct.unpack_from("<II", blob, WIDTHS_AT + 4)
+        assert file_version(DATA / f"{name}.model") == 3
+        assert (h, struct.unpack_from(f"<{q}I", blob, WIDTHS_AT + 12)) == stored
+        model = self.check_upgrade(tmp_path, name)
+        assert dataclasses.asdict(model.cfg) == canonical
+        want = json.loads((DATA / f"{name}.json").read_text(encoding="utf-8"))["parameters"]
+        assert {n: zlib.crc32(p.data.astype("<f4").tobytes())
+                for n, p in model.parameters()} == want
+        # the re-save is the fixture with the canonical widths in place of the stored ones
+        widths = (canonical["h"], canonical["feature_map_sets"], *canonical["feature_maps"])
+        body = (blob[:WIDTHS_AT + 4] + struct.pack(f"<{len(widths)}I", *widths)
+                + blob[WIDTHS_AT + 12 + 4 * q:-4])
+        assert (tmp_path / "a.model").read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
     @pytest.mark.parametrize("normalize_width", [False, True])
     def test_normalize_width_round_trips(self, tmp_path, normalize_width):

@@ -14,13 +14,13 @@ from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
 from segtag.model import TRAIN_CHUNK_CHARS, Model
 from segtag.toydata import toy_corpus
-from util import projection_model, randomize_parameters, taped_sum, taped_total
+from util import projection_model, randomize_parameters, taped_sum, taped_total, topology_config
 
 
 def tiny_model(seed=1, dtype=np.float32, **cfg_kwargs):
     defaults = dict(d=6, h=5, feature_map_sets=2, feature_maps=6)
     defaults.update(cfg_kwargs)
-    cfg = EncoderConfig(**defaults)
+    cfg = topology_config(**defaults)
     sents = toy_corpus(12, seed=3)
     vocab, tagset = cp.build_vocab_and_tagset(sents, use_bigram=cfg.use_bigram,
                                               bigram_min_count=1)

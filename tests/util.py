@@ -124,6 +124,15 @@ def topology_grid(mlp=False):
     return grid + [dict(stack="mlp", recurrent="none", window=3)] if mlp else grid
 
 
+def topology_config(**fields):
+    """EncoderConfig(**fields) with each width the topology (stack,
+    recurrent) does not read left out, by encoder.unread_widths, so that one
+    set of widths serves every topology."""
+    unread = enc.unread_widths(fields.get("stack", enc.EncoderConfig.stack),
+                               fields.get("recurrent"))
+    return enc.EncoderConfig(**{k: v for k, v in fields.items() if k not in unread})
+
+
 def bmes_mask_oracle(tags):
     """The forbidden-transition mask of lattice.bmes_transition_mask, tag
     pair by tag pair: after B-x or M-x only M-x or E-x, after E or S only B
