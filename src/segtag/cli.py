@@ -8,6 +8,7 @@ does not read. Logs go to stderr and data to stdout so pipelines compose.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import sys
 
@@ -206,7 +207,13 @@ def cmd_tag(args):
     # a model trained on width-folded text says so in its file
     fold = settings["normalize_width"] or model.normalize_width
     if args.input in (None, "-"):
-        texts = _read_raw(sys.stdin, "standard input", fold)
+        # decoded as the input file is, whatever the locale: a leading
+        # byte-order mark is not a character
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        try:
+            texts = _read_raw(stdin, "standard input", fold)
+        finally:
+            stdin.detach()      # leaves sys.stdin open
     else:
         with open(args.input, encoding="utf-8-sig") as fin:
             texts = _read_raw(fin, args.input, fold)

@@ -356,6 +356,16 @@ def conv_feature_maps(x, bank, lengths=None):
     return _window_tanh("conv_feature_maps", x, left, len(bank) // 2, filters, lengths)
 
 
+# k-max pooling selects a block of rows at a time, so np.partition's copy of
+# the feature maps, the selection mask and its index arrays span one block,
+# not the whole chunk: at the published widths they would otherwise add 3.3 KB
+# per character to the 2 KB of the maps. A block of 256 KB (about 130 rows of
+# 500 float32 maps) makes that working set small beside the maps, and still
+# hands each numpy call over a hundred rows: on 485- and 1,000-row inputs,
+# blocks from 128 KB up to the whole input took within 4% of the same time.
+KMAX_BLOCK_BYTES = 256 * 1024
+
+
 def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
@@ -364,32 +374,40 @@ def kmax_pool(z, k):
     the values at least that large, read in row order, are the k columns
     already sorted. Where copies of the k-th largest value make that more
     than k, those rows alone are re-selected: every value above the k-th,
-    then values equal to it, lowest index first.
+    then values equal to it, lowest index first. Rows are selected in
+    blocks of KMAX_BLOCK_BYTES, each writing its columns into one int32
+    index array, which the tape node keeps.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    top = np.partition(data, width - k, axis=1)[:, width - k:]
-    if np.isnan(top).any():
-        # np.partition ranks NaN above every number, so a NaN is always among the k
-        raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-    kth = top[:, :1]
-    take = data >= kth
-    rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
-    if rows.size:
-        above = data[rows] > kth[rows]
-        tied = take[rows] & ~above
-        take[rows] = above | (tied & (np.cumsum(tied, axis=1)
-                                      <= k - above.sum(axis=1, keepdims=True)))
-    idx = (np.arange(n)[:, None], (np.flatnonzero(take) % width).reshape(n, k))
-    out = Tensor(data[idx])
+    step = max(1, KMAX_BLOCK_BYTES // (width * data.itemsize))
+    cols = np.empty((n, k), dtype=np.int32)
+    for lo in range(0, n, step):
+        block = data[lo:lo + step]
+        top = np.partition(block, width - k, axis=1)[:, width - k:]
+        if np.isnan(top).any():
+            # np.partition ranks NaN above every number, so a NaN is always among the k
+            raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
+        kth = top[:, :1]
+        take = block >= kth
+        rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
+        if rows.size:
+            above = block[rows] > kth[rows]
+            tied = take[rows] & ~above
+            take[rows] = above | (tied & (np.cumsum(tied, axis=1)
+                                          <= k - above.sum(axis=1, keepdims=True)))
+        # each row of take holds k columns: flat positions less each row's offset
+        cols[lo:lo + step] = (np.flatnonzero(take).reshape(-1, k)
+                              - np.arange(0, take.size, width)[:, None])
+    out = Tensor(np.take_along_axis(data, cols, axis=1))
     if not _taped("kmax_pool", out, (z,)):
         return out
 
     def _back(grad):
         g = np.zeros_like(data)
-        g[idx] = grad   # indices within a row are distinct
+        np.put_along_axis(g, cols, grad, axis=1)    # indices within a row are distinct
         _accum(z, g)
 
     out._backward = _back
@@ -410,12 +428,12 @@ def highway_forward(x, cov_x, w, b):
     z = xd @ wd + b.data
     check_finite("highway_forward gate pre-activation", z)
     gate = _sigmoid(z)
-    carry = 1.0 - gate
-    out = Tensor(cd * gate + xd * carry)
+    out = Tensor(cd * gate + xd * (1.0 - gate))
     if not _taped("highway_forward", out, (x, cov_x, w, b)):
         return out
 
     def _back(grad):
+        carry = 1.0 - gate      # recomputed rather than held on the tape beside gate
         dz = grad * (cd - xd) * gate * carry
         _accum(cov_x, grad * gate)
         _accum(x, grad * carry + dz @ wd.T)
@@ -426,9 +444,12 @@ def highway_forward(x, cov_x, w, b):
     return out
 
 
-def _lstm_direction(xhat, w, b, reverse, lengths, op):
-    """Single-direction LSTM over the rows of xhat, zero initial state: its
-    states in input order and backward closure. `op` names it in errors.
+def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
+    """Single-direction LSTM over the rows of the 2-D xhat, zero initial
+    state: writes its states into the rows of `out` in input order and
+    returns its backward closure, back(grad, states), which reads
+    h_{t-1} from those states rather than keeping a copy of its own. `op`
+    names it in errors.
 
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
     W_g (d + h) x 4h, c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With
@@ -448,8 +469,6 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
     factor and then with the gradient of its pre-activation.
     """
     x, wd = xhat.data, w.data
-    if x.ndim != 2:
-        raise ShapeError(f"{op}: expected 2-D input, got {xhat.shape}")
     n, d = x.shape
     h = b.shape[0] // 4
     if wd.shape != (d + h, 4 * h):
@@ -459,6 +478,7 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
     xp = np.empty_like(x)
     xp[where] = x
     acts = xp @ wd[:d]
+    del xp      # the backward pass builds its own
     acts += b.data
     w_h = wd[d:]
     half = np.full(4 * h, 0.5, dtype=acts.dtype)     # for _sigmoid: c-hat gets tanh
@@ -479,8 +499,11 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
         np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
         prev = lo
+    row = np.empty_like(where)
+    row[where] = np.arange(n)       # step-major row -> input row
+    out[row] = hidden               # a scatter makes no gathered copy
 
-    def _back(grad):
+    def _back(grad, states):
         m0 = steps[0][1]    # every sentence runs at the first step
         gate_i, gate_o, gate_f, c_hat = (acts[:, k * h:(k + 1) * h] for k in range(4))
         # derivative factors of the pre-activations, in place: d z = (dc or dh) * factor
@@ -507,10 +530,10 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
         gate_i[...] = di
         del di
         # backpropagation through time: the factors become d pre-activations
-        d_hidden = np.empty_like(hidden)
+        d_hidden = np.empty_like(cells)
         d_hidden[where] = grad
         w_hT = np.ascontiguousarray(wd[d:].T)
-        dc_carry = np.empty_like(hidden[:m0])
+        dc_carry = np.empty_like(cells[:m0])
         acts_4 = acts.reshape(n, 4, h)
         m_next = 0
         for t in range(len(steps) - 1, -1, -1):
@@ -527,40 +550,46 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op):
                 d_hidden[prev:prev + m] += acts[lo:lo + m] @ w_hT
             m_next = m
         # W's recurrent half pairs each step after the first with h_{t-1};
-        # gather those rows into a finished buffer
-        h_before = np.take(hidden, before, axis=0, out=dc_dh[m0:])
+        # gather those rows of the input-order states into a finished buffer
+        # (the rows are in range; "clip" writes into out where "raise" would buffer)
+        h_before = np.take(states, row[before], axis=0, out=dc_dh[m0:], mode="clip")
         xp = np.empty_like(x)
         xp[where] = x
         _accum(xhat, (acts @ wd[:d].T)[where])
         _accum(w, np.concatenate([xp.T @ acts, h_before.T @ acts[m0:]]))
         _accum(b, acts.sum(axis=0))
 
-    return hidden[where], _back
+    return _back
 
 
 def _recurrent(fn, xhat, directions, lengths):
     """LSTM directions (W, b, reverse) over the rows of xhat, states side by
     side: one tape node, named "blstm_forward lstm.fwd (forward), lstm.bwd
     (reverse)". A direction's caches are freed before the next one runs under
-    no_grad(), and in backward() as soon as it has run."""
+    no_grad(), and in backward() as soon as it has run. Each direction writes
+    its states into its own column block of the output array, and its backward
+    reads them back from there."""
     labels = [f"{w.name.removesuffix('.w') or 'lstm'} ({'reverse' if rev else 'forward'})"
               for w, _, rev in directions]
-    states, backs = [], []
-    for (w, b, reverse), label in zip(directions, labels):
-        state, back = _lstm_direction(xhat, w, b, reverse, lengths, f"{fn} {label}")
-        states.append(state)
+    name = f"{fn} {', '.join(labels)}"
+    _width(name, xhat)
+    states = np.empty((xhat.shape[0], sum(b.shape[0] // 4 for _, b, _ in directions)),
+                      dtype=np.result_type(xhat.data, *(w.data for w, _, _ in directions)))
+    blocks = np.split(states, len(directions), axis=1)
+    backs = []
+    for (w, b, reverse), label, block in zip(directions, labels, blocks):
+        back = _lstm_direction(xhat, w, b, reverse, lengths, f"{fn} {label}", block)
         if _grad_on.get():
             backs.append(back)
         del back    # under no_grad() this frees the direction's caches
-    out = Tensor(np.concatenate(states, axis=1))
-    if not _taped(f"{fn} {', '.join(labels)}", out,
-                  (xhat, *(p for w, b, _ in directions for p in (w, b)))):
+    out = Tensor(states)
+    if not _taped(name, out, (xhat, *(p for w, b, _ in directions for p in (w, b)))):
         return out
 
-    def _back(grad):
+    def _back(grad):    # holds the output's array, not the Tensor: no reference cycle
         for k, g in enumerate(np.split(grad, len(backs), axis=1)):
             back, backs[k] = backs[k], None
-            back(g)
+            back(g, blocks[k])
 
     out._backward = _back
     return out

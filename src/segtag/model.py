@@ -11,14 +11,16 @@ from . import lattice as lt
 # Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
 # a bigger GEMM but need more memory per chunk. At the published widths
 # (tracemalloc, float32):
-# - a training chunk's tape holds 8.9 KB per character after its forward
-#   pass and peaks at 12.5 KB per character during backward(), which
+# - a training chunk's tape holds 7.9 KB per character after its forward
+#   pass and peaks at 11.6 KB per character during backward(), which
 #   releases it as it goes (one 485-character chunk);
 # - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
-#   chunk peaks at 5.4 KB per character (one ~1,000-character chunk), where
-#   with the tape on it peaked at 9.8. Its chunk is therefore twice the
-#   training chunk. 2,048 characters tagged long sentences faster still but
-#   raised the toy benchmark's peak RSS by 16%, beyond its 10% bound.
+#   chunk peaks at 3.5 KB per character, in the BLSTM (one ~1,000-character
+#   chunk, or one 4,000-character line), where with the tape on it peaked at
+#   9.8. Its chunk is therefore twice the training chunk. 2,048 characters
+#   tagged long sentences faster still but, when k-max still peaked at 5.4 KB
+#   per character, raised the toy benchmark's peak RSS by 16%, beyond its 10%
+#   bound.
 TRAIN_CHUNK_CHARS = 512
 TAG_CHUNK_CHARS = 1024
 
@@ -106,7 +108,10 @@ class Model:
 
         Each chunk of at most TAG_CHUNK_CHARS characters runs once through the
         encoder, with no tape, and one batched Viterbi; each sentence is still
-        decoded on its own. The paths come in chunk order, not input order.
+        decoded on its own. A sentence longer than the cap is a chunk by
+        itself, so its chunk exceeds the cap; the encoder's working set grows
+        with its characters, at about 3.5 KB each at the published widths.
+        The paths come in chunk order, not input order.
         """
         for chunk, ids in self.chunks(sentences, TAG_CHUNK_CHARS):
             # no_grad() is a context variable: left open across the yield, it

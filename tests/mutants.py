@@ -69,6 +69,17 @@ MUTANTS = (
            "tied & (np.cumsum(tied, axis=1)",
            "tied & (np.cumsum(tied[:, ::-1], axis=1)[:, ::-1]",
            ("tests/test_encoder.py::TestKmaxPool",)),
+    Mutant("k-max skips the partial last block of rows",
+           "src/segtag/encoder.py",
+           "for lo in range(0, n, step):",
+           "for lo in range(0, n - n % step, step):",
+           ("tests/test_encoder.py::TestKmaxPool::test_row_blocks_match_oracle",)),
+    Mutant("an LSTM direction reads h_{t-1} from the other direction's columns",
+           "src/segtag/encoder.py",
+           "back(g, blocks[k])",
+           "back(g, blocks[k - 1])",
+           ("tests/test_encoder.py::TestBlstm::test_gradients_match_finite_differences",
+            "tests/test_autograd.py::test_every_op_matches_finite_differences")),
     Mutant("mf.load skips the checksum",
            "src/segtag/modelfile.py",
            "if zlib.crc32(body) != stored:",

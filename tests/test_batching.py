@@ -398,7 +398,7 @@ def test_tagging_leaves_the_tape_on_between_chunks():
 
 def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
     # at the published widths a chunk's forward caches (BLSTM activations,
-    # conv output, k-max indices) take ~10 KB per character; by the time
+    # conv output, k-max indices) take ~8 KB per character; by the time
     # Viterbi runs only the lattice's emission scores should be left
     sents = toy_corpus(60, seed=3)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
@@ -444,25 +444,46 @@ def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
     assert sorted(model.tagged(sentences)) == list(enumerate(taped_paths(model, sentences)))
 
 
+def tagging_peak_per_character(model, sentences):
+    """Traced peak of tagging the sentences, per character, on a second pass:
+    the first warms numpy's caches up."""
+    for _ in range(2):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            model.tag_batch(sentences)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return (peak - base) / sum(map(len, sentences))
+
+
 def test_tagging_chunk_peak_memory_per_character():
-    # one tagging chunk at the published widths: with no tape, the peak is
-    # k-max's working set, the conv maps and np.partition's copy of them
-    # (~5.4 KB per character), not the whole tape (~9.8)
+    # one tagging chunk at the published widths: with no tape, the peak is the
+    # BLSTM's working set, a direction's n x 4h activations and cell and
+    # hidden states beside the output (~3.5 KB per character). k-max selects
+    # in row blocks, so it no longer holds np.partition's copy of the whole
+    # conv maps (5.5 KB at its peak), nor tagging the whole tape (~9.8)
     sents = toy_corpus(80, seed=3, min_words=10, max_words=20)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
     model = Model(EncoderConfig(), vocab, tagset)
     chunk = []
     while sum(len(s) for s in chunk) < TAG_CHUNK_CHARS - 30:
         chunk.append(sents[len(chunk)].chars)
-    n = sum(map(len, chunk))
-    assert n <= TAG_CHUNK_CHARS
-    for _ in range(2):      # the first pass warms numpy's caches up
-        gc.collect()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            model.tag_batch(chunk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert (peak - base) / n <= 5.75 * 1024, (peak - base) / n
+    assert sum(map(len, chunk)) <= TAG_CHUNK_CHARS
+    per_char = tagging_peak_per_character(model, chunk)
+    assert per_char <= 4.0 * 1024, per_char
+
+
+def test_long_line_peak_memory_per_character():
+    # a line longer than TAG_CHUNK_CHARS is a chunk by itself, so only a
+    # per-character working set keeps it from costing more than a chunk:
+    # ~3.5 KB per character, where k-max over the whole line took 5.5
+    sents = toy_corpus(300, seed=3, min_words=10, max_words=20)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(EncoderConfig(), vocab, tagset)
+    line = [c for s in sents for c in s.chars][:4000]
+    assert len(line) == 4000 > TAG_CHUNK_CHARS
+    per_char = tagging_peak_per_character(model, [line])
+    assert per_char <= 4.0 * 1024, per_char

@@ -371,6 +371,20 @@ class TestTagCommand:
         assert outputs[0] == outputs[1]
         assert "\ufeff" not in outputs[1]
 
+    def test_standard_input_is_read_as_the_input_file_is(self, tmp_path, monkeypatch, capsys):
+        # a latin-1 locale codec would read the mark as three characters; the
+        # bytes are decoded as UTF-8 with the mark dropped, as a file's are
+        fin = tmp_path / "in.txt"
+        fin.write_text("abcdefg\nkab\n", encoding="utf-8")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin)) == 0
+        want = capsys.readouterr().out
+        for data in (b"abcdefg\nkab\n", b"\xef\xbb\xbfabcdefg\nkab\n"):
+            stdin = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+            monkeypatch.setattr(sys, "stdin", stdin)
+            assert run_cli("tag", "--model", str(TOY_MODEL)) == 0
+            assert capsys.readouterr().out == want
+            assert not stdin.closed
+
     def test_blank_line_round_trips(self, trained, tmp_path):
         model_path, _ = trained
         fin = tmp_path / "in.txt"

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segtag import autograd as ag
 from segtag import corpus as cp
@@ -252,6 +254,35 @@ class TestKmaxPool:
                 assert np.flatnonzero(grad).tolist() == sorted(ranked)
                 assert np.all(grad[ranked] == 1.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_row_blocks_match_oracle(self, data):
+        # a block budget of a few rows (plus less than one more, which the row
+        # count floors away) over at least three whole blocks and a partial
+        # one; values on a grid of halves put ties at the k-th value
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        width = data.draw(st.integers(2, 8))
+        k = data.draw(st.integers(1, width))
+        step = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(3 * step + 1, 4 * step - 1))
+        budget = (step * width + data.draw(st.integers(0, width - 1))) * np.dtype(dtype).itemsize
+        grid = data.draw(st.lists(st.integers(-3, 3), min_size=n * width, max_size=n * width))
+        z = (np.array(grid, dtype=dtype) / 2).reshape(n, width)
+        nan_at = (data.draw(st.integers(step, n - 1)), data.draw(st.integers(0, width - 1)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enc, "KMAX_BLOCK_BYTES", budget)
+            z_t = Parameter(z.copy())
+            out = enc.kmax_pool(z_t, k)
+            assert out.data.tolist() == [kmax_oracle(row, k) for row in z.tolist()]
+            taped_sum(out).backward()
+            for row, grad in zip(z.tolist(), z_t.grad):
+                ranked = sorted(range(width), key=lambda i: (-row[i], i))[:k]
+                assert np.flatnonzero(grad).tolist() == sorted(ranked)
+            # a NaN past the first block is refused as one in the first is
+            z_t.data[nan_at] = np.nan
+            with pytest.raises(ag.NumericError,
+                               match=rf"^kmax_pool: NaN in a row of the \({n}, {width}\) input$"):
+                enc.kmax_pool(z_t, k)
 
     def test_tape_holds_k_columns_per_row(self):
         # at the published widths a row keeps 50 of 500 features; the node
@@ -410,6 +441,20 @@ class TestBlstm:
         b = enc.blstm_forward(Tensor(x[::-1].copy()), bwd, fwd).data
         swapped = np.concatenate([b[:, h:], b[:, :h]], axis=1)
         assert np.allclose(a, swapped[::-1], atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [(4,), (1, 3, 5)])
+    def test_gradients_match_finite_differences(self, lengths):
+        # each direction's backward reads h_{t-1} from its own half of the output
+        rng = np.random.default_rng(23)
+        d, h = 3, 2
+        fwd, bwd = [(Parameter(rng.normal(size=(d + h, 4 * h)) * 0.5),
+                     Parameter(rng.normal(size=4 * h) * 0.5)) for _ in range(2)]
+        x = Parameter(rng.normal(size=(sum(lengths), d)), name="x")
+
+        def f():
+            return taped_sum(enc.blstm_forward(x, fwd, bwd, lengths), "tanh")
+
+        assert ag.grad_check(f, [x, *fwd, *bwd]) <= 1e-4
 
     def test_mismatched_hidden_sizes_rejected(self):
         fwd = (Parameter(np.zeros((5, 8))), Parameter(np.zeros(8)))
