@@ -1,24 +1,25 @@
 """Command-line operator surface: train, tag and evaluate.
 
-Settings resolve in three layers: built-in defaults, then a line-oriented
-"key = value" config file (# comments), then explicit command-line flags.
---stack and --recurrent pick the encoder topology, which refuses a width it
-does not read. Logs go to stderr and data to stdout so pipelines compose.
+SETTINGS declares each setting once; the flags are generated from it, and a
+command reads only its own keys: defaults, overridden by a "key = value"
+config file (# comments), overridden by flags. Logs go to stderr and data to
+stdout so pipelines compose.
 """
 from __future__ import annotations
 
 import argparse
-import io
 import logging
 import sys
+from typing import NamedTuple
 
 from . import corpus as cp
 from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
 from .encoder import RECURRENT_KINDS, STACKS, WIDTHS, ConfigError, EncoderConfig
+from .files import STDIO, read_text, replace_file, source_name
 from .model import Model
-from .training import TrainConfig, gold_and_predicted_spans, train
+from .training import OPTIMIZERS, TrainConfig, gold_and_predicted_spans, train
 
 log = logging.getLogger("segtag")
 
@@ -32,36 +33,56 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (parser, default); every flag has its config-file twin, and a few
-# model widths are config-only. The published defaults are the dataclasses'.
+class Setting(NamedTuple):
+    parse: object           # text -> value
+    default: object
+    choices: tuple | None   # the values allowed; None: any the parser takes
+    commands: tuple         # the commands that read it
+    help: str | None        # its flag's help; None: a config-file key only
+
+    def value(self, text):
+        """A flag's or a config line's value, held to the choices."""
+        try:
+            value = self.parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        if self.choices is not None and value not in self.choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, self.choices))})")
+        return value
+
+
+_TRAIN, _EVAL, _CORPUS, _ALL = ("train",), ("eval",), ("train", "eval"), ("train", "tag", "eval")
+# Every setting, declared once. The published defaults are the dataclasses',
+# and a width left None takes the topology's own.
 SETTINGS = {
-    "corpus": (str, None),
-    "dev": (str, None),
-    "embeddings": (str, None),
-    "model": (str, None),
-    "seed": (int, TrainConfig.seed),
-    "stack": (str, EncoderConfig.stack),          # encoder.STACKS
-    "recurrent": (str, EncoderConfig.recurrent),  # encoder.RECURRENT_KINDS
-    "bigrams": (_bool, EncoderConfig.use_bigram),
-    "mode": (str, "both"),             # joint | seg | both
-    "epochs": (int, TrainConfig.max_epochs),
-    "batch": (int, TrainConfig.batch_size),
-    "lr": (float, TrainConfig.alpha),
-    "margin": (float, TrainConfig.eta),
-    "l2": (float, TrainConfig.l2),
-    "window": (int, EncoderConfig.window),
-    "d": (int, EncoderConfig.d),
-    **{key: (int, None) for key, _, _ in WIDTHS.values()},  # None: the topology's own
-    "dev_fraction": (float, TrainConfig.dev_fraction),
-    "optimizer": (str, TrainConfig.optimizer),
-    "min_count": (int, 1),
-    "bigram_min_count": (int, 2),
-    "finetune_embeddings": (_bool, TrainConfig.finetune_embeddings),
-    "observed_tags_only": (_bool, False),
-    "constrain_transitions": (_bool, False),
-    "strict": (_bool, True),
-    "normalize_width": (_bool, False),
-    "per_pos": (_bool, False),
+    "model": Setting(str, None, None, _ALL, "model file path"),
+    "seed": Setting(int, TrainConfig.seed, None, _TRAIN, "seed for init, shuffling, dev split"),
+    "corpus": Setting(str, None, None, _CORPUS, "training or gold corpus (word/POS lines)"),
+    "dev": Setting(str, None, None, _TRAIN, "held-out corpus for model selection"),
+    "embeddings": Setting(str, None, None, _TRAIN, "word2vec-format pre-trained characters"),
+    "stack": Setting(str, EncoderConfig.stack, STACKS, _TRAIN, "feature stack level, or mlp"),
+    "recurrent": Setting(str, EncoderConfig.recurrent, RECURRENT_KINDS, _TRAIN, "recurrent layer"),
+    "bigrams": Setting(_bool, EncoderConfig.use_bigram, None, _TRAIN, "add bigram embeddings"),
+    "epochs": Setting(int, TrainConfig.max_epochs, None, _TRAIN, "most training epochs"),
+    "batch": Setting(int, TrainConfig.batch_size, None, _TRAIN, "sentences per update"),
+    "lr": Setting(float, TrainConfig.alpha, None, _TRAIN, "initial learning rate"),
+    "margin": Setting(float, TrainConfig.eta, None, _TRAIN, "margin per wrong position"),
+    "l2": Setting(float, TrainConfig.l2, None, _TRAIN, "regularization coefficient"),
+    "window": Setting(int, EncoderConfig.window, None, _TRAIN, "mlp context window"),
+    "d": Setting(int, EncoderConfig.d, None, _TRAIN, None),
+    **{key: Setting(int, None, None, _TRAIN, None) for key, _, _ in WIDTHS.values()},
+    "dev_fraction": Setting(float, TrainConfig.dev_fraction, None, _TRAIN, None),
+    "optimizer": Setting(str, TrainConfig.optimizer, OPTIMIZERS, _TRAIN, None),
+    "min_count": Setting(int, 1, None, _TRAIN, None),
+    "bigram_min_count": Setting(int, 2, None, _TRAIN, None),
+    "finetune_embeddings": Setting(_bool, TrainConfig.finetune_embeddings, None, _TRAIN, None),
+    "observed_tags_only": Setting(_bool, False, None, _TRAIN, None),
+    "constrain_transitions": Setting(_bool, False, None, _TRAIN, None),
+    "mode": Setting(str, "both", ("joint", "seg", "both"), _EVAL, "the rows to report"),
+    "per_pos": Setting(_bool, False, None, _EVAL, "append a per-POS breakdown"),
+    "strict": Setting(_bool, True, None, _CORPUS, None),
+    "normalize_width": Setting(_bool, False, None, _ALL, None),
 }
 
 
@@ -69,37 +90,40 @@ class CliError(ValueError):
     pass
 
 
-def parse_config_file(path):
-    """Read "key = value" lines; unknown keys are errors naming the key."""
-    values = {}
-    with open(path, encoding="utf-8-sig") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not eq or not key:
-                raise CliError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            if key not in SETTINGS:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            parser, _ = SETTINGS[key]
-            try:
-                values[key] = parser(value)
-            except ValueError as e:
-                raise CliError(f"{path}:{lineno}: bad value for {key}: {e}") from None
+def parse_config_file(path, command=None):
+    """Read "key = value" lines. A line that is not one, an unknown or
+    repeated key, a key the command does not read and a value its flag
+    would refuse are errors naming the file and the line."""
+    values, first = {}, {}
+    for lineno, raw in enumerate(read_text(path), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key, value, where = key.strip(), value.strip(), f"{path}:{lineno}"
+        if not eq or not key:
+            raise CliError(f"{where}: expected 'key = value', got {raw.strip()!r}")
+        if key not in SETTINGS:
+            raise CliError(f"{where}: unknown config key {key!r}")
+        if key in first:
+            raise CliError(f"{where}: config key {key!r} repeats line {first[key]}")
+        if command is not None and command not in SETTINGS[key].commands:
+            raise CliError(f"{where}: segtag {command} does not read config key {key!r}")
+        try:
+            values[key] = SETTINGS[key].value(value)
+        except argparse.ArgumentTypeError as e:
+            raise CliError(f"{where}: bad value for {key}: {e}") from None
+        first[key] = lineno
     return values
 
 
 def resolve_settings(args):
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    settings = {k: default for k, (_, default) in SETTINGS.items()}
-    if getattr(args, "config", None):
-        settings.update(parse_config_file(args.config))
-    for key in SETTINGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    """The settings args.command reads, and only those: defaults, overridden
+    by the config file, overridden by explicit flags."""
+    settings = {key: s.default for key, s in SETTINGS.items() if args.command in s.commands}
+    if args.config:
+        settings.update(parse_config_file(args.config, args.command))
+    settings.update({k: v for k in settings if (v := getattr(args, k, None)) is not None})
     return settings
 
 
@@ -126,12 +150,11 @@ def _require(settings, key, command):
 def _read_corpus(path, settings, fold):
     """The sentences of a word/POS corpus file. A malformed token is refused
     naming the file and the line, and a file without sentences is refused."""
-    with open(path, encoding="utf-8-sig") as f:
-        try:
-            sentences = cp.parse_tagged_corpus(f, strict=settings["strict"],
-                                               normalize_width=fold)
-        except cp.CorpusFormatError as e:
-            raise CliError(f"{path} {e}") from None
+    try:
+        sentences = cp.parse_tagged_corpus(read_text(path), strict=settings["strict"],
+                                           normalize_width=fold)
+    except cp.CorpusFormatError as e:
+        raise CliError(f"{path} {e}") from None
     if not sentences:
         raise CliError(f"no sentences in {path}")
     return sentences
@@ -184,15 +207,16 @@ def _tagged_lines(model, texts):
     return out
 
 
-def _read_raw(fin, where, fold):
-    """Every line of raw input, stripped as the corpus parser strips its
-    lines (and width-folded if fold). A line with interior whitespace is
-    refused, naming it: the space would be tagged as a character."""
+def _read_raw(path, fold):
+    """Every line of raw input, from a file or standard input ("-"), stripped
+    as the corpus parser strips its lines (and width-folded if fold). A line
+    with interior whitespace is refused, naming it: the space would be
+    tagged as a character."""
     texts = []
-    for lineno, line in enumerate(fin, start=1):
+    for lineno, line in enumerate(read_text(path), start=1):
         text = line.strip()
         if len(text.split(maxsplit=1)) > 1:
-            raise CliError(f"{where} line {lineno}: raw text holds whitespace; "
+            raise CliError(f"{source_name(path)} line {lineno}: raw text holds whitespace; "
                            "give one unsegmented sentence per line")
         texts.append(cp.fold_width(text) if fold else text)
     return texts
@@ -200,37 +224,25 @@ def _read_raw(fin, where, fold):
 
 def cmd_tag(args):
     """Tag raw lines. The whole input is read, checked and tagged before the
-    output is opened, so a refused line or a failed tagging leaves no output
-    file, and an existing one keeps its bytes."""
+    output is written, and files.replace_file writes it, so a refused line, a
+    failed tagging or a failed write leaves no output file, and an existing
+    one keeps its bytes."""
     settings = resolve_settings(args)
     model = mf.load(_require(settings, "model", "tag"))
     # a model trained on width-folded text says so in its file
     fold = settings["normalize_width"] or model.normalize_width
-    if args.input in (None, "-"):
-        # decoded as the input file is, whatever the locale: a leading
-        # byte-order mark is not a character
-        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
-        try:
-            texts = _read_raw(stdin, "standard input", fold)
-        finally:
-            stdin.detach()      # leaves sys.stdin open
-    else:
-        with open(args.input, encoding="utf-8-sig") as fin:
-            texts = _read_raw(fin, args.input, fold)
+    texts = _read_raw(args.input, fold)
     out = "".join(line + "\n" for line in _tagged_lines(model, texts))
-    if args.output in (None, "-"):
+    if args.output == STDIO:
         sys.stdout.write(out)
     else:
-        with open(args.output, "w", encoding="utf-8") as fout:
-            fout.write(out)
+        replace_file(args.output, "output", out.encode("utf-8"))
     return 0
 
 
 def cmd_eval(args):
     settings = resolve_settings(args)
     modes = ("joint", "seg") if settings["mode"] == "both" else (settings["mode"],)
-    if any(m not in ("joint", "seg") for m in modes):
-        raise CliError(f"mode must be joint, seg or both, got {settings['mode']!r}")
     model = mf.load(_require(settings, "model", "eval"))
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
@@ -245,41 +257,20 @@ def build_parser():
         prog="segtag",
         description="joint character-level word segmentation and POS tagging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, func, about in (("train", cmd_train, "train a model on a word/POS corpus"),
+                                 ("tag", cmd_tag, "tag raw text, one character sequence per line"),
+                                 ("eval", cmd_eval, "score a model against a gold corpus")):
+        p = sub.add_parser(command, help=about)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key = value settings file")
-        p.add_argument("--model", help="model file path")
-
-    t = sub.add_parser("train", help="train a model on a word/POS corpus")
-    common(t)
-    t.add_argument("--seed", type=int, help="initialization, shuffling and dev split seed")
-    t.add_argument("--corpus", help="training corpus (word/POS lines)")
-    t.add_argument("--dev", help="held-out corpus for model selection")
-    t.add_argument("--embeddings", help="word2vec-format pre-trained characters")
-    t.add_argument("--stack", choices=STACKS, help="feature stack level, or the mlp baseline")
-    t.add_argument("--recurrent", choices=RECURRENT_KINDS)
-    t.add_argument("--bigrams", action="store_const", const=True)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--batch", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--margin", type=float)
-    t.add_argument("--l2", type=float)
-    t.add_argument("--window", type=int)
-    t.set_defaults(func=cmd_train)
-
-    g = sub.add_parser("tag", help="tag raw text, one character sequence per line")
-    common(g)
-    g.add_argument("input", nargs="?", default="-", help="input file or - for stdin")
-    g.add_argument("output", nargs="?", default="-", help="output file or - for stdout")
-    g.set_defaults(func=cmd_tag)
-
-    e = sub.add_parser("eval", help="score a model against a gold corpus")
-    common(e)
-    e.add_argument("--corpus", help="gold corpus (word/POS lines)")
-    e.add_argument("--mode", choices=("joint", "seg", "both"))
-    e.add_argument("--per-pos", dest="per_pos", action="store_const", const=True,
-                   help="append a per-POS breakdown")
-    e.set_defaults(func=cmd_eval)
+        for key, s in SETTINGS.items():
+            if command in s.commands and s.help is not None:     # per_pos: --per-pos
+                how = (dict(action="store_const", const=True) if s.parse is _bool else
+                       dict(type=s.value, metavar=s.choices and "{" + ",".join(s.choices) + "}"))
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=s.help, **how)
+        if command == "tag":
+            p.add_argument("input", nargs="?", default=STDIO, help="input file or - for stdin")
+            p.add_argument("output", nargs="?", default=STDIO, help="output file or - for stdout")
     return parser
 
 

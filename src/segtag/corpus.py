@@ -17,6 +17,7 @@ import numpy as np
 
 from . import evaluation as ev
 from .encoder import CharIds
+from .files import read_text
 
 log = logging.getLogger(__name__)
 
@@ -283,7 +284,7 @@ def load_pretrained_embeddings(path, vocab, table):
         return EmbeddingFormatError(f"{where}: {what}")
 
     d = table.shape[1]
-    with open(path, encoding="utf-8-sig") as f:
+    with read_text(path) as f:
         header = f.readline().split()
         if len(header) != 2:
             raise bad("missing '<count> <dim>' header line")

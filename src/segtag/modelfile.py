@@ -47,11 +47,8 @@ value (encoder.WIDTHS); loading drops any other value an older file stored.
 """
 from __future__ import annotations
 
-import contextlib
 import io
 import math
-import os
-import shutil
 import struct
 import zlib
 
@@ -60,6 +57,7 @@ import numpy as np
 from .autograd import NumericError
 from .corpus import JointTag, TagSet, Vocab
 from .encoder import ConfigError, EncoderConfig, parameter_manifest, unread_widths
+from .files import replace_file
 from .model import Model
 
 MAGIC = b"FJSTM1"
@@ -207,9 +205,7 @@ def save(model, path):
     A parameter that holds NaN/Inf once stored as float32 (a value past its
     range included) is refused with a NumericError naming it before any
     file is opened, since load would refuse the file. The file is written
-    beside path and then renamed onto it, so a failed save leaves path as it
-    was; an existing file keeps its mode, and a symbolic link is written
-    through.
+    by files.replace_file, so a failed save leaves path as it was.
     """
     w = _Writer()
     w.write(MAGIC)
@@ -230,22 +226,7 @@ def save(model, path):
         w.write(values)
     body = w.getvalue()
     checksum = zlib.crc32(body)
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"     # in target's directory, so os.replace renames it
-    try:
-        with open(tmp, "xb") as f:
-            try:
-                f.write(body)
-                f.write(struct.pack("<I", checksum))
-                f.close()
-                with contextlib.suppress(FileNotFoundError):
-                    shutil.copymode(target, tmp)
-                os.replace(tmp, target)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-    except OSError as e:
-        raise OSError(f"cannot write model to {path}: {e}") from e
+    replace_file(path, "model", body, struct.pack("<I", checksum))
     return checksum
 
 

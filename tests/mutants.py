@@ -123,6 +123,22 @@ MUTANTS = (
            "(ids))\n            ends = np.cumsum(ids.lengths).tolist()\n            yield",
            "(ids))\n                ends = np.cumsum(ids.lengths).tolist()\n                yield",
            ("tests/test_batching.py::test_tagging_leaves_the_tape_on_between_chunks",)),
+    Mutant("a command accepts a config key it does not read",
+           "src/segtag/cli.py",
+           "if command is not None and command not in SETTINGS[key].commands:",
+           "if False:",
+           ("tests/test_cli.py::TestSettingsTable"
+            "::test_a_key_the_command_does_not_read_is_refused",)),
+    Mutant("config values skip the choices check",
+           "src/segtag/cli.py",
+           "values[key] = SETTINGS[key].value(value)",
+           "values[key] = SETTINGS[key].parse(value)",
+           ("tests/test_cli.py::TestSettings::test_a_value_out_of_range_names_the_file_and_line",)),
+    Mutant("cmd_tag writes its output in place",
+           "src/segtag/cli.py",
+           'replace_file(args.output, "output", out.encode("utf-8"))',
+           'open(args.output, "w", encoding="utf-8").write(out)',
+           ("tests/test_cli.py::TestTagCommand::test_failed_write_keeps_the_previous_output",)),
 )
 
 

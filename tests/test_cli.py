@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +18,7 @@ from segtag import corpus as cp
 from segtag import lattice as lt
 from segtag import modelfile as mf
 from segtag.autograd import NumericError
-from segtag.encoder import RECURRENT_KINDS, STACKS, ConfigError
+from segtag.encoder import RECURRENT_KINDS, STACKS
 from segtag.model import TAG_CHUNK_CHARS, Model, length_chunks
 from segtag.toydata import toy_corpus
 from util import PERFBENCH, char_id, serialize_corpus
@@ -112,8 +114,10 @@ class TestSettings:
             cli.build_parser().parse_args(["train"]))).stack == "highway"
         config.write_text("stack = cnn\n", encoding="utf-8")
         args = cli.build_parser().parse_args(["train", "--config", str(config)])
-        with pytest.raises(ConfigError, match=r"stack must be one of \('embed'.*, got 'cnn'"):
+        with pytest.raises(cli.CliError) as info:
             cli.encoder_config_from(cli.resolve_settings(args))
+        assert str(info.value) == (f"{config}:1: bad value for stack: invalid choice: 'cnn' "
+                                   f"(choose from {', '.join(map(repr, STACKS))})")
 
     def test_stack_and_recurrent_flags_take_the_encoder_choices(self, capsys):
         parser = cli.build_parser()
@@ -125,6 +129,107 @@ class TestSettings:
                 parser.parse_args(["train", flag, "cnn"])
             err = capsys.readouterr().err
             assert "invalid choice" in err and all(c in err for c in choices)
+
+    def test_a_repeated_key_names_both_lines(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("epochs = 3\nlr = 0.5\nepochs = 5\n", encoding="utf-8")
+        with pytest.raises(cli.CliError) as info:
+            cli.parse_config_file(config)
+        assert str(info.value) == f"{config}:3: config key 'epochs' repeats line 1"
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "stack", "cnn"), ("train", "recurrent", "gru"),
+        ("train", "optimizer", "adam"), ("eval", "mode", "jiont")])
+    def test_a_value_out_of_range_names_the_file_and_line(self, tmp_path, command, key, value):
+        # the flag's choices, held to by the config file's value too
+        config = tmp_path / "c.cfg"
+        config.write_text(f"# {key} out of range\n{key} = {value}\n", encoding="utf-8")
+        args = cli.build_parser().parse_args([command, "--config", str(config)])
+        with pytest.raises(cli.CliError) as info:
+            cli.resolve_settings(args)
+        choices = ", ".join(map(repr, cli.SETTINGS[key].choices))
+        assert str(info.value) == (f"{config}:2: bad value for {key}: invalid choice: "
+                                   f"{value!r} (choose from {choices})")
+
+
+class _Reads(dict):
+    """Settings that record the keys read from them."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _sample_value(key):
+    """A value of the setting's type that its parser and choices accept."""
+    setting = cli.SETTINGS[key]
+    if setting.choices:
+        return setting.choices[0]
+    return "x" if setting.parse is str else 4 if setting.default is None else setting.default
+
+
+_COMMANDS = ("train", "tag", "eval")
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in _COMMANDS for key, setting in cli.SETTINGS.items()
+        if command not in setting.commands])
+    def test_a_key_the_command_does_not_read_is_refused(self, tmp_path, command, key):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"# {command} does not read {key}\n{key} = {_sample_value(key)}\n",
+                          encoding="utf-8")
+        args = cli.build_parser().parse_args([command, "--config", str(config)])
+        with pytest.raises(cli.CliError) as info:
+            cli.resolve_settings(args)
+        assert str(info.value) == f"{config}:2: segtag {command} does not read config key {key!r}"
+
+    @pytest.mark.parametrize("command", _COMMANDS)
+    def test_a_command_reads_every_key_it_declares(self, toy_files, monkeypatch, command):
+        corpus, _, tmp = toy_files
+        embeddings = tmp / "emb.txt"
+        embeddings.write_text("1 4\na 0.1 0.2 0.3 0.4\n", encoding="utf-8")
+        raw = tmp / "raw.txt"
+        raw.write_text("abcdefg\n", encoding="utf-8")
+        model = {"train": tmp / "m.model", "tag": TOY_MODEL, "eval": TOY_MODEL}[command]
+        values = {
+            "model": model, "seed": 3, "corpus": corpus, "dev": corpus,
+            "embeddings": embeddings, "stack": "highway", "recurrent": "blstm",
+            "bigrams": "true", "epochs": 1, "batch": 8, "lr": 0.1, "margin": 0.2,
+            "l2": 0.0001, "window": 1, "d": 4, "h": 4, "feature_map_sets": 3,
+            "feature_map_size": 4, "dev_fraction": 0.1, "optimizer": "sgd", "min_count": 1,
+            "bigram_min_count": 2, "finetune_embeddings": "false",
+            "observed_tags_only": "true", "constrain_transitions": "true", "mode": "both",
+            "per_pos": "true", "strict": "true", "normalize_width": "true"}
+        assert set(values) == set(cli.SETTINGS)
+        declared = {key for key, setting in cli.SETTINGS.items() if command in setting.commands}
+        config = tmp / "every.cfg"
+        config.write_text("".join(f"{key} = {values[key]}\n" for key in declared),
+                          encoding="utf-8")
+        seen, resolve = [], cli.resolve_settings
+        monkeypatch.setattr(cli, "resolve_settings",
+                            lambda args: seen.append(_Reads(resolve(args))) or seen[-1])
+        argv = [command, "--config", str(config)]
+        assert cli.main(argv + ([str(raw), str(tmp / "out.txt")] if command == "tag" else [])) == 0
+        assert len(seen) == 1 and set(seen[0]) == declared
+        assert seen[0].read == declared
+
+    def test_each_command_keeps_its_flags(self, capsys):
+        # generated from the table: a key's flag dashes its underscores
+        want = {"train": "--config --model --seed --corpus --dev --embeddings --stack "
+                         "--recurrent --bigrams --epochs --batch --lr --margin --l2 --window",
+                "tag": "--config --model",
+                "eval": "--config --model --corpus --mode --per-pos"}
+        for command, flags in want.items():
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args([command, "--help"])
+            text = capsys.readouterr().out
+            assert set(re.findall(r"--[a-z0-9-]+", text)) == {"--help", *flags.split()}
+        assert "--mode {joint,seg,both}" in text
 
 
 class TestTrainCommand:
@@ -477,6 +582,31 @@ class TestTagCommand:
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
         assert fout.read_bytes() == b"kept\n"
 
+    def test_failed_write_keeps_the_previous_output(self, tmp_path):
+        # a file-size limit of half the output, set in the tagging process
+        # only; with SIGXFSZ ignored the write fails with EFBIG
+        fin, fout = tmp_path / "in.txt", tmp_path / "out.txt"
+        fin.write_text("".join("".join(s.chars) + "\n" for s in toy_corpus(300, seed=2)),
+                       encoding="utf-8")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 0
+        before = fout.read_bytes()
+        script = (
+            "import resource, signal, sys\n"
+            "from segtag import cli\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE,\n"
+            "                   (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+            "sys.exit(cli.main(sys.argv[2:]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(len(before) // 2), "tag",
+                               "--model", str(TOY_MODEL), str(fin), str(fout)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"segtag: cannot write output to {fout}: ")
+        assert fout.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
+
     def test_one_viterbi_per_chunk_over_the_whole_input(self, tmp_path, monkeypatch):
         # lines of mixed length, blank ones among them, worth several 4,096-
         # character groups: they are sorted and cut over the whole input, not
@@ -621,8 +751,10 @@ class TestWidthFolding:
                        "--model", str(model_path)) == 0
         assert mf.load(model_path).normalize_width
 
+        only_folding = tmp / "only_folding.cfg"     # tag and eval read no width
+        only_folding.write_text("normalize_width = true\n", encoding="utf-8")
         reports, tagged = [], []
-        for extra in (["--config", str(folding)], []):
+        for extra in (["--config", str(only_folding)], []):
             capsys.readouterr()
             assert run_cli("eval", *extra, "--model", str(model_path),
                            "--corpus", str(corpus)) == 0
@@ -633,6 +765,43 @@ class TestWidthFolding:
         assert reports[0] == reports[1]
         assert tagged[0] == tagged[1]
         assert "".join(tagged[0].split()).isascii()   # folded before tagging
+
+
+# the second line of each input holds a byte that is not UTF-8; the file
+# starts with a byte-order mark and ends its lines with CR LF
+_NOT_UTF8 = {"config": (b"epochs = 1", b"batch = 4\xff"),
+             "corpus": (b"ab/NN cde/VV", b"ab/NN c\xffde/VV"),
+             "dev": (b"ab/NN cde/VV", b"ab/NN c\xffde/VV"),
+             "embeddings": (b"1 8", b"a\xff" + b" 0.5" * 8),
+             "gold": (b"ab/NN cde/VV", b"ab/NN c\xffde/VV"),
+             "raw": (b"abcde", b"ab\xffcde"),
+             "stdin": (b"abcde", b"ab\xffcde")}
+
+
+@pytest.mark.parametrize("name", list(_NOT_UTF8))
+def test_a_byte_that_is_not_utf8_is_refused_naming_its_input_and_line(toy_files, capsys,
+                                                                      monkeypatch, name):
+    corpus, config, tmp = toy_files
+    bad = tmp / "bad.txt"
+    data = b"\xef\xbb\xbf" + b"\r\n".join(_NOT_UTF8[name]) + b"\r\n"
+    bad.write_bytes(data)
+    model, out = tmp / "m.model", tmp / "out.txt"
+    train = ["train", "--config", str(config), "--corpus", str(corpus), "--model", str(model)]
+    argv = {"config": train[:2] + [str(bad)] + train[3:],
+            "corpus": train[:4] + [str(bad)] + train[5:],
+            "dev": train + ["--dev", str(bad)],
+            "embeddings": train + ["--embeddings", str(bad)],
+            "gold": ["eval", "--model", str(TOY_MODEL), "--corpus", str(bad)],
+            "raw": ["tag", "--model", str(TOY_MODEL), str(bad), str(out)],
+            "stdin": ["tag", "--model", str(TOY_MODEL), "-", str(out)]}[name]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert cli.main(argv) == 1
+    where = "standard input" if name == "stdin" else bad
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("segtag")] == [
+        f"segtag: {where} line 2: not UTF-8 (byte 0xff: invalid start byte)"]
+    assert not model.exists() and not out.exists()
 
 
 def test_console_entry_point(toy_files):
