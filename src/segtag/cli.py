@@ -17,11 +17,12 @@ from . import evaluation as ev
 from . import modelfile as mf
 from .autograd import NumericError
 from .encoder import RECURRENT_KINDS, STACKS, WIDTHS, ConfigError, EncoderConfig
-from .files import STDIO, read_text, replace_file, source_name
+from .files import decoded, read_text, replace_file
 from .model import Model
 from .training import OPTIMIZERS, TrainConfig, gold_and_predicted_spans, train
 
 log = logging.getLogger("segtag")
+STDIO = "-"     # tag's input and output path for standard input and output
 
 
 def _bool(text):
@@ -90,7 +91,7 @@ class CliError(ValueError):
     pass
 
 
-def parse_config_file(path, command=None):
+def parse_config_file(path, command):
     """Read "key = value" lines. A line that is not one, an unknown or
     repeated key, a key the command does not read and a value its flag
     would refuse are errors naming the file and the line."""
@@ -107,7 +108,7 @@ def parse_config_file(path, command=None):
             raise CliError(f"{where}: unknown config key {key!r}")
         if key in first:
             raise CliError(f"{where}: config key {key!r} repeats line {first[key]}")
-        if command is not None and command not in SETTINGS[key].commands:
+        if command not in SETTINGS[key].commands:
             raise CliError(f"{where}: segtag {command} does not read config key {key!r}")
         try:
             values[key] = SETTINGS[key].value(value)
@@ -212,11 +213,13 @@ def _read_raw(path, fold):
     as the corpus parser strips its lines (and width-folded if fold). A line
     with interior whitespace is refused, naming it: the space would be
     tagged as a character."""
+    name = "standard input" if path == STDIO else path
+    lines = decoded(sys.stdin.buffer.read(), name) if path == STDIO else read_text(path)
     texts = []
-    for lineno, line in enumerate(read_text(path), start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if len(text.split(maxsplit=1)) > 1:
-            raise CliError(f"{source_name(path)} line {lineno}: raw text holds whitespace; "
+            raise CliError(f"{name} line {lineno}: raw text holds whitespace; "
                            "give one unsegmented sentence per line")
         texts.append(cp.fold_width(text) if fold else text)
     return texts

@@ -1,8 +1,8 @@
 """Reading text inputs and replacing output files.
 
-Every text input (config, corpus and embedding files, raw text from a file
-or standard input) is read by `read_text`, and every output file (a model,
-tagged text) is written by `replace_file`.
+Every text input (config, corpus and embedding files, raw text) is decoded
+by `decoded`, a file through `read_text`, and every regular output file (a
+model, tagged text) is written by `replace_file`.
 """
 from __future__ import annotations
 
@@ -10,50 +10,49 @@ import contextlib
 import io
 import os
 import shutil
-import sys
-
-STDIO = "-"     # the path that names standard input
+import stat
 
 
-def source_name(path):
-    return "standard input" if path == STDIO else str(path)
-
-
-def read_text(path):
-    """The lines of a UTF-8 text file, or of standard input for "-", as
+def decoded(data, name):
+    """The lines of UTF-8 bytes read from the input called name, as
     open(path, encoding="utf-8-sig") yields them whatever the locale: a
     leading byte-order mark dropped, and CR LF or CR ending a line as LF.
 
     A byte that is not UTF-8 is a ValueError naming the input and its line.
     """
-    if path == STDIO:
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as f:
-            data = f.read()
     try:
-        text = data.decode("utf-8-sig")
+        data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         before = e.object[:e.start]
         lineno = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        raise ValueError(f"{source_name(path)} line {lineno}: not UTF-8 "
+        raise ValueError(f"{name} line {lineno}: not UTF-8 "
                          f"(byte 0x{e.object[e.start]:02x}: {e.reason})") from None
-    return io.StringIO(text, newline=None)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+def read_text(path):
+    """The lines of the UTF-8 text file at path, checked by `decoded`."""
+    with open(path, "rb") as f:
+        return decoded(f.read(), path)
 
 
 def replace_file(path, what, *chunks):
     """Write the byte chunks to a temporary file beside path and rename it
     onto path, so a failed write leaves path as it was. An existing file
-    keeps its mode, and a symbolic link is written through. A failure is an
-    OSError naming what is written and path.
+    keeps its mode, and a symbolic link is written through. A path that
+    exists and is not a regular file (a device, a pipe) is written in place.
+    A failure is an OSError naming what is written and path.
     """
     target = os.path.realpath(path)
     tmp = f"{target}.{os.getpid()}.tmp"     # in target's directory, so os.replace renames it
     try:
+        if not _regular_or_missing(path):
+            with open(path, "wb") as f:
+                f.writelines(chunks)
+            return
         with open(tmp, "xb") as f:
             try:
-                for chunk in chunks:
-                    f.write(chunk)
+                f.writelines(chunks)
                 f.close()
                 with contextlib.suppress(FileNotFoundError):
                     shutil.copymode(target, tmp)
@@ -63,3 +62,10 @@ def replace_file(path, what, *chunks):
                 raise
     except OSError as e:
         raise OSError(f"cannot write {what} to {path}: {e}") from e
+
+
+def _regular_or_missing(path):
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True

@@ -125,7 +125,7 @@ MUTANTS = (
            ("tests/test_batching.py::test_tagging_leaves_the_tape_on_between_chunks",)),
     Mutant("a command accepts a config key it does not read",
            "src/segtag/cli.py",
-           "if command is not None and command not in SETTINGS[key].commands:",
+           "if command not in SETTINGS[key].commands:",
            "if False:",
            ("tests/test_cli.py::TestSettingsTable"
             "::test_a_key_the_command_does_not_read_is_refused",)),
@@ -139,6 +139,12 @@ MUTANTS = (
            'replace_file(args.output, "output", out.encode("utf-8"))',
            'open(args.output, "w", encoding="utf-8").write(out)',
            ("tests/test_cli.py::TestTagCommand::test_failed_write_keeps_the_previous_output",)),
+    Mutant("replace_file renames over a pipe or a device",
+           "src/segtag/files.py",
+           "if not _regular_or_missing(path):",
+           "if False:",
+           ("tests/test_cli.py::TestTagCommand"
+            "::test_output_that_is_not_a_regular_file_is_written_in_place",)),
 )
 
 

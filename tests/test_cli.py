@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -75,23 +76,23 @@ class TestSettings:
         config = tmp_path / "c.cfg"
         config.write_text("learning_rate = 0.1\n", encoding="utf-8")
         with pytest.raises(cli.CliError, match="learning_rate"):
-            cli.parse_config_file(config)
+            cli.parse_config_file(config, "train")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("\n# comment\nepochs = 4  # trailing\n\n", encoding="utf-8")
-        assert cli.parse_config_file(config) == {"epochs": 4}
+        assert cli.parse_config_file(config, "train") == {"epochs": 4}
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("\ufeffepochs = 4\nlr = 0.5\n", encoding="utf-8")
-        assert cli.parse_config_file(config) == {"epochs": 4, "lr": 0.5}
+        assert cli.parse_config_file(config, "train") == {"epochs": 4, "lr": 0.5}
 
     def test_bad_boolean_names_the_key_and_line(self, tmp_path):
         config = tmp_path / "c.cfg"
         config.write_text("epochs = 2\nbigrams = maybe\n", encoding="utf-8")
         with pytest.raises(cli.CliError) as info:
-            cli.parse_config_file(config)
+            cli.parse_config_file(config, "train")
         assert str(info.value) == f"{config}:2: bad value for bigrams: not a boolean: 'maybe'"
 
     def test_mlp_topology_switch(self):
@@ -134,7 +135,7 @@ class TestSettings:
         config = tmp_path / "c.cfg"
         config.write_text("epochs = 3\nlr = 0.5\nepochs = 5\n", encoding="utf-8")
         with pytest.raises(cli.CliError) as info:
-            cli.parse_config_file(config)
+            cli.parse_config_file(config, "train")
         assert str(info.value) == f"{config}:3: config key 'epochs' repeats line 1"
 
     @pytest.mark.parametrize("command, key, value", [
@@ -607,6 +608,23 @@ class TestTagCommand:
         assert fout.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.txt"]
 
+    def test_output_that_is_not_a_regular_file_is_written_in_place(self, tmp_path):
+        # a pipe, like /dev/stdout or the /dev/null device, is written to,
+        # not renamed over by a regular file
+        fin, fout, fifo = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "out.fifo"
+        fin.write_text("abcdefg\nkab\n", encoding="utf-8")
+        assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 0
+        want = fout.read_bytes()
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)   # fewer bytes than a pipe holds
+        try:
+            assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fifo)) == 0
+            assert os.read(reader, 2 * len(want)) == want
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.fifo", "out.txt"]
+
     def test_one_viterbi_per_chunk_over_the_whole_input(self, tmp_path, monkeypatch):
         # lines of mixed length, blank ones among them, worth several 4,096-
         # character groups: they are sorted and cut over the whole input, not
@@ -802,6 +820,19 @@ def test_a_byte_that_is_not_utf8_is_refused_naming_its_input_and_line(toy_files,
     assert [line for line in captured.err.splitlines() if line.startswith("segtag")] == [
         f"segtag: {where} line 2: not UTF-8 (byte 0xff: invalid start byte)"]
     assert not model.exists() and not out.exists()
+
+
+def test_a_dash_is_a_file_name_for_every_input_but_raw_text(toy_files, capsys, monkeypatch):
+    # only tag's raw input reads standard input for "-"; --corpus - is a file
+    corpus, _, tmp = toy_files
+    (tmp / "-").write_bytes(corpus.read_bytes())
+    monkeypatch.chdir(tmp)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"")))
+    reports = []
+    for path in (str(corpus), "-"):
+        assert cli.main(["eval", "--model", str(TOY_MODEL), "--corpus", path]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_console_entry_point(toy_files):
