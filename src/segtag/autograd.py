@@ -41,10 +41,11 @@ _grad_on = contextvars.ContextVar("grad_on", default=True)
 def no_grad():
     """Run ops without a tape inside the block.
 
-    An op computes the same output with the same checks, but records no
-    inputs and builds no backward closure, so it keeps no backward cache:
-    its intermediate arrays are freed as soon as it returns. A backward()
-    that reaches such an output raises, naming the op.
+    An op computes the same output with the same checks, but its output
+    keeps neither its inputs nor the backward closure the op built, so no
+    backward cache outlives the op: its intermediate arrays are freed as
+    soon as it returns. A backward() that reaches such an output raises,
+    naming the op.
     """
     token = _grad_on.set(False)
     try:
@@ -53,15 +54,16 @@ def no_grad():
         _grad_on.reset(token)
 
 
-def _taped(op, out, inputs):
-    """Whether ops record a tape, read once per op after its forward. If
-    they do, out records its inputs and the op goes on to attach its
-    backward closure; if not, a backward() through out raises, naming op."""
+def _record(op, out, inputs, backward):
+    """Make out the tape node of op, and return it: the one place a node is
+    made. With the tape on, out keeps its inputs and the backward closure;
+    under no_grad() it keeps neither, and a backward() through it raises,
+    naming op."""
     if _grad_on.get():
-        out._prev = inputs
-        return True
-    out._backward = functools.partial(_untaped, op)
-    return False
+        out._prev, out._backward = inputs, backward
+    else:
+        out._backward = functools.partial(_untaped, op)
+    return out
 
 
 def _untaped(op, grad):
@@ -83,7 +85,8 @@ class Tensor:
     The closure takes the tensor's own gradient as its argument and holds no
     reference to the tensor, so a graph has no reference cycles: it is freed
     as soon as its root is dropped, without waiting for the garbage collector.
-    An op's output built under no_grad() has no inputs and no closure.
+    An op's output built under no_grad() has no inputs, and its closure
+    refuses a backward().
     """
 
     __slots__ = ("data", "grad", "_prev", "_backward")
@@ -196,15 +199,12 @@ def matmul(x, w):
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise ShapeError(f"matmul: x {x.shape} does not fit W {w.shape}")
     out = Tensor(x.data @ w.data)
-    if not _taped("matmul", out, (x, w)):
-        return out
 
     def _back(g):
         _accum(x, g @ w.data.T)
         _accum(w, x.data.T @ g)
 
-    out._backward = _back
-    return out
+    return _record("matmul", out, (x, w), _back)
 
 
 def _check_lengths(lengths, n):

@@ -2,13 +2,15 @@
 
 SETTINGS declares each setting once; the flags are generated from it, and a
 command reads only its own keys: defaults, overridden by a "key = value"
-config file (# comments), overridden by flags. Logs go to stderr and data to
-stdout so pipelines compose.
+config file (a # at the start of a line or after whitespace starts a
+comment), overridden by flags. Logs go to stderr and data to stdout so
+pipelines compose.
 """
 from __future__ import annotations
 
 import argparse
 import logging
+import re
 import sys
 from typing import NamedTuple
 
@@ -55,7 +57,8 @@ class Setting(NamedTuple):
 
 _TRAIN, _EVAL, _CORPUS, _ALL = ("train",), ("eval",), ("train", "eval"), ("train", "tag", "eval")
 # Every setting, declared once. The published defaults are the dataclasses',
-# and a width left None takes the topology's own.
+# a width left None takes the topology's own, and dev_fraction and
+# bigram_min_count left None take the library's, where the run reads them.
 SETTINGS = {
     "model": Setting(str, None, None, _ALL, "model file path"),
     "seed": Setting(int, TrainConfig.seed, None, _TRAIN, "seed for init, shuffling, dev split"),
@@ -73,10 +76,10 @@ SETTINGS = {
     "window": Setting(int, EncoderConfig.window, None, _TRAIN, "mlp context window"),
     "d": Setting(int, EncoderConfig.d, None, _TRAIN, None),
     **{key: Setting(int, None, None, _TRAIN, None) for key, _, _ in WIDTHS.values()},
-    "dev_fraction": Setting(float, TrainConfig.dev_fraction, None, _TRAIN, None),
+    "dev_fraction": Setting(float, None, None, _TRAIN, None),
     "optimizer": Setting(str, TrainConfig.optimizer, OPTIMIZERS, _TRAIN, None),
     "min_count": Setting(int, 1, None, _TRAIN, None),
-    "bigram_min_count": Setting(int, 2, None, _TRAIN, None),
+    "bigram_min_count": Setting(int, None, None, _TRAIN, None),
     "finetune_embeddings": Setting(_bool, TrainConfig.finetune_embeddings, None, _TRAIN, None),
     "observed_tags_only": Setting(_bool, False, None, _TRAIN, None),
     "constrain_transitions": Setting(_bool, False, None, _TRAIN, None),
@@ -91,13 +94,16 @@ class CliError(ValueError):
     pass
 
 
+_COMMENT = re.compile(r"(?<!\S)#")     # a # that starts the line or follows whitespace
+
+
 def parse_config_file(path, command):
     """Read "key = value" lines. A line that is not one, an unknown or
     repeated key, a key the command does not read and a value its flag
     would refuse are errors naming the file and the line."""
     values, first = {}, {}
     for lineno, raw in enumerate(read_text(path), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         key, eq, value = line.partition("=")
@@ -137,9 +143,24 @@ def encoder_config_from(settings):
 def train_config_from(settings):
     return TrainConfig(alpha=settings["lr"], eta=settings["margin"], l2=settings["l2"],
                        batch_size=settings["batch"], max_epochs=settings["epochs"],
-                       seed=settings["seed"], dev_fraction=settings["dev_fraction"],
-                       optimizer=settings["optimizer"],
-                       finetune_embeddings=settings["finetune_embeddings"])
+                       seed=settings["seed"], optimizer=settings["optimizer"],
+                       finetune_embeddings=settings["finetune_embeddings"],
+                       **_given(settings, "dev_fraction"))
+
+
+def _given(settings, key):
+    """settings[key] as a keyword argument, or none when it is unset, so the
+    callee's default holds."""
+    return {} if settings[key] is None else {key: settings[key]}
+
+
+def _refuse_unread(settings):
+    """Refuse a train setting that the run would not read."""
+    for key, unread, why in (("dev_fraction", settings["dev"], "with a dev corpus (--dev)"),
+                             ("bigram_min_count", not settings["bigrams"],
+                              "without bigrams (--bigrams)")):
+        if unread and settings[key] is not None:
+            raise CliError(f"{key}={settings[key]!r} is not read {why}; leave it unset")
 
 
 def _require(settings, key, command):
@@ -163,6 +184,7 @@ def _read_corpus(path, settings, fold):
 
 def cmd_train(args):
     settings = resolve_settings(args)
+    _refuse_unread(settings)
     corpus_path = _require(settings, "corpus", "train")
     model_path = _require(settings, "model", "train")
     cfg = encoder_config_from(settings)
@@ -170,10 +192,9 @@ def cmd_train(args):
 
     sentences = _read_corpus(corpus_path, settings, settings["normalize_width"])
     vocab, tagset = cp.build_vocab_and_tagset(
-        sentences, min_count=settings["min_count"],
-        bigram_min_count=settings["bigram_min_count"],
-        use_bigram=settings["bigrams"],
-        observed_tags_only=settings["observed_tags_only"])
+        sentences, min_count=settings["min_count"], use_bigram=settings["bigrams"],
+        observed_tags_only=settings["observed_tags_only"],
+        **_given(settings, "bigram_min_count"))
     log.info("corpus: %d sentences, %d characters, %d joint tags",
              len(sentences), len(vocab.chars), len(tagset))
 

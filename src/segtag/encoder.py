@@ -27,7 +27,7 @@ from .autograd import (
     _accum,
     _grad_on,
     _packed_steps,
-    _taped,
+    _record,
     _window_rows,
     _window_rows_grad,
     check_finite,
@@ -244,15 +244,13 @@ def embed_sentence(ids, unigram, bigram, cfg):
             raise ConfigError("bigram features enabled but bigram table or ids missing")
         lookups += [(bigram, ids.bi_left), (bigram, ids.bi_right)]
     out = Tensor(np.concatenate([table.data[rows] for table, rows in lookups], axis=1))
-    if not _taped("embed_sentence", out, (unigram, bigram) if cfg.use_bigram else (unigram,)):
-        return out
 
     def _back(grad):
         for (table, rows), g in zip(lookups, np.split(grad, len(lookups), axis=1)):
             np.add.at(table.grad, rows, g)
 
-    out._backward = _back
-    return out
+    return _record("embed_sentence", out,
+                   (unigram, bigram) if cfg.use_bigram else (unigram,), _back)
 
 
 def _sigmoid(z, half=0.5, shift=0.5):
@@ -296,8 +294,6 @@ def _window_tanh(what, x, left, right, filters, lengths):
     del xw      # rebuilt by the backward pass rather than held on the tape
     check_finite(f"{what} pre-activation", z)
     out = Tensor(np.tanh(z, out=z))
-    if not _taped(what, out, (x, *(p for _, w, b in filters for p in (w, b)))):
-        return out
 
     def _back(grad):
         xw = _window_rows(x.data, left, right, lengths)
@@ -315,8 +311,7 @@ def _window_tanh(what, x, left, right, filters, lengths):
             gxw[:, cols] += gq @ w.data.T
         _accum(x, _window_rows_grad(gxw, left, right, lengths))
 
-    out._backward = _back
-    return out
+    return _record(what, out, (x, *(p for _, w, b in filters for p in (w, b))), _back)
 
 
 def mlp_encode(x, w, b, window, lengths=None):
@@ -402,16 +397,13 @@ def kmax_pool(z, k):
         cols[lo:lo + step] = (np.flatnonzero(take).reshape(-1, k)
                               - np.arange(0, take.size, width)[:, None])
     out = Tensor(np.take_along_axis(data, cols, axis=1))
-    if not _taped("kmax_pool", out, (z,)):
-        return out
 
     def _back(grad):
         g = np.zeros_like(data)
         np.put_along_axis(g, cols, grad, axis=1)    # indices within a row are distinct
         _accum(z, g)
 
-    out._backward = _back
-    return out
+    return _record("kmax_pool", out, (z,), _back)
 
 
 def highway_forward(x, cov_x, w, b):
@@ -429,8 +421,6 @@ def highway_forward(x, cov_x, w, b):
     check_finite("highway_forward gate pre-activation", z)
     gate = _sigmoid(z)
     out = Tensor(cd * gate + xd * (1.0 - gate))
-    if not _taped("highway_forward", out, (x, cov_x, w, b)):
-        return out
 
     def _back(grad):
         carry = 1.0 - gate      # recomputed rather than held on the tape beside gate
@@ -440,8 +430,7 @@ def highway_forward(x, cov_x, w, b):
         _accum(w, xd.T @ dz)
         _accum(b, dz.sum(axis=0))
 
-    out._backward = _back
-    return out
+    return _record("highway_forward", out, (x, cov_x, w, b), _back)
 
 
 def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
@@ -583,16 +572,13 @@ def _recurrent(fn, xhat, directions, lengths):
             backs.append(back)
         del back    # under no_grad() this frees the direction's caches
     out = Tensor(states)
-    if not _taped(name, out, (xhat, *(p for w, b, _ in directions for p in (w, b)))):
-        return out
 
     def _back(grad):    # holds the output's array, not the Tensor: no reference cycle
         for k, g in enumerate(np.split(grad, len(backs), axis=1)):
             back, backs[k] = backs[k], None
             back(g, blocks[k])
 
-    out._backward = _back
-    return out
+    return _record(name, out, (xhat, *(p for w, b, _ in directions for p in (w, b))), _back)
 
 
 def lstm_forward(xhat, w, b, reverse=False, lengths=None):

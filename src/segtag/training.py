@@ -130,20 +130,17 @@ def hinge_loss_graph(model, ids, gold, eta):
     diff = ag.Tensor(lt.path_emission_diff(scores_t.data, violator, gold)
                      + (b.data * tags).sum() + (a.data * arcs).sum()
                      + margin_delta(gold, violator, eta))
-    if not ag._taped("hinge_loss_graph", diff, (scores_t, b, a)):
-        return diff, losses, violator
-    rows = np.arange(len(violator))
 
     def _back(grad):
         g = np.zeros_like(scores_t.data)
+        rows = np.arange(len(violator))
         g[rows, violator] += grad    # each index pair holds one row once
         g[rows, gold] -= grad
         ag._accum(scores_t, g)
         ag._accum(b, tags * grad)
         ag._accum(a, arcs * grad)
 
-    diff._backward = _back
-    return diff, losses, violator
+    return ag._record("hinge_loss_graph", diff, (scores_t, b, a), _back), losses, violator
 
 
 def apply_update(model, cfg, batch_size):

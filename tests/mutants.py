@@ -80,6 +80,11 @@ MUTANTS = (
            "back(g, blocks[k - 1])",
            ("tests/test_encoder.py::TestBlstm::test_gradients_match_finite_differences",
             "tests/test_autograd.py::test_every_op_matches_finite_differences")),
+    Mutant("a tape node keeps its inputs but drops its backward closure",
+           "src/segtag/autograd.py",
+           "out._prev, out._backward = inputs, backward",
+           "out._prev = inputs",
+           ("tests/test_autograd.py::test_every_op_matches_finite_differences",)),
     Mutant("mf.load skips the checksum",
            "src/segtag/modelfile.py",
            "if zlib.crc32(body) != stored:",

@@ -192,7 +192,7 @@ def test_ops_do_not_mutate_inputs(seed):
             assert np.array_equal(p.data, snap)
 
 
-def test_finite_check_toggle():
+def test_a_nan_or_inf_fails_the_tensor_that_would_hold_it():
     # checks are always on: a NaN or Inf fails the tensor that would hold it
     with pytest.raises(ag.NumericError):
         Tensor(np.array([np.nan]))
@@ -319,15 +319,15 @@ def test_training_and_tagging_run_every_taped_op(monkeypatch):
     from segtag.model import Model
     from segtag.toydata import toy_corpus
 
-    taped, recorded = ag._taped, set()
+    record, recorded = ag._record, set()
 
-    def recording(op, out, inputs):
+    def recording(op, out, inputs, backward):
         recorded.add(op)
-        return taped(op, out, inputs)
+        return record(op, out, inputs, backward)
 
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "segtag" and getattr(module, "_taped", None) is taped:
-            monkeypatch.setattr(module, "_taped", recording)
+        if name.split(".")[0] == "segtag" and getattr(module, "_record", None) is record:
+            monkeypatch.setattr(module, "_record", recording)
     sents = toy_corpus(12, seed=3)
     for overrides, constrained in MODEL_CONFIGS:
         cfg = topology_config(**dict(d=6, h=5, feature_map_sets=2, feature_maps=6) | overrides)

@@ -61,6 +61,8 @@ class TestSettings:
         assert (cfg.d, cfg.h, cfg.feature_map_sets, cfg.feature_maps) == (50, 100, 5, (100,) * 5)
         assert cfg.stack == "highway"
         assert cfg.recurrent == "blstm"
+        # dev_fraction left unset takes TrainConfig's
+        assert s["dev_fraction"] is None and cli.train_config_from(s).dev_fraction == 0.1
 
     def test_flags_override_file_overrides_defaults(self, tmp_path):
         config = tmp_path / "c.cfg"
@@ -82,6 +84,14 @@ class TestSettings:
         config = tmp_path / "c.cfg"
         config.write_text("\n# comment\nepochs = 4  # trailing\n\n", encoding="utf-8")
         assert cli.parse_config_file(config, "train") == {"epochs": 4}
+
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path):
+        # a comment starts a line or follows whitespace; gold#1.txt is one file name
+        config = tmp_path / "c.cfg"
+        config.write_text("corpus = gold#1.txt\n\t# indented comment\n"
+                          "model = m#2.model\t# trailing\n", encoding="utf-8")
+        assert cli.parse_config_file(config, "eval") == {"corpus": "gold#1.txt",
+                                                         "model": "m#2.model"}
 
     def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
         config = tmp_path / "c.cfg"
@@ -209,7 +219,8 @@ class TestSettingsTable:
         assert set(values) == set(cli.SETTINGS)
         declared = {key for key, setting in cli.SETTINGS.items() if command in setting.commands}
         config = tmp / "every.cfg"
-        config.write_text("".join(f"{key} = {values[key]}\n" for key in declared),
+        # dev_fraction is read only without a dev corpus, so dev is left unset
+        config.write_text("".join(f"{key} = {values[key]}\n" for key in declared - {"dev"}),
                           encoding="utf-8")
         seen, resolve = [], cli.resolve_settings
         monkeypatch.setattr(cli, "resolve_settings",
@@ -293,6 +304,22 @@ class TestTrainCommand:
         model_path = tmp / "m.model"
         rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
                      "--model", str(model_path), *flags)
+        assert rc == 1
+        assert capsys.readouterr().err == f"segtag: {named}; leave it unset\n"
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("line, flags, named", [
+        ("dev_fraction = 0.5", ["--dev", "{corpus}"],
+         "dev_fraction=0.5 is not read with a dev corpus (--dev)"),
+        ("bigram_min_count = 7", [], "bigram_min_count=7 is not read without bigrams (--bigrams)"),
+    ], ids=["dev_fraction", "bigram_min_count"])
+    def test_a_setting_the_run_does_not_read_is_refused(self, toy_files, capsys,
+                                                         line, flags, named):
+        corpus, config, tmp = toy_files
+        config.write_text(config.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        model_path = tmp / "m.model"
+        rc = run_cli("train", "--config", str(config), "--corpus", str(corpus),
+                     "--model", str(model_path), *(f.format(corpus=corpus) for f in flags))
         assert rc == 1
         assert capsys.readouterr().err == f"segtag: {named}; leave it unset\n"
         assert not model_path.exists()
@@ -852,11 +879,13 @@ _sentence = st.lists(st.builds("{}/{}".format, st.text("abcx", min_size=1, max_s
 
 def _reads_only(config):
     """The drawn settings with recurrent = none under mlp, which runs none,
-    and without the widths that the topology does not read."""
+    and without the widths that the topology does not read, nor
+    bigram_min_count without bigrams."""
     if config["stack"] == "mlp":
         config = {**config, "recurrent": "none"}
     unread = [enc.WIDTHS[field][0]
               for field in enc.unread_widths(config["stack"], config["recurrent"])]
+    unread += [] if config["bigrams"] else ["bigram_min_count"]
     return {key: value for key, value in config.items() if key not in unread}
 
 

@@ -230,7 +230,7 @@ class TestKmaxPool:
             mask[taken] = 1.0
             assert np.array_equal(z.grad[i], mask)
 
-    def test_nan_row_is_a_numeric_error_even_with_checks_off(self):
+    def test_nan_written_past_the_tensor_check_is_a_numeric_error(self):
         # the k largest of a row holding NaN are undefined; k-max checks its
         # input itself, even a NaN written past the tensor's own check
         z = Tensor(np.array([[1.0, 0.0, 2.0]]))

@@ -43,9 +43,9 @@ print(json.dumps({"chars": sum(map(len, chars)), "tag": tag, "train": train}))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator only")
 def test_repeated_passes_do_not_refault_the_heap():
-    # at glibc's defaults a repeated pass here took ~2,600 (tagging) and
-    # ~5,300 (training) minor faults; with the settings, 0-1. One BLAS
-    # thread, as in the benchmark.
+    # at glibc's defaults a repeated pass here takes 0-2 minor faults
+    # (tagging) and ~6,700 (training); with the settings, 0-20. Only the
+    # training half still needs them. One BLAS thread, as in the benchmark.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=300)

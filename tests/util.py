@@ -65,9 +65,7 @@ def taped_sum(x, act=None, scale=1.0):
         y = x.data
         dy = np.ones_like(y)
     out = ag.Tensor(scale * y.sum())
-    if ag._taped("taped_sum", out, (x,)):
-        out._backward = lambda grad: ag._accum(x, (grad * scale) * dy)
-    return out
+    return ag._record("taped_sum", out, (x,), lambda grad: ag._accum(x, (grad * scale) * dy))
 
 
 def taped_total(terms):
@@ -75,12 +73,12 @@ def taped_total(terms):
     the root's gradient."""
     terms = tuple(terms)
     out = ag.Tensor(sum(t.data for t in terms))
-    if ag._taped("taped_total", out, terms):
-        def _back(grad):
-            for t in terms:
-                ag._accum(t, grad)
-        out._backward = _back
-    return out
+
+    def _back(grad):
+        for t in terms:
+            ag._accum(t, grad)
+
+    return ag._record("taped_total", out, terms, _back)
 
 
 def projection_model(hidden, w, b, trans):
