@@ -102,7 +102,7 @@ def parse_config_file(path, command):
     repeated key, a key the command does not read and a value its flag
     would refuse are errors naming the file and the line."""
     values, first = {}, {}
-    for lineno, raw in enumerate(read_text(path), start=1):
+    for lineno, raw in enumerate(read_text(path, "config"), start=1):
         line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
@@ -169,11 +169,12 @@ def _require(settings, key, command):
     return settings[key]
 
 
-def _read_corpus(path, settings, fold):
-    """The sentences of a word/POS corpus file. A malformed token is refused
-    naming the file and the line, and a file without sentences is refused."""
+def _read_corpus(path, what, settings, fold):
+    """The sentences of a word/POS corpus file (`what` names it if it cannot
+    be read). A malformed token is refused naming the file and the line, and
+    a file without sentences is refused."""
     try:
-        sentences = cp.parse_tagged_corpus(read_text(path), strict=settings["strict"],
+        sentences = cp.parse_tagged_corpus(read_text(path, what), strict=settings["strict"],
                                            normalize_width=fold)
     except cp.CorpusFormatError as e:
         raise CliError(f"{path} {e}") from None
@@ -190,7 +191,7 @@ def cmd_train(args):
     cfg = encoder_config_from(settings)
     train_cfg = train_config_from(settings)
 
-    sentences = _read_corpus(corpus_path, settings, settings["normalize_width"])
+    sentences = _read_corpus(corpus_path, "corpus", settings, settings["normalize_width"])
     vocab, tagset = cp.build_vocab_and_tagset(
         sentences, min_count=settings["min_count"], use_bigram=settings["bigrams"],
         observed_tags_only=settings["observed_tags_only"],
@@ -208,7 +209,7 @@ def cmd_train(args):
 
     dev = None
     if settings["dev"]:
-        dev = _read_corpus(settings["dev"], settings, settings["normalize_width"])
+        dev = _read_corpus(settings["dev"], "dev corpus", settings, settings["normalize_width"])
     best = train(sentences, model, train_cfg, dev=dev)
     checksum = mf.save(model, model_path)
     f1 = "n/a" if best.dev_f1 is None else f"{best.dev_f1:.4f}"
@@ -235,7 +236,7 @@ def _read_raw(path, fold):
     with interior whitespace is refused, naming it: the space would be
     tagged as a character."""
     name = "standard input" if path == STDIO else path
-    lines = decoded(sys.stdin.buffer.read(), name) if path == STDIO else read_text(path)
+    lines = decoded(sys.stdin.buffer.read(), name) if path == STDIO else read_text(path, "input")
     texts = []
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
@@ -270,7 +271,7 @@ def cmd_eval(args):
     model = mf.load(_require(settings, "model", "eval"))
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
-    sentences = _read_corpus(gold_path, settings, fold)
+    sentences = _read_corpus(gold_path, "corpus", settings, fold)
     gold, pred = gold_and_predicted_spans(model, sentences)
     print(ev.report(gold, pred, modes=modes, per_pos=settings["per_pos"]))
     return 0

@@ -284,7 +284,7 @@ def load_pretrained_embeddings(path, vocab, table):
         return EmbeddingFormatError(f"{where}: {what}")
 
     d = table.shape[1]
-    with read_text(path) as f:
+    with read_text(path, "embeddings") as f:
         header = f.readline().split()
         if len(header) != 2:
             raise bad("missing '<count> <dim>' header line")

@@ -253,19 +253,19 @@ def embed_sentence(ids, unigram, bigram, cfg):
                    (unigram, bigram) if cfg.use_bigram else (unigram,), _back)
 
 
-def _sigmoid(z, half=0.5, shift=0.5):
+def _sigmoid(z):
     """sigmoid(z) = 0.5 + 0.5·tanh(z/2), in place on z and returned.
 
     One tanh and three multiply/add passes over contiguous memory, which
     takes about half the time of 1/(1+e^-z) (negate, exp, add, reciprocal)
-    and cannot overflow. Columns where the `half` and `shift` vectors hold 1
-    and 0 get tanh(z) instead, so one call activates all four LSTM gates.
-    float32 results may differ from 1/(1+e^-z) in the last bits.
+    and cannot overflow. float32 results may differ from 1/(1+e^-z) in the
+    last bits. The LSTM runs the same passes inline, its z/2 already halved
+    inside the GEMM.
     """
-    z *= half
+    z *= 0.5
     np.tanh(z, out=z)
-    z *= half
-    z += shift
+    z *= 0.5
+    z += 0.5
     return z
 
 
@@ -351,9 +351,9 @@ def conv_feature_maps(x, bank, lengths=None):
     return _window_tanh("conv_feature_maps", x, left, len(bank) // 2, filters, lengths)
 
 
-# k-max pooling selects a block of rows at a time, so np.partition's copy of
-# the feature maps, the selection mask and its index arrays span one block,
-# not the whole chunk: at the published widths they would otherwise add 3.3 KB
+# k-max pooling selects a block of rows at a time, so np.sort's copy of the
+# feature maps, the selection mask and its index arrays span one block, not
+# the whole chunk: at the published widths they would otherwise add 3.3 KB
 # per character to the 2 KB of the maps. A block of 256 KB (about 130 rows of
 # 500 float32 maps) makes that working set small beside the maps, and still
 # hands each numpy call over a hundred rows: on 485- and 1,000-row inputs,
@@ -365,13 +365,14 @@ def kmax_pool(z, k):
     """Per row, keep the k largest values in their original order.
 
     Ties prefer the lower original index; gradients flow only to the
-    selected positions. np.partition finds each row's k-th largest value;
-    the values at least that large, read in row order, are the k columns
-    already sorted. Where copies of the k-th largest value make that more
-    than k, those rows alone are re-selected: every value above the k-th,
-    then values equal to it, lowest index first. Rows are selected in
-    blocks of KMAX_BLOCK_BYTES, each writing its columns into one int32
-    index array, which the tape node keeps.
+    selected positions. np.sort ranks each row (numpy's SIMD sort is faster
+    than np.partition at these widths); the values at least as large as the
+    k-th, read in row order, are the k columns already sorted. A row holds
+    more than k of them exactly when its (k+1)-th largest value equals the
+    k-th, and those rows alone are re-selected: every value above the k-th,
+    then values equal to it, lowest index first. Rows are selected in blocks
+    of KMAX_BLOCK_BYTES, each writing its columns into one int32 index
+    array, which the tape node keeps.
     """
     n, width = z.shape
     if k > width:
@@ -379,24 +380,27 @@ def kmax_pool(z, k):
     data = z.data
     step = max(1, KMAX_BLOCK_BYTES // (width * data.itemsize))
     cols = np.empty((n, k), dtype=np.int32)
+    vals = np.empty((n, k), dtype=data.dtype)
     for lo in range(0, n, step):
         block = data[lo:lo + step]
-        top = np.partition(block, width - k, axis=1)[:, width - k:]
-        if np.isnan(top).any():
-            # np.partition ranks NaN above every number, so a NaN is always among the k
+        ranked = np.sort(block, axis=1)
+        if np.isnan(ranked[:, -1]).any():
+            # np.sort ranks NaN above every number, so a NaN is always among the k
             raise NumericError(f"kmax_pool: NaN in a row of the {z.shape} input")
-        kth = top[:, :1]
+        kth = ranked[:, width - k, None]
         take = block >= kth
-        rows = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
-        if rows.size:
-            above = block[rows] > kth[rows]
-            tied = take[rows] & ~above
-            take[rows] = above | (tied & (np.cumsum(tied, axis=1)
-                                          <= k - above.sum(axis=1, keepdims=True)))
+        if k < width:
+            rows = np.flatnonzero(ranked[:, width - k - 1] == kth[:, 0])
+            if rows.size:
+                above = block[rows] > kth[rows]
+                tied = take[rows] & ~above
+                take[rows] = above | (tied & (np.cumsum(tied, axis=1)
+                                              <= k - above.sum(axis=1, keepdims=True)))
         # each row of take holds k columns: flat positions less each row's offset
-        cols[lo:lo + step] = (np.flatnonzero(take).reshape(-1, k)
-                              - np.arange(0, take.size, width)[:, None])
-    out = Tensor(np.take_along_axis(data, cols, axis=1))
+        flat = np.flatnonzero(take).reshape(-1, k)
+        vals[lo:lo + step] = np.take(block, flat)
+        cols[lo:lo + step] = flat - np.arange(0, take.size, width)[:, None]
+    out = Tensor(vals)
 
     def _back(grad):
         g = np.zeros_like(data)
@@ -433,6 +437,21 @@ def highway_forward(x, cov_x, w, b):
     return _record("highway_forward", out, (x, cov_x, w, b), _back)
 
 
+def _lstm_bounded(x, wd, bias):
+    """Whether no LSTM gate pre-activation can overflow, for x against the
+    input rows of W (d + h) x 4h and the recurrent rows against |h_{t-1}| <= 1:
+    max|x| * max_j sum|W_x[:, j]| + max|b| + max_j sum|W_h[:, j]|, in float64,
+    must lie below a sixteenth of the dtype's largest value, which leaves
+    room for the rounding of any sum this short. NaN or Inf anywhere fails.
+    """
+    d = x.shape[1]
+    col_x, col_h = (np.abs(rows).sum(axis=0, dtype=np.float64).max(initial=0.0)
+                    for rows in (wd[:d], wd[d:]))
+    with np.errstate(over="ignore", invalid="ignore"):     # an Inf or NaN bound fails
+        bound = np.abs(x).max(initial=0.0) * col_x + np.abs(bias).max(initial=0.0) + col_h
+    return bool(bound < np.finfo(np.result_type(x, wd)).max / 16)
+
+
 def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     """Single-direction LSTM over the rows of the 2-D xhat, zero initial
     state: writes its states into the rows of `out` in input order and
@@ -451,8 +470,12 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
     per sentence still running. The rows are laid out step-major with no
     padding (``autograd._packed_steps``): step t is one contiguous block, and
-    h_{t-1} is the head of the block before it. One _sigmoid call activates
-    all four gates of a step, in place, once the step has checked them.
+    h_{t-1} is the head of the block before it. A step activates all four
+    gates in place by one tanh as _sigmoid does: the sigmoid gates' columns
+    of W and b are halved once per call, which is exact, so the GEMMs yield
+    z/2 there and c-hat's z. The gates are checked once per call, not per
+    step (_lstm_bounded); when that bound fails, each step checks its
+    pre-activations before activating them, from W and b as given.
     The backward pass is hand-written backpropagation through time; it
     overwrites the cached activations, first with each gate's derivative
     factor and then with the gradient of its pre-activation.
@@ -463,16 +486,17 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     if wd.shape != (d + h, 4 * h):
         raise ShapeError(f"{op}: W {wd.shape} does not fit x {xhat.shape} with h={h}")
     where, steps = _packed_steps(lengths, n, reverse)
-    what = f"{op} gate pre-activations"
-    xp = np.empty_like(x)
-    xp[where] = x
-    acts = xp @ wd[:d]
-    del xp      # the backward pass builds its own
-    acts += b.data
-    w_h = wd[d:]
-    half = np.full(4 * h, 0.5, dtype=acts.dtype)     # for _sigmoid: c-hat gets tanh
+    half = np.full(4 * h, 0.5, dtype=np.result_type(x, wd))   # c-hat gets tanh
     half[3 * h:] = 1.0
     shift = 1.0 - half
+    bounded = _lstm_bounded(x, wd, b.data)
+    scale = half if bounded else 1      # exact: the GEMMs yield the sigmoid gates' z/2
+    xp = np.empty_like(x)
+    xp[where] = x
+    acts = xp @ (wd[:d] * scale)
+    del xp      # the backward pass builds its own
+    acts += b.data * scale
+    w_h = wd[d:] * scale
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty_like(cells)
     prev = None
@@ -480,13 +504,18 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
         g = acts[lo:lo + m]
         if prev is not None:
             g += hidden[prev:prev + m] @ w_h
-        check_finite(what, g)   # the activations would hide an overflow
-        _sigmoid(g, half, shift)
+        if not bounded:
+            check_finite(f"{op} gate pre-activations", g)   # the activations would hide it
+            g *= half
+        np.tanh(g, out=g)
+        g *= half
+        g += shift
         c, h_t = cells[lo:lo + m], hidden[lo:lo + m]
         np.multiply(g[:, 3 * h:], g[:, :h], out=c)
         if prev is not None:
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
-        np.multiply(g[:, h:2 * h], np.tanh(c), out=h_t)
+        np.tanh(c, out=h_t)
+        h_t *= g[:, h:2 * h]
         prev = lo
     row = np.empty_like(where)
     row[where] = np.arange(n)       # step-major row -> input row

@@ -30,10 +30,15 @@ def decoded(data, name):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
 
 
-def read_text(path):
-    """The lines of the UTF-8 text file at path, checked by `decoded`."""
-    with open(path, "rb") as f:
-        return decoded(f.read(), path)
+def read_text(path, what):
+    """The lines of the UTF-8 text file at path, checked by `decoded`. A
+    file that cannot be read is an OSError naming what it holds and path."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise OSError(f"cannot read {what} from {path}: [Errno {e.errno}] {e.strerror}") from e
+    return decoded(data, path)
 
 
 def replace_file(path, what, *chunks):

@@ -74,6 +74,19 @@ MUTANTS = (
            "for lo in range(0, n, step):",
            "for lo in range(0, n - n % step, step):",
            ("tests/test_encoder.py::TestKmaxPool::test_row_blocks_match_oracle",)),
+    Mutant("k-max tie detection reads the wrong sorted column",
+           "src/segtag/encoder.py",
+           "ranked[:, width - k - 1] == kth[:, 0]",
+           "ranked[:, width - k - 2] == kth[:, 0]",
+           ("tests/test_encoder.py::TestKmaxPool::test_tie_breaks_to_lower_index",
+            "tests/test_encoder.py::TestKmaxPool::test_tie_heavy_rows_match_oracle")),
+    Mutant("the LSTM skips its per-step checks when its bound fails",
+           "src/segtag/encoder.py",
+           'check_finite(f"{op} gate pre-activations", g)',
+           "None",
+           ("tests/test_encoder.py::TestLstm::test_overflowing_gates_are_a_numeric_error",
+            "tests/test_encoder.py::TestLstm"
+            "::test_a_pre_activation_whose_half_is_finite_still_overflows")),
     Mutant("an LSTM direction reads h_{t-1} from the other direction's columns",
            "src/segtag/encoder.py",
            "back(g, blocks[k])",

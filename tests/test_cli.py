@@ -849,6 +849,28 @@ def test_a_byte_that_is_not_utf8_is_refused_naming_its_input_and_line(toy_files,
     assert not model.exists() and not out.exists()
 
 
+@pytest.mark.parametrize("name, what", [("config", "config"), ("corpus", "corpus"),
+                                        ("dev", "dev corpus"), ("embeddings", "embeddings"),
+                                        ("gold", "corpus"), ("raw", "input")])
+def test_a_missing_input_is_named_with_what_it_holds(toy_files, capsys, name, what):
+    corpus, config, tmp = toy_files
+    missing = tmp / "nothere.txt"
+    model, out = tmp / "m.model", tmp / "out.txt"
+    train = ["train", "--config", str(config), "--corpus", str(corpus), "--model", str(model)]
+    argv = {"config": train[:2] + [str(missing)] + train[3:],
+            "corpus": train[:4] + [str(missing)] + train[5:],
+            "dev": train + ["--dev", str(missing)],
+            "embeddings": train + ["--embeddings", str(missing)],
+            "gold": ["eval", "--model", str(TOY_MODEL), "--corpus", str(missing)],
+            "raw": ["tag", "--model", str(TOY_MODEL), str(missing), str(out)]}[name]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("segtag")] == [
+        f"segtag: cannot read {what} from {missing}: [Errno 2] No such file or directory"]
+    assert not model.exists() and not out.exists()
+
+
 def test_a_dash_is_a_file_name_for_every_input_but_raw_text(toy_files, capsys, monkeypatch):
     # only tag's raw input reads standard input for "-"; --corpus - is a file
     corpus, _, tmp = toy_files

@@ -284,6 +284,23 @@ class TestKmaxPool:
                                match=rf"^kmax_pool: NaN in a row of the \({n}, {width}\) input$"):
                 enc.kmax_pool(z_t, k)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_tie_at_the_kth_value(self, dtype):
+        # -0.0 == +0.0, and np.sort may rank either first: each is a copy of
+        # the k-th value, kept by index, and keeps its sign bit
+        rows = [[1.0, -0.0, 0.0, -1.0], [0.0, -0.0, 0.0, -0.0], [-0.0, 2.0, 0.0, 0.0],
+                [0.0, -1.0, -0.0, 3.0], [-0.0, 0.0, -2.0, -0.0]]
+        z = np.array(rows, dtype=dtype)
+        for k in (1, 2, 3):
+            z_t = Parameter(z.copy())
+            out = enc.kmax_pool(z_t, k)
+            taped_sum(out).backward()
+            for row, got, grad in zip(rows, out.data, z_t.grad):
+                ranked = sorted(sorted(range(4), key=lambda i: (-row[i], i))[:k])
+                assert got.tolist() == kmax_oracle(row, k)
+                assert np.signbit(got).tolist() == np.signbit(np.array(row)[ranked]).tolist()
+                assert np.flatnonzero(grad).tolist() == ranked
+
     def test_tape_holds_k_columns_per_row(self):
         # at the published widths a row keeps 50 of 500 features; the node
         # must hold those indices, not a whole n x 500 index array
@@ -400,7 +417,7 @@ class TestLstm:
         assert ag.grad_check(f, [x, w, b]) <= 1e-4
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_overflowing_gates_raise_unless_checks_are_off(self, reverse):
+    def test_overflowing_gates_are_a_numeric_error(self, reverse):
         # sigmoid and tanh squash an infinite pre-activation to a finite h,
         # so the layer must check its gates and cell states itself
         w = Parameter(np.full((5, 12), 1e308), name="lstm.fwd.w")
@@ -408,6 +425,34 @@ class TestLstm:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ag.NumericError, match=r"lstm\.fwd"):
                 enc.lstm_forward(x, w, Parameter(np.zeros(12)), reverse=reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_a_pre_activation_whose_half_is_finite_still_overflows(self, reverse):
+        # 2 x 2e38 lies between float32's largest value and twice it: the
+        # sigmoid gates' halved pre-activation is finite, the pre-activation
+        # is not, and only the unhalved one may be checked
+        w = np.zeros((5, 12), dtype=np.float32)
+        w[:2] = 2e38
+        x = Tensor(np.ones((3, 2), dtype=np.float32))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ag.NumericError,
+                               match=r"^lstm_forward lstm\.fwd \((forward|reverse)\) gate"):
+                enc.lstm_forward(x, Parameter(w, name="lstm.fwd.w"),
+                                 Parameter(np.zeros(12, dtype=np.float32)), reverse=reverse)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_halved_gates_match_the_per_step_checked_path(self, monkeypatch, dtype, reverse):
+        # halving the sigmoid gates' weights is exact, so a call whose bound
+        # holds gives the bits of the path that checks every step
+        rng = np.random.default_rng(52)
+        w, b = (Parameter(p.data.astype(dtype)) for p in self._params(rng, 6, 5))
+        x = Tensor(rng.normal(size=(9, 6)).astype(dtype))
+        lengths = np.array([4, 2, 3])
+        bounded = enc.lstm_forward(x, w, b, reverse=reverse, lengths=lengths).data
+        monkeypatch.setattr(enc, "_lstm_bounded", lambda *_: False)
+        checked = enc.lstm_forward(x, w, b, reverse=reverse, lengths=lengths).data
+        assert np.array_equal(bounded, checked)
 
 
 class TestBlstm:
