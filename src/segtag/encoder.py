@@ -441,8 +441,8 @@ def _lstm_bounded(x, wd, bias):
     """Whether no LSTM gate pre-activation can overflow, for x against the
     input rows of W (d + h) x 4h and the recurrent rows against |h_{t-1}| <= 1:
     max|x| * max_j sum|W_x[:, j]| + max|b| + max_j sum|W_h[:, j]|, in float64,
-    must lie below a sixteenth of the dtype's largest value, which leaves
-    room for the rounding of any sum this short. NaN or Inf anywhere fails.
+    must lie below a sixteenth of the dtype's largest value, far more room
+    than the rounding of the GEMMs' sums can take. NaN or Inf anywhere fails.
     """
     d = x.shape[1]
     col_x, col_h = (np.abs(rows).sum(axis=0, dtype=np.float64).max(initial=0.0)

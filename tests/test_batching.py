@@ -462,9 +462,10 @@ def tagging_peak_per_character(model, sentences):
 def test_tagging_chunk_peak_memory_per_character():
     # one tagging chunk at the published widths: with no tape, the peak is the
     # BLSTM's working set, a direction's n x 4h activations and cell and
-    # hidden states beside the output (~3.5 KB per character). k-max selects
-    # in row blocks, so it no longer holds np.partition's copy of the whole
-    # conv maps (5.5 KB at its peak), nor tagging the whole tape (~9.8)
+    # hidden states beside the output and its halved recurrent weights (~3.6
+    # KB per character). k-max selects in row blocks, so it no longer holds
+    # a ranked copy of the whole conv maps (5.5 KB at its peak), nor tagging
+    # the whole tape (~9.8)
     sents = toy_corpus(80, seed=3, min_words=10, max_words=20)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
     model = Model(EncoderConfig(), vocab, tagset)
