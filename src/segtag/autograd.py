@@ -244,34 +244,47 @@ def _packed_steps(lengths, n, reverse=False):
 
 
 def _window_offsets(n, left, right, lengths=None):
-    """(column block j, destination rows, source rows) of each window offset.
-
-    With several sentences packed in the n rows (`lengths`, default one), a
-    row's neighbour in another sentence is skipped, as if it were margin padding.
+    """(column block j, row slice, source row slice, cut rows) of each window
+    offset: row i of the slice reads row i + offset of the source slice,
+    except the rows in cut, whose neighbour at that offset lies past a
+    margin or, with several sentences packed in the n rows (`lengths`,
+    default one), in another sentence. cut holds every row the slice misses.
     """
     pos, size = _sentence_positions(lengths, n)
     for j, off in enumerate(range(-left, right + 1)):
-        dst = np.flatnonzero((pos + off >= 0) & (pos + off < size))
-        yield j, dst, dst + off
+        lo = max(-off, 0)
+        hi = max(n - max(off, 0), lo)
+        cut = np.flatnonzero((pos + off < 0) | (pos + off >= size))
+        yield j, slice(lo, hi), slice(lo + off, hi + off), cut
 
 
 def _window_rows(data, left, right, lengths=None):
     """Row i holds rows i-left .. i+right of data side by side, zeros past
     the margins. With several sentences packed in the rows (`lengths`), a
-    window never reaches into a neighbouring sentence: those blocks are zero."""
+    window never reaches into a neighbouring sentence: those blocks are zero.
+    Each offset's block is one shifted copy, then its cut rows are zeroed."""
     n, d = data.shape
-    out = np.zeros((n, (left + right + 1) * d), dtype=data.dtype)
-    for j, dst, src in _window_offsets(n, left, right, lengths):
-        out[dst, j * d:(j + 1) * d] = data[src]
+    out = np.empty((n, (left + right + 1) * d), dtype=data.dtype)
+    for j, rows, src, cut in _window_offsets(n, left, right, lengths):
+        block = out[:, j * d:(j + 1) * d]
+        block[rows] = data[src]
+        block[cut] = 0.0
     return out
 
 
 def _window_rows_grad(g, left, right, lengths=None):
-    """Adjoint of _window_rows: fold an n x (span*d) gradient back onto n x d."""
+    """Adjoint of _window_rows: fold an n x (span*d) gradient back onto n x d.
+
+    Each offset's block of g has its cut rows zeroed, in place, and is added
+    as one shifted slice. A zeroed row adds +0.0 to a sum that starts at
+    +0.0, which changes no bit of it.
+    """
     n, d = g.shape[0], g.shape[1] // (left + right + 1)
     out = np.zeros((n, d), dtype=g.dtype)
-    for j, dst, src in _window_offsets(n, left, right, lengths):
-        out[src] += g[dst, j * d:(j + 1) * d]   # the rows of one offset are distinct
+    for j, rows, src, cut in _window_offsets(n, left, right, lengths):
+        block = g[:, j * d:(j + 1) * d]
+        block[cut] = 0.0
+        out[src] += block[rows]
     return out
 
 

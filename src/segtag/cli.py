@@ -21,7 +21,7 @@ from .autograd import NumericError
 from .encoder import RECURRENT_KINDS, STACKS, WIDTHS, ConfigError, EncoderConfig
 from .files import decoded, read_text, replace_file
 from .model import Model
-from .training import OPTIMIZERS, TrainConfig, gold_and_predicted_spans, train
+from .training import OPTIMIZERS, TrainConfig, gold_and_predicted_words, train
 
 log = logging.getLogger("segtag")
 STDIO = "-"     # tag's input and output path for standard input and output
@@ -224,9 +224,10 @@ def _tagged_lines(model, texts):
     rendered as the model decodes it, so no more than a chunk's tags are held."""
     out = [""] * len(texts)
     lines = [i for i, text in enumerate(texts) if text]
+    rule = ev.word_rule(model.tagset)
     for k, path in model.tagged([texts[i] for i in lines]):
         i = lines[k]
-        out[i] = cp.format_words(texts[i], model.tagset.decode(path))
+        out[i] = cp.format_words(texts[i], path, rule)
     return out
 
 
@@ -272,8 +273,8 @@ def cmd_eval(args):
     fold = settings["normalize_width"] or model.normalize_width
     gold_path = _require(settings, "corpus", "eval")
     sentences = _read_corpus(gold_path, "corpus", settings, fold)
-    gold, pred = gold_and_predicted_spans(model, sentences)
-    print(ev.report(gold, pred, modes=modes, per_pos=settings["per_pos"]))
+    print(ev.report(*gold_and_predicted_words(model, sentences), modes=modes,
+                    per_pos=settings["per_pos"]))
     return 0
 
 

@@ -132,12 +132,12 @@ def parse_tagged_corpus(lines, strict=True, normalize_width=False):
     return sentences
 
 
-def format_words(chars, tags):
+def format_words(chars, path, rule):
     """One "word/POS ..." line of chars (a str or a list of characters): the
-    words evaluation.decode_tags_to_words finds in tags, illegal BMES runs
-    repaired."""
+    evaluation.word_spans of their tag-index path over the alphabet of
+    `rule`, illegal BMES runs repaired."""
     return " ".join("".join(chars[s.start:s.end]) + WORD_POS_SEP + s.pos
-                    for s in ev.decode_tags_to_words(tags))
+                    for s in ev.word_spans(path, rule))
 
 
 class Vocab:

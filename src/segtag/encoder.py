@@ -302,12 +302,13 @@ def _window_tanh(what, x, left, right, filters, lengths):
         np.subtract(1.0, g, out=g)
         g *= grad
         gxw = np.zeros_like(xw)
+        g_sum = g.sum(axis=0)
         ofs = 0
         for cols, w, b in filters:
             gq = g[:, ofs:ofs + w.shape[1]]
-            ofs += w.shape[1]
             _accum(w, xw[:, cols].T @ gq)
-            _accum(b, gq.sum(axis=0))
+            _accum(b, g_sum[ofs:ofs + w.shape[1]])
+            ofs += w.shape[1]
             gxw[:, cols] += gq @ w.data.T
         _accum(x, _window_rows_grad(gxw, left, right, lengths))
 
@@ -476,9 +477,10 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     z/2 there and c-hat's z. The gates are checked once per call, not per
     step (_lstm_bounded); when that bound fails, each step checks its
     pre-activations before activating them, from W and b as given.
-    The backward pass is hand-written backpropagation through time; it
-    overwrites the cached activations, first with each gate's derivative
-    factor and then with the gradient of its pre-activation.
+    The backward pass is hand-written backpropagation through time, from
+    tanh(c_t), which the forward keeps when the tape is on; it overwrites
+    the cached activations, first with each gate's derivative factor and
+    then with the gradient of its pre-activation.
     """
     x, wd = xhat.data, w.data
     n, d = x.shape
@@ -486,11 +488,14 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     if wd.shape != (d + h, 4 * h):
         raise ShapeError(f"{op}: W {wd.shape} does not fit x {xhat.shape} with h={h}")
     where, steps = _packed_steps(lengths, n, reverse)
-    half = np.full(4 * h, 0.5, dtype=np.result_type(x, wd))   # c-hat gets tanh
-    half[3 * h:] = 1.0
+    m0 = steps[0][1]    # every sentence runs at the first step
+    # one row per sentence, sliced per step: a full-width operand multiplies
+    # faster than a broadcast row
+    half = np.full((m0, 4 * h), 0.5, dtype=np.result_type(x, wd))   # c-hat gets tanh
+    half[:, 3 * h:] = 1.0
     shift = 1.0 - half
     bounded = _lstm_bounded(x, wd, b.data)
-    scale = half if bounded else 1      # exact: the GEMMs yield the sigmoid gates' z/2
+    scale = half[0] if bounded else 1   # exact: the GEMMs yield the sigmoid gates' z/2
     xp = np.empty_like(x)
     xp[where] = x
     acts = xp @ (wd[:d] * scale)
@@ -499,6 +504,8 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     w_h = wd[d:] * scale
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty_like(cells)
+    # tanh(c_t), kept for the backward pass; without a tape it goes in hidden
+    tanh_c = np.empty_like(cells) if _grad_on.get() else hidden
     prev = None
     for lo, m in steps:
         g = acts[lo:lo + m]
@@ -506,62 +513,70 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
             g += hidden[prev:prev + m] @ w_h
         if not bounded:
             check_finite(f"{op} gate pre-activations", g)   # the activations would hide it
-            g *= half
+            g *= half[:m]
         np.tanh(g, out=g)
-        g *= half
-        g += shift
-        c, h_t = cells[lo:lo + m], hidden[lo:lo + m]
+        g *= half[:m]
+        g += shift[:m]
+        c, tc = cells[lo:lo + m], tanh_c[lo:lo + m]
         np.multiply(g[:, 3 * h:], g[:, :h], out=c)
         if prev is not None:
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
-        np.tanh(c, out=h_t)
-        h_t *= g[:, h:2 * h]
+        np.tanh(c, out=tc)
+        np.multiply(tc, g[:, h:2 * h], out=hidden[lo:lo + m])
         prev = lo
     row = np.empty_like(where)
     row[where] = np.arange(n)       # step-major row -> input row
     out[row] = hidden               # a scatter makes no gathered copy
 
     def _back(grad, states):
-        m0 = steps[0][1]    # every sentence runs at the first step
         gate_i, gate_o, gate_f, c_hat = (acts[:, k * h:(k + 1) * h] for k in range(4))
-        # derivative factors of the pre-activations, in place: d z = (dc or dh) * factor
-        tanh_c = np.tanh(cells)
-        dc_dh = tanh_c * tanh_c
+        # derivative factors of the pre-activations, d z = (dc or dh) * factor,
+        # each built in a contiguous buffer and written over its gate once
+        buf = np.empty_like(cells)
+        dc_dh = np.multiply(tanh_c, tanh_c)
         np.subtract(1.0, dc_dh, out=dc_dh)
         dc_dh *= gate_o                             # c_t reaches h_t through o * tanh(c_t)
-        gate_o *= 1.0 - gate_o
-        gate_o *= tanh_c
+        np.subtract(1.0, gate_o, out=buf)
+        buf *= gate_o
+        buf *= tanh_c
+        gate_o[...] = buf
         f = tanh_c                                  # reused: f is kept for the carry dc * f
         f[...] = gate_f
-        gate_f *= 1.0 - gate_f
-        gate_f[:m0] = 0.0                           # the first step has c_{t-1} = 0
+        np.subtract(1.0, f, out=buf)
+        buf *= f
+        buf[:m0] = 0.0                              # the first step has c_{t-1} = 0
         # each row after the first step continues its sentence's row one step
         # earlier, which holds c_{t-1} for the forget gate here and h_{t-1} below
         active = np.array([m for _, m in steps], dtype=np.intp)
         before = np.arange(m0, n) - np.repeat(active[:-1], active[1:])
-        gate_f[m0:] *= cells[before]
-        di = gate_i * (1.0 - gate_i)
-        di *= c_hat
-        np.multiply(c_hat, c_hat, out=c_hat)
-        np.subtract(1.0, c_hat, out=c_hat)
-        c_hat *= gate_i
-        gate_i[...] = di
-        del di
-        # backpropagation through time: the factors become d pre-activations
+        buf[m0:] *= cells[before]
+        gate_f[...] = buf
+        np.subtract(1.0, gate_i, out=buf)
+        buf *= gate_i
+        buf *= c_hat
+        d_c_hat = np.multiply(c_hat, c_hat, out=cells)     # the cells are read no more
+        np.subtract(1.0, d_c_hat, out=d_c_hat)
+        d_c_hat *= gate_i
+        gate_i[...] = buf
+        c_hat[...] = d_c_hat
+        del buf
+        # backpropagation through time: the factors become d pre-activations,
+        # each step's by one multiply with the gates' multipliers [dc, dh, dc, dc]
         d_hidden = np.empty_like(cells)
         d_hidden[where] = grad
         w_hT = np.ascontiguousarray(wd[d:].T)
         dc_carry = np.empty_like(cells[:m0])
+        mult = np.empty((m0, 4, h), dtype=acts.dtype)
         acts_4 = acts.reshape(n, 4, h)
         m_next = 0
         for t in range(len(steps) - 1, -1, -1):
             lo, m = steps[t]
-            dh = d_hidden[lo:lo + m]
-            dc = dh * dc_dh[lo:lo + m]
+            dh, dc = d_hidden[lo:lo + m], mult[:m, 0]
+            np.multiply(dh, dc_dh[lo:lo + m], out=dc)
             dc[:m_next] += dc_carry[:m_next]
-            gate_o[lo:lo + m] *= dh
-            acts_4[lo:lo + m, 0] *= dc
-            acts_4[lo:lo + m, 2:] *= dc[:, None]
+            mult[:m, 1] = dh
+            mult[:m, 2:] = dc[:, None]
+            acts_4[lo:lo + m] *= mult[:m]
             if t:
                 prev = steps[t - 1][0]
                 np.multiply(dc, f[lo:lo + m], out=dc_carry[:m])

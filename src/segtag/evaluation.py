@@ -1,71 +1,97 @@
-"""Span recovery and precision/recall/F1 scoring.
+"""Word recovery and precision/recall/F1 scoring.
 
-Joint-tag sequences become (start, end, POS) word spans by one boundary
-rule: a word goes on from one character to the next only when the first
-tag's segment is in OPENS, the second's is in CONTINUES and both carry the
-same POS. So span recovery is total, and an invalid run is cut where it
-breaks. The constrained lattice (lattice.bmes_transition_mask, built from
-the same tuples: this module imports nothing from segtag) forbids the same
-arcs at which the rule cuts an open word. Scoring counts a predicted span
-as correct when gold contains the identical boundaries (and POS, in joint
+A word goes on from one character to the next only when the first tag's
+segment is in OPENS, the second's is in CONTINUES and both carry the same
+POS: one table over a tag alphabet (word_rule), read by word_ends, by
+corpus.format_words and by the constrained lattice. An invalid run is cut
+where it breaks. Words are scored as integer keys (word_keys); a predicted
+word is correct when gold holds the same boundaries (and POS, in joint
 mode).
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import NamedTuple
+
+import numpy as np
 
 OPENS = ("B", "M")          # a word goes on after a tag of these segments
 CONTINUES = ("M", "E")      # a tag of these segments goes on an open word
 
 
 class WordSpan(NamedTuple):
-    """Half-open character span [start, end) labeled with a POS.
-
-    Only decode_tags_to_words builds spans, and they partition [0, n) by
-    construction, so a span is a plain tuple with no check of its own.
-    """
+    """Half-open character span [start, end) labeled with a POS."""
 
     start: int
     end: int
     pos: str
 
 
-def decode_tags_to_words(tags):
-    """Recover word spans from a joint-tag sequence, repairing invalid runs.
+class WordRule(NamedTuple):
+    """The word rule over an ordered tag alphabet, as arrays indexed by tag."""
 
-    A word starts at every position except where the previous tag's segment
-    is in OPENS, this tag's is in CONTINUES and both carry the same POS, so
-    a stray M opens a word and a stray E is a singleton. Each span's POS
-    comes from its last character's tag. The result always partitions
-    [0, n).
-    """
+    opens: np.ndarray       # a word may go on after the tag
+    continues: np.ndarray   # the tag may go on an open word
+    pos: np.ndarray         # the index of the tag's POS label in labels
+    labels: list            # the alphabet's POS labels, sorted
+    goes_on: np.ndarray     # goes_on[a, b]: a word goes on from tag a into tag b
+
+
+def word_rule(tags):
+    """The WordRule of an ordered alphabet of (seg, POS) tags:
+    goes_on[a, b] = opens[a] & continues[b] & (pos[a] == pos[b])."""
+    tags = list(tags)
+    labels = sorted({pos for _, pos in tags})
+    pos = np.array([labels.index(p) for _, p in tags], dtype=np.intp)
+    opens, continues = (np.isin([s for s, _ in tags], segs) for segs in (OPENS, CONTINUES))
+    return WordRule(opens, continues, pos, labels,
+                    opens[:, None] & continues & (pos[:, None] == pos))
+
+
+def word_ends(path, lengths, rule):
+    """The index of each word's last character in a tag-index path over the
+    rule's alphabet that joins sentences of the given lengths end to end: a
+    word ends where goes_on does not carry it on, and at every sentence end."""
+    path = np.asarray(path, dtype=np.intp)
+    last = np.ones(len(path), dtype=bool)
+    last[:-1] = ~rule.goes_on[path[:-1], path[1:]]
+    last[np.cumsum(lengths) - 1] = True
+    return np.flatnonzero(last)
+
+
+def word_keys(path, lengths, rule):
+    """The words of a tag-index path, as word_ends cuts it, as int64 keys
+    (end * (n + 1) + length) * len(labels) + POS index: end is a word's end
+    offset among the n characters and its POS its last tag's. key //
+    len(labels) drops the POS."""
+    path = np.asarray(path, dtype=np.intp)
+    ends = word_ends(path, lengths, rule).astype(np.int64, copy=False)
+    spans = (ends + 1) * (len(path) + 1) + np.diff(ends, prepend=-1)
+    return spans * len(rule.labels) + rule.pos[path[ends]]
+
+
+def word_spans(path, rule):
+    """The WordSpans of one sentence's tag-index path over the rule's
+    alphabet, as word_ends cuts it; they partition the sentence."""
+    path = np.asarray(path, dtype=np.intp)
+    ends = word_ends(path, [len(path)], rule)
+    labels = [rule.labels[i] for i in rule.pos[path[ends]].tolist()]
+    ends = (ends + 1).tolist()
+    return [WordSpan(*span) for span in zip([0] + ends[:-1], ends, labels)]
+
+
+def decode_tags_to_words(tags):
+    """The word spans of a joint-tag sequence, by word_spans over its own
+    distinct tags: a stray M opens a word and a stray E is a singleton."""
     if len(tags) == 0:
         raise ValueError("cannot decode an empty tag sequence")
-    spans = []
-    start = 0
-    prev_seg, prev_pos = tags[0]
-    for i in range(1, len(tags)):
-        seg, pos = tags[i]
-        if not (prev_seg in OPENS and seg in CONTINUES and pos == prev_pos):
-            spans.append(WordSpan(start, i, prev_pos))
-            start = i
-        prev_seg, prev_pos = seg, pos
-    spans.append(WordSpan(start, len(tags), prev_pos))
-    return spans
+    index = {}
+    return word_spans([index.setdefault(t, len(index)) for t in tags], word_rule(index))
 
 
-def _match_counts(gold_spans, pred_spans, joint):
-    if not joint:   # boundaries only
-        gold_spans = [s[:2] for s in gold_spans]
-        pred_spans = [s[:2] for s in pred_spans]
-    gold_keys = set(gold_spans)
-    return sum(1 for s in pred_spans if s in gold_keys)
-
-
-def _check_alignment(gold, pred):
-    """Refuse unequal sentence counts, an empty span list, or a sentence whose
-    gold and predicted spans (a partition of [0, n) in order) end apart."""
+def span_keys(gold, pred):
+    """Per-sentence gold and predicted span lists (each a partition of its
+    sentence) as word keys, and their POS labels. Unequal sentence counts,
+    an empty span list and a sentence whose two sides end apart are refused."""
     if len(gold) != len(pred):
         raise ValueError(f"{len(gold)} gold sentences vs {len(pred)} predicted")
     for i, (g, p) in enumerate(zip(gold, pred)):
@@ -74,18 +100,37 @@ def _check_alignment(gold, pred):
         if g[-1].end != p[-1].end:
             raise ValueError(f"sentence {i}: gold covers {g[-1].end} chars, "
                              f"prediction {p[-1].end}")
+    labels = sorted({s.pos for spans in (*gold, *pred) for s in spans})
+    index = {label: i for i, label in enumerate(labels)}
+    ends = np.cumsum([g[-1].end for g in gold]).tolist()
+
+    def keys(side):     # as word_keys lays them out
+        return np.array([((ofs + s.end) * (ends[-1] + 1) + s.end - s.start) * len(labels)
+                         + index[s.pos] for ofs, spans in zip([0] + ends, side) for s in spans],
+                        dtype=np.int64)
+
+    return keys(gold), keys(pred), labels
 
 
-def _counts(gold, pred, mode):
-    """(correct, gold total, predicted total) over lists of span lists."""
-    if mode not in ("joint", "seg"):
+def word_counts(gold, pred, n_labels):
+    """Rows (correct, gold, predicted) of word counts per POS index, over the
+    word keys of one sentence layout with n_labels POS labels. A predicted
+    key is correct when gold holds it, found by a binary search of the
+    sorted gold keys (np.isin would do, but its first call imports
+    numpy.ma, 2 MB)."""
+    ranked = np.sort(gold)
+    hit = np.take(ranked, np.searchsorted(ranked, pred), mode="clip") == pred
+    return np.stack([np.bincount(keys % n_labels, minlength=n_labels)
+                     for keys in (pred[hit], gold, pred)])
+
+
+def _totals(gold, pred, n_labels, mode):
+    """(correct, gold, predicted) word counts of one mode; seg drops the POS."""
+    if mode == "seg":
+        gold, pred, n_labels = gold // n_labels, pred // n_labels, 1
+    elif mode != "joint":
         raise ValueError(f"mode must be 'joint' or 'seg', got {mode!r}")
-    correct = n_gold = n_pred = 0
-    for g, p in zip(gold, pred):
-        correct += _match_counts(g, p, joint=(mode == "joint"))
-        n_gold += len(g)
-        n_pred += len(p)
-    return correct, n_gold, n_pred
+    return word_counts(gold, pred, n_labels).sum(axis=1).tolist()
 
 
 def _prf(correct, n_gold, n_pred):
@@ -97,34 +142,20 @@ def _prf(correct, n_gold, n_pred):
 
 def score_prf(gold, pred, mode="joint"):
     """Precision, recall and F1 over per-sentence span lists."""
-    _check_alignment(gold, pred)
-    return _prf(*_counts(gold, pred, mode))
+    gold, pred, labels = span_keys(gold, pred)
+    return _prf(*_totals(gold, pred, len(labels), mode))
 
 
-def _per_pos_counts(gold, pred):
-    """Joint-mode (correct, gold, pred) counts broken down by POS label."""
-    counts = defaultdict(lambda: [0, 0, 0])
-    for g, p in zip(gold, pred):
-        gold_keys = set(g)
-        for s in g:
-            counts[s.pos][1] += 1
-        for s in p:
-            counts[s.pos][2] += 1
-            if s in gold_keys:
-                counts[s.pos][0] += 1
-    return dict(sorted(counts.items()))
-
-
-def report(gold, pred, modes=("joint", "seg"), per_pos=False):
-    """Tab-separated evaluation report: mode, P, R, F, correct, gold, pred."""
-    _check_alignment(gold, pred)
-    lines = []
-    for mode in modes:
-        correct, n_gold, n_pred = _counts(gold, pred, mode)
-        p, r, f = _prf(correct, n_gold, n_pred)
-        lines.append(f"{mode}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{correct}\t{n_gold}\t{n_pred}")
+def report(gold, pred, labels, modes=("joint", "seg"), per_pos=False):
+    """Tab-separated evaluation report over the gold and predicted word keys
+    of one sentence layout and their POS labels: mode, P, R, F, correct,
+    gold, pred. per_pos appends a joint row per label gold or pred holds."""
+    rows = [(mode, _totals(gold, pred, len(labels), mode)) for mode in modes]
     if per_pos:
-        for pos, (correct, n_gold, n_pred) in _per_pos_counts(gold, pred).items():
-            p, r, f = _prf(correct, n_gold, n_pred)
-            lines.append(f"pos:{pos}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{correct}\t{n_gold}\t{n_pred}")
+        rows += [(f"pos:{label}", counts) for label, counts
+                 in zip(labels, word_counts(gold, pred, len(labels)).T.tolist()) if any(counts)]
+    lines = []
+    for name, (correct, n_gold, n_pred) in rows:
+        p, r, f = _prf(correct, n_gold, n_pred)
+        lines.append(f"{name}\t{p:.4f}\t{r:.4f}\t{f:.4f}\t{correct}\t{n_gold}\t{n_pred}")
     return "\n".join(lines)

@@ -1,8 +1,9 @@
-"""Reading text inputs and replacing output files.
+"""Reading inputs and replacing output files.
 
-Every text input (config, corpus and embedding files, raw text) is decoded
-by `decoded`, a file through `read_text`, and every regular output file (a
-model, tagged text) is written by `replace_file`.
+Every input file is read by `read_bytes`. Every text input (config, corpus
+and embedding files, raw text) is decoded by `decoded`, a file through
+`read_text`, and every regular output file (a model, tagged text) is written
+by `replace_file`.
 """
 from __future__ import annotations
 
@@ -30,15 +31,20 @@ def decoded(data, name):
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
 
 
-def read_text(path, what):
-    """The lines of the UTF-8 text file at path, checked by `decoded`. A
-    file that cannot be read is an OSError naming what it holds and path."""
+def read_bytes(path, what):
+    """The bytes of the file at path. A file that cannot be read is an
+    OSError naming what it holds and path."""
     try:
         with open(path, "rb") as f:
-            data = f.read()
+            return f.read()
     except OSError as e:
         raise OSError(f"cannot read {what} from {path}: [Errno {e.errno}] {e.strerror}") from e
-    return decoded(data, path)
+
+
+def read_text(path, what):
+    """The lines of the UTF-8 text file at path, read by `read_bytes` and
+    checked by `decoded`."""
+    return decoded(read_bytes(path, what), path)
 
 
 def replace_file(path, what, *chunks):

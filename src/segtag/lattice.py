@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import _check_lengths, _packed_steps, matmul
-from .evaluation import CONTINUES, OPENS
+from .evaluation import word_rule
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
 NEG_INF = -1e30
@@ -266,16 +266,11 @@ def arc_count_diff(trans, path, gold, lengths=None):
 
 
 def bmes_transition_mask(tagset):
-    """Hard segmentation-validity constraints as a forbidden-transition mask.
-
-    B-x and M-x (OPENS) may only be followed by M-x or E-x (CONTINUES, same
-    POS), E-x and S-x only by B-y or S-y. Off by default: the transition
-    matrix normally learns these regularities itself.
+    """Hard segmentation-validity constraints as a forbidden-transition mask,
+    read off the word rule (evaluation.word_rule): after B-x or M-x (OPENS)
+    only a tag the open word goes on into, M-x or E-x (CONTINUES, same POS);
+    after E-x or S-x only B-y or S-y. Off by default: the transition matrix
+    normally learns these regularities itself.
     """
-    seg = np.array([t.seg for t in tagset])
-    label_ids = {}    # POS labels as ints: a numpy string array drops trailing NULs
-    pos = np.array([label_ids.setdefault(t.pos, len(label_ids)) for t in tagset])
-    opens = np.isin(seg, OPENS)
-    continues = np.isin(seg, CONTINUES)
-    ok = np.where(opens[:, None], continues & (pos[:, None] == pos), ~continues)
-    return ~ok
+    rule = word_rule(tagset)
+    return ~(rule.goes_on | (~rule.opens[:, None] & ~rule.continues))

@@ -11,13 +11,13 @@ from . import lattice as lt
 # Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
 # a bigger GEMM but need more memory per chunk. At the published widths
 # (tracemalloc, float32):
-# - a training chunk's tape holds 7.9 KB per character after its forward
-#   pass and peaks at 11.6 KB per character during backward(), which
-#   releases it as it goes (one 485-character chunk);
+# - a training chunk's tape holds 8.5 KB per character after its forward
+#   pass, the LSTM's tanh(c_t) included, and peaks at 11.8 KB per character
+#   during backward(), which releases it as it goes (one 485-character chunk);
 # - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
-#   chunk peaks at 3.5 KB per character, in the BLSTM (one ~1,000-character
-#   chunk, or one 4,000-character line), where with the tape on it peaked at
-#   9.8. Its chunk is therefore twice the training chunk. 2,048 characters
+#   chunk peaks at 3.7 KB per character, in the BLSTM (one ~1,000-character
+#   chunk of 39 sentences; 3.5 on one 4,000-character line), where with the
+#   tape on it peaked at 9.8. Its chunk is therefore twice the training chunk. 2,048 characters
 #   tagged long sentences faster still but, when k-max still peaked at 5.4 KB
 #   per character, raised the toy benchmark's peak RSS by 16%, beyond its 10%
 #   bound.

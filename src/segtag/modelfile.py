@@ -57,7 +57,7 @@ import numpy as np
 from .autograd import NumericError
 from .corpus import JointTag, TagSet, Vocab
 from .encoder import ConfigError, EncoderConfig, parameter_manifest, unread_widths
-from .files import replace_file
+from .files import read_bytes, replace_file
 from .model import Model
 
 MAGIC = b"FJSTM1"
@@ -232,11 +232,7 @@ def save(model, path):
 
 def load(path):
     """Read a model back; the result tags identically to what was saved."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise OSError(f"cannot read model from {path}: {e}") from e
+    blob = read_bytes(path, "model")
     if len(blob) < len(MAGIC) or blob[:len(MAGIC)] != MAGIC:
         raise ModelFormatError(f"{path} is not a model file (magic mismatch)")
     if len(blob) < len(MAGIC) + 8:

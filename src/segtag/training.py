@@ -210,16 +210,24 @@ def train_epoch(corpus, model, cfg, epoch=0):
     )
 
 
-def gold_and_predicted_spans(model, sentences):
-    """Word spans of gold sentences' tags and of the model's tags for their characters."""
-    gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
-    return gold, [ev.decode_tags_to_words(tags)
-                  for tags in model.tag_batch([s.chars for s in sentences])]
+def gold_and_predicted_words(model, sentences):
+    """The evaluation.word_keys of gold sentences' tags and of the model's
+    Viterbi paths for their characters, and their POS labels. Both index one
+    alphabet: the model's tags, then each gold tag it lacks, as it is met."""
+    index = {t: i for i, t in enumerate(model.tagset)}
+    gold = [index.setdefault(t, len(index)) for s in sentences for t in s.tags]
+    paths = dict(model.tagged([s.chars for s in sentences]))
+    pred = np.concatenate([paths[k] for k in range(len(sentences))])
+    lengths, rule = [len(s) for s in sentences], ev.word_rule(index)
+    return ev.word_keys(gold, lengths, rule), ev.word_keys(pred, lengths, rule), rule.labels
 
 
 def evaluate(model, sentences, mode="joint"):
-    """Tag the raw characters of gold sentences and score P/R/F."""
-    return ev.score_prf(*gold_and_predicted_spans(model, sentences), mode)
+    """Tag the raw characters of gold sentences and score P/R/F over the word
+    spans of evaluation.decode_tags_to_words."""
+    gold = [ev.decode_tags_to_words(s.tags) for s in sentences]
+    pred = [ev.decode_tags_to_words(tags) for tags in model.tag_batch([s.chars for s in sentences])]
+    return ev.score_prf(gold, pred, mode)
 
 
 @dataclass

@@ -33,11 +33,17 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    Mutant("decoder without its POS test",
+    Mutant("word keys without the sentence-end break",
            "src/segtag/evaluation.py",
-           "seg in CONTINUES and pos == prev_pos)",
-           "seg in CONTINUES)",
-           ("tests/test_evaluation.py::TestDecode",)),
+           "last[np.cumsum(lengths) - 1] = True",
+           "None",
+           ("tests/test_evaluation.py::TestWordKeys",)),
+    Mutant("goes_on without the POS test",
+           "src/segtag/evaluation.py",
+           "opens[:, None] & continues & (pos[:, None] == pos))",
+           "opens[:, None] & continues)",
+           ("tests/test_evaluation.py::TestDecode", "tests/test_evaluation.py::TestWordKeys",
+            "tests/test_lattice.py::TestBmesMask")),
     Mutant("Viterbi ties broken toward the largest index",
            "src/segtag/lattice.py",
            "cand.argmax(axis=2, out=ptr)",
@@ -59,6 +65,16 @@ MUTANTS = (
            "counts[trans.mask] = 0",
            "counts[trans.mask] += 0",
            ("tests/test_lattice.py::TestMask",)),
+    Mutant("the window fold skips zeroing the cross-sentence rows",
+           "src/segtag/autograd.py",
+           "        block[cut] = 0.0\n        out[src] += block[rows]",
+           "        out[src] += block[rows]",
+           ("tests/test_batching.py::TestRaggedLayers",)),
+    Mutant("an LSTM step multiplier whose o slot holds dc",
+           "src/segtag/encoder.py",
+           "mult[:m, 1] = dh",
+           "mult[:m, 1] = dc",
+           ("tests/test_encoder.py::TestLstm", "tests/test_encoder.py::TestBlstm")),
     Mutant("LSTM backward without the forget-gate carry",
            "src/segtag/encoder.py",
            "dc[:m_next] += dc_carry[:m_next]",

@@ -462,8 +462,8 @@ def tagging_peak_per_character(model, sentences):
 def test_tagging_chunk_peak_memory_per_character():
     # one tagging chunk at the published widths: with no tape, the peak is the
     # BLSTM's working set, a direction's n x 4h activations and cell and
-    # hidden states beside the output and its halved recurrent weights (~3.6
-    # KB per character). k-max selects in row blocks, so it no longer holds
+    # hidden states beside the output and its halved recurrent weights, plus
+    # the gates' scale rows, one per sentence (~3.7 KB per character). k-max selects in row blocks, so it no longer holds
     # a ranked copy of the whole conv maps (5.5 KB at its peak), nor tagging
     # the whole tape (~9.8)
     sents = toy_corpus(80, seed=3, min_words=10, max_words=20)

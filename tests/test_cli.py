@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from segtag import cli
 from segtag import encoder as enc
+from segtag import evaluation as ev
 from segtag import corpus as cp
 from segtag import lattice as lt
 from segtag import modelfile as mf
@@ -545,9 +546,10 @@ class TestTagCommand:
         got = fout.read_text(encoding="utf-8").split("\n")
         assert got[-1] == "" and len(got) == len(lines) + 1
         model = mf.load(model_path)
+        rule = ev.word_rule(model.tagset)
         for line, out in zip(lines, got):
             chars = list(line)
-            assert out == (cp.format_words(chars, model.tag_chars(chars)) if chars else "")
+            assert out == (cp.format_words(chars, model.tag_ids(chars), rule) if chars else "")
 
     def test_surrounding_whitespace_is_stripped(self, tmp_path):
         fin = tmp_path / "in.txt"
@@ -557,7 +559,8 @@ class TestTagCommand:
         lines = fout.read_text(encoding="utf-8").split("\n")
         assert lines[1] == "" and len(lines) == 4
         model = mf.load(TOY_MODEL)
-        assert lines[0] == cp.format_words(list("abcde"), model.tag_chars(list("abcde")))
+        assert lines[0] == cp.format_words(list("abcde"), model.tag_ids(list("abcde")),
+                                           ev.word_rule(model.tagset))
         # the tool's own parser reads its output back
         assert [s.chars for s in cp.parse_tagged_corpus(lines)] == [list("abcde"), list("fgh")]
 
@@ -851,7 +854,8 @@ def test_a_byte_that_is_not_utf8_is_refused_naming_its_input_and_line(toy_files,
 
 @pytest.mark.parametrize("name, what", [("config", "config"), ("corpus", "corpus"),
                                         ("dev", "dev corpus"), ("embeddings", "embeddings"),
-                                        ("gold", "corpus"), ("raw", "input")])
+                                        ("gold", "corpus"), ("raw", "input"),
+                                        ("model", "model")])
 def test_a_missing_input_is_named_with_what_it_holds(toy_files, capsys, name, what):
     corpus, config, tmp = toy_files
     missing = tmp / "nothere.txt"
@@ -862,7 +866,8 @@ def test_a_missing_input_is_named_with_what_it_holds(toy_files, capsys, name, wh
             "dev": train + ["--dev", str(missing)],
             "embeddings": train + ["--embeddings", str(missing)],
             "gold": ["eval", "--model", str(TOY_MODEL), "--corpus", str(missing)],
-            "raw": ["tag", "--model", str(TOY_MODEL), str(missing), str(out)]}[name]
+            "raw": ["tag", "--model", str(TOY_MODEL), str(missing), str(out)],
+            "model": ["eval", "--model", str(missing), "--corpus", str(corpus)]}[name]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,7 +11,7 @@ from segtag import evaluation as ev
 from segtag.autograd import Parameter
 from segtag.corpus import JointTag
 from segtag.toydata import toy_corpus
-from util import benchmark_workloads, bigram_id, char_id, serialize_corpus
+from util import benchmark_workloads, bigram_id, char_id, format_tags, serialize_corpus
 
 
 class TestJointTag:
@@ -167,7 +167,7 @@ _CHARS = st.characters().filter(lambda c: not c.isspace())
 def test_formatted_words_parse_back_to_the_decoded_words(drawn):
     chars = [c for c, _, _ in drawn]
     tags = [JointTag(seg, pos) for _, seg, pos in drawn]
-    again = cp.parse_tagged_corpus([cp.format_words(chars, tags)])
+    again = cp.parse_tagged_corpus([format_tags(chars, tags)])
     assert len(again) == 1 and again[0].chars == chars
     assert ev.decode_tags_to_words(again[0].tags) == ev.decode_tags_to_words(tags)
 

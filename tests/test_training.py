@@ -408,7 +408,7 @@ class TestTrainEpoch:
         assert isinstance(info.value.__cause__, ag.NumericError)
 
     def test_memory_is_bounded_by_the_chunk_not_the_batch(self):
-        # a training tape peaks at ~11.6 KB per packed character at the published
+        # a training tape peaks at ~11.8 KB per packed character at the published
         # widths; a batch of 100 sentences (~2,600 characters) packed as one
         # chunk would raise the traced peak by tens of MB
         sents = toy_corpus(100, seed=4, min_words=10, max_words=20)
@@ -433,9 +433,10 @@ class TestTrainEpoch:
         # one packed chunk of about TRAIN_CHUNK_CHARS characters at the published
         # widths: backward() frees the tape as it walks it, so the peak stays
         # near the forward tape and almost nothing is left once it returns. The
-        # tape holds ~7.9 KB per character after the forward pass and peaks at
-        # ~11.6 KB, with no array on it twice (the LSTM's states only in the
-        # BLSTM output, highway's gate without its carry)
+        # tape holds ~8.5 KB per character after the forward pass and peaks at
+        # ~11.8 KB, with no array on it twice (the LSTM's states only in the
+        # BLSTM output, highway's gate without its carry); each LSTM direction
+        # keeps tanh(c_t), 0.4 KB per character, for its backward pass
         sents = toy_corpus(60, seed=4, min_words=10, max_words=20)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
         model = Model(EncoderConfig(), vocab, tagset, seed=1)

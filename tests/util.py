@@ -14,6 +14,7 @@ import numpy as np
 from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
+from segtag import evaluation as ev
 from segtag import lattice as lt
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
@@ -28,9 +29,17 @@ def benchmark_workloads():
     return module
 
 
+def format_tags(chars, tags):
+    """corpus.format_words of characters and their joint tags, given as a
+    path over the distinct tags in the order they first occur."""
+    alphabet = list(dict.fromkeys(tags))
+    index = {t: i for i, t in enumerate(alphabet)}
+    return cp.format_words(chars, [index[t] for t in tags], ev.word_rule(alphabet))
+
+
 def format_sentence(sentence):
     """Render a gold-tagged sentence back to one "word/POS ..." line."""
-    return cp.format_words(sentence.chars, sentence.tags)
+    return format_tags(sentence.chars, sentence.tags)
 
 
 def serialize_corpus(sentences):
