@@ -17,21 +17,12 @@ import numpy as np
 
 
 class NumericError(ArithmeticError):
-    """A tensor holds NaN or Inf, or a checked evaluation went non-finite."""
+    """A tensor holds NaN or Inf, a checked evaluation went non-finite, or a
+    fused layer's pre-activations could overflow (encoder._guard)."""
 
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-def check_finite(what, *arrays):
-    """Raise NumericError naming `what` when an array holds NaN/Inf.
-
-    For fused ops whose saturating nonlinearities would hide an overflow
-    from the check on their output tensor.
-    """
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NumericError(f"{what}: NaN/Inf")
 
 
 _grad_on = contextvars.ContextVar("grad_on", default=True)

@@ -11,6 +11,10 @@ the highway gate, and the LSTM with both its directions in one node.
 The input may pack several sentences end to end (``CharIds.pack``). Row-wise
 stages ignore the packing; the window stages (conv bank, MLP window) and the
 LSTM take the sentence lengths and never let one sentence see another.
+
+The stages ending in tanh or sigmoid (conv bank, MLP window, highway, LSTM)
+would squash an overflowed pre-activation into a finite output, so each
+checks a bound on its weights and input once per call (_guard).
 """
 from __future__ import annotations
 
@@ -30,7 +34,6 @@ from .autograd import (
     _record,
     _window_rows,
     _window_rows_grad,
-    check_finite,
 )
 
 RECURRENT_KINDS = ("none", "lstm", "blstm")
@@ -269,6 +272,29 @@ def _sigmoid(z):
     return z
 
 
+def _guard(op, x, affine, recurrent=None):
+    """Raise NumericError naming op unless no pre-activation can overflow.
+
+    For rows of x against each (W, b) of `affine`, a pre-activation and every
+    partial sum of it lie within max|x| * fan_in * max|W| + max|b|, and the
+    LSTM's `recurrent` rows W_h add h * max|W_h|, since |h_{t-1}| <= 1. Each
+    bound must lie below a sixteenth of the largest value of x's dtype, room
+    for the rounding of the GEMMs' sums. In Python floats NaN or Inf fails
+    the comparison, and numpy warns of no overflow.
+    """
+    def peak(a):
+        return float(np.abs(a).max(initial=0.0))
+
+    size = peak(x)
+    carried = 0.0 if recurrent is None else recurrent.shape[0] * peak(recurrent)
+    limit = float(np.finfo(x.dtype).max) / 16
+    for w, b in affine:
+        bound = size * w.shape[0] * peak(w) + peak(b) + carried
+        if not bound < limit:
+            raise NumericError(f"{op}: bound {bound:.3g} is not below {limit:.3g}, a sixteenth "
+                               f"of the {x.dtype} range, so it could overflow to NaN/Inf")
+
+
 def _width(what, x):
     """The row width of x, checked to be 2-D."""
     if x.data.ndim != 2:
@@ -281,8 +307,10 @@ def _window_tanh(what, x, left, right, filters, lengths):
 
     Row i of the window holds rows i-left .. i+right of x, zero padded at the
     margins and at the ends of the sentences packed in x (`lengths`). Each
-    filter is (column slice of the window, W, b).
+    filter is (column slice of the window, W, b). The window holds only rows
+    of x and zeros, so _guard bounds it by x.
     """
+    _guard(f"{what} pre-activation", x.data, [(w.data, b.data) for _, w, b in filters])
     xw = _window_rows(x.data, left, right, lengths)
     z = np.empty((xw.shape[0], sum(w.shape[1] for _, w, _ in filters)), dtype=xw.dtype)
     ofs = 0
@@ -292,7 +320,6 @@ def _window_tanh(what, x, left, right, filters, lengths):
         np.matmul(xw[:, cols], w.data, out=zq)
         zq += b.data
     del xw      # rebuilt by the backward pass rather than held on the tape
-    check_finite(f"{what} pre-activation", z)
     out = Tensor(np.tanh(z, out=z))
 
     def _back(grad):
@@ -422,8 +449,8 @@ def highway_forward(x, cov_x, w, b):
             f"highway carry {x.shape} and transformed input {cov_x.shape} are decoupled"
         )
     xd, cd, wd = x.data, cov_x.data, w.data
+    _guard("highway_forward gate pre-activation", xd, [(wd, b.data)])
     z = xd @ wd + b.data
-    check_finite("highway_forward gate pre-activation", z)
     gate = _sigmoid(z)
     out = Tensor(cd * gate + xd * (1.0 - gate))
 
@@ -436,21 +463,6 @@ def highway_forward(x, cov_x, w, b):
         _accum(b, dz.sum(axis=0))
 
     return _record("highway_forward", out, (x, cov_x, w, b), _back)
-
-
-def _lstm_bounded(x, wd, bias):
-    """Whether no LSTM gate pre-activation can overflow, for x against the
-    input rows of W (d + h) x 4h and the recurrent rows against |h_{t-1}| <= 1:
-    max|x| * max_j sum|W_x[:, j]| + max|b| + max_j sum|W_h[:, j]|, in float64,
-    must lie below a sixteenth of the dtype's largest value, far more room
-    than the rounding of the GEMMs' sums can take. NaN or Inf anywhere fails.
-    """
-    d = x.shape[1]
-    col_x, col_h = (np.abs(rows).sum(axis=0, dtype=np.float64).max(initial=0.0)
-                    for rows in (wd[:d], wd[d:]))
-    with np.errstate(over="ignore", invalid="ignore"):     # an Inf or NaN bound fails
-        bound = np.abs(x).max(initial=0.0) * col_x + np.abs(bias).max(initial=0.0) + col_h
-    return bool(bound < np.finfo(np.result_type(x, wd)).max / 16)
 
 
 def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
@@ -474,9 +486,7 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     h_{t-1} is the head of the block before it. A step activates all four
     gates in place by one tanh as _sigmoid does: the sigmoid gates' columns
     of W and b are halved once per call, which is exact, so the GEMMs yield
-    z/2 there and c-hat's z. The gates are checked once per call, not per
-    step (_lstm_bounded); when that bound fails, each step checks its
-    pre-activations before activating them, from W and b as given.
+    z/2 there and c-hat's z. The gates are guarded once per call (_guard).
     The backward pass is hand-written backpropagation through time, from
     tanh(c_t), which the forward keeps when the tape is on; it overwrites
     the cached activations, first with each gate's derivative factor and
@@ -487,6 +497,7 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     h = b.shape[0] // 4
     if wd.shape != (d + h, 4 * h):
         raise ShapeError(f"{op}: W {wd.shape} does not fit x {xhat.shape} with h={h}")
+    _guard(f"{op} gate pre-activations", x, [(wd[:d], b.data)], wd[d:])
     where, steps = _packed_steps(lengths, n, reverse)
     m0 = steps[0][1]    # every sentence runs at the first step
     # one row per sentence, sliced per step: a full-width operand multiplies
@@ -494,14 +505,12 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     half = np.full((m0, 4 * h), 0.5, dtype=np.result_type(x, wd))   # c-hat gets tanh
     half[:, 3 * h:] = 1.0
     shift = 1.0 - half
-    bounded = _lstm_bounded(x, wd, b.data)
-    scale = half[0] if bounded else 1   # exact: the GEMMs yield the sigmoid gates' z/2
     xp = np.empty_like(x)
     xp[where] = x
-    acts = xp @ (wd[:d] * scale)
+    acts = xp @ (wd[:d] * half[0])     # exact: the GEMMs yield the sigmoid gates' z/2
     del xp      # the backward pass builds its own
-    acts += b.data * scale
-    w_h = wd[d:] * scale
+    acts += b.data * half[0]
+    w_h = wd[d:] * half[0]
     cells = np.empty((n, h), dtype=acts.dtype)
     hidden = np.empty_like(cells)
     # tanh(c_t), kept for the backward pass; without a tape it goes in hidden
@@ -511,9 +520,6 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
         g = acts[lo:lo + m]
         if prev is not None:
             g += hidden[prev:prev + m] @ w_h
-        if not bounded:
-            check_finite(f"{op} gate pre-activations", g)   # the activations would hide it
-            g *= half[:m]
         np.tanh(g, out=g)
         g *= half[:m]
         g += shift[:m]

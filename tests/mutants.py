@@ -96,13 +96,30 @@ MUTANTS = (
            "ranked[:, width - k - 2] == kth[:, 0]",
            ("tests/test_encoder.py::TestKmaxPool::test_tie_breaks_to_lower_index",
             "tests/test_encoder.py::TestKmaxPool::test_tie_heavy_rows_match_oracle")),
-    Mutant("the LSTM skips its per-step checks when its bound fails",
+    Mutant("the conv bank and MLP window skip the overflow guard",
            "src/segtag/encoder.py",
-           'check_finite(f"{op} gate pre-activations", g)',
+           '_guard(f"{what} pre-activation", x.data, [(w.data, b.data) for _, w, b in filters])',
+           "None",
+           ("tests/test_encoder.py::TestConvFeatureMaps"
+            "::test_overflowing_pre_activation_raises_unless_checks_are_off",)),
+    Mutant("the highway gate skips the overflow guard",
+           "src/segtag/encoder.py",
+           '_guard("highway_forward gate pre-activation", xd, [(wd, b.data)])',
+           "None",
+           ("tests/test_encoder.py::TestHighway::test_overflowing_gate_raises",)),
+    Mutant("the LSTM skips the overflow guard",
+           "src/segtag/encoder.py",
+           '_guard(f"{op} gate pre-activations", x, [(wd[:d], b.data)], wd[d:])',
            "None",
            ("tests/test_encoder.py::TestLstm::test_overflowing_gates_are_a_numeric_error",
             "tests/test_encoder.py::TestLstm"
             "::test_a_pre_activation_whose_half_is_finite_still_overflows")),
+    Mutant("the guard ignores its bias",
+           "src/segtag/encoder.py",
+           "bound = size * w.shape[0] * peak(w) + peak(b) + carried",
+           "bound = size * w.shape[0] * peak(w) + carried",
+           ("tests/test_encoder.py::TestOverflowGuard"
+            "::test_an_admitted_call_has_finite_pre_activations",)),
     Mutant("an LSTM direction reads h_{t-1} from the other direction's columns",
            "src/segtag/encoder.py",
            "back(g, blocks[k])",

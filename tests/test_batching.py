@@ -241,8 +241,8 @@ class TestRaggedLayers:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_padding_never_raises(self, reverse):
-        # only real positions are checked: huge weights fail the long sentence,
-        # while a short one's idle padding steps are never computed
+        # huge weights are refused; small ones run, and a short sentence's
+        # idle padding steps are never computed
         w = Parameter(np.full((5, 8), 1e308), name="lstm.fwd.w")
         b = Parameter(np.zeros(8))
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,4 +1,5 @@
 import copy
+import re
 import tracemalloc
 
 import numpy as np
@@ -440,19 +441,109 @@ class TestLstm:
                 enc.lstm_forward(x, Parameter(w, name="lstm.fwd.w"),
                                  Parameter(np.zeros(12, dtype=np.float32)), reverse=reverse)
 
+
+# each guarded layer, and the name its refusals start with
+GUARDED = {"conv": "conv_feature_maps pre-activation", "mlp": "mlp_encode pre-activation",
+           "highway": "highway_forward gate pre-activation",
+           "lstm": "lstm_forward lstm.fwd (forward) gate pre-activations"}
+
+
+def _windows(x, left, right):
+    """Rows i - left .. i + right of x side by side per row, zero padded."""
+    n, d = x.shape
+    padded = np.concatenate([np.zeros((left, d)), x, np.zeros((right, d))])
+    return np.concatenate([padded[k:k + n] for k in range(left + right + 1)], axis=1)
+
+
+def _guarded_call(layer, x, w, b, w_h, q):
+    """Run a guarded layer on x: the conv bank (orders 1..q, one W of q * d
+    rows sliced per order), the MLP window (q rows), the highway gate, or a
+    forward LSTM whose W stacks w over w_h. Returns its output and its
+    pre-activations recomputed in float64 (the LSTM's from its own states)."""
+    x64, w64, b64 = (np.asarray(a, dtype=np.float64) for a in (x, w, b))
+    d = x.shape[1]
+    if layer == "conv":
+        bank = [(Parameter(w[:k * d]), Parameter(b)) for k in range(1, q + 1)]
+        out = enc.conv_feature_maps(Tensor(x), bank)
+        z = [_windows(x64, (k - 1) // 2, k // 2) @ w64[:k * d] + b64 for k in range(1, q + 1)]
+        return out, z
+    if layer == "mlp":
+        out = enc.mlp_encode(Tensor(x), Parameter(w), Parameter(b), q)
+        return out, [_windows(x64, (q - 1) // 2, q // 2) @ w64 + b64]
+    if layer == "highway":
+        cov = Tensor(np.tanh(x))
+        out = enc.highway_forward(Tensor(x), cov, Parameter(w), Parameter(b))
+        return out, [x64 @ w64 + b64]
+    out = enc.lstm_forward(Tensor(x), Parameter(np.concatenate([w, w_h]), name="lstm.fwd.w"),
+                           Parameter(b))
+    before = np.concatenate([np.zeros((1, w_h.shape[0])), out.data[:-1]]).astype(np.float64)
+    z = x64 @ w64 + before @ np.asarray(w_h, dtype=np.float64) + b64
+    return out, [z]
+
+
+class TestOverflowGuard:
+    """encoder._guard, the one overflow check of the conv bank, the MLP
+    window, the highway gate and the LSTM: their nonlinearities would squash
+    an overflowed pre-activation into a finite output."""
+
+    @staticmethod
+    def _array(shape, top, aligned, rng, dtype):
+        # every entry +top, or uniform in [-top, top] with one entry at +-top
+        if aligned:
+            return np.full(shape, top, dtype=dtype)
+        a = rng.uniform(-1.0, 1.0, size=shape) * top
+        a.flat[rng.integers(a.size)] = top * rng.choice([-1.0, 1.0])
+        return a.astype(dtype)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_halved_gates_match_the_per_step_checked_path(self, monkeypatch, dtype, reverse):
-        # halving the sigmoid gates' weights is exact, so a call whose bound
-        # holds gives the bits of the path that checks every step
-        rng = np.random.default_rng(52)
-        w, b = (Parameter(p.data.astype(dtype)) for p in self._params(rng, 6, 5))
-        x = Tensor(rng.normal(size=(9, 6)).astype(dtype))
-        lengths = np.array([4, 2, 3])
-        bounded = enc.lstm_forward(x, w, b, reverse=reverse, lengths=lengths).data
-        monkeypatch.setattr(enc, "_lstm_bounded", lambda *_: False)
-        checked = enc.lstm_forward(x, w, b, reverse=reverse, lengths=lengths).data
-        assert np.array_equal(bounded, checked)
+    @pytest.mark.parametrize("layer", GUARDED)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_an_admitted_call_has_finite_pre_activations(self, layer, dtype, data):
+        # weights, biases and inputs drawn up to the dtype's range, their
+        # bound from far below the limit to far above it; aligned draws put
+        # every pre-activation at the bound
+        top = float(np.finfo(dtype).max)
+        limit = top / 16
+        n, d, width, q = (data.draw(st.integers(1, 4)) for _ in range(4))
+        if layer == "highway":
+            width = d
+        fan = q * d if layer in ("conv", "mlp") else d
+        aligned = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x_top = 2.0 ** data.draw(st.integers(-4, 8))
+        w_top = min(top, limit * 2.0 ** -data.draw(st.integers(-4, 24)) / (fan * x_top))
+        b_top = top * 2.0 ** -data.draw(st.integers(0, 24))
+        cols = 4 * width if layer == "lstm" else width
+        x = self._array((n, d), x_top, aligned, rng, dtype)
+        w = self._array((fan, cols), w_top, aligned, rng, dtype)
+        b = self._array(cols, b_top, aligned, rng, dtype)
+        w_h = None
+        if layer == "lstm":
+            h_top = min(top, limit * 2.0 ** -data.draw(st.integers(-4, 24)) / width)
+            w_h = self._array((width, cols), h_top, aligned, rng, dtype)
+        try:
+            out, z = _guarded_call(layer, x, w, b, w_h, q)
+        except NumericError as e:     # the guard's refusal, not a later check's
+            assert str(e).startswith(f"{GUARDED[layer]}: bound "), e
+            assert str(e).endswith("could overflow to NaN/Inf"), e
+            return
+        assert out.data.dtype == dtype and np.isfinite(out.data).all()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all((np.abs(zq) <= top).all() for zq in z), z
+
+    @pytest.mark.parametrize("layer", GUARDED)
+    def test_a_bound_at_the_limit_is_refused_though_finite(self, layer):
+        # fan_in * max|W| at float32's limit (a sixteenth of its range) with
+        # inputs of 1: every pre-activation is finite, and the call is refused
+        x = np.ones((3, 2), dtype=np.float32)
+        w = np.full((2, 4 if layer == "lstm" else 2), 1.1e37, dtype=np.float32)
+        b = np.zeros(w.shape[1], dtype=np.float32)
+        w_h = np.zeros((1, 4), dtype=np.float32)
+        assert np.isfinite(x @ w).all()
+        with pytest.raises(ag.NumericError,
+                           match=rf"^{re.escape(GUARDED[layer])}: bound 2\.2e\+37 .*NaN/Inf$"):
+            _guarded_call(layer, x, w, b, w_h, 1)
 
 
 class TestBlstm:

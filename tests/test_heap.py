@@ -43,9 +43,10 @@ print(json.dumps({"chars": sum(map(len, chars)), "tag": tag, "train": train}))
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's allocator only")
 def test_repeated_passes_do_not_refault_the_heap():
-    # at glibc's defaults a repeated pass here takes 0-2 minor faults
-    # (tagging) and ~6,700 (training); with the settings, 0-20. Only the
-    # training half still needs them. One BLAS thread, as in the benchmark.
+    # at glibc's defaults a repeated pass here takes 0-3 minor faults
+    # (tagging) and ~5,100 (training); with the settings, 0-3. Here only the
+    # training half needs them (a repeated in-process segtag eval does too,
+    # see README). One BLAS thread, as in the benchmark.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=300)
