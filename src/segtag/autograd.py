@@ -70,6 +70,13 @@ def _as_float_array(data):
     return arr
 
 
+def _finite(a):
+    """Whether every entry of the float array a is finite, read off its
+    maximum and minimum, which no temporary array backs: NaN propagates
+    through both, +inf shows in the maximum and -inf in the minimum."""
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 class Tensor:
     """A dense array plus the closure that routes gradients to its inputs.
 
@@ -84,7 +91,7 @@ class Tensor:
 
     def __init__(self, data):
         self.data = _as_float_array(data)
-        if not np.all(np.isfinite(self.data)):
+        if not _finite(self.data):
             raise NumericError("tensor contains NaN/Inf")
         self.grad = None
         self._prev, self._backward = (), None

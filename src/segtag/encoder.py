@@ -10,7 +10,10 @@ the highway gate, and the LSTM with both its directions in one node.
 
 The input may pack several sentences end to end (``CharIds.pack``). Row-wise
 stages ignore the packing; the window stages (conv bank, MLP window) and the
-LSTM take the sentence lengths and never let one sentence see another.
+LSTM take the sentence lengths and never let one sentence see another. So
+the stack splits in two (``encode``): a position-local half that may run
+over any run of whole sentences on its own (``encode_local``), and the
+recurrent half (``encode_recurrent``).
 
 The stages ending in tanh or sigmoid (conv bank, MLP window, highway, LSTM)
 would squash an overflowed pre-activation into a finite output, so each
@@ -184,6 +187,16 @@ class CharIds:
         return cls(uni=cat("uni"), bi_left=cat("bi_left"), bi_right=cat("bi_right"),
                    lengths=cat("lengths"))
 
+    def sentences(self, first, last):
+        """(row slice, CharIds) of the sentences first .. last - 1."""
+        rows = slice(int(self.lengths[:first].sum()), int(self.lengths[:last].sum()))
+
+        def cut(ids):
+            return None if ids is None else ids[rows]
+
+        return rows, CharIds(uni=self.uni[rows], bi_left=cut(self.bi_left),
+                             bi_right=cut(self.bi_right), lengths=self.lengths[first:last])
+
 
 _DIRECTIONS = {"none": (), "lstm": ("fwd",), "blstm": ("fwd", "bwd")}
 
@@ -282,8 +295,8 @@ def _guard(op, x, affine, recurrent=None):
     for the rounding of the GEMMs' sums. In Python floats NaN or Inf fails
     the comparison, and numpy warns of no overflow.
     """
-    def peak(a):
-        return float(np.abs(a).max(initial=0.0))
+    def peak(a):    # max |a|, with no temporary |a| beside a
+        return max(float(a.max(initial=0.0)), -float(a.min(initial=0.0)))
 
     size = peak(x)
     carried = 0.0 if recurrent is None else recurrent.shape[0] * peak(recurrent)
@@ -379,14 +392,18 @@ def conv_feature_maps(x, bank, lengths=None):
     return _window_tanh("conv_feature_maps", x, left, len(bank) // 2, filters, lengths)
 
 
-# k-max pooling selects a block of rows at a time, so np.sort's copy of the
-# feature maps, the selection mask and its index arrays span one block, not
-# the whole chunk: at the published widths they would otherwise add 3.3 KB
-# per character to the 2 KB of the maps. A block of 256 KB (about 130 rows of
-# 500 float32 maps) makes that working set small beside the maps, and still
-# hands each numpy call over a hundred rows: on 485- and 1,000-row inputs,
-# blocks from 128 KB up to the whole input took within 4% of the same time.
-KMAX_BLOCK_BYTES = 256 * 1024
+# Row-block working sets. k-max pooling selects a block of rows at a time, so
+# np.sort's copy of the feature maps, the selection mask and its index arrays
+# span one block, not the whole chunk: at the published widths they would
+# otherwise add 3.3 KB per character to the 2 KB of the maps. The untaped
+# LSTM computes its gates' input half for one block of steps at a time. A
+# block of 256 KB (about 130 rows of 500 float32 maps, 160 rows of 4h = 400
+# gates) makes that working set small beside the chunk, and still hands each
+# numpy call over a hundred rows: on 485- and 1,000-row inputs, k-max blocks
+# from 128 KB up to the whole input took within 4% of the same time, and
+# tagging a 2,548-character chunk with LSTM gate blocks of 1 MB or more took
+# 5-7% longer than with 256 or 512 KB.
+BLOCK_BYTES = 256 * 1024
 
 
 def kmax_pool(z, k):
@@ -399,14 +416,14 @@ def kmax_pool(z, k):
     more than k of them exactly when its (k+1)-th largest value equals the
     k-th, and those rows alone are re-selected: every value above the k-th,
     then values equal to it, lowest index first. Rows are selected in blocks
-    of KMAX_BLOCK_BYTES, each writing its columns into one int32 index
+    of BLOCK_BYTES, each writing its columns into one int32 index
     array, which the tape node keeps.
     """
     n, width = z.shape
     if k > width:
         raise ShapeError(f"k-max pooling width {k} exceeds the {width} available features")
     data = z.data
-    step = max(1, KMAX_BLOCK_BYTES // (width * data.itemsize))
+    step = max(1, BLOCK_BYTES // (width * data.itemsize))
     cols = np.empty((n, k), dtype=np.int32)
     vals = np.empty((n, k), dtype=data.dtype)
     for lo in range(0, n, step):
@@ -467,10 +484,10 @@ def highway_forward(x, cov_x, w, b):
 
 def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     """Single-direction LSTM over the rows of the 2-D xhat, zero initial
-    state: writes its states into the rows of `out` in input order and
-    returns its backward closure, back(grad, states), which reads
-    h_{t-1} from those states rather than keeping a copy of its own. `op`
-    names it in errors.
+    state: writes its states into the rows of `out` in input order. With the
+    tape on it returns its backward closure, back(grad, states), which reads
+    h_{t-1} from those states rather than keeping a copy of its own; under
+    no_grad() it returns None. `op` names it in errors.
 
     Per step: [i; o; f; c-hat] = [sigm; sigm; sigm; tanh](W_g^T [x_t; h_{t-1}] + b_g),
     W_g (d + h) x 4h, c_t = c_{t-1} * f + c-hat * i, h_t = o * tanh(c_t). With
@@ -479,18 +496,24 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     With several sentences packed in xhat (`lengths`), each runs from its own
     zero state, all of them in the same steps.
 
-    The input half of every position's gates is a single GEMM,
-    X @ W[:d] + b, so a step multiplies only h_{t-1} @ W[d:], one row
-    per sentence still running. The rows are laid out step-major with no
-    padding (``autograd._packed_steps``): step t is one contiguous block, and
-    h_{t-1} is the head of the block before it. A step activates all four
-    gates in place by one tanh as _sigmoid does: the sigmoid gates' columns
-    of W and b are halved once per call, which is exact, so the GEMMs yield
-    z/2 there and c-hat's z. The gates are guarded once per call (_guard).
-    The backward pass is hand-written backpropagation through time, from
-    tanh(c_t), which the forward keeps when the tape is on; it overwrites
-    the cached activations, first with each gate's derivative factor and
-    then with the gradient of its pre-activation.
+    The steps run over the step-major layout of ``autograd._packed_steps``,
+    with no padding: step t is one contiguous block of rows, one per sentence
+    still running, and h_{t-1} is the head of the block before it. The input
+    half of the gates, X @ W[:d] + b, is one GEMM per block of steps, so a
+    step multiplies only h_{t-1} @ W[d:]. A step activates all four gates in
+    place by one tanh as _sigmoid does: the sigmoid gates' columns of W and b
+    are halved once per call, which is exact, so the GEMMs yield z/2 there and
+    c-hat's z. The gates are guarded once per call (_guard).
+
+    With the tape on, the block is every step, and the activations, cells,
+    states and tanh(c_t) of every step are kept for the hand-written
+    backpropagation through time, which overwrites the cached activations,
+    first with each gate's derivative factor and then with the gradient of
+    its pre-activation. Under no_grad() a block spans about BLOCK_BYTES of
+    gates, a step of more rows than that runs in pieces, c_{t-1} and h_{t-1}
+    sit in two rolling slots of one row per sentence, and each step's h_t
+    goes straight into its rows of `out`, so the direction holds no n-row
+    array of gates or states of its own.
     """
     x, wd = xhat.data, w.data
     n, d = x.shape
@@ -500,38 +523,62 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
     _guard(f"{op} gate pre-activations", x, [(wd[:d], b.data)], wd[d:])
     where, steps = _packed_steps(lengths, n, reverse)
     m0 = steps[0][1]    # every sentence runs at the first step
-    # one row per sentence, sliced per step: a full-width operand multiplies
-    # faster than a broadcast row
-    half = np.full((m0, 4 * h), 0.5, dtype=np.result_type(x, wd))   # c-hat gets tanh
+    dtype = np.result_type(x, wd)
+    taped = _grad_on.get()
+    # gate rows per block: every step's on the tape, else about BLOCK_BYTES
+    block = n if taped else max(1, BLOCK_BYTES // (4 * h * dtype.itemsize))
+    # (step, first row, rows) of each step cut into pieces of at most a block
+    pieces = [(t, lo + r, min(block, m - r))
+              for t, (lo, m) in enumerate(steps) for r in range(0, m, block)]
+    # the first row of each block of whole pieces, and n after the last block
+    starts = [0]
+    for _, lo, m in pieces:
+        if lo + m - starts[-1] > block and lo > starts[-1]:
+            starts.append(lo)
+    starts.append(n)
+    # one row per sentence of a piece, sliced per piece: a full-width operand
+    # multiplies faster than a broadcast row
+    half = np.full((min(m0, block), 4 * h), 0.5, dtype=dtype)    # c-hat gets tanh
     half[:, 3 * h:] = 1.0
     shift = 1.0 - half
-    xp = np.empty_like(x)
-    xp[where] = x
-    acts = xp @ (wd[:d] * half[0])     # exact: the GEMMs yield the sigmoid gates' z/2
-    del xp      # the backward pass builds its own
-    acts += b.data * half[0]
+    w_x = wd[:d] * half[0]      # exact: the GEMMs yield the sigmoid gates' z/2
+    b_x = b.data * half[0]
     w_h = wd[d:] * half[0]
-    cells = np.empty((n, h), dtype=acts.dtype)
+    row = np.empty_like(where)
+    row[where] = np.arange(n)       # step-major row -> input row
+    acts = np.empty((max(np.diff(starts)), 4 * h), dtype=dtype)
+    # the first row of step t's c_t and h_t: its own rows on the tape, else
+    # one of two slots of m0 rows, which step t and step t-1 alternate in
+    slot = [lo for lo, _ in steps] if taped else [t % 2 * m0 for t in range(len(steps))]
+    cells = np.empty((n if taped else 2 * m0, h), dtype=dtype)
     hidden = np.empty_like(cells)
     # tanh(c_t), kept for the backward pass; without a tape it goes in hidden
-    tanh_c = np.empty_like(cells) if _grad_on.get() else hidden
-    prev = None
-    for lo, m in steps:
-        g = acts[lo:lo + m]
-        if prev is not None:
+    tanh_c = np.empty_like(cells) if taped else hidden
+    blocks = iter(zip(starts, starts[1:]))
+    top = end = 0
+    for t, lo, m in pieces:
+        if lo == end:       # the gates' input half of the next block of pieces
+            top, end = next(blocks)
+            np.matmul(x[row[top:end]], w_x, out=acts[:end - top])
+            acts[:end - top] += b_x
+        g = acts[lo - top:lo - top + m]
+        r = lo - steps[t][0]
+        at, prev = slot[t] + r, slot[t - 1] + r
+        if t:
             g += hidden[prev:prev + m] @ w_h
         np.tanh(g, out=g)
         g *= half[:m]
         g += shift[:m]
-        c, tc = cells[lo:lo + m], tanh_c[lo:lo + m]
+        c, tc, h_t = cells[at:at + m], tanh_c[at:at + m], hidden[at:at + m]
         np.multiply(g[:, 3 * h:], g[:, :h], out=c)
-        if prev is not None:
+        if t:
             c += cells[prev:prev + m] * g[:, 2 * h:3 * h]
         np.tanh(c, out=tc)
-        np.multiply(tc, g[:, h:2 * h], out=hidden[lo:lo + m])
-        prev = lo
-    row = np.empty_like(where)
-    row[where] = np.arange(n)       # step-major row -> input row
+        np.multiply(tc, g[:, h:2 * h], out=h_t)
+        if not taped:
+            out[row[lo:lo + m]] = h_t
+    if not taped:
+        return None
     out[row] = hidden               # a scatter makes no gathered copy
 
     def _back(grad, states):
@@ -604,10 +651,9 @@ def _lstm_direction(xhat, w, b, reverse, lengths, op, out):
 def _recurrent(fn, xhat, directions, lengths):
     """LSTM directions (W, b, reverse) over the rows of xhat, states side by
     side: one tape node, named "blstm_forward lstm.fwd (forward), lstm.bwd
-    (reverse)". A direction's caches are freed before the next one runs under
-    no_grad(), and in backward() as soon as it has run. Each direction writes
-    its states into its own column block of the output array, and its backward
-    reads them back from there."""
+    (reverse)". Each direction writes its states into its own column block of
+    the output array. With the tape on, its backward reads them back from
+    there, and its caches are freed in backward() as soon as it has run."""
     labels = [f"{w.name.removesuffix('.w') or 'lstm'} ({'reverse' if rev else 'forward'})"
               for w, _, rev in directions]
     name = f"{fn} {', '.join(labels)}"
@@ -618,9 +664,8 @@ def _recurrent(fn, xhat, directions, lengths):
     backs = []
     for (w, b, reverse), label, block in zip(directions, labels, blocks):
         back = _lstm_direction(xhat, w, b, reverse, lengths, f"{fn} {label}", block)
-        if _grad_on.get():
+        if back is not None:
             backs.append(back)
-        del back    # under no_grad() this frees the direction's caches
     out = Tensor(states)
 
     def _back(grad):    # holds the output's array, not the Tensor: no reference cycle
@@ -645,31 +690,48 @@ def blstm_forward(xhat, fwd, bwd, lengths=None):
     return _recurrent("blstm_forward", xhat, [(*fwd, False), (*bwd, True)], lengths)
 
 
-def encode(ids, named, cfg):
-    """Run the configured encoder stack over the sentence(s) packed in ids,
-    reading each layer's Parameters out of `named` by their manifest names.
+def _layer(named, layer):
+    return named[f"{layer}.w"], named[f"{layer}.b"]
+
+
+def encode_local(ids, named, cfg):
+    """The position-local half of the configured stack over the sentence(s)
+    packed in ids: the embeddings, then the conv bank, k-max pooling and the
+    highway gate as the stack has them, or the MLP window. Each output row
+    reads its own sentence's rows within a fixed distance only, so this half
+    may run over any run of whole sentences on its own. Parameters are read
+    out of `named` by their manifest names.
 
     A layer's output is let go as soon as the next layer has read it, so
     under autograd.no_grad(), where no tape holds it, it is freed there.
     """
-    def affine(layer):
-        return named[f"{layer}.w"], named[f"{layer}.b"]
-
     x = embed_sentence(ids, named["embed.unigram"], named.get("embed.bigram"), cfg)
     if cfg.stack == "mlp":
-        return mlp_encode(x, *affine("mlp"), cfg.window, ids.lengths)
+        return mlp_encode(x, *_layer(named, "mlp"), cfg.window, ids.lengths)
     feats = x
     if cfg.has("conv"):
-        bank = [affine(f"conv.q{q}") for q in range(1, cfg.feature_map_sets + 1)]
+        bank = [_layer(named, f"conv.q{q}") for q in range(1, cfg.feature_map_sets + 1)]
         feats = conv_feature_maps(x, bank, ids.lengths)
     if cfg.has("pool"):
         feats = kmax_pool(feats, cfg.d_in)    # the embedding width, as highway's carry
     if cfg.has("highway"):
-        feats = highway_forward(x, feats, *affine("highway"))
-    del x
-    lstm = [affine(f"lstm.{direction}") for direction in _DIRECTIONS[cfg.recurrent]]
-    if cfg.recurrent == "lstm":
-        return lstm_forward(feats, *lstm[0], lengths=ids.lengths)
-    if cfg.recurrent == "blstm":
-        return blstm_forward(feats, *lstm, ids.lengths)
+        feats = highway_forward(x, feats, *_layer(named, "highway"))
     return feats
+
+
+def encode_recurrent(feats, named, cfg, lengths=None):
+    """The recurrent half of the configured stack over encode_local's
+    output for the sentences packed as `lengths`: the LSTM or BLSTM states,
+    or feats itself without a recurrent layer."""
+    lstm = [_layer(named, f"lstm.{direction}") for direction in _DIRECTIONS[cfg.recurrent]]
+    if cfg.recurrent == "lstm":
+        return lstm_forward(feats, *lstm[0], lengths=lengths)
+    if cfg.recurrent == "blstm":
+        return blstm_forward(feats, *lstm, lengths)
+    return feats
+
+
+def encode(ids, named, cfg):
+    """Run the configured encoder stack over the sentence(s) packed in ids:
+    encode_recurrent over encode_local."""
+    return encode_recurrent(encode_local(ids, named, cfg), named, cfg, ids.lengths)

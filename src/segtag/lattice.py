@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import _check_lengths, _packed_steps, matmul
+from .autograd import _check_lengths, _finite, _packed_steps, matmul
 from .evaluation import word_rule
 
 # Finite stand-in for minus infinity; keeps masked-transition arithmetic NaN-free.
@@ -73,7 +73,7 @@ class TagScoreLattice:
             raise ValueError(
                 f"emissions have {emissions.shape[1]} tags, transitions {trans.n_tags}"
             )
-        if not np.all(np.isfinite(emissions)):
+        if not _finite(emissions):
             raise ValueError("emissions must be finite")
         self.emissions = emissions
         self.trans = trans
@@ -147,19 +147,24 @@ def _viterbi_path(emissions, a, lengths):
     The steps run over the step-major layout of ``autograd._packed_steps``:
     step t extends the first m sentences of step t-1, longest first, so a
     sentence that has ended keeps its final scores in its row of delta.
+    Backpointers are stored in the smallest unsigned type that holds every
+    tag index (one byte up to 256 tags); each step's argmax runs into an
+    intp block first.
     """
     n, n_tags = emissions.shape
     where, steps = _packed_steps(lengths, n)
     em = np.empty_like(emissions)
     em[where] = emissions
-    backptr = np.empty((n, n_tags), dtype=np.intp)
+    backptr = np.empty((n, n_tags), dtype=np.min_scalar_type(n_tags - 1))
     a_to_from = np.ascontiguousarray(a.T)   # reduce over the previous tag along contiguous rows
     delta = em[:steps[0][1]].copy()
+    ptrs = np.empty(delta.shape, dtype=np.intp)
     starts = np.arange(delta.size) * n_tags     # where each (b, j) row of cand starts, flattened
     for lo, m in steps[1:]:
         cand = delta[:m, None] + a_to_from                # cand[b, j, i]: best arriving at j via i
-        ptr = backptr[lo:lo + m]
+        ptr = ptrs[:m]
         cand.argmax(axis=2, out=ptr)                      # first max = smallest previous tag
+        backptr[lo:lo + m] = ptr
         best = cand.reshape(-1).take(ptr.reshape(-1) + starts[:ptr.size])   # the max, at ptr
         np.add(best.reshape(m, n_tags), em[lo:lo + m], out=delta[:m])
     if np.any(delta.max(axis=1) <= _INFEASIBLE):

@@ -10,33 +10,50 @@ from . import lattice as lt
 
 # Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
 # a bigger GEMM but need more memory per chunk. At the published widths
-# (tracemalloc, float32):
-# - a training chunk's tape holds 8.5 KB per character after its forward
-#   pass, the LSTM's tanh(c_t) included, and peaks at 11.8 KB per character
-#   during backward(), which releases it as it goes (one 485-character chunk);
-# - tagging runs under autograd.no_grad(), which keeps no tape: a tagging
-#   chunk peaks at 3.7 KB per character, in the BLSTM (one ~1,000-character
-#   chunk of 39 sentences; 3.5 on one 4,000-character line), where with the
-#   tape on it peaked at 9.8. Its chunk is therefore twice the training chunk. 2,048 characters
-#   tagged long sentences faster still but, when k-max still peaked at 5.4 KB
-#   per character, raised the toy benchmark's peak RSS by 16%, beyond its 10%
-#   bound.
+# (tracemalloc, float32), a training chunk's tape holds 8.5 KB per character
+# after its forward pass, the LSTM's tanh(c_t) included, and peaks at 11.8 KB
+# per character during backward(), which releases it as it goes (one
+# 485-character chunk).
+#
+# Tagging keeps no tape (autograd.no_grad()) and runs a chunk in two halves
+# (Model.lattice). The position-local stack (embedding, conv bank, k-max,
+# highway) runs once per run of whole sentences of at most TAG_LOCAL_CHARS
+# characters; its peak, the conv bank's window beside its maps, grows with
+# the run. The BLSTM, the tag projection and one Viterbi then run once over
+# the whole chunk. An untaped LSTM direction holds a row block of gates and a
+# few rows per sentence, so the arrays that grow with the chunk are the local
+# stack's output, the BLSTM states and two copies of the tag scores: a chunk
+# holds as many characters as TAG_CHUNK_BYTES of those rows
+# (Model.tag_chunk_chars). At the published widths that is 2,870 characters
+# at 12 tags, where a whole chunk of toy sentences peaks at 1.45 KB per
+# character, 4.2 MB (test_tagging_chunk_peak_memory_per_character), and 1,554
+# at 128 tags. A sentence longer than a chunk is a chunk alone, and one
+# longer than TAG_LOCAL_CHARS a run alone, at ~3.4 KB per character
+# (test_long_line_peak_memory_per_character).
 TRAIN_CHUNK_CHARS = 512
-TAG_CHUNK_CHARS = 1024
+TAG_LOCAL_CHARS = 1024
+TAG_CHUNK_BYTES = 3 * 1024 * 1024
+
+
+def runs(lengths, cap):
+    """(first, last) of each run of consecutive sentences, in order, holding at
+    most `cap` characters; a sentence longer than `cap` is a run alone."""
+    first, size = 0, 0
+    for k, n in enumerate(lengths):
+        if k > first and size + n > cap:
+            yield first, k
+            first, size = k, 0
+        size += n
+    if lengths:
+        yield first, len(lengths)
 
 
 def length_chunks(lengths, cap):
     """Indices of the sentences sorted by length (stable), cut into runs of
     at most `cap` characters; a sentence longer than `cap` is a run alone."""
-    chunk, size = [], 0
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunk and size + lengths[i] > cap:
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(i)
-        size += lengths[i]
-    if chunk:
-        yield chunk
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    for first, last in runs([lengths[i] for i in order], cap):
+        yield order[first:last]
 
 
 class Model:
@@ -92,8 +109,29 @@ class Model:
 
     def lattice(self, ids):
         """Decoding-ready lattice of the emission scores, detached from any
-        tape, so the encoder's forward caches are freed before decoding."""
-        return lt.TagScoreLattice(self.emissions(ids)[1], self.trans, ids.lengths)
+        tape, so the encoder's forward caches are freed before decoding.
+
+        The position-local half of the encoder runs once per run of whole
+        sentences of at most TAG_LOCAL_CHARS characters; the recurrent half
+        and the projection run once over all of ids.
+        """
+        feats = np.empty((len(ids), self.cfg.d_pool), dtype=self.dtype)
+        for first, last in runs(ids.lengths.tolist(), TAG_LOCAL_CHARS):
+            rows, part = ids.sentences(first, last)
+            feats[rows] = enc.encode_local(part, self.named, self.cfg).data
+        hidden = enc.encode_recurrent(ag.Tensor(feats), self.named, self.cfg, ids.lengths)
+        del feats   # under no_grad() no tape node holds it: freed here
+        scores = lt.emission_scores(hidden, self.named["proj.w"], self.named["proj.b"])[1]
+        return lt.TagScoreLattice(scores, self.trans, ids.lengths)
+
+    @property
+    def tag_chunk_chars(self):
+        """Characters per tagging chunk: TAG_CHUNK_BYTES over the bytes of
+        each character's rows that live as long as the chunk (the local
+        stack's output, the encoder's output and two rows of tag scores), and
+        never fewer than TAG_LOCAL_CHARS."""
+        width = self.cfg.d_pool + self.cfg.d_out + 2 * self.n_tags
+        return max(TAG_LOCAL_CHARS, TAG_CHUNK_BYTES // (width * self.dtype.itemsize))
 
     def chunks(self, sentences, cap):
         """(indices, packed CharIds) of each chunk of raw character sequences:
@@ -106,14 +144,13 @@ class Model:
     def tagged(self, sentences):
         """(index, tag-index path) of each raw character sequence, chunk by chunk.
 
-        Each chunk of at most TAG_CHUNK_CHARS characters runs once through the
-        encoder, with no tape, and one batched Viterbi; each sentence is still
-        decoded on its own. A sentence longer than the cap is a chunk by
-        itself, so its chunk exceeds the cap; the encoder's working set grows
-        with its characters, at about 3.5 KB each at the published widths.
-        The paths come in chunk order, not input order.
+        Each chunk of at most tag_chunk_chars characters runs once through
+        lattice(), with no tape, and one batched Viterbi; each sentence is
+        still decoded on its own. A sentence longer than the cap is a chunk by
+        itself, so its chunk exceeds the cap. The paths come in chunk order,
+        not input order.
         """
-        for chunk, ids in self.chunks(sentences, TAG_CHUNK_CHARS):
+        for chunk, ids in self.chunks(sentences, self.tag_chunk_chars):
             # no_grad() is a context variable: left open across the yield, it
             # would turn the tape off for the caller too
             with ag.no_grad():

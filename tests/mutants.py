@@ -50,6 +50,11 @@ MUTANTS = (
            "np.subtract(n_tags - 1, cand[:, :, ::-1].argmax(axis=2), out=ptr)",
            ("tests/test_lattice.py::TestViterbi",
             "tests/test_batching.py::test_packed_viterbi_equals_brute_force_on_masked_lattices")),
+    Mutant("backpointers stored as int8",
+           "src/segtag/lattice.py",
+           "np.min_scalar_type(n_tags - 1)",
+           "np.int8",
+           ("tests/test_lattice.py::TestViterbi::test_wide_tag_sets_match_brute_force",)),
     Mutant("_packed_steps: reversed steps one position off",
            "src/segtag/autograd.py",
            "step = size - 1 - pos if reverse else pos",
@@ -80,6 +85,11 @@ MUTANTS = (
            "dc[:m_next] += dc_carry[:m_next]",
            "dc[:m_next] += 0.0",
            ("tests/test_encoder.py::TestLstm", "tests/test_encoder.py::TestBlstm")),
+    Mutant("the untaped LSTM reads c_{t-1} from the slot it writes",
+           "src/segtag/encoder.py",
+           "[t % 2 * m0 for t in range(len(steps))]",
+           "[0 for t in range(len(steps))]",
+           ("tests/test_encoder.py::TestBlstm::test_untaped_forward_equals_the_taped_forward",)),
     Mutant("k-max ties kept from the highest index down",
            "src/segtag/encoder.py",
            "tied & (np.cumsum(tied, axis=1)",
@@ -161,13 +171,18 @@ MUTANTS = (
            ("tests/test_training.py::TestApplyUpdate",)),
     Mutant("tagging ignores its chunk cap",
            "src/segtag/model.py",
-           "self.chunks(sentences, TAG_CHUNK_CHARS)",
+           "self.chunks(sentences, self.tag_chunk_chars)",
            "self.chunks(sentences, float('inf'))",
            ("tests/test_cli.py::TestTagCommand::test_one_viterbi_per_chunk_over_the_whole_input",)),
     Mutant("Model.tagged splits a chunk's path one row off",
            "src/segtag/model.py",
            "(path[lo:hi] for lo, hi",
            "(path[lo + 1:hi + 1] for lo, hi",
+           ("tests/test_batching.py::test_batched_tagging_equals_one_sentence_at_a_time",)),
+    Mutant("a run of the local stack drops its last sentence",
+           "src/segtag/model.py",
+           "ids.sentences(first, last)",
+           "ids.sentences(first, last - 1)",
            ("tests/test_batching.py::test_batched_tagging_equals_one_sentence_at_a_time",)),
     Mutant("Model.tagged yields inside no_grad()",
            "src/segtag/model.py",

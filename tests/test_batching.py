@@ -6,6 +6,7 @@ here is compared with the same sentences run one at a time: paths must be
 identical, emissions, hinge losses and gradients equal up to float64
 rounding, gradients right on ragged batches.
 """
+import contextlib
 import gc
 import tracemalloc
 
@@ -18,11 +19,12 @@ from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag import lattice as lt
+from segtag import model as md
 from segtag import modelfile as mf
 from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
 from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import TAG_CHUNK_CHARS, TRAIN_CHUNK_CHARS, Model, length_chunks
+from segtag.model import TAG_LOCAL_CHARS, TRAIN_CHUNK_CHARS, Model, length_chunks, runs
 from segtag.toydata import ALPHABET, WORD_INVENTORY, toy_corpus
 from util import (PERFBENCH, benchmark_workloads, randomize_parameters, taped_sum, topology_config,
                   topology_grid)
@@ -66,6 +68,22 @@ def float64_model(case):
 
 sentence_sets = st.lists(st.text(CHARS, min_size=1, max_size=40), min_size=1, max_size=10)
 
+# tagging caps scaled down so that a few short sentences span several runs
+# of the local stack and several chunks: runs of 16 characters, chunks of 48
+SMALL_LOCAL_CHARS, SMALL_CHUNK_CHARS = 16, 48
+
+
+@contextlib.contextmanager
+def small_tagging_caps(model):
+    """model.tag_chunk_chars at SMALL_CHUNK_CHARS and the local stack's runs
+    at SMALL_LOCAL_CHARS, by the constants they are computed from."""
+    width = model.cfg.d_pool + model.cfg.d_out + 2 * model.n_tags
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "TAG_LOCAL_CHARS", SMALL_LOCAL_CHARS)
+        mp.setattr(md, "TAG_CHUNK_BYTES", SMALL_CHUNK_CHARS * width * model.dtype.itemsize)
+        assert model.tag_chunk_chars == SMALL_CHUNK_CHARS
+        yield
+
 
 @pytest.mark.parametrize("case", grid(), ids=grid_id)
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -73,17 +91,25 @@ sentence_sets = st.lists(st.text(CHARS, min_size=1, max_size=40), min_size=1, ma
 @example(texts=["a"])
 @example(texts=["abcde", "abcde", "x", "abcde"])
 @example(texts=["a" * 40, "l", "kkk", "好" * 7])
+# longer than a run, longer than a chunk, and runs and chunks filled by short ones
+@example(texts=["abcdefghijkl" * 2, "ab", "cde" * 25, "kl", "abc", "好xy" * 4, "fgh", "gh" * 10,
+               "ij"])
 def test_batched_tagging_equals_one_sentence_at_a_time(case, texts):
     model = float64_model(case)
     sentences = [list(t) for t in texts]
     ids = [model.vocab.encode(s, model.cfg.use_bigram) for s in sentences]
 
     alone = [lt.viterbi(model.lattice(i))[0] for i in ids]
-    assert model.tag_batch(sentences) == [model.tagset.decode(p) for p in alone]
+    want = np.concatenate([model.emissions(i)[1] for i in ids])
+    largest = np.max(np.abs(want))
+    with small_tagging_caps(model):
+        assert model.tag_batch(sentences) == [model.tagset.decode(p) for p in alone]
+        with ag.no_grad():
+            split = model.lattice(CharIds.pack(ids)).emissions     # in runs, untaped
+    assert np.max(np.abs(split - want)) <= 1e-10 * largest
 
     packed = model.emissions(CharIds.pack(ids))[1]
-    want = np.concatenate([model.emissions(i)[1] for i in ids])
-    assert np.max(np.abs(packed - want)) <= 1e-10 * np.max(np.abs(want))
+    assert np.max(np.abs(packed - want)) <= 1e-10 * largest
 
 
 # a sentence as word indices into WORD_INVENTORY, and whether its gold is the
@@ -187,6 +213,26 @@ class TestPacking:
         assert order == sorted(lengths)
         for c in chunks:
             assert len(c) == 1 or sum(lengths[i] for i in c) <= cap
+
+    @pytest.mark.parametrize("cap", [1, 5, 8, 100])
+    def test_runs_keep_order_and_cap(self, cap):
+        lengths = [3, 9, 1, 4, 4, 2, 7]
+        cuts = list(runs(lengths, cap))
+        assert [i for first, last in cuts for i in range(first, last)] == list(range(len(lengths)))
+        for first, last in cuts:
+            assert last - first == 1 or sum(lengths[first:last]) <= cap
+            # no run could have taken the next sentence
+            assert last == len(lengths) or sum(lengths[first:last + 1]) > cap
+
+    def test_sentences_slice_a_pack(self):
+        a = CharIds(uni=np.array([2]), bi_left=np.array([1]), bi_right=np.array([1]))
+        b = CharIds(uni=np.array([3, 4]), bi_left=np.array([1, 5]), bi_right=np.array([6, 1]))
+        ids = CharIds.pack([a, b, a])
+        rows, part = ids.sentences(1, 3)
+        assert rows == slice(1, 4)
+        assert part.uni.tolist() == [3, 4, 2] and part.lengths.tolist() == [2, 1]
+        assert part.bi_left.tolist() == [1, 5, 1] and part.bi_right.tolist() == [6, 1, 1]
+        assert CharIds.pack([a, b]).sentences(0, 1)[1].uni.tolist() == [2]
 
 
 def _blocks(data, lengths):
@@ -440,7 +486,7 @@ def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
     model = mf.load(PERFBENCH / "models" / f"{lang}.model")
     make = wl.toy_sentences if lang == "toy" else wl.wide_sentences
     sentences = [[c for word, _ in s for c in word] for seed in seeds for s in make(n, seed)]
-    assert TAG_CHUNK_CHARS > TRAIN_CHUNK_CHARS
+    assert model.tag_chunk_chars > TAG_LOCAL_CHARS > TRAIN_CHUNK_CHARS
     assert sorted(model.tagged(sentences)) == list(enumerate(taped_paths(model, sentences)))
 
 
@@ -460,31 +506,32 @@ def tagging_peak_per_character(model, sentences):
 
 
 def test_tagging_chunk_peak_memory_per_character():
-    # one tagging chunk at the published widths: with no tape, the peak is the
-    # BLSTM's working set, a direction's n x 4h activations and cell and
-    # hidden states beside the output and its halved recurrent weights, plus
-    # the gates' scale rows, one per sentence (~3.7 KB per character). k-max selects in row blocks, so it no longer holds
-    # a ranked copy of the whole conv maps (5.5 KB at its peak), nor tagging
-    # the whole tape (~9.8)
-    sents = toy_corpus(80, seed=3, min_words=10, max_words=20)
+    # one whole tagging chunk at the published widths, ~2,870 characters of
+    # ~26-character sentences. With no tape, the peak is in the BLSTM: the
+    # chunk's states (0.8 KB per character) beside the local stack's output
+    # (0.2), and per direction a block of gates, the halved weights, a step's
+    # gate scales and shifts and two c and two h slot rows per sentence,
+    # ~1.45 KB per character in all
+    sents = toy_corpus(200, seed=3, min_words=10, max_words=20)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
     model = Model(EncoderConfig(), vocab, tagset)
     chunk = []
-    while sum(len(s) for s in chunk) < TAG_CHUNK_CHARS - 30:
+    while sum(len(s) for s in chunk) < model.tag_chunk_chars - 30:
         chunk.append(sents[len(chunk)].chars)
-    assert sum(map(len, chunk)) <= TAG_CHUNK_CHARS
+    assert sum(map(len, chunk)) <= model.tag_chunk_chars
     per_char = tagging_peak_per_character(model, chunk)
-    assert per_char <= 4.0 * 1024, per_char
+    assert per_char <= 1.55 * 1024, per_char
 
 
 def test_long_line_peak_memory_per_character():
-    # a line longer than TAG_CHUNK_CHARS is a chunk by itself, so only a
-    # per-character working set keeps it from costing more than a chunk:
-    # ~3.5 KB per character, where k-max over the whole line took 5.5
+    # a line longer than a tagging chunk is a chunk by itself, and a run of
+    # the local stack by itself, so only a per-character working set keeps it
+    # from costing more than a chunk: ~3.4 KB per character, the conv bank's
+    # window beside its maps
     sents = toy_corpus(300, seed=3, min_words=10, max_words=20)
     vocab, tagset = cp.build_vocab_and_tagset(sents)
     model = Model(EncoderConfig(), vocab, tagset)
     line = [c for s in sents for c in s.chars][:4000]
-    assert len(line) == 4000 > TAG_CHUNK_CHARS
+    assert len(line) == 4000 > model.tag_chunk_chars
     per_char = tagging_peak_per_character(model, [line])
     assert per_char <= 4.0 * 1024, per_char

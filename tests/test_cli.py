@@ -21,7 +21,7 @@ from segtag import lattice as lt
 from segtag import modelfile as mf
 from segtag.autograd import NumericError
 from segtag.encoder import RECURRENT_KINDS, STACKS
-from segtag.model import TAG_CHUNK_CHARS, Model, length_chunks
+from segtag.model import Model, length_chunks
 from segtag.toydata import toy_corpus
 from util import PERFBENCH, char_id, serialize_corpus
 
@@ -532,20 +532,21 @@ class TestTagCommand:
 
     def test_lines_are_tagged_in_chunks_and_written_in_order(self, trained, tmp_path):
         model_path, _ = trained
+        model = mf.load(model_path)
+        cap = model.tag_chunk_chars
         rng = np.random.default_rng(9)
         lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
                                                           size=int(rng.integers(1, 40))))
-                 for i in range(600)]
-        lines.insert(60, "abcdefghijkl" * (TAG_CHUNK_CHARS // 12 + 1))   # longer than a chunk
-        assert len(lines[60]) > TAG_CHUNK_CHARS
-        assert sum(map(len, lines)) > 8 * TAG_CHUNK_CHARS
+                 for i in range(cap // 2)]
+        lines.insert(60, "abcdefghijkl" * (cap // 12 + 1))   # longer than a chunk
+        assert len(lines[60]) > cap
+        assert sum(map(len, lines)) > 8 * cap
         fin = tmp_path / "in.txt"
         fout = tmp_path / "out.txt"
         fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run_cli("tag", "--model", str(model_path), str(fin), str(fout)) == 0
         got = fout.read_text(encoding="utf-8").split("\n")
         assert got[-1] == "" and len(got) == len(lines) + 1
-        model = mf.load(model_path)
         rule = ev.word_rule(model.tagset)
         for line, out in zip(lines, got):
             chars = list(line)
@@ -574,13 +575,13 @@ class TestTagCommand:
     def test_refused_line_leaves_no_output(self, tmp_path, capsys):
         # the refused line comes after more than four chunks' worth of lines
         rng = np.random.default_rng(4)
-        lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
-        assert sum(map(len, lines)) > 4 * TAG_CHUNK_CHARS
+        lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(40)]
+        assert sum(map(len, lines)) > 4 * mf.load(TOY_MODEL).tag_chunk_chars
         fin = tmp_path / "in.txt"
         fin.write_text("\n".join(lines + ["ab cd"]) + "\n", encoding="utf-8")
         fout = tmp_path / "out.txt"
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(fout)) == 1
-        assert capsys.readouterr().err.startswith(f"segtag: {fin} line 21: ")
+        assert capsys.readouterr().err.startswith(f"segtag: {fin} line 41: ")
         assert not fout.exists()
         # an existing output file keeps its bytes
         fout.write_bytes(b"kept\n")
@@ -588,7 +589,7 @@ class TestTagCommand:
         assert fout.read_bytes() == b"kept\n"
 
     def test_failed_tagging_leaves_no_output(self, tmp_path, capsys, monkeypatch):
-        # 20 lines of 360 characters make ten chunks; the second chunk's
+        # 20 lines of 360 characters make three chunks; the second chunk's
         # tagging fails after the first chunk was tagged
         rng = np.random.default_rng(4)
         lines = ["".join(rng.choice(list("abcdefghijkl"), size=360)) for _ in range(20)]
@@ -656,14 +657,16 @@ class TestTagCommand:
         assert sorted(os.listdir(tmp_path)) == ["in.txt", "out.fifo", "out.txt"]
 
     def test_one_viterbi_per_chunk_over_the_whole_input(self, tmp_path, monkeypatch):
-        # lines of mixed length, blank ones among them, worth several 4,096-
-        # character groups: they are sorted and cut over the whole input, not
-        # group by group, so each chunk but the last is filled to the cap
+        # lines of mixed length, blank ones among them, worth several chunks
+        # and more than four 4,096-character groups: they are sorted and cut
+        # over the whole input, not group by group, so each chunk but the last
+        # is filled to the cap
+        cap = mf.load(TOY_MODEL).tag_chunk_chars
         rng = np.random.default_rng(12)
         lines = ["" if i % 9 == 0 else "".join(rng.choice(list("abcdefghijkl"),
                                                           size=int(rng.integers(3, 120))))
-                 for i in range(400)]
-        assert sum(map(len, lines)) > 4 * 4096
+                 for i in range(600)]
+        assert sum(map(len, lines)) > max(4 * 4096, 8 * cap)
         fin = tmp_path / "in.txt"
         fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
         calls, viterbi = [], lt.viterbi
@@ -674,7 +677,7 @@ class TestTagCommand:
 
         monkeypatch.setattr(lt, "viterbi", counted)
         assert run_cli("tag", "--model", str(TOY_MODEL), str(fin), str(tmp_path / "o.txt")) == 0
-        want = list(length_chunks([len(line) for line in lines if line], TAG_CHUNK_CHARS))
+        want = list(length_chunks([len(line) for line in lines if line], cap))
         assert len(calls) == len(want)
 
     def test_deterministic_output(self, trained, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
+from segtag import lattice as lt
 from segtag import training as tr
 from segtag.autograd import NumericError, Parameter, Tensor
 from segtag.corpus import Vocab
@@ -271,7 +272,7 @@ class TestKmaxPool:
         z = (np.array(grid, dtype=dtype) / 2).reshape(n, width)
         nan_at = (data.draw(st.integers(step, n - 1)), data.draw(st.integers(0, width - 1)))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(enc, "KMAX_BLOCK_BYTES", budget)
+            mp.setattr(enc, "BLOCK_BYTES", budget)
             z_t = Parameter(z.copy())
             out = enc.kmax_pool(z_t, k)
             assert out.data.tolist() == [kmax_oracle(row, k) for row in z.tolist()]
@@ -591,6 +592,38 @@ class TestBlstm:
             return taped_sum(enc.blstm_forward(x, fwd, bwd, lengths), "tanh")
 
         assert ag.grad_check(f, [x, *fwd, *bwd]) <= 1e-4
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_untaped_forward_equals_the_taped_forward(self, data):
+        # under no_grad() each direction computes its gates' input half one
+        # block of steps at a time and rolls c and h through two slots; a
+        # block budget of a few gate rows puts block ends among the packed
+        # steps and cuts a step of more sentences than that into pieces
+        dtype = np.dtype(data.draw(st.sampled_from([np.float32, np.float64])))
+        lengths = data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+        d, h = 3, data.draw(st.integers(1, 4))
+        rows = data.draw(st.integers(1, 7))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        fwd, bwd = [(Parameter(rng.normal(scale=0.7, size=(d + h, 4 * h)).astype(dtype)),
+                     Parameter(rng.normal(scale=0.5, size=4 * h).astype(dtype)))
+                    for _ in range(2)]
+        x = Tensor(rng.normal(size=(sum(lengths), d)).astype(dtype))
+        taped = enc.blstm_forward(x, fwd, bwd, lengths).data
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enc, "BLOCK_BYTES", rows * 4 * h * dtype.itemsize)
+            with ag.no_grad():
+                untaped = enc.blstm_forward(x, fwd, bwd, lengths).data
+        if dtype == np.float64:
+            assert np.max(np.abs(untaped - taped)) <= 1e-10 * np.max(np.abs(taped))
+        else:
+            # float32 GEMMs over other row sets may differ in the last bits;
+            # the tag paths decoded from the states may not
+            proj = rng.normal(scale=2.0, size=(2 * h, 5)).astype(dtype)
+            trans = lt.TransitionMatrix(Parameter(rng.normal(size=(5, 5)).astype(dtype)))
+            paths = [lt.viterbi(lt.TagScoreLattice(states @ proj, trans, lengths))[0]
+                     for states in (taped, untaped)]
+            assert paths[0] == paths[1]
 
     def test_mismatched_hidden_sizes_rejected(self):
         fwd = (Parameter(np.zeros((5, 8))), Parameter(np.zeros(8)))

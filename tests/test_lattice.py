@@ -114,6 +114,19 @@ class TestViterbi:
         l = make_lattice(rng, n, n_tags)
         assert lat.viterbi(l) == lat.brute_force_decode(l)
 
+    @pytest.mark.parametrize("n_tags", [200, 300])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wide_tag_sets_match_brute_force(self, n_tags, seed):
+        # backpointers are stored in the smallest unsigned type: one byte at
+        # 200 tags, two at 300; the first tag, pushed near the top of the
+        # range, is read back through them. n = 2 keeps |T|^n under the guard
+        rng = np.random.default_rng(900 + seed)
+        l = make_lattice(rng, 2, n_tags)
+        l.emissions[0, n_tags - 1 - seed] += 10.0
+        path = lat.viterbi(l)
+        assert path[0][0] == n_tags - 1 - seed
+        assert path == lat.brute_force_decode(l)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_tie_break_matches_brute_force_on_integer_lattices(self, seed):
         # integer scores force frequent exact ties
