@@ -328,11 +328,10 @@ def _window_tanh(what, x, left, right, filters, lengths):
     z = np.empty((xw.shape[0], sum(w.shape[1] for _, w, _ in filters)), dtype=xw.dtype)
     ofs = 0
     for cols, w, b in filters:
-        zq = z[:, ofs:ofs + w.shape[1]]
+        np.matmul(xw[:, cols], w.data, out=z[:, ofs:ofs + w.shape[1]])
         ofs += w.shape[1]
-        np.matmul(xw[:, cols], w.data, out=zq)
-        zq += b.data
     del xw      # rebuilt by the backward pass rather than held on the tape
+    z += np.concatenate([b.data for _, _, b in filters])    # one pass, not one per filter
     out = Tensor(np.tanh(z, out=z))
 
     def _back(grad):

@@ -2,6 +2,8 @@
 and transition matrix, with deterministic seeded initialization."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import autograd as ag
@@ -9,38 +11,45 @@ from . import encoder as enc
 from . import lattice as lt
 
 # Characters per packed chunk. Larger chunks make each LSTM and Viterbi step
-# a bigger GEMM but need more memory per chunk. At the published widths
-# (tracemalloc, float32), a training chunk's tape holds 8.5 KB per character
-# after its forward pass, the LSTM's tanh(c_t) included, and peaks at 11.8 KB
-# per character during backward(), which releases it as it goes (one
-# 485-character chunk).
+# a bigger GEMM but need more memory per chunk.
+#
+# Every call of the position-local stack (embedding, conv bank, k-max,
+# highway), taped or not, runs over whole sentences of at most LOCAL_CHARS
+# characters; its peak, the conv bank's window beside its maps, grows with
+# the run. Training packs each batch into chunks of at most LOCAL_CHARS
+# characters, so a default batch of toy sentences (~520 characters) is one
+# chunk: one encoder pass, one loss-augmented Viterbi and one backward(). At
+# the published widths (tracemalloc, float32) a training chunk's tape holds
+# ~8.5 KB per character after its forward pass, the LSTM's tanh(c_t)
+# included, and peaks at ~11.1 KB per character during backward(), which
+# releases it as it goes (one 1,013-character chunk).
 #
 # Tagging keeps no tape (autograd.no_grad()) and runs a chunk in two halves
-# (Model.lattice). The position-local stack (embedding, conv bank, k-max,
-# highway) runs once per run of whole sentences of at most TAG_LOCAL_CHARS
-# characters; its peak, the conv bank's window beside its maps, grows with
-# the run. The BLSTM, the tag projection and one Viterbi then run once over
-# the whole chunk. An untaped LSTM direction holds a row block of gates and a
-# few rows per sentence, so the arrays that grow with the chunk are the local
-# stack's output, the BLSTM states and two copies of the tag scores: a chunk
-# holds as many characters as TAG_CHUNK_BYTES of those rows
-# (Model.tag_chunk_chars). At the published widths that is 2,870 characters
-# at 12 tags, where a whole chunk of toy sentences peaks at 1.45 KB per
-# character, 4.2 MB (test_tagging_chunk_peak_memory_per_character), and 1,554
-# at 128 tags. A sentence longer than a chunk is a chunk alone, and one
-# longer than TAG_LOCAL_CHARS a run alone, at ~3.4 KB per character
-# (test_long_line_peak_memory_per_character).
-TRAIN_CHUNK_CHARS = 512
-TAG_LOCAL_CHARS = 1024
+# (Model.lattice): the local stack once per run of LOCAL_CHARS characters,
+# then the BLSTM, the tag projection and one Viterbi once over the whole
+# chunk. An untaped LSTM direction holds a row block of gates and two c and
+# two h slot rows per sentence, so the arrays that grow with the chunk are
+# the local stack's output, the BLSTM states, two copies of the tag scores
+# and those slot rows: a chunk holds as many characters as TAG_CHUNK_BYTES of
+# the first three (Model.tag_chunk_chars) and, with a recurrent layer, as
+# many sentences as TAG_CHUNK_BYTES of slot rows (Model.tag_chunk_sentences).
+# At the published widths that is 2,870 characters at 12 tags, where a whole
+# chunk of toy sentences peaks at 1.45 KB per character, 4.2 MB
+# (test_tagging_chunk_peak_memory_per_character), 1,554 at 128 tags, and
+# 1,966 sentences (test_many_short_lines_peak_memory). A sentence longer than
+# a chunk is a chunk alone, and one longer than LOCAL_CHARS a run alone, at
+# ~3.4 KB per character (test_long_line_peak_memory_per_character).
+LOCAL_CHARS = 1024
 TAG_CHUNK_BYTES = 3 * 1024 * 1024
 
 
-def runs(lengths, cap):
+def runs(lengths, cap, most=math.inf):
     """(first, last) of each run of consecutive sentences, in order, holding at
-    most `cap` characters; a sentence longer than `cap` is a run alone."""
+    most `cap` characters and `most` sentences; a sentence longer than `cap`
+    is a run alone."""
     first, size = 0, 0
     for k, n in enumerate(lengths):
-        if k > first and size + n > cap:
+        if k > first and (size + n > cap or k - first >= most):
             yield first, k
             first, size = k, 0
         size += n
@@ -48,11 +57,12 @@ def runs(lengths, cap):
         yield first, len(lengths)
 
 
-def length_chunks(lengths, cap):
+def length_chunks(lengths, cap, most=math.inf):
     """Indices of the sentences sorted by length (stable), cut into runs of
-    at most `cap` characters; a sentence longer than `cap` is a run alone."""
+    at most `cap` characters and `most` sentences; a sentence longer than
+    `cap` is a run alone."""
     order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    for first, last in runs([lengths[i] for i in order], cap):
+    for first, last in runs([lengths[i] for i in order], cap, most):
         yield order[first:last]
 
 
@@ -112,11 +122,11 @@ class Model:
         tape, so the encoder's forward caches are freed before decoding.
 
         The position-local half of the encoder runs once per run of whole
-        sentences of at most TAG_LOCAL_CHARS characters; the recurrent half
+        sentences of at most LOCAL_CHARS characters; the recurrent half
         and the projection run once over all of ids.
         """
         feats = np.empty((len(ids), self.cfg.d_pool), dtype=self.dtype)
-        for first, last in runs(ids.lengths.tolist(), TAG_LOCAL_CHARS):
+        for first, last in runs(ids.lengths.tolist(), LOCAL_CHARS):
             rows, part = ids.sentences(first, last)
             feats[rows] = enc.encode_local(part, self.named, self.cfg).data
         hidden = enc.encode_recurrent(ag.Tensor(feats), self.named, self.cfg, ids.lengths)
@@ -129,28 +139,39 @@ class Model:
         """Characters per tagging chunk: TAG_CHUNK_BYTES over the bytes of
         each character's rows that live as long as the chunk (the local
         stack's output, the encoder's output and two rows of tag scores), and
-        never fewer than TAG_LOCAL_CHARS."""
+        never fewer than LOCAL_CHARS."""
         width = self.cfg.d_pool + self.cfg.d_out + 2 * self.n_tags
-        return max(TAG_LOCAL_CHARS, TAG_CHUNK_BYTES // (width * self.dtype.itemsize))
+        return max(LOCAL_CHARS, TAG_CHUNK_BYTES // (width * self.dtype.itemsize))
 
-    def chunks(self, sentences, cap):
+    @property
+    def tag_chunk_sentences(self):
+        """Sentences per tagging chunk: TAG_CHUNK_BYTES over the two c and two
+        h slot rows an untaped LSTM direction holds per sentence; unbounded
+        without a recurrent layer."""
+        if self.cfg.recurrent == "none":
+            return math.inf
+        return TAG_CHUNK_BYTES // (4 * self.cfg.h * self.dtype.itemsize)
+
+    def chunks(self, sentences, cap, most=math.inf):
         """(indices, packed CharIds) of each chunk of raw character sequences:
         the sentences sorted by length and cut by length_chunks at `cap`
-        characters, each chunk's sentences encoded and packed end to end."""
-        for chunk in length_chunks([len(s) for s in sentences], cap):
+        characters and `most` sentences, each chunk's sentences encoded and
+        packed end to end."""
+        for chunk in length_chunks([len(s) for s in sentences], cap, most):
             yield chunk, enc.CharIds.pack(
                 self.vocab.encode(sentences[i], self.cfg.use_bigram) for i in chunk)
 
     def tagged(self, sentences):
         """(index, tag-index path) of each raw character sequence, chunk by chunk.
 
-        Each chunk of at most tag_chunk_chars characters runs once through
-        lattice(), with no tape, and one batched Viterbi; each sentence is
-        still decoded on its own. A sentence longer than the cap is a chunk by
-        itself, so its chunk exceeds the cap. The paths come in chunk order,
-        not input order.
+        Each chunk of at most tag_chunk_chars characters and
+        tag_chunk_sentences sentences runs once through lattice(), with no
+        tape, and one batched Viterbi; each sentence is still decoded on its
+        own. A sentence longer than the cap is a chunk by itself, so its chunk
+        exceeds the cap. The paths come in chunk order, not input order.
         """
-        for chunk, ids in self.chunks(sentences, self.tag_chunk_chars):
+        for chunk, ids in self.chunks(sentences, self.tag_chunk_chars,
+                                      self.tag_chunk_sentences):
             # no_grad() is a context variable: left open across the yield, it
             # would turn the tape off for the caller too
             with ag.no_grad():

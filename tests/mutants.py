@@ -90,6 +90,11 @@ MUTANTS = (
            "[t % 2 * m0 for t in range(len(steps))]",
            "[0 for t in range(len(steps))]",
            ("tests/test_encoder.py::TestBlstm::test_untaped_forward_equals_the_taped_forward",)),
+    Mutant("the conv bank adds its biases in reverse order",
+           "src/segtag/encoder.py",
+           "np.concatenate([b.data for _, _, b in filters])",
+           "np.concatenate([b.data for _, _, b in filters][::-1])",
+           ("tests/test_encoder.py::TestConvFeatureMaps::test_matches_scalar_oracle",)),
     Mutant("k-max ties kept from the highest index down",
            "src/segtag/encoder.py",
            "tied & (np.cumsum(tied, axis=1)",
@@ -171,9 +176,26 @@ MUTANTS = (
            ("tests/test_training.py::TestApplyUpdate",)),
     Mutant("tagging ignores its chunk cap",
            "src/segtag/model.py",
-           "self.chunks(sentences, self.tag_chunk_chars)",
-           "self.chunks(sentences, float('inf'))",
+           "self.chunks(sentences, self.tag_chunk_chars,",
+           "self.chunks(sentences, float('inf'),",
            ("tests/test_cli.py::TestTagCommand::test_one_viterbi_per_chunk_over_the_whole_input",)),
+    Mutant("tagging ignores its sentence cap",
+           "src/segtag/model.py",
+           "self.tag_chunk_sentences):",
+           "math.inf):",
+           ("tests/test_batching.py::test_many_short_lines_peak_memory",
+            "tests/test_batching.py::test_tagging_chunks_cap_characters_and_sentences")),
+    Mutant("training ignores its chunk cap",
+           "src/segtag/training.py",
+           "batch], LOCAL_CHARS)",
+           "batch], float('inf'))",
+           ("tests/test_training.py::TestTrainEpoch"
+            "::test_memory_is_bounded_by_the_chunk_not_the_batch",)),
+    Mutant("training chunks at half the cap",
+           "src/segtag/training.py",
+           "batch], LOCAL_CHARS)",
+           "batch], LOCAL_CHARS // 2)",
+           ("tests/test_training.py::TestTrainEpoch::test_a_batch_within_the_cap_is_one_chunk",)),
     Mutant("Model.tagged splits a chunk's path one row off",
            "src/segtag/model.py",
            "(path[lo:hi] for lo, hi",

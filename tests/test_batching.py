@@ -6,8 +6,8 @@ here is compared with the same sentences run one at a time: paths must be
 identical, emissions, hinge losses and gradients equal up to float64
 rounding, gradients right on ragged batches.
 """
-import contextlib
 import gc
+import math
 import tracemalloc
 
 import numpy as np
@@ -23,11 +23,11 @@ from segtag import model as md
 from segtag import modelfile as mf
 from segtag import training as tr
 from segtag.autograd import Parameter, Tensor
-from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import TAG_LOCAL_CHARS, TRAIN_CHUNK_CHARS, Model, length_chunks, runs
+from segtag.encoder import RECURRENT_KINDS, CharIds, EncoderConfig
+from segtag.model import LOCAL_CHARS, Model, length_chunks, runs
 from segtag.toydata import ALPHABET, WORD_INVENTORY, toy_corpus
-from util import (PERFBENCH, benchmark_workloads, randomize_parameters, taped_sum, topology_config,
-                  topology_grid)
+from util import (PERFBENCH, benchmark_workloads, randomize_parameters, small_tagging_caps,
+                  taped_sum, topology_config, topology_grid)
 
 RAGGED = (1, 3, 5)
 
@@ -73,18 +73,6 @@ sentence_sets = st.lists(st.text(CHARS, min_size=1, max_size=40), min_size=1, ma
 SMALL_LOCAL_CHARS, SMALL_CHUNK_CHARS = 16, 48
 
 
-@contextlib.contextmanager
-def small_tagging_caps(model):
-    """model.tag_chunk_chars at SMALL_CHUNK_CHARS and the local stack's runs
-    at SMALL_LOCAL_CHARS, by the constants they are computed from."""
-    width = model.cfg.d_pool + model.cfg.d_out + 2 * model.n_tags
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(md, "TAG_LOCAL_CHARS", SMALL_LOCAL_CHARS)
-        mp.setattr(md, "TAG_CHUNK_BYTES", SMALL_CHUNK_CHARS * width * model.dtype.itemsize)
-        assert model.tag_chunk_chars == SMALL_CHUNK_CHARS
-        yield
-
-
 @pytest.mark.parametrize("case", grid(), ids=grid_id)
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(texts=sentence_sets)
@@ -102,7 +90,7 @@ def test_batched_tagging_equals_one_sentence_at_a_time(case, texts):
     alone = [lt.viterbi(model.lattice(i))[0] for i in ids]
     want = np.concatenate([model.emissions(i)[1] for i in ids])
     largest = np.max(np.abs(want))
-    with small_tagging_caps(model):
+    with small_tagging_caps(model, SMALL_LOCAL_CHARS, SMALL_CHUNK_CHARS):
         assert model.tag_batch(sentences) == [model.tagset.decode(p) for p in alone]
         with ag.no_grad():
             split = model.lattice(CharIds.pack(ids)).emissions     # in runs, untaped
@@ -223,6 +211,20 @@ class TestPacking:
             assert last - first == 1 or sum(lengths[first:last]) <= cap
             # no run could have taken the next sentence
             assert last == len(lengths) or sum(lengths[first:last + 1]) > cap
+
+    @pytest.mark.parametrize("most", [1, 2, 3])
+    def test_runs_and_chunks_cap_the_sentence_count(self, most):
+        lengths = [3, 9, 1, 4, 4, 2, 7]
+        cuts = list(runs(lengths, 12, most))
+        assert [i for first, last in cuts for i in range(first, last)] == list(range(len(lengths)))
+        for first, last in cuts:
+            assert last - first <= most and (last - first == 1 or sum(lengths[first:last]) <= 12)
+            # a run stops at its sentence cap or when the next sentence would not fit
+            assert (last == len(lengths) or last - first == most
+                    or sum(lengths[first:last + 1]) > 12)
+        chunks = list(length_chunks(lengths, 12, most))
+        assert [lengths[i] for c in chunks for i in c] == sorted(lengths)
+        assert max(map(len, chunks)) == most
 
     def test_sentences_slice_a_pack(self):
         a = CharIds(uni=np.array([2]), bi_left=np.array([1]), bi_right=np.array([1]))
@@ -469,7 +471,7 @@ def test_tagging_frees_the_encoder_tape_before_viterbi(monkeypatch):
 def taped_paths(model, sentences):
     """Tag paths as tagging ran with the tape on, in training-sized chunks."""
     paths = [None] * len(sentences)
-    for chunk, ids in model.chunks(sentences, TRAIN_CHUNK_CHARS):
+    for chunk, ids in model.chunks(sentences, LOCAL_CHARS):
         path, _ = lt.viterbi(model.lattice(ids))
         ends = np.cumsum(ids.lengths).tolist()
         for i, lo, hi in zip(chunk, [0] + ends, ends):
@@ -486,7 +488,7 @@ def test_untaped_tagging_chunks_give_the_taped_paths(lang, seeds, n):
     model = mf.load(PERFBENCH / "models" / f"{lang}.model")
     make = wl.toy_sentences if lang == "toy" else wl.wide_sentences
     sentences = [[c for word, _ in s for c in word] for seed in seeds for s in make(n, seed)]
-    assert model.tag_chunk_chars > TAG_LOCAL_CHARS > TRAIN_CHUNK_CHARS
+    assert model.tag_chunk_chars > LOCAL_CHARS
     assert sorted(model.tagged(sentences)) == list(enumerate(taped_paths(model, sentences)))
 
 
@@ -535,3 +537,45 @@ def test_long_line_peak_memory_per_character():
     assert len(line) == 4000 > model.tag_chunk_chars
     per_char = tagging_peak_per_character(model, [line])
     assert per_char <= 4.0 * 1024, per_char
+
+
+def test_many_short_lines_peak_memory():
+    # an untaped LSTM direction holds two c and two h slot rows per sentence
+    # (1.6 KB at h = 100), so a chunk cut by characters alone would hold 2,870
+    # one-character lines; cut at tag_chunk_sentences (1,966) as well, 6,000
+    # of them peak at ~1.16 KB per line, the tag lists of tag_batch included,
+    # where a chunk cut by characters alone peaks at ~1.54 KB
+    sents = toy_corpus(200, seed=3, min_words=10, max_words=20)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(EncoderConfig(), vocab, tagset)
+    assert model.tag_chunk_sentences == 1966 < model.tag_chunk_chars
+    lines = [[ALPHABET[i % len(ALPHABET)]] for i in range(6000)]
+    per_line = tagging_peak_per_character(model, lines)
+    assert per_line <= 1.27 * 1024, per_line
+
+
+@pytest.mark.parametrize("recurrent", RECURRENT_KINDS)
+def test_tagging_chunks_cap_characters_and_sentences(recurrent, monkeypatch):
+    # a budget that holds 6 of h = 3's slot rows (or, without a recurrent
+    # layer, no sentence cap) over short lines and one longer than a chunk
+    sents = toy_corpus(8, seed=2)
+    vocab, tagset = cp.build_vocab_and_tagset(sents)
+    model = Model(topology_config(d=4, h=3, feature_map_sets=3, feature_maps=4,
+                                  recurrent=recurrent), vocab, tagset, dtype=np.float64)
+    monkeypatch.setattr(md, "TAG_CHUNK_BYTES", 6 * 4 * 3 * 8)
+    most = math.inf if recurrent == "none" else 6
+    assert model.tag_chunk_sentences == most and model.tag_chunk_chars == LOCAL_CHARS
+    sentences = [s.chars for s in sents] * 3 + [list(ALPHABET * 100)]
+    calls, lattice = [], Model.lattice
+
+    def counted(m, ids):
+        calls.append(ids.lengths.tolist())
+        return lattice(m, ids)
+
+    monkeypatch.setattr(Model, "lattice", counted)
+    tags = model.tag_batch(sentences)
+    lengths = [len(s) for s in sentences]
+    want = [[lengths[i] for i in c] for c in length_chunks(lengths, LOCAL_CHARS, most)]
+    assert calls == want and len(calls) == (2 if recurrent == "none" else 5)
+    monkeypatch.setattr(Model, "lattice", lattice)
+    assert tags == [model.tag_chars(s) for s in sentences]

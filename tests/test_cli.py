@@ -23,7 +23,7 @@ from segtag.autograd import NumericError
 from segtag.encoder import RECURRENT_KINDS, STACKS
 from segtag.model import Model, length_chunks
 from segtag.toydata import toy_corpus
-from util import PERFBENCH, char_id, serialize_corpus
+from util import PERFBENCH, char_id, serialize_corpus, small_tagging_caps
 
 TOY_MODEL = PERFBENCH / "models" / "toy.model"
 
@@ -531,20 +531,24 @@ class TestTagCommand:
         assert all("/" in l for l in (lines[0], lines[2]))
 
     def test_lines_are_tagged_in_chunks_and_written_in_order(self, trained, tmp_path):
+        # tagging caps scaled down (the command runs in this process, so the
+        # model it loads reads them too): runs of 128 characters, chunks of
+        # 512, so that a few thousand characters fill more than eight chunks
         model_path, _ = trained
         model = mf.load(model_path)
-        cap = model.tag_chunk_chars
-        rng = np.random.default_rng(9)
-        lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
-                                                          size=int(rng.integers(1, 40))))
-                 for i in range(cap // 2)]
-        lines.insert(60, "abcdefghijkl" * (cap // 12 + 1))   # longer than a chunk
-        assert len(lines[60]) > cap
-        assert sum(map(len, lines)) > 8 * cap
-        fin = tmp_path / "in.txt"
-        fout = tmp_path / "out.txt"
-        fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert run_cli("tag", "--model", str(model_path), str(fin), str(fout)) == 0
+        with small_tagging_caps(model, 128, 512):
+            cap = model.tag_chunk_chars
+            rng = np.random.default_rng(9)
+            lines = ["" if i % 7 == 0 else "".join(rng.choice(list("abcdefghijklxy"),
+                                                              size=int(rng.integers(1, 40))))
+                     for i in range(cap // 2)]
+            lines.insert(60, "abcdefghijkl" * (cap // 12 + 1))   # longer than a chunk
+            assert len(lines[60]) > cap
+            assert sum(map(len, lines)) > 8 * cap
+            fin = tmp_path / "in.txt"
+            fout = tmp_path / "out.txt"
+            fin.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert run_cli("tag", "--model", str(model_path), str(fin), str(fout)) == 0
         got = fout.read_text(encoding="utf-8").split("\n")
         assert got[-1] == "" and len(got) == len(lines) + 1
         rule = ev.word_rule(model.tagset)

@@ -12,7 +12,7 @@ from segtag import lattice as lt
 from segtag import training as tr
 from segtag.autograd import Parameter
 from segtag.encoder import CharIds, EncoderConfig
-from segtag.model import TRAIN_CHUNK_CHARS, Model
+from segtag.model import LOCAL_CHARS, Model
 from segtag.toydata import toy_corpus
 from util import projection_model, randomize_parameters, taped_sum, taped_total, topology_config
 
@@ -408,13 +408,15 @@ class TestTrainEpoch:
         assert isinstance(info.value.__cause__, ag.NumericError)
 
     def test_memory_is_bounded_by_the_chunk_not_the_batch(self):
-        # a training tape peaks at ~11.8 KB per packed character at the published
-        # widths; a batch of 100 sentences (~2,600 characters) packed as one
-        # chunk would raise the traced peak by tens of MB
-        sents = toy_corpus(100, seed=4, min_words=10, max_words=20)
+        # a training tape peaks at ~11.1 KB per packed character at the published
+        # widths; batches of 60 and 100 sentences (~1,480 and ~2,470 characters)
+        # each exceed the LOCAL_CHARS cap, and packed as one chunk the larger
+        # would raise the traced peak by ~10 MB
+        sents = toy_corpus(200, seed=4, min_words=10, max_words=20)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
         peaks = []
-        for batch_size in (20, 100):
+        for batch_size in (60, 100):
+            assert sum(len(s) for s in sents[:batch_size]) > LOCAL_CHARS
             model = Model(EncoderConfig(), vocab, tagset, seed=1)
             tracemalloc.start()
             try:
@@ -424,29 +426,49 @@ class TestTrainEpoch:
                 tracemalloc.stop()
         assert abs(peaks[0] - peaks[1]) < 2 ** 20, peaks
 
+    def test_a_batch_within_the_cap_is_one_chunk(self, monkeypatch):
+        # default batches of 20 toy sentences (~500 characters) fit in
+        # LOCAL_CHARS: one hinge_loss_graph, so one encoder pass, one
+        # loss-augmented Viterbi and one backward(), per batch
+        sents = toy_corpus(100, seed=4, min_words=10, max_words=20)
+        vocab, tagset = cp.build_vocab_and_tagset(sents)
+        model = Model(EncoderConfig(d=8, h=8, feature_map_sets=2, feature_maps=8),
+                      vocab, tagset, seed=1)
+        cfg = tr.TrainConfig()
+        calls, graph = [], tr.hinge_loss_graph
+
+        def counted(model, ids, gold, eta):
+            calls.append(len(ids))
+            return graph(model, ids, gold, eta)
+
+        monkeypatch.setattr(tr, "hinge_loss_graph", counted)
+        tr.train_epoch(sents, model, cfg, epoch=1)
+        assert len(calls) == len(sents) // cfg.batch_size
+        assert sum(calls) == sum(len(s) for s in sents) and max(calls) <= LOCAL_CHARS
+
     def test_empty_corpus_rejected(self):
         model, _ = tiny_model()
         with pytest.raises(ValueError, match="empty"):
             tr.train_epoch([], model, tr.TrainConfig(), epoch=1)
 
     def test_chunk_tape_memory_per_character(self):
-        # one packed chunk of about TRAIN_CHUNK_CHARS characters at the published
+        # one packed chunk of about LOCAL_CHARS characters at the published
         # widths: backward() frees the tape as it walks it, so the peak stays
         # near the forward tape and almost nothing is left once it returns. The
         # tape holds ~8.5 KB per character after the forward pass and peaks at
-        # ~11.8 KB, with no array on it twice (the LSTM's states only in the
+        # ~11.1 KB, with no array on it twice (the LSTM's states only in the
         # BLSTM output, highway's gate without its carry); each LSTM direction
         # keeps tanh(c_t), 0.4 KB per character, for its backward pass
         sents = toy_corpus(60, seed=4, min_words=10, max_words=20)
         vocab, tagset = cp.build_vocab_and_tagset(sents)
         model = Model(EncoderConfig(), vocab, tagset, seed=1)
         chunk = []
-        while sum(len(s) for s in chunk) < TRAIN_CHUNK_CHARS - 30:
+        while sum(len(s) for s in chunk) < LOCAL_CHARS - 30:
             chunk.append(sents[len(chunk)])
         ids = CharIds.pack(model.vocab.encode(s.chars) for s in chunk)
         gold = np.concatenate([model.tagset.encode(s.tags) for s in chunk])
         n = len(ids)
-        assert TRAIN_CHUNK_CHARS - 30 <= n <= TRAIN_CHUNK_CHARS + 30
+        assert LOCAL_CHARS - 30 <= n <= LOCAL_CHARS
         for _ in range(2):      # the first pass warms numpy's caches up
             model.zero_grads()
             tracemalloc.start()

@@ -4,18 +4,21 @@ The oracles here deliberately avoid the library's own code paths: plain
 python loops and math functions only, so they stay meaningful as
 cross-checks for the vectorized implementations.
 """
+import contextlib
 import importlib.util
 import math
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from segtag import autograd as ag
 from segtag import corpus as cp
 from segtag import encoder as enc
 from segtag import evaluation as ev
 from segtag import lattice as lt
+from segtag import model as md
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 
@@ -27,6 +30,20 @@ def benchmark_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def small_tagging_caps(model, local_chars, chunk_chars):
+    """model.tag_chunk_chars at chunk_chars and the local stack's runs at
+    local_chars, by the constants they are computed from. Every model of
+    model's widths and dtype, such as the one a command loads, tags in
+    chunks of that size while the patch holds."""
+    width = model.cfg.d_pool + model.cfg.d_out + 2 * model.n_tags
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(md, "LOCAL_CHARS", local_chars)
+        mp.setattr(md, "TAG_CHUNK_BYTES", chunk_chars * width * model.dtype.itemsize)
+        assert model.tag_chunk_chars == chunk_chars
+        yield
 
 
 def format_tags(chars, tags):
