@@ -331,7 +331,7 @@ def _window_tanh(what, x, left, right, filters, lengths):
         np.matmul(xw[:, cols], w.data, out=z[:, ofs:ofs + w.shape[1]])
         ofs += w.shape[1]
     del xw      # rebuilt by the backward pass rather than held on the tape
-    z += np.concatenate([b.data for _, _, b in filters])    # one pass, not one per filter
+    z += np.concatenate([b.data for _, _, b in filters])
     out = Tensor(np.tanh(z, out=z))
 
     def _back(grad):
